@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics as one JSON line.
 
-    python3 perfbench/run.py --workload simon-solve --seed 3 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload simon-solve --seed 3 --seconds 30 --trace 0
 
 Run from the root of a checkout: the program is imported from ``src/``.
 With ``--trace 0`` the repetitions run untraced and the end-to-end
@@ -23,7 +23,6 @@ import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -31,15 +30,24 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
-#: Repetitions measured at least, whatever ``--seconds`` says.
+#: Set-ups per run; ``setup_s`` is their median, over the host slowdown.
+SETUP_REPEATS = 5
+#: Untraced repetitions measured at least, whatever ``--seconds`` says.
 MIN_REPS = 3
+#: With ``--trace 1``: untraced and traced repetitions, at least this
+#: many of each.
+MIN_TRACED_REPS = 2
+
+#: Iterations of the reference loop, runs of it per host probe, and the
+#: loop's time on a quiet host: a 2-vCPU VM with Python 3.11, the host
+#: of ``baseline.json``.  Times are reported in seconds of that host.
+REFERENCE_ITERS = 50_000
+PROBE_SAMPLES = 9
+REFERENCE_S = 0.0120
 
 END_TO_END = {
     "setup_s": "s",
     "wall_s": "s",
-    "jobs_per_s": "1/s",
     "job_p50_s": "s",
     "peak_rss_mb": "MB",
 }
@@ -74,6 +82,7 @@ PER_LAYER = {
     "portfolio.overhead_s": "s",
     "obs.trace_overhead": "ratio",
     "obs.coverage": "ratio",
+    "host.slowdown": "ratio",
 }
 
 #: Per-layer self times whose sum is checked against the wall time.
@@ -95,6 +104,32 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def git_sha():
+    """HEAD's commit, read from ``.git`` (None outside a git checkout).
+
+    Read rather than asked of ``git``: a child process would count in
+    ``peak_rss_mb``.
+    """
+    git = os.path.join(ROOT, ".git")
+    try:
+        with open(os.path.join(git, "HEAD")) as fh:
+            head = fh.read().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        if os.path.exists(os.path.join(git, ref)):
+            with open(os.path.join(git, ref)) as fh:
+                return fh.read().strip()
+        with open(os.path.join(git, "packed-refs")) as fh:
+            for line in fh:
+                sha, _, name = line.strip().partition(" ")
+                if name == ref:
+                    return sha
+    except OSError:
+        pass
+    return None
+
+
 def stamp() -> dict:
     """Where and on what the numbers were taken."""
     import numpy
@@ -108,14 +143,8 @@ def stamp() -> dict:
                 digest.update(os.path.relpath(path, SRC).encode())
                 with open(path, "rb") as fh:
                     digest.update(fh.read())
-    git_sha = None
-    if os.path.isdir(os.path.join(ROOT, ".git")):
-        proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=30)
-        if proc.returncode == 0:
-            git_sha = proc.stdout.strip()
     return {
-        "git_sha": git_sha,
+        "git_sha": git_sha(),
         "src_sha256": digest.hexdigest(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -126,30 +155,71 @@ def stamp() -> dict:
 
 
 def peak_rss_mb() -> float:
-    """Peak RSS of this process plus the largest reaped worker."""
+    """Peak RSS of the largest process: this one or a reaped worker.
+
+    The largest, not the sum: forked workers share their parent's pages,
+    so a sum would count those twice.  Workers still running when this is
+    read are not counted; that leaves out the service's solver workers,
+    so on ``service-mixed`` this is the client and server front end.
+    """
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + kids) / 1024.0
+    return max(own, kids) / 1024.0
 
 
-def fastest_half(reps):
-    """The faster half of the repetitions (at least one).
+def reference_loop() -> float:
+    """Seconds for a fixed pure-Python loop of dict and integer work, the
+    kind of work the program does; it does not call the program."""
+    t0 = time.perf_counter()
+    table = {}
+    acc = 0
+    for i in range(REFERENCE_ITERS):
+        table[i & 1023] = table.get((i * 7) & 1023, 0) + i
+        acc ^= (i * 2654435761) & 0xFFFFFFFF
+    return time.perf_counter() - t0
 
-    Other tenants of a shared host only ever add time, and they come and
-    go in phases of seconds: the same repetition, with identical conflict
-    counts, took 1.0x to 1.5x of its fastest time within one run.  The
-    median of the faster half is the program's own cost, less noisy than
-    the single fastest repetition.
+
+def host_sample() -> float:
+    """How slow the host runs now: the reference loop's time over
+    ``REFERENCE_S``."""
+    return reference_loop() / REFERENCE_S
+
+
+def host_probe() -> float:
+    """``host_sample`` as the median of ``PROBE_SAMPLES`` runs."""
+    return statistics.median(host_sample() for _ in range(PROBE_SAMPLES))
+
+
+def normalised(reps, clients: int):
+    """``(wall_s, job_p50_s)`` of the fixed work, in seconds of the
+    reference host.
+
+    The host is shared, and its speed drifts by tens of percent over
+    minutes: in one run of 14 identical ``simon-solve`` repetitions (same
+    conflict counts) the walls ranged 3.7-6.3 s, while their ratio to the
+    reference loop's time, sampled before each job, stayed within
+    4.8-5.5.  So each job's latency is divided by its repetition's
+    slowdown, and per job the median over the repetitions is taken.
+    ``wall_s`` is the sum over a repetition's jobs, divided by the number
+    of clients that keep jobs running at once (1 but for the service's
+    closed loop); ``job_p50_s`` is the median job.
     """
-    ordered = sorted(reps, key=lambda r: r.wall_s)
-    return ordered[: max(1, (len(ordered) + 1) // 2)]
+    scaled = [[t / r.slowdown for t in r.latencies] for r in reps]
+    per_job = [statistics.median(times) for times in zip(*scaled)]
+    return sum(per_job) / clients, statistics.median(per_job)
 
 
 def run_rep(workload, tracer, probe):
+    """One repetition, checked, with the host's slowdown during it: the
+    mean of the samples taken before each job, which, spread over the
+    repetition, meet the host's slow spells in the share the jobs do."""
+    samples = []
     t0 = time.perf_counter()
     with tracer.span("bench.rep", workload=workload.name):
-        rep = workload.rep(tracer, probe)
+        rep = workload.rep(tracer, probe,
+                           lambda: samples.append(host_sample()))
     rep.wall_s = time.perf_counter() - t0
+    rep.slowdown = statistics.mean(samples)
     workload.check(rep)
     rep.outputs = None
     return rep
@@ -169,9 +239,9 @@ def traced_rep(workload):
     return rep, tracer.spans() + rep.spans, probe
 
 
-def layer_metrics(rows, rep, probe):
+def layer_metrics(rows, rep, probe, wall_s):
     """Every per-layer metric of one traced repetition (0 where a layer
-    does not run in this workload)."""
+    does not run in this workload); ``wall_s`` is the untraced one."""
     from summary import attr, count, self_s, total_s
 
     solve_s = probe.totals["solve_s"]
@@ -215,11 +285,14 @@ def layer_metrics(rows, rep, probe):
         m[key] = rep.layers.get(key, 0)
     if "server.exec_s" in rep.layers:
         # Service time is spent in worker processes: latency splits into
-        # the worker's own seconds and everything else (queue, transport).
+        # the worker's own seconds and the rest (queue, transport), so
+        # this reads 1 by construction.
         m["obs.coverage"] = (m["server.exec_s"] + m["server.queue_wait_s"]) \
             / sum(rep.latencies)
     else:
-        m["obs.coverage"] = sum(m[k] for k in NAMED_SELF_TIMES) / rep.wall_s
+        m["obs.coverage"] = sum(m[k] for k in NAMED_SELF_TIMES) \
+            / rep.slowdown / wall_s
+    m["host.slowdown"] = rep.slowdown
     return m
 
 
@@ -227,7 +300,6 @@ def measure(workload, seconds, trace):
     """Repetitions for ``seconds``: untraced ones, and with ``trace``
     traced ones in between.  Stops before a repetition would overrun."""
     from repro.obs import NULL_TRACER
-    from summary import summarize
 
     plain, traced = [], []
     start = time.perf_counter()
@@ -237,22 +309,10 @@ def measure(workload, seconds, trace):
             traced.append(traced_rep(workload))
         elapsed = time.perf_counter() - start
         rounds = len(plain)
-        if rounds >= (2 if trace else MIN_REPS) and \
+        if rounds >= (MIN_TRACED_REPS if trace else MIN_REPS) and \
                 elapsed + elapsed / rounds > seconds:
             break
-    reps = plain + [rep for rep, _, _ in traced]
-    layers = []
-    for rep, spans, probe in traced:
-        rows = summarize(spans)
-        layers.append(layer_metrics(rows, rep, probe))
-    if traced:
-        overhead = (
-            statistics.median(r.wall_s for r in fastest_half(
-                [r for r, _, _ in traced]))
-            / statistics.median(r.wall_s for r in fastest_half(plain)) - 1.0)
-        for m in layers:
-            m["obs.trace_overhead"] = overhead
-    return plain, reps, layers, rows if traced else None
+    return plain, traced
 
 
 def run(args, workdir):
@@ -263,6 +323,7 @@ def run(args, workdir):
             args.workload, ", ".join(WORKLOADS)))
     cls = WORKLOADS[args.workload]
     setup_times = []
+    before = host_probe()
     for i in range(SETUP_REPEATS):
         workload = cls(args.seed, args.size, workdir)
         t0 = time.perf_counter()
@@ -270,12 +331,15 @@ def run(args, workdir):
         setup_times.append(time.perf_counter() - t0)
         if i + 1 < SETUP_REPEATS:
             workload.close()
+    setup_s = statistics.median(setup_times) / statistics.mean(
+        [before, host_probe()])
     try:
         workload.warmup()
-        plain, reps, layers, rows = measure(workload, args.seconds, args.trace)
+        plain, traced = measure(workload, args.seconds, args.trace)
     finally:
         workload.close()
 
+    reps = plain + [rep for rep, _, _ in traced]
     failures = [f for r in reps for f in r.failures]
     fingerprints = {json.dumps(r.fingerprint, sort_keys=True) for r in reps}
     if len(fingerprints) > 1:
@@ -287,25 +351,35 @@ def run(args, workdir):
     for line in failures[:20]:
         print("FAILED: " + line)
 
-    fast = fastest_half(plain)
-    values = {
-        "setup_s": statistics.median(setup_times),
-        "wall_s": statistics.median(r.wall_s for r in fast),
-        "jobs_per_s": statistics.median(r.attempted / r.wall_s for r in fast),
-        "job_p50_s": statistics.median(x for r in fast for x in r.latencies),
-        "peak_rss_mb": peak_rss_mb(),
-    }
-    print("perfbench {} seed {}: {} repetitions of {} jobs, wall {}".format(
-        args.workload, args.seed, len(plain), plain[0].attempted,
-        " ".join("{:.3f}".format(r.wall_s) for r in plain[:12])))
+    wall_s, job_p50_s = normalised(plain, workload.concurrency)
+    print("perfbench {} seed {}: {} repetitions of {} jobs, walls {}, "
+          "host slowdowns {}; normalised wall {:.3f}".format(
+              args.workload, args.seed, len(plain), plain[0].attempted,
+              " ".join("{:.3f}".format(r.wall_s) for r in plain[:12]),
+              " ".join("{:.2f}".format(r.slowdown) for r in plain[:12]),
+              wall_s))
     if args.trace:
-        from summary import format_table
+        from summary import format_table, summarize
 
+        traced_wall, _ = normalised([r for r, _, _ in traced],
+                                    workload.concurrency)
+        layers = []
+        for rep, spans, probe in traced:
+            rows = summarize(spans)
+            m = layer_metrics(rows, rep, probe, wall_s)
+            m["obs.trace_overhead"] = traced_wall / wall_s - 1.0
+            layers.append(m)
         print(format_table(rows))
         metrics = {name: {"value": statistics.median(m[name] for m in layers),
                           "unit": unit}
                    for name, unit in PER_LAYER.items()}
     else:
+        values = {
+            "setup_s": setup_s,
+            "wall_s": wall_s,
+            "job_p50_s": job_p50_s,
+            "peak_rss_mb": peak_rss_mb(),
+        }
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in END_TO_END.items()}
     return {"correct": not failures, "attempted": attempted,

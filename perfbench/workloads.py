@@ -8,9 +8,10 @@ user would: ``Bosphorus`` and ``CdclBackend`` in-process,
 * ``setup()`` — build the inputs from the seed (and, for the service,
   start the server); timed by the harness as ``setup_s``;
 * ``warmup()`` — untimed work a user pays once (the service's cache);
-* ``rep(tracer)`` — one repetition of the workload's fixed work,
-  returning a :class:`Rep` with per-job latencies, failed checks and a
-  fingerprint that must be identical across repetitions of one run;
+* ``rep(tracer, probe, between)`` — one repetition of the workload's
+  fixed work, returning a :class:`Rep` with per-job latencies, failed
+  checks and a fingerprint that must be identical across repetitions of
+  one run;
 * ``close()``.
 
 Why several small instances per repetition instead of one big one: the
@@ -95,6 +96,9 @@ class Rep:
     """One repetition's outcome."""
 
     wall_s: float = 0.0
+    #: How slow the host ran during this repetition (1 = the reference
+    #: host of ``run.REFERENCE_S``).
+    slowdown: float = 1.0
     latencies: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
     #: Must be identical across every repetition of one run (conflict
@@ -236,6 +240,8 @@ class Workload:
         self.seed = seed
         self.params = SIZES[self.name][size]
         self.workdir = workdir
+        #: Jobs kept running at once (the service's closed-loop clients).
+        self.concurrency = self.params.get("clients", 1)
 
     def setup(self) -> None:
         raise NotImplementedError
@@ -243,7 +249,9 @@ class Workload:
     def warmup(self) -> None:
         pass
 
-    def rep(self, tracer, probe: Optional[SolverProbe]) -> Rep:
+    def rep(self, tracer, probe: Optional[SolverProbe], between) -> Rep:
+        """One repetition; ``between()`` is called before each job starts
+        (untimed), where the harness samples the host's speed."""
         raise NotImplementedError
 
     def check(self, rep: Rep) -> None:
@@ -267,14 +275,17 @@ class SimonSolve(Workload):
                 (inst.ring, _pin_key(inst, p["free_key_bits"]))
             )
 
-    def rep(self, tracer, probe) -> Rep:
+    def rep(self, tracer, probe, between) -> Rep:
         rep = Rep()
         for ring, polys in self.instances:
+            between()
             t0 = time.perf_counter()
             res = Bosphorus(Config(), tracer=tracer).preprocess_anf(ring, polys)
             final = None
             if res.solution is None and not res.is_unsat:
                 # The final solve the CLI runs for --solve (cms default).
+                # At the full size the loop recovers every key itself, so
+                # this runs only if a change leaves a key unfound.
                 with tracer.span("final.solve", backend="cms") as span:
                     final = CdclBackend("cms").solve(res.cnf)
                     span.set("conflicts", final.conflicts)
@@ -353,13 +364,13 @@ class ServiceMixed(Workload):
             await client.ping()
 
     def warmup(self) -> None:
-        self.rep(NULL_TRACER, None)
+        self.rep(NULL_TRACER, None, lambda: None)
 
-    def rep(self, tracer, probe) -> Rep:
+    def rep(self, tracer, probe, between) -> Rep:
         rep = Rep()
         with tracer.span("bench.service_pass", jobs=len(self.jobs)):
             rep.outputs = self.loop.run_until_complete(
-                self._pass(tracer.enabled))
+                self._pass(tracer.enabled, between))
         exec_s = wait_s = 0.0
         disk_hits = 0
         for latency, res in rep.outputs:
@@ -387,14 +398,20 @@ class ServiceMixed(Workload):
             if failure:
                 rep.failures.append("{}: {}".format(label, failure))
 
-    async def _pass(self, traced: bool):
+    async def _pass(self, traced: bool, between):
         """Each client submits its next job when its previous result
-        arrives (closed loop); returns ``(latency, result)`` per job."""
+        arrives (closed loop); returns ``(latency, result)`` per job.
+
+        ``between()`` blocks the event loop, which serves the other
+        client's events too: it can hold back that client's result by up
+        to one host sample (about 12 ms), while its worker runs on.
+        """
         outcomes = [None] * len(self.jobs)
         cursor = iter(range(len(self.jobs)))
 
         async def client_loop(client):
             for index in cursor:
+                between()
                 fmt, text = self.jobs[index][:2]
                 t0 = time.perf_counter()
                 job = await client.submit(
@@ -468,13 +485,14 @@ class FanoutUnsat(Workload):
                                                    flip=True))
             self.formulas.append(AnfToCnf(Config()).convert(system).formula)
 
-    def rep(self, tracer, probe) -> Rep:
+    def rep(self, tracer, probe, between) -> Rep:
         p = self.params
         rep = Rep()
         overhead = 0.0
         cube_conflicts = 0
         for k, formula in enumerate(self.formulas):
             # One job is one instance refuted both ways.
+            between()
             t0 = time.perf_counter()
             outcome = CubeConqueror(
                 [CdclBackend("minisat")], jobs=p["jobs"],
