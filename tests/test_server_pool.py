@@ -119,6 +119,15 @@ def test_deadline_reports_timeout_verdict():
     assert result["verdict"] == "timeout"
 
 
+def test_own_deadline_reports_timeout_not_unknown():
+    # The job's own deadline (inside the backend solve) can fire before
+    # the pool's watchdog sweeps it; the verdict must still be timeout.
+    result = execute_job(
+        JobSpec(fmt="dimacs", text=HARD, preprocess=False, timeout_s=0.05)
+    )
+    assert result["verdict"] == "timeout"
+
+
 def test_job_exception_is_isolated():
     with WorkerPool(jobs=1) as pool:
         bad = pool.submit(JobSpec(fmt="dimacs", text="p cnf not-a-header"))
