@@ -282,11 +282,7 @@ def run_sat(
     ) as span:
         solver = Solver(solver_config)
         solver.ensure_vars(conversion.formula.n_vars)
-        ok = True
-        for clause in conversion.formula.clauses:
-            if not solver.add_clause(clause):
-                ok = False
-                break
+        ok = solver.add_clauses(conversion.formula.clauses)
         if ok and conversion.formula.xors:
             engine = XorEngine()
             for variables, rhs in conversion.formula.xors:

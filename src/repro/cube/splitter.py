@@ -118,9 +118,8 @@ def _lookahead_split(formula: CnfFormula, depth: int, max_cubes: int) -> CubeSet
     plain = expand_xors(formula) if formula.xors else formula
     solver = Solver()
     solver.ensure_vars(plain.n_vars)
-    for clause in plain.clauses:
-        if not solver.add_clause(clause):
-            return CubeSet(root_unsat=True)
+    if not solver.add_clauses(plain.clauses):
+        return CubeSet(root_unsat=True)
     if solver.propagate() is not None:
         return CubeSet(root_unsat=True)
     forced = [
@@ -147,7 +146,7 @@ def _descend(
     if depth == 0 or len(out.cubes) >= max_cubes:
         out.cubes.append(tuple(prefix))
         return
-    v = next((u for u in order if solver.assign[u] == UNDEF), None)
+    v = next((u for u in order if solver.val[u << 1] == UNDEF), None)
     if v is None:
         out.cubes.append(tuple(prefix))
         return
@@ -155,8 +154,7 @@ def _descend(
     for negated in (False, True):
         lit = mk_lit(v, negated)
         level = solver.decision_level
-        solver.trail_lim.append(len(solver.trail))
-        solver._unchecked_enqueue(lit, None)
+        solver.decide(lit)
         if solver.propagate() is not None:
             # Refuted by propagation alone: a closed piece of the
             # partition, reported so the UNSAT aggregation still covers

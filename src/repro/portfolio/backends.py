@@ -275,17 +275,16 @@ class CdclBackend(SolverBackend):
         solver.ensure_vars(n_vars)
         if assumptions:
             solver.ensure_vars(1 + max(a >> 1 for a in assumptions))
-        for clause in clauses:
-            if not solver.add_clause(clause):
-                return self._harvest(
-                    BackendResult(
-                        UNSAT,
-                        conflicts=solver.num_conflicts,
-                        facts_safe=False,
-                    ),
-                    solver,
-                    facts_safe,
-                )
+        if not solver.add_clauses(clauses):
+            return self._harvest(
+                BackendResult(
+                    UNSAT,
+                    conflicts=solver.num_conflicts,
+                    facts_safe=False,
+                ),
+                solver,
+                facts_safe,
+            )
         if use_engine:
             engine = XorEngine()
             for variables, rhs in formula.xors:

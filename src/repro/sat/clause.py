@@ -16,13 +16,12 @@ class Clause:
     database reduction policy.
     """
 
-    __slots__ = ("lits", "learnt", "activity", "lbd")
+    __slots__ = ("lits", "learnt", "activity")
 
-    def __init__(self, lits: List[int], learnt: bool = False, lbd: int = 0):
+    def __init__(self, lits: List[int], learnt: bool = False):
         self.lits = lits
         self.learnt = learnt
         self.activity = 0.0
-        self.lbd = lbd
 
     def __len__(self) -> int:
         return len(self.lits)

@@ -15,6 +15,15 @@ relies on:
 
 An optional :class:`repro.sat.xorengine.XorEngine` can be attached to give
 the solver native XOR reasoning (our CryptoMiniSat personality).
+
+Values live in one literal-indexed array: ``val[lit]`` is TRUE (1),
+FALSE (0) or UNDEF (-1), so a variable ``v``'s value is ``val[2 * v]``
+and ``val[2 * v + 1]`` holds its complement.  The propagation loop relies
+on that encoding: ``val[l] == 1`` means true, a non-zero ``val[l]`` means
+not false.  The decision heap keeps at most one live entry per variable:
+``heap_key[v]`` is the activity that entry was pushed with (None when
+there is none).  The search is pinned by the golden trajectories in
+``tests/golden``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clause import Clause
-from .types import FALSE, TRUE, UNDEF, lit_neg, lit_var
+from .types import FALSE, TRUE, UNDEF
 
 #: Result of :meth:`Solver.solve`.
 SAT = True
@@ -91,10 +100,11 @@ class Solver:
         self.clauses: List[Clause] = []
         self.learnts: List[Clause] = []
         self.watches: List[List[Clause]] = []
-        self.assign: List[int] = []
+        self.val: List[int] = []
         self.level: List[int] = []
         self.reason: List[Optional[Clause]] = []
         self.activity: List[float] = []
+        self.heap_key: List[Optional[float]] = []
         self.polarity: List[bool] = []
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
@@ -102,6 +112,8 @@ class Solver:
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self._heap: List[Tuple[float, int]] = []
+        # Conflict-analysis marks; all False between calls to analyze().
+        self._seen: List[bool] = []
         self.ok = True
         self.model: List[int] = []
         # Statistics.
@@ -128,10 +140,13 @@ class Solver:
         self.n_vars += 1
         self.watches.append([])
         self.watches.append([])
-        self.assign.append(UNDEF)
+        self.val.append(UNDEF)
+        self.val.append(UNDEF)
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
+        self.heap_key.append(0.0)
+        self._seen.append(False)
         if self._rng is not None:
             self.polarity.append(self._rng.random() < 0.5)
         else:
@@ -146,10 +161,7 @@ class Solver:
 
     def value_lit(self, lit: int) -> int:
         """TRUE/FALSE/UNDEF value of a literal under the current trail."""
-        a = self.assign[lit >> 1]
-        if a == UNDEF:
-            return UNDEF
-        return a ^ (lit & 1)
+        return self.val[lit]
 
     @property
     def decision_level(self) -> int:
@@ -163,47 +175,53 @@ class Solver:
         Must be called at decision level 0.  Duplicate literals collapse;
         tautologies are dropped; false literals (level-0) are removed.
         """
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
+        """Add problem clauses in order, each exactly as :meth:`add_clause`
+        would.  Returns False, and adds no further clause, as soon as the
+        solver becomes UNSAT."""
         if not self.ok:
             return False
         assert self.decision_level == 0
-        seen: Set[int] = set()
-        out: List[int] = []
-        for l in lits:
-            self.ensure_vars((l >> 1) + 1)
-            if lit_neg(l) in seen:
-                return True  # tautology
-            if l in seen:
-                continue
-            val = self.value_lit(l)
-            if val == TRUE:
-                return True  # already satisfied at level 0
-            if val == FALSE:
-                continue  # falsified at level 0: drop the literal
-            seen.add(l)
-            out.append(l)
-        if not out:
-            self.ok = False
-            if self.proof is not None:
-                self.proof.add_empty()
-            return False
-        if len(out) == 1:
-            self._unchecked_enqueue(out[0], None)
-            self.ok = self.propagate() is None
-            if not self.ok and self.proof is not None:
-                self.proof.add_empty()
-            return self.ok
-        c = Clause(out, learnt=False)
-        self.clauses.append(c)
-        self._attach(c)
+        val = self.val
+        for lits in clauses:
+            out: List[int] = []
+            for l in lits:
+                if l >> 1 >= self.n_vars:
+                    self.ensure_vars((l >> 1) + 1)
+                if l ^ 1 in out:
+                    break  # tautology
+                x = val[l]
+                if x == TRUE:
+                    break  # already satisfied at level 0
+                if x == UNDEF and l not in out:
+                    out.append(l)
+                # A literal false at level 0 is dropped.
+            else:
+                if len(out) > 1:
+                    c = Clause(out, learnt=False)
+                    self.clauses.append(c)
+                    self._attach(c)
+                    continue
+                if out:
+                    self._unchecked_enqueue(out[0], None)
+                    self.ok = self.propagate() is None
+                else:
+                    self.ok = False
+                if not self.ok:
+                    if self.proof is not None:
+                        self.proof.add_empty()
+                    return False
         return True
 
     def _attach(self, c: Clause) -> None:
-        self.watches[lit_neg(c.lits[0])].append(c)
-        self.watches[lit_neg(c.lits[1])].append(c)
+        self.watches[c.lits[0] ^ 1].append(c)
+        self.watches[c.lits[1] ^ 1].append(c)
 
     def _detach(self, c: Clause) -> None:
-        self.watches[lit_neg(c.lits[0])].remove(c)
-        self.watches[lit_neg(c.lits[1])].remove(c)
+        self.watches[c.lits[0] ^ 1].remove(c)
+        self.watches[c.lits[1] ^ 1].remove(c)
 
     def attach_xor_engine(self, engine) -> None:
         """Install an XOR reasoning engine (see :mod:`repro.sat.xorengine`)."""
@@ -217,37 +235,56 @@ class Solver:
     # -- trail ----------------------------------------------------------------
 
     def _unchecked_enqueue(self, lit: int, reason: Optional[Clause]) -> None:
+        val = self.val
+        val[lit] = TRUE
+        val[lit ^ 1] = FALSE
         v = lit >> 1
-        self.assign[v] = TRUE ^ (lit & 1)
-        self.level[v] = self.decision_level
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
     def enqueue(self, lit: int, reason: Optional[Clause]) -> bool:
         """Assert a literal; False signals an immediate conflict."""
-        val = self.value_lit(lit)
-        if val == FALSE:
+        x = self.val[lit]
+        if x == FALSE:
             return False
-        if val == UNDEF:
+        if x == UNDEF:
             self._unchecked_enqueue(lit, reason)
         return True
 
+    def decide(self, lit: int) -> None:
+        """Open a new decision level with ``lit`` as its decision."""
+        self.trail_lim.append(len(self.trail))
+        self._unchecked_enqueue(lit, None)
+
     def cancel_until(self, target_level: int) -> None:
         """Backtrack, unassigning everything above ``target_level``."""
-        if self.decision_level <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        trail = self.trail
+        bound = trail_lim[target_level]
+        val = self.val
+        reason = self.reason
+        activity = self.activity
+        heap_key = self.heap_key
+        heap = self._heap
+        polarity = self.polarity
+        save_phase = self.config.phase_saving
+        for lit in trail[bound:]:
             v = lit >> 1
-            if self.config.phase_saving:
-                self.polarity[v] = not (lit & 1)
-            self.assign[v] = UNDEF
-            self.reason[v] = None
-            heapq.heappush(self._heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+            if save_phase:
+                polarity[v] = not (lit & 1)
+            val[lit] = val[lit ^ 1] = UNDEF
+            reason[v] = None
+            # Re-enter the heap unless v's live entry is still current.
+            a = activity[v]
+            if heap_key[v] != a:
+                heap_key[v] = a
+                heapq.heappush(heap, (-a, v))
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
         if self.xor_engine is not None:
             self.xor_engine.on_backtrack()
 
@@ -268,69 +305,82 @@ class Solver:
                 return None
 
     def _propagate_cnf(self) -> Optional[Clause]:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.num_propagations += 1
-            ws = self.watches[p]
-            new_ws: List[Clause] = []
-            i = 0
+        trail = self.trail
+        qhead = start = self.qhead
+        val = self.val
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        confl = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
+            ws = watches[p]
             n = len(ws)
-            confl = None
+            i = j = 0  # ws[:j] kept so far, ws[i:] still to visit
             while i < n:
                 c = ws[i]
                 i += 1
                 lits = c.lits
                 # Ensure the falsified watch (¬p) sits at position 1.
-                false_lit = p ^ 1
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                fv = self.assign[first >> 1]
-                if fv != UNDEF and fv ^ (first & 1) == TRUE:
-                    new_ws.append(c)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if val[first] == 1:
+                    ws[j] = c
+                    j += 1
                     continue
-                # Look for a replacement watch.
-                found = False
+                # Look for a replacement watch: any literal not false.
                 for k in range(2, len(lits)):
                     l = lits[k]
-                    lv = self.assign[l >> 1]
-                    if lv == UNDEF or lv ^ (l & 1) == TRUE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[lit_neg(lits[1])].append(c)
-                        found = True
+                    if val[l]:
+                        lits[1] = l
+                        lits[k] = false_lit
+                        watches[l ^ 1].append(c)
                         break
-                if found:
-                    continue
-                new_ws.append(c)
-                if fv != UNDEF:  # first is false -> conflict
-                    confl = c
-                    # Copy remaining watchers and bail out.
-                    new_ws.extend(ws[i:])
-                    break
-                self._unchecked_enqueue(first, c)
-            self.watches[p] = new_ws
+                else:
+                    ws[j] = c
+                    j += 1
+                    if val[first] == 0:
+                        confl = c
+                        break
+                    val[first] = 1
+                    val[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(first)
+            del ws[j:i]
             if confl is not None:
-                return confl
-        return None
+                break
+        self.num_propagations += qhead - start
+        self.qhead = qhead
+        return confl
 
     # -- conflict analysis --------------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(self.n_vars):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self._heap = [
-                (-self.activity[u], u)
-                for u in range(self.n_vars)
-                if self.assign[u] == UNDEF
-            ]
-            heapq.heapify(self._heap)
-            return
-        if self.assign[v] == UNDEF:
-            heapq.heappush(self._heap, (-self.activity[v], v))
+    def _rescale_activity(self) -> None:
+        """Scale every variable activity (and the increment) by 1e-100,
+        then rebuild the heap with one live entry per unassigned variable."""
+        activity = self.activity
+        for u in range(self.n_vars):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        val = self.val
+        heap_key = self.heap_key
+        heap = []
+        for u in range(self.n_vars):
+            if val[u << 1] == UNDEF:
+                heap.append((-activity[u], u))
+                heap_key[u] = activity[u]
+            else:
+                heap_key[u] = None
+        heapq.heapify(heap)
+        self._heap = heap
 
     def _bump_clause(self, c: Clause) -> None:
         c.activity += self.cla_inc
@@ -343,33 +393,52 @@ class Solver:
         """First-UIP conflict analysis.
 
         Returns ``(learnt_clause, backtrack_level)`` with the asserting
-        literal first.
+        literal first and a literal of the backtrack level second.
         """
+        seen = self._seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        var_inc = self.var_inc
         learnt: List[int] = [0]
-        seen = [False] * self.n_vars
         counter = 0
         p = -1
-        index = len(self.trail) - 1
-        cur_level = self.decision_level
-        reason_side = confl
+        index = len(trail) - 1
+        cur_level = len(self.trail_lim)
+        # Highest level among learnt[1:] and the first index holding it.
+        bt = 0
+        bt_i = 1
+        c = confl
         while True:
-            if reason_side.learnt:
-                self._bump_clause(reason_side)
-            start = 0 if p == -1 else 1
-            for q in reason_side.lits[start:]:
+            if c.learnt:
+                self._bump_clause(c)
+            for q in c.lits if p == -1 else c.lits[1:]:
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[self.trail[index] >> 1]:
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv == 0:
+                    continue
+                seen[v] = True
+                # Every variable met here is assigned, so bumping it never
+                # needs a heap push: cancel_until re-enters it later.
+                activity[v] += var_inc
+                if activity[v] > 1e100:
+                    self._rescale_activity()
+                    var_inc = self.var_inc
+                if lv >= cur_level:
+                    counter += 1
+                else:
+                    if lv > bt:
+                        bt = lv
+                        bt_i = len(learnt)
+                    learnt.append(q)
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             v = p >> 1
-            reason_side = self.reason[v]
+            c = reason[v]
             seen[v] = False
             counter -= 1
             index -= 1
@@ -377,39 +446,46 @@ class Solver:
                 break
         learnt[0] = p ^ 1
 
+        out = learnt
         if self.config.minimize_learnts and len(learnt) > 1:
-            learnt = self._minimize(learnt, seen)
+            out, bt_i = self._minimize(learnt)
+        for q in learnt[1:]:
+            seen[q >> 1] = False
 
-        # Backtrack level: highest level among the non-asserting literals.
-        if len(learnt) == 1:
-            bt = 0
-        else:
-            max_i = 1
-            for i in range(2, len(learnt)):
-                if self.level[learnt[i] >> 1] > self.level[learnt[max_i] >> 1]:
-                    max_i = i
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = self.level[learnt[1] >> 1]
-        return learnt, bt
+        if len(out) == 1:
+            return out, 0
+        out[1], out[bt_i] = out[bt_i], out[1]
+        return out, level[out[1] >> 1]
 
-    def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
-        """Local clause minimisation: drop literals implied by the rest."""
-        for l in learnt[1:]:
-            seen[l >> 1] = True
+    def _minimize(self, learnt: List[int]) -> Tuple[List[int], int]:
+        """Local clause minimisation: drop literals implied by the rest.
+
+        Needs ``_seen`` marked for every variable of ``learnt[1:]``.
+        Returns the kept clause and the index of its first literal of the
+        highest level (>= 1 unless the clause is a unit).
+        """
+        seen = self._seen
+        level = self.level
+        reason = self.reason
         out = [learnt[0]]
+        bt = 0
+        bt_i = 1
         for l in learnt[1:]:
-            r = self.reason[l >> 1]
-            if r is None:
-                out.append(l)
-                continue
-            redundant = all(
-                seen[q >> 1] or self.level[q >> 1] == 0
-                for q in r.lits
-                if q != lit_neg(l)
-            )
-            if not redundant:
-                out.append(l)
-        return out
+            v = l >> 1
+            r = reason[v]
+            if r is not None:
+                nl = l ^ 1
+                for q in r.lits:
+                    if q != nl and not seen[q >> 1] and level[q >> 1]:
+                        break
+                else:
+                    continue  # implied by the other literals: drop it
+            lv = level[v]
+            if lv > bt:
+                bt = lv
+                bt_i = len(out)
+            out.append(l)
+        return out, bt_i
 
     # -- learnt database -----------------------------------------------------------
 
@@ -421,8 +497,6 @@ class Solver:
             self._unchecked_enqueue(lits[0], None)
             return
         c = Clause(list(lits), learnt=True)
-        levels = {self.level[l >> 1] for l in lits}
-        c.lbd = len(levels)
         self.learnts.append(c)
         self._attach(c)
         self._bump_clause(c)
@@ -434,7 +508,8 @@ class Solver:
     def reduce_db(self) -> None:
         """Throw away half of the inactive learnt clauses."""
         self.num_reductions += 1
-        locked = {id(self.reason[l >> 1]) for l in self.trail if self.reason[l >> 1]}
+        reason = self.reason
+        locked = {id(reason[l >> 1]) for l in self.trail if reason[l >> 1]}
         self.learnts.sort(key=lambda c: (len(c.lits) <= 2, c.activity))
         keep_from = len(self.learnts) // 2
         kept: List[Clause] = []
@@ -450,6 +525,7 @@ class Solver:
     # -- decisions ----------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        val = self.val
         if (
             self._rng is not None
             and self.n_vars
@@ -460,14 +536,18 @@ class Solver:
             # this O(1); on a miss we fall through to the heap.
             for _ in range(3):
                 v = self._rng.randrange(self.n_vars)
-                if self.assign[v] == UNDEF:
+                if val[v << 1] == UNDEF:
                     return v
-        while self._heap:
-            act, v = heapq.heappop(self._heap)
-            if self.assign[v] == UNDEF and -act == self.activity[v]:
-                return v
+        heap = self._heap
+        heap_key = self.heap_key
+        while heap:
+            neg_act, v = heapq.heappop(heap)
+            if heap_key[v] == -neg_act:  # v's live entry, not a stale one
+                heap_key[v] = None
+                if val[v << 1] == UNDEF:
+                    return v
         for v in range(self.n_vars):
-            if self.assign[v] == UNDEF:
+            if val[v << 1] == UNDEF:
                 return v
         return -1
 
@@ -505,18 +585,20 @@ class Solver:
             if self.proof is not None:
                 self.proof.add_empty()
             return False
+        config = self.config
+        val = self.val
         budget_start = self.num_conflicts
         restart_count = 0
         conflicts_this_restart = 0
         restart_limit = self._restart_limit(restart_count)
-        max_learnts = self.config.learnt_keep_base
+        max_learnts = config.learnt_keep_base
 
         while True:
             confl = self.propagate()
             if confl is not None:
                 self.num_conflicts += 1
                 conflicts_this_restart += 1
-                if self.decision_level == 0:
+                if not self.trail_lim:
                     self.ok = False
                     if self.proof is not None:
                         self.proof.add_empty()
@@ -524,8 +606,8 @@ class Solver:
                 learnt, bt = self.analyze(confl)
                 self.cancel_until(bt)
                 self._record_learnt(learnt)
-                self.var_inc /= self.config.var_decay
-                self.cla_inc /= self.config.clause_decay
+                self.var_inc /= config.var_decay
+                self.cla_inc /= config.clause_decay
                 if (
                     conflict_budget is not None
                     and self.num_conflicts - budget_start >= conflict_budget
@@ -544,17 +626,17 @@ class Solver:
 
             if (
                 len(self.learnts)
-                > max_learnts + self.config.learnt_keep_step * self.num_reductions
+                > max_learnts + config.learnt_keep_step * self.num_reductions
             ):
                 self.reduce_db()
 
             # Apply assumptions, then decide.
             next_lit = None
             for a in assumptions:
-                val = self.value_lit(a)
-                if val == TRUE:
+                x = val[a]
+                if x == TRUE:
                     continue
-                if val == FALSE:
+                if x == FALSE:
                     # UNSAT relative to the cube only: ¬a is implied by
                     # the formula plus the *earlier* assumptions.  The
                     # global formula may still be SAT, so self.ok is left
@@ -568,13 +650,12 @@ class Solver:
             if next_lit is None:
                 v = self._pick_branch_var()
                 if v == -1:
-                    self.model = [self.assign[u] for u in range(self.n_vars)]
+                    self.model = val[0::2]
                     self.cancel_until(0)
                     return SAT
                 next_lit = (v << 1) | (0 if self.polarity[v] else 1)
             self.num_decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._unchecked_enqueue(next_lit, None)
+            self.decide(next_lit)
 
     def _restart_limit(self, count: int) -> int:
         if self.config.use_luby:

@@ -135,7 +135,7 @@ class XorEngine:
         return None
 
     def _update(self, x: XorClause, assigned_var: int) -> Optional[Clause]:
-        solver = self.solver
+        val = self.solver.val
         # Identify which watch fired.
         if x.vars[x.watch_a] == assigned_var:
             fired, other = x.watch_a, x.watch_b
@@ -147,7 +147,7 @@ class XorEngine:
         for k, u in enumerate(x.vars):
             if k == other or k == fired:
                 continue
-            if solver.assign[u] == UNDEF:
+            if val[u << 1] == UNDEF:
                 self.watches[assigned_var].remove(x)
                 self.watches.setdefault(u, []).append(x)
                 if fired == x.watch_a:
@@ -161,31 +161,29 @@ class XorEngine:
         for u in x.vars:
             if u == other_var:
                 continue
-            parity ^= solver.assign[u]  # all others are assigned here
-        if solver.assign[other_var] == UNDEF:
+            parity ^= val[u << 1]  # all others are assigned here
+        if val[other_var << 1] == UNDEF:
             implied = mk_lit(other_var, negated=(parity == 0))
             reason = self._reason_clause(x, other_var, implied)
-            solver._unchecked_enqueue(implied, reason)
+            self.solver._unchecked_enqueue(implied, reason)
             return None
-        if solver.assign[other_var] != parity:
+        if val[other_var << 1] != parity:
             return self._conflict_clause(x)
         return None
 
     def _reason_clause(self, x: XorClause, implied_var: int, implied_lit: int) -> Clause:
-        solver = self.solver
+        val = self.solver.val
         lits = [implied_lit]
         for u in x.vars:
             if u == implied_var:
                 continue
             # The literal asserting the *opposite* of u's value is false now.
-            lits.append(mk_lit(u, negated=(solver.assign[u] == TRUE)))
+            lits.append(mk_lit(u, negated=(val[u << 1] == TRUE)))
         return Clause(lits, learnt=False)
 
     def _conflict_clause(self, x: XorClause) -> Clause:
-        solver = self.solver
-        lits = [
-            mk_lit(u, negated=(solver.assign[u] == TRUE)) for u in x.vars
-        ]
+        val = self.solver.val
+        lits = [mk_lit(u, negated=(val[u << 1] == TRUE)) for u in x.vars]
         return Clause(lits, learnt=False)
 
     def n_xors(self) -> int:

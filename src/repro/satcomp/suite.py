@@ -110,12 +110,7 @@ def hard_subset(
     for inst in instances:
         solver = Solver()
         solver.ensure_vars(inst.formula.n_vars)
-        ok = True
-        for clause in inst.formula.clauses:
-            if not solver.add_clause(clause):
-                ok = False
-                break
-        if not ok:
+        if not solver.add_clauses(inst.formula.clauses):
             continue  # trivially unsat: not hard
         verdict = solver.solve(conflict_budget=conflict_threshold)
         if verdict is None:

@@ -1,9 +1,11 @@
 """White-box invariant checks on the CDCL solver's internal state."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.cube import splitter
 from repro.sat import Solver, mk_lit
 from repro.sat.types import FALSE, TRUE, UNDEF, lit_neg
 
@@ -39,6 +41,42 @@ def check_trail_invariants(solver):
     assert solver.trail_lim == sorted(solver.trail_lim)
 
 
+def check_value_invariants(solver):
+    """``val`` is literal-indexed: a variable's two literals are UNDEF
+    together or complementary, and the assigned variables are exactly
+    the trail's."""
+    val = solver.val
+    assert len(val) == 2 * solver.n_vars
+    for v in range(solver.n_vars):
+        pos, neg = val[2 * v], val[2 * v + 1]
+        if pos == UNDEF:
+            assert neg == UNDEF
+        else:
+            assert pos in (TRUE, FALSE) and pos ^ 1 == neg
+    assigned = {v for v in range(solver.n_vars) if val[2 * v] != UNDEF}
+    assert assigned == {lit >> 1 for lit in solver.trail}
+
+
+def check_heap_invariants(solver):
+    """Every unassigned variable has a live heap entry at its current
+    activity, and no variable has two: ``heap_key[v]`` names the one
+    entry ``(-key, v)`` the decision heap holds for ``v``."""
+    entries = Counter(solver._heap)
+    for v in range(solver.n_vars):
+        key = solver.heap_key[v]
+        if solver.val[2 * v] == UNDEF:
+            assert key == solver.activity[v]
+        if key is not None:
+            assert entries[(-key, v)] == 1
+
+
+def check_all(solver):
+    check_watch_invariants(solver)
+    check_trail_invariants(solver)
+    check_value_invariants(solver)
+    check_heap_invariants(solver)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_invariants_after_solving(seed):
     rng = random.Random(seed)
@@ -51,8 +89,7 @@ def test_invariants_after_solving(seed):
     if not ok:
         return
     solver.solve(conflict_budget=3000)
-    check_watch_invariants(solver)
-    check_trail_invariants(solver)
+    check_all(solver)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -67,10 +104,37 @@ def test_invariants_after_budget_interrupt(seed):
     verdict = solver.solve(conflict_budget=25)
     assert verdict is None
     assert solver.decision_level == 0
-    check_watch_invariants(solver)
-    check_trail_invariants(solver)
+    check_all(solver)
     # Resume and finish: state must still be coherent.
     assert solver.solve(conflict_budget=100000) is False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_invariants_during_and_after_split(seed):
+    from repro.satcomp.generators import random_ksat
+
+    formula = random_ksat(60, 256, seed=seed)
+    solver = Solver()
+    solver.ensure_vars(formula.n_vars)
+    assert solver.add_clauses(formula.clauses)
+    assert solver.propagate() is None
+    propagate = solver.propagate
+    nodes = []
+
+    def checked_propagate():
+        confl = propagate()
+        check_all(solver)
+        nodes.append(solver.decision_level)
+        return confl
+
+    solver.propagate = checked_propagate
+    out = splitter.CubeSet()
+    splitter._descend(
+        solver, splitter._ranked_vars(formula), 5, [], out, set(), 32
+    )
+    assert max(nodes) == 5 and out.n_leaves > 1
+    assert solver.decision_level == 0
+    check_all(solver)
 
 
 def test_incremental_clause_addition_between_solves():
