@@ -73,6 +73,25 @@ def test_duplicate_literals_collapse():
     assert solver.model[0] == TRUE
 
 
+def test_add_clauses_keeps_per_clause_semantics():
+    solver = Solver()
+    assert solver.add_clauses([
+        [mk_lit(0)],                                # unit: x0 at level 0
+        [mk_lit(1), mk_lit(1, True), mk_lit(9)],    # tautology, stops at ¬x1
+        [mk_lit(0), mk_lit(4)],                     # satisfied, stops at x0
+        [mk_lit(0, True), mk_lit(2), mk_lit(2), mk_lit(3)],
+    ])
+    # Variables are allocated up to the literal where a clause was
+    # settled, as add_clause does: x9 and x4 never were.
+    assert solver.n_vars == 4
+    assert [c.lits for c in solver.clauses] == [[mk_lit(2), mk_lit(3)]]
+    assert solver.level0_literals() == [mk_lit(0)]
+    # The first clause that makes the solver UNSAT ends the batch.
+    assert solver.add_clauses([[mk_lit(0, True)], [mk_lit(5), mk_lit(6)]]) is False
+    assert not solver.ok and solver.n_vars == 4
+    assert solver.add_clauses([[mk_lit(7)]]) is False
+
+
 def test_simple_implication_chain():
     # x0 ∧ (¬x0∨x1) ∧ (¬x1∨x2) forces all true.
     clauses = [[mk_lit(0)], [mk_lit(0, True), mk_lit(1)], [mk_lit(1, True), mk_lit(2)]]
