@@ -83,9 +83,9 @@ def _record(solver: Solver, verdicts: List) -> Dict[str, object]:
     }
 
 
-def _solve(formula, config=None, **kwargs) -> Dict[str, object]:
+def _solve(formula, config=None) -> Dict[str, object]:
     solver = _load(formula, config)
-    return _record(solver, [solver.solve(**kwargs)])
+    return _record(solver, [solver.solve()])
 
 
 def _simon_xor(plaintexts, rounds):
