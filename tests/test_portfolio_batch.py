@@ -7,6 +7,7 @@ seconds are the one thing parallelism legitimately changes).
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -166,6 +167,24 @@ def test_map_isolates_hard_worker_death():
     assert err.kind == "worker-died"
     for x in range(1, 6):
         assert results[x] == x * 10, results
+
+
+def _exit_or_sleep(x):
+    if x == 0:
+        time.sleep(0.2)
+        os._exit(1)
+    time.sleep(1.0)
+    return "healthy"
+
+
+def test_map_death_spares_a_running_sibling():
+    # Regression: a healthy item running alongside the one that kills its
+    # worker was counted as collateral, retried, and written off as
+    # worker-died together with the killer.
+    results = BatchScheduler(2).map(_exit_or_sleep, [0, 1])
+    assert isinstance(results[0], BatchItemError)
+    assert results[0].kind == "worker-died"
+    assert results[1] == "healthy"
 
 
 def test_map_sequential_path_unaffected_by_death_machinery():

@@ -229,6 +229,21 @@ def test_parallel_dead_worker_reports_error_and_real_elapsed():
     assert dying_row.seconds >= 0.25
 
 
+def test_parallel_dying_leg_leaves_healthy_sibling_verdict():
+    # Regression: the dying leg broke the race's shared executor, and the
+    # healthy minisat leg, still solving, was failed with it: the race
+    # answered None although minisat alone proves UNSAT.  One leg's
+    # death must not touch its sibling.
+    runner = PortfolioRunner(
+        [CdclBackend("minisat"), DyingBackend()], jobs=2
+    )
+    outcome = runner.run(pigeonhole(7), timeout_s=60)
+    assert outcome.verdict is False
+    assert outcome.winner == "minisat"
+    assert outcome.stats[0].status == "unsat"
+    assert outcome.stats[1].status == "error"
+
+
 def test_parallel_verdict_matches_sequential():
     backends = [CdclBackend("minisat"), CdclBackend("cms", seed=1)]
     seq = PortfolioRunner(backends, jobs=1).run(sat_micro(), timeout_s=10)
