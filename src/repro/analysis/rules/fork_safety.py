@@ -1,15 +1,14 @@
 """FORK-SAFETY: worker code stays fork-clean.
 
-The portfolio/batch/cube layers ship work to forked processes; state
-crosses the boundary only through the documented primitives (the
-fork-inherited module globals set by the pool initializers, the shared
-cancel event, result queues).  Two failure shapes are mechanically
-detectable:
+The portfolio/batch/cube/server layers ship work to worker processes
+on one pool (:class:`repro.portfolio.batch.WorkerSlots`); state crosses
+the boundary only through its documented primitives (``Process``
+arguments, each slot's own pipe, and the slot's started/cancel flags).
+Two failure shapes are mechanically detectable:
 
 * a function in a worker path mutating module state via ``global`` —
   in a forked child the write is invisible to the parent and every
-  sibling, so it silently diverges (the two pool-initializer shipping
-  points carry justified pragmas);
+  sibling, so it silently diverges;
 * a ``threading``/``multiprocessing`` primitive (Lock, Event, Queue,
   Thread, Pool, ...) created at **import time** — it would be created
   once, then fork-inherited in an undefined state by every worker of
@@ -60,8 +59,7 @@ class ForkSafetyRule(Rule):
     )
     fix_hint = (
         "cross-process state rides the documented primitives only: "
-        "pool-initializer fork inheritance, the shared cancel event, "
-        "result queues"
+        "Process arguments, per-slot pipes, slot started/cancel flags"
     )
     default_settings = {
         #: Path scopes whose functions run in (or ship work to) forked
@@ -100,8 +98,8 @@ class ForkSafetyRule(Rule):
             "worker-path function assigns module-level state "
             "(global {})".format(", ".join(node.names)),
             "a forked child's global write is invisible to the parent "
-            "and siblings; ship state through the documented "
-            "initializer/cancel-event/queue primitives",
+            "and siblings; ship state through Process arguments and "
+            "the slot pipes",
         )
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
@@ -125,6 +123,6 @@ class ForkSafetyRule(Rule):
                 node,
                 "{}() created at import time — fork-inherited in an "
                 "undefined state by every worker".format(primitive),
-                "create concurrency primitives inside the function that "
-                "owns them (or in the pool initializer)",
+                "create concurrency primitives inside the function or "
+                "object that owns them",
             )

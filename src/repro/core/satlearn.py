@@ -140,18 +140,9 @@ def _run_sat_portfolio(
         result.facts = [Poly.one()]
         return result
 
-    level0: List[int] = []
-    seen_lits: Set[int] = set()
-    binaries: Set[Tuple[int, int]] = set()
-    for backend_result in outcome.results:
-        if backend_result is None or not backend_result.facts_safe:
-            continue
-        for lit in backend_result.level0:
-            if lit not in seen_lits:
-                seen_lits.add(lit)
-                level0.append(lit)
-        binaries.update(backend_result.binaries)
-    result.facts = extract_facts(_HarvestedFacts(level0, binaries), conversion, config)
+    result.facts = extract_facts(
+        _HarvestedFacts(outcome.level0, outcome.binaries), conversion, config
+    )
 
     if outcome.verdict is SAT and outcome.model is not None:
         result.model = [

@@ -1,13 +1,14 @@
 """Conquer: fan a cube set over the bounded batch pool.
 
-Each cube becomes one work item — ``(formula, cube)`` handed to a
-backend as assumptions — scheduled over
-:class:`repro.portfolio.BatchScheduler` (the same bounded pool that runs
-the parallel Table II grid).  The first-win protocol piggybacks on the
-scheduler's ``cancel``/``stop_when`` hooks:
+Each cube becomes one :class:`~repro.portfolio.engine.Leg` — the
+formula handed to a backend with the cube as assumptions, the same unit
+the portfolio race runs — mapped over
+:class:`repro.portfolio.BatchScheduler` (the one worker pool behind
+every fan-out).  The first-win protocol is the map's ``stop_when``:
 
-* a **validated SAT** cube stops the run — sibling cubes observe the
-  shared cancel event at their next conflict slice and stand down;
+* a **validated SAT** cube stops the run — running sibling cubes are
+  cancelled through their slot flag and stand down at their next
+  conflict slice, cubes not yet started never run (``cancelled`` rows);
 * an **UNSAT with** ``assumption_failure=False`` from an in-process
   backend is a *global* refutation (the proof never needed the cube), so
   it stops the run too — the whole-formula UNSAT shortcut;
@@ -31,28 +32,33 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, MetricsRegistry
 from ..portfolio.backends import BackendResult, SolverBackend, create_backend
-from ..portfolio.batch import (
-    BatchItemError,
-    BatchScheduler,
-    batch_cancel,
-    batch_tracing,
-    mp_context,
+from ..portfolio.engine import (
+    STATUS_CANCELLED,
+    STATUS_ERROR,
+    STATUS_INVALID_MODEL,
+    STATUS_SAT,
+    STATUS_UNKNOWN,
+    Leg,
+    leg_status,
+    merge_facts,
+    run_legs,
 )
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT
 from .splitter import DEFAULT_MAX_CUBES, split_formula
 
-#: Per-cube stats row status values.
-CUBE_SAT = "sat"
+#: Per-cube stats row status values: the portfolio's, with UNSAT named
+#: ``refuted`` (a cube's UNSAT refutes only its piece of the partition).
+CUBE_SAT = STATUS_SAT
 CUBE_REFUTED = "refuted"
-CUBE_UNKNOWN = "unknown"
-CUBE_CANCELLED = "cancelled"
-CUBE_ERROR = "error"
-CUBE_INVALID_MODEL = "invalid-model"
+CUBE_UNKNOWN = STATUS_UNKNOWN
+CUBE_CANCELLED = STATUS_CANCELLED
+CUBE_ERROR = STATUS_ERROR
+CUBE_INVALID_MODEL = STATUS_INVALID_MODEL
 
 
 class CubeDisagreement(RuntimeError):
@@ -105,40 +111,6 @@ class CubeOutcome:
         return self.n_refuted_at_split + sum(
             1 for s in self.stats if s.status == CUBE_REFUTED
         )
-
-
-def _solve_cube(item):
-    """One cube, shaped for :meth:`BatchScheduler.map` (module-level for
-    picklability; the cancel event arrives via :func:`batch_cancel`)."""
-    index, cube, backend, formula, deadline, conflict_budget = item
-    t0 = time.monotonic()
-    result = backend.solve(
-        formula,
-        deadline=deadline,
-        conflict_budget=conflict_budget,
-        cancel=batch_cancel(),
-        assumptions=list(cube),
-    )
-    elapsed = time.monotonic() - t0
-    if batch_tracing():
-        # Post-fork instrumentation (FORK-SAFETY): a worker-local tracer
-        # and registry, created here and shipped back on the result for
-        # parent-side adoption/merging.
-        tracer = Tracer()
-        with tracer.span(
-            "cube.solve", cube=list(cube), backend=backend.name, index=index
-        ) as span:
-            span.set("conflicts", result.conflicts)
-            span.set("cancelled", result.cancelled)
-        span.data["t0"] = t0
-        span.data["dur"] = elapsed
-        registry = MetricsRegistry()
-        registry.inc("cube_solves")
-        registry.inc("cube_conflicts", result.conflicts)
-        registry.observe("cube_solve_s", elapsed)
-        result.spans = tracer.spans()
-        result.metrics = registry.snapshot()
-    return index, result, elapsed
 
 
 class CubeConqueror:
@@ -214,52 +186,45 @@ class CubeConqueror:
             if not backends:
                 outcome.wall_seconds = time.monotonic() - start
                 return outcome
-            items = [
-                (i, cube, backends[i % len(backends)], formula, deadline,
-                 conflict_budget)
+            legs = [
+                Leg(i, backends[i % len(backends)], formula, deadline,
+                    conflict_budget, cube=cube, span="cube.solve",
+                    prefix="cube", trace=self.tracer.enabled)
                 for i, cube in enumerate(cubeset.cubes)
             ]
-            cancel = mp_context().Event()
 
-            def stop_when(entry) -> bool:
-                _, res, _ = entry
-                res = self._validated(res)
-                if res.status is SAT:
-                    return True
-                # The whole-formula shortcut (in-process backends only:
-                # DimacsBackend flags every cubed UNSAT conservatively).
-                return res.status is UNSAT and not res.assumption_failure
+            def stop(res) -> bool:
+                # A validated SAT, or the whole-formula shortcut
+                # (in-process backends only: DimacsBackend flags every
+                # cubed UNSAT conservatively).
+                return res.status is SAT or (
+                    res.status is UNSAT and not res.assumption_failure
+                )
 
-            raw = BatchScheduler(self.jobs).map(
-                _solve_cube, items, cancel=cancel, stop_when=stop_when,
-                trace=self.tracer.enabled,
+            ran = run_legs(
+                legs, self.jobs, self.validate, stop, self.tracer,
+                self.metrics, conquer_span.id,
             )
-            self._aggregate(outcome, cubeset, items, raw, conquer_span.id)
+            self._aggregate(outcome, cubeset, legs, ran)
             outcome.wall_seconds = time.monotonic() - start
             return outcome
 
     # -- aggregation --------------------------------------------------------
 
-    def _aggregate(self, outcome, cubeset, items, raw, parent_id=None) -> None:
-        results: List[Optional[BackendResult]] = [None] * len(items)
-        for slot, entry in enumerate(raw):
-            index, cube, backend = items[slot][0], items[slot][1], items[slot][2]
-            if isinstance(entry, BatchItemError):
-                outcome.stats.append(CubeStats(
-                    index, cube, backend.name, CUBE_ERROR,
-                    error="{}: {}".format(entry.kind, entry.error),
-                ))
-                continue
-            index, res, seconds = entry
-            span_id = self._absorb_observability(res, parent_id)
-            res = self._validated(res)
-            results[index] = res
-            outcome.stats.append(CubeStats(
-                index, cube, backend.name, self._status_of(res),
-                seconds=seconds, conflicts=res.conflicts,
-                assumption_failure=res.assumption_failure, error=res.error,
-                span_id=span_id,
-            ))
+    def _aggregate(self, outcome, cubeset, legs, ran) -> None:
+        results: List[Optional[BackendResult]] = [None] * len(legs)
+        for leg, (res, seconds, span_id) in zip(legs, ran):
+            results[leg.index] = res
+            row = CubeStats(leg.index, leg.cube, leg.backend.name,
+                            CUBE_CANCELLED)
+            if res is not None:
+                row.status = leg_status(res, unsat=CUBE_REFUTED)
+                row.seconds = seconds
+                row.conflicts = res.conflicts
+                row.assumption_failure = res.assumption_failure
+                row.error = res.error
+                row.span_id = span_id
+            outcome.stats.append(row)
         outcome.results = results
 
         sat_idx = [i for i, r in enumerate(results) if r is not None
@@ -278,11 +243,11 @@ class CubeConqueror:
             outcome.verdict = SAT
             outcome.model = results[win].model
             outcome.sat_cube = cubeset.cubes[win]
-            outcome.winner = items[win][2].name
+            outcome.winner = legs[win].backend.name
         elif global_idx:
             outcome.verdict = UNSAT
             outcome.global_unsat = True
-            outcome.winner = items[min(global_idx)][2].name
+            outcome.winner = legs[min(global_idx)].backend.name
         elif results and all(
             r is not None and r.status is UNSAT for r in results
         ):
@@ -290,65 +255,4 @@ class CubeConqueror:
             # closed branches the partition is exhausted.
             outcome.verdict = UNSAT
 
-        self._merge_facts(outcome, cubeset, results)
-
-    def _merge_facts(self, outcome, cubeset, results) -> None:
-        seen: Set[int] = set()
-        binaries: Set[Tuple[int, int]] = set()
-        for res in results:
-            if res is None or not res.facts_safe:
-                continue
-            for lit in res.level0:
-                if lit not in seen:
-                    seen.add(lit)
-                    outcome.level0.append(lit)
-            binaries.update(res.binaries)
-        for lit in cubeset.forced:
-            if lit not in seen:
-                seen.add(lit)
-                outcome.level0.append(lit)
-        outcome.binaries = sorted(binaries)
-
-    # -- helpers ------------------------------------------------------------
-
-    def _absorb_observability(
-        self, res: Optional[BackendResult], parent_id: Optional[str]
-    ) -> Optional[str]:
-        """Merge one cube result's spans/metrics at the result boundary.
-
-        Adoption reparents the worker's root span under the conquer
-        span and deduplicates by span id, so a retried/respawned
-        delivery merges exactly once.  Returns the leg span id, if any.
-        """
-        if res is None:
-            return None
-        self.metrics.merge(res.metrics)
-        if not res.spans:
-            return None
-        self.tracer.adopt(res.spans, parent_id=parent_id)
-        for span in res.spans:
-            if span.get("parent") is None:
-                return span.get("id")
-        return None
-
-    def _validated(self, res: BackendResult) -> BackendResult:
-        if res.status is SAT and self.validate is not None:
-            if res.model is None or not self.validate(res.model):
-                res.status = None
-                res.demoted = True
-                res.error = res.error or "model failed validation"
-        return res
-
-    @staticmethod
-    def _status_of(res: BackendResult) -> str:
-        if res.demoted:
-            return CUBE_INVALID_MODEL
-        if res.status is SAT:
-            return CUBE_SAT
-        if res.status is UNSAT:
-            return CUBE_REFUTED
-        if res.cancelled:
-            return CUBE_CANCELLED
-        if res.error:
-            return CUBE_ERROR
-        return CUBE_UNKNOWN
+        outcome.level0, outcome.binaries = merge_facts(results, cubeset.forced)

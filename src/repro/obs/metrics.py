@@ -8,7 +8,7 @@ parent, where :meth:`~MetricsRegistry.merge` folds it in at the result
 boundary — the same shipping pattern ``mask_fallback_hits`` uses today.
 
 Snapshots are plain JSON-serialisable dicts, so they cross both the
-pickle boundary (multiprocessing result queues) and the server's
+pickle boundary (the worker pipes) and the server's
 JSON-lines protocol unchanged.  Durations are measured with
 ``time.monotonic()`` only (DET-RNG).
 """

@@ -10,9 +10,10 @@ counterpart:
 * :mod:`repro.portfolio.engine` — :class:`PortfolioRunner`: one instance
   fanned out to N backends, first validated verdict wins, losers are
   cancelled cooperatively, per-backend :class:`PortfolioStats` reported;
-* :mod:`repro.portfolio.batch` — :class:`BatchScheduler`: many instances
-  over a bounded worker pool with per-instance isolation (parallel
-  Table II via ``run_family(jobs=...)``).
+* :mod:`repro.portfolio.batch` — the one worker pool every fan-out runs
+  on, and :class:`BatchScheduler`, a map over it with per-item isolation
+  (parallel Table II via ``run_family(jobs=...)``, portfolio legs,
+  cubes).
 """
 
 from .backends import (

@@ -1,37 +1,32 @@
-"""Bounded-pool batch scheduling for many-instance experiment runs.
+"""The one worker pool behind every fan-out, and the batch map on it.
 
-:class:`BatchScheduler` maps a function over a work list with a bounded
-``ProcessPoolExecutor``: each item runs in its own worker process (so a
-wedged or pathological instance is isolated to one worker and its own
-wall-clock deadline — it can never stall the other workers), and results
-come back in item order.
+:class:`WorkerSlots` is the process substrate shared by the portfolio
+race, cube conquest, ``run_family`` and the job server.  Each *slot* is
+one worker process with its own duplex ``Pipe`` (work in, events out):
+there is no shared queue, lock or feeder thread in either direction, so
+a worker killed in the middle of a read or a write takes only its own
+pipe with it.  Two shared flags per slot carry the rest:
 
-The work list and the function are handed to the workers through
-process *inheritance* (pool initializer + fork), not through the task
-queue: workers receive only item indices.  This keeps interned ANF state
-(monomial masks, rings) shared copy-on-write instead of re-pickled per
-item, and lets callers batch over objects that are expensive or awkward
-to serialise.  Only each item's *result* crosses a pickle boundary.
+* the **started flag** — the id of the unit the slot is executing,
+  written by the worker before the unit runs;
+* the **cancel flag** — the id of the unit the slot should abandon,
+  written by the parent; :class:`CancelToken` compares the two, so a
+  stale flag can never cancel a later unit.
 
-Failure isolation: an item whose function raises does not abort the
-batch.  The exception is captured into a :class:`BatchItemError` result
-in that item's slot, and every sibling item still runs and reports — one
-pathological instance (or cube) can no longer kill a whole
-``run_family``/cube run.  The same promise holds for *hard* worker
-deaths (segfault / OOM-kill / ``os._exit`` in a native solver): a dead
-worker breaks its ``ProcessPoolExecutor``, so the scheduler respawns the
-pool and re-runs the items that never started, while the item whose
-worker actually died keeps a ``"worker-died"`` :class:`BatchItemError`
-(a shared started-flags array distinguishes the two; ambiguous
-casualties are retried a bounded number of times).
+**One death rule.**  The parent waits on the pipes plus the process
+sentinels.  When a slot dies, every event already in its pipe is
+delivered first; then the unit dispatched to it, if any, is failed with
+``worker-died`` when the started flag names it, and requeued when it was
+dispatched but never started (at most :data:`MAX_DISPATCHES` times).
+The slot respawns.  A death never touches a sibling slot.
 
-Early exit: ``map(..., cancel=evt, stop_when=pred)`` gives consumers a
-first-win protocol.  ``cancel`` is a multiprocessing event shipped to the
-workers through the pool initializer (item functions read it via
-:func:`batch_cancel` and stand down cooperatively); ``stop_when`` is
-evaluated in the parent on each completed result and sets ``cancel`` on
-the first hit.  Remaining items still produce result slots — typically
-near-instant "cancelled" results from functions that honour the event.
+:class:`BatchScheduler` maps a function over a work list on these
+slots, driving them synchronously in the calling thread.  The function
+and the work list reach the workers as ``Process`` arguments — inherited
+copy-on-write under ``fork``, so interned ANF state is never re-pickled
+— and only item indices and results cross the pipes.  An item that
+raises (or whose worker dies) yields a :class:`BatchItemError` in its
+slot; every sibling still runs and reports.
 """
 
 from __future__ import annotations
@@ -39,18 +34,22 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import time
+from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: How many times an ambiguous broken-pool casualty (an item that had
-#: started when the pool died, alongside other started items) is retried
-#: before it is written off as ``"worker-died"``.
-MAX_ITEM_ATTEMPTS = 2
+#: Flag value meaning "no unit" (unit ids are never 0).
+IDLE = 0
+
+#: How often one unit is handed to workers that die before starting it
+#: before it is failed as ``worker-died`` instead of requeued again.
+MAX_DISPATCHES = 3
 
 
 def mp_context():
@@ -65,8 +64,8 @@ def mp_context():
       / ``spawn``);
     * with threads active (``threading.active_count() > 1``) the context
       prefers ``forkserver`` — workers then fork from a clean
-      single-threaded template process, at the cost of pickling the pool
-      initargs;
+      single-threaded template process, at the cost of pickling the
+      ``Process`` arguments;
     * the single-threaded batch path keeps plain ``fork``, so the
       determinism tests and the inheritance-based work shipping are
       unchanged.
@@ -87,69 +86,6 @@ def mp_context():
     return multiprocessing.get_context()
 
 
-@dataclass
-class BatchItemError:
-    """A captured per-item failure, returned in the item's result slot.
-
-    ``kind`` is the exception class name (``"ValueError"``,
-    ``"worker-died"`` when the worker process itself was lost), ``error``
-    the formatted message.  Consumers decide policy: degrade the item,
-    re-raise, or report.
-    """
-
-    index: int
-    kind: str
-    error: str
-
-
-# Worker-side state installed by the pool initializer.
-_BATCH_FN = None
-_BATCH_ITEMS: Sequence = ()
-_BATCH_CANCEL = None
-_BATCH_STARTED = None
-_BATCH_TRACE = False
-
-
-def _init_batch(fn, items, cancel, started=None, trace=False) -> None:  # repro: allow[FORK-SAFETY] the documented fork-inheritance shipping point: runs once per worker in the pool initializer, before any item
-    global _BATCH_FN, _BATCH_ITEMS, _BATCH_CANCEL, _BATCH_STARTED, _BATCH_TRACE
-    _BATCH_FN = fn
-    _BATCH_ITEMS = items
-    _BATCH_CANCEL = cancel
-    _BATCH_STARTED = started
-    _BATCH_TRACE = trace
-
-
-def batch_cancel():
-    """The batch's shared cancellation event, as seen from an item
-    function (worker process or the in-process sequential path); ``None``
-    when the current batch runs without one."""
-    return _BATCH_CANCEL
-
-
-def batch_tracing() -> bool:
-    """True when the parent scheduled this batch with tracing on.
-
-    Item functions use it to decide whether to create a worker-local
-    :class:`repro.obs.Tracer` (post-fork — never fork-inherited) and
-    attach its spans to their result for parent-side adoption.
-    """
-    return _BATCH_TRACE
-
-
-def _run_batch_item(index: int):
-    # Exceptions are captured here, in the worker, so a raising item
-    # neither poisons the future (losing its siblings' results) nor
-    # breaks the pool.  The started flag is raised first: if this worker
-    # hard-dies (segfault, os._exit) the parent can tell this item from
-    # siblings that were still queued.
-    if _BATCH_STARTED is not None:
-        _BATCH_STARTED[index] = 1
-    try:
-        return _BATCH_FN(_BATCH_ITEMS[index])
-    except Exception as exc:
-        return BatchItemError(index, type(exc).__name__, str(exc))
-
-
 def default_jobs() -> int:
     """Worker count when the caller does not choose: one per *available*
     CPU.
@@ -165,10 +101,254 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+class CancelToken:
+    """Worker-side cancel signal for one unit: set exactly when the
+    parent wrote this unit's id into its slot's cancel flag.  Any object
+    with ``is_set()`` satisfies the cooperative cancel protocol of
+    :func:`repro.portfolio.backends.sliced_solve`, so a cancel lands
+    within one conflict slice."""
+
+    __slots__ = ("_flags", "_slot", "_unit_id")
+
+    def __init__(self, flags, slot: int, unit_id: int):
+        self._flags = flags
+        self._slot = slot
+        self._unit_id = unit_id
+
+    def is_set(self) -> bool:
+        return self._flags[self._slot] == self._unit_id
+
+
+def _outcome(run, payload, cancel=None, progress=None):
+    """Run one unit; exceptions become an ``("error", (kind, message))``
+    outcome instead of escaping, so a raising unit never costs its
+    worker."""
+    try:
+        return "result", run(payload, cancel=cancel, progress=progress)
+    except Exception as exc:
+        return "error", (type(exc).__name__, str(exc))
+
+
+def _slot_main(slot, conn, started, cancel_flags, run):
+    """Worker loop: receive ``(unit_id, payload)``, raise the started
+    flag, run, send the outcome; ``None`` (or a closed pipe) stops it."""
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        unit_id, payload = message
+        started[slot] = unit_id
+        conn.send(("started", unit_id, None))
+
+        def progress(*event, _uid=unit_id):
+            conn.send(("progress", _uid, event))
+
+        kind, value = _outcome(
+            run, payload, CancelToken(cancel_flags, slot, unit_id), progress
+        )
+        try:
+            conn.send((kind, unit_id, value))
+        except Exception as exc:  # an unpicklable result fails its unit
+            conn.send(("error", unit_id, (type(exc).__name__, str(exc))))
+
+
+class WorkerSlots:
+    """A fixed number of worker slots, driven from one parent thread.
+
+    ``run(payload, cancel=, progress=)`` is the unit function every
+    worker executes (``progress(*event)`` posts a progress event); it
+    reaches the workers as a ``Process`` argument.
+    :meth:`events` is the only place the parent reads worker traffic and
+    applies the death rule; ``daemon`` workers (the long-lived service
+    pool) die with their parent, non-daemon ones (batches) may fan out
+    again themselves.
+    """
+
+    def __init__(self, n: int, run, daemon: bool = False):
+        self._ctx = mp_context()
+        self._run = run
+        self._daemon = daemon
+        self._started = self._ctx.Array("q", n, lock=False)
+        self._cancel = self._ctx.Array("q", n, lock=False)
+        self.busy: List[Optional[int]] = [None] * n
+        self.procs: List = [None] * n
+        self._conns: List = [None] * n
+        self._dispatches = {}
+        self.respawns = 0
+        for slot in range(n):
+            self._spawn(slot)
+
+    def _spawn(self, slot: int) -> None:
+        self._started[slot] = IDLE
+        self._cancel[slot] = IDLE
+        parent_end, child_end = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_slot_main,
+            args=(slot, child_end, self._started, self._cancel, self._run),
+            name="repro-worker-{}".format(slot),
+            daemon=self._daemon,
+        )
+        proc.start()
+        child_end.close()
+        self.procs[slot] = proc
+        self._conns[slot] = parent_end
+        self.busy[slot] = None
+
+    def idle(self) -> List[int]:
+        return [s for s, unit in enumerate(self.busy) if unit is None]
+
+    def running(self) -> bool:
+        return any(unit is not None for unit in self.busy)
+
+    def dispatch(self, slot: int, unit_id: int, payload) -> None:
+        """Hand one unit to an idle slot.  A pipe broken by a worker that
+        just died is left to the death rule in :meth:`events`."""
+        self.busy[slot] = unit_id
+        self._dispatches[unit_id] = self._dispatches.get(unit_id, 0) + 1
+        try:
+            self._conns[slot].send((unit_id, payload))
+        except OSError:
+            pass
+
+    def cancel(self, slot: int, unit_id: int) -> None:
+        """Ask the slot to abandon ``unit_id`` (a no-op once it moved on)."""
+        self._cancel[slot] = unit_id
+
+    def cancel_running(self) -> None:
+        for slot, unit_id in enumerate(self.busy):
+            if unit_id is not None:
+                self._cancel[slot] = unit_id
+
+    def events(self, timeout: Optional[float] = None, extra: Sequence = ()):
+        """Wait up to ``timeout`` for worker traffic (or for one of the
+        ``extra`` waitables) and return ``(kind, unit_id, payload)``
+        events in arrival order.
+
+        Kinds: ``started``, ``progress``, ``result``, ``error`` (payload
+        ``(kind, message)``; ``worker-died`` for a death) and
+        ``requeue`` (dispatched to a slot that died before starting it —
+        the caller hands it out again).
+        """
+        by_sentinel = {p.sentinel: s for s, p in enumerate(self.procs)}
+        by_conn = {c: s for s, c in enumerate(self._conns)}
+        ready = wait(list(by_conn) + list(by_sentinel) + list(extra), timeout)
+        out = []
+        dead = set()
+        for obj in ready:
+            if obj in by_conn:
+                slot = by_conn[obj]
+                if not self._drain(slot, out):
+                    dead.add(slot)
+            elif obj in by_sentinel:
+                dead.add(by_sentinel[obj])
+        for slot in sorted(dead):
+            self._drain(slot, out)
+            unit_id = self.busy[slot]
+            if unit_id is not None:
+                if self._started[slot] == unit_id:
+                    out.append(("error", unit_id, (
+                        "worker-died", "worker process died running the unit"
+                    )))
+                    self._dispatches.pop(unit_id, None)
+                elif self._dispatches.get(unit_id, 0) >= MAX_DISPATCHES:
+                    out.append(("error", unit_id, (
+                        "worker-died",
+                        "{} workers died before starting the unit".format(
+                            self._dispatches.pop(unit_id)),
+                    )))
+                else:
+                    out.append(("requeue", unit_id, None))
+            self._conns[slot].close()
+            self.procs[slot].kill()  # a no-op for the dead; reaps below
+            self.procs[slot].join()
+            self._spawn(slot)
+            self.respawns += 1
+        return out
+
+    def _drain(self, slot: int, out: list) -> bool:
+        """Deliver every complete event waiting in one slot's pipe; False
+        once the pipe reports its worker gone (EOF, or a message cut off
+        mid-write)."""
+        conn = self._conns[slot]
+        try:
+            while conn.poll():
+                kind, unit_id, payload = conn.recv()
+                if kind in ("result", "error") and self.busy[slot] == unit_id:
+                    self.busy[slot] = None
+                    self._dispatches.pop(unit_id, None)
+                out.append((kind, unit_id, payload))
+        except (EOFError, OSError):
+            return False
+        return True
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop every worker: a polite ``None``, then terminate whatever
+        is still running after ``timeout`` (running units are abandoned)."""
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+        end = time.monotonic() + timeout
+        for proc in self.procs:
+            proc.join(max(0.0, end - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(1.0)
+        for conn in self._conns:
+            conn.close()
+
+
+@dataclass
+class BatchItemError:
+    """A captured per-item failure, returned in the item's result slot.
+
+    ``kind`` is the exception class name (``"ValueError"``,
+    ``"worker-died"`` when the worker process itself was lost), ``error``
+    the formatted message, ``seconds`` the wall time from dispatch until
+    the failure arrived.  Consumers decide policy: degrade the item,
+    re-raise, or report.
+    """
+
+    index: int
+    kind: str
+    error: str
+    seconds: float = 0.0
+
+
+#: The running item's cancel token, as seen by the item function.
+_ITEM_CANCEL: ContextVar = ContextVar("batch_cancel", default=None)
+
+
+def batch_cancel():
+    """The cancel token of the item being run, as seen from the item
+    function; ``None`` on the in-process path, where nothing runs
+    concurrently that could ask for a cancel."""
+    return _ITEM_CANCEL.get()
+
+
+class _MapUnit:
+    """The unit function of one batch: item index in, ``fn(item)`` out."""
+
+    def __init__(self, fn, items):
+        self.fn = fn
+        self.items = items
+
+    def __call__(self, index, cancel=None, progress=None):
+        token = _ITEM_CANCEL.set(cancel)
+        try:
+            return self.fn(self.items[index])
+        finally:
+            _ITEM_CANCEL.reset(token)
+
+
 class BatchScheduler:
     """Run ``fn`` over many items with at most ``jobs`` worker processes.
 
-    ``jobs=1`` (or a single item) degrades to a plain in-process loop —
+    ``jobs=1`` (or a single item) runs the items in-process, in order —
     bit-for-bit the sequential path, used by the determinism tests.
     """
 
@@ -179,144 +359,63 @@ class BatchScheduler:
         self,
         fn: Callable[[T], R],
         items: Sequence[T],
-        cancel=None,
         stop_when: Optional[Callable[[R], bool]] = None,
-        trace: bool = False,
     ) -> List[R]:
         """``[fn(item) for item in items]`` over the pool, in item order.
 
-        A raising item yields a :class:`BatchItemError` in its slot
-        instead of aborting the batch.  With ``cancel`` (a multiprocessing
-        event) and ``stop_when``, the first completed result for which
-        ``stop_when(result)`` is true sets ``cancel``; item functions can
-        observe it via :func:`batch_cancel` and finish early (the
-        sequential path honours the same protocol, so ``jobs=1`` stays
-        bit-for-bit representative).
+        A raising item (or one whose worker dies) yields a
+        :class:`BatchItemError` in its slot instead of aborting the
+        batch.  ``stop_when(result)`` is called once on every other
+        result, in completion order; the first true return stops the
+        batch: running items are cancelled through their slot flag
+        (item functions see it via :func:`batch_cancel`) and items not
+        yet started never run — their slots stay ``None``.
         """
-        items = list(items)
-        if self.jobs == 1 or len(items) <= 1:
-            return self._map_sequential(fn, items, cancel, stop_when, trace)
-        ctx = mp_context()
-        results: List = [None] * len(items)
-        attempts = [0] * len(items)
-        pending = list(range(len(items)))
-        stalled_rounds = 0
-        while pending:
-            # The started-flags array is fresh per pool: a hard worker
-            # death (segfault / os._exit) breaks the whole executor and
-            # poisons every pending future, so flags are the only way to
-            # tell the item that killed its worker from siblings that
-            # never ran.
-            started = ctx.Array("b", len(items), lock=False)
-            broken = self._map_round(
-                ctx, fn, items, pending, started, results, cancel, stop_when,
-                trace,
-            )
-            if not broken:
-                break
-            unfinished = [i for i in pending if results[i] is None]
-            suspects = [i for i in unfinished if started[i]]
-            for i in suspects:
-                attempts[i] += 1
-            if len(suspects) == 1:
-                # Exactly one item was running when the pool died: that
-                # is the casualty.  Everything else re-runs.
-                i = suspects[0]
-                results[i] = BatchItemError(
-                    i, "worker-died", "worker process died running item"
-                )
-            else:
-                # Several items were in flight (the killer is one of
-                # them; the others were collateral of the pool
-                # teardown).  Retry each a bounded number of times — the
-                # genuine killer dies again and runs out of attempts.
-                for i in suspects:
-                    if attempts[i] >= MAX_ITEM_ATTEMPTS:
-                        results[i] = BatchItemError(
-                            i,
-                            "worker-died",
-                            "worker process died running item "
-                            "({} attempts)".format(attempts[i]),
-                        )
-            pending = [i for i in unfinished if results[i] is None]
-            if pending and not suspects and len(pending) == len(unfinished):
-                # The pool broke before any pending item even started
-                # (e.g. workers dying at fork): no flag to pin it on, no
-                # progress to show.  One more try, then give up rather
-                # than respawn forever.
-                stalled_rounds += 1
-                if stalled_rounds >= 2:
-                    for i in pending:
-                        results[i] = BatchItemError(
-                            i,
-                            "worker-died",
-                            "pool repeatedly broke before items started",
-                        )
-                    pending = []
-            else:
-                stalled_rounds = 0
-        return results
+        unit = _MapUnit(fn, list(items))
+        results: List = [None] * len(unit.items)
+        stopped = False
 
-    def _map_round(
-        self, ctx, fn, items, pending, started, results, cancel, stop_when,
-        trace=False,
-    ) -> bool:
-        """One executor lifetime over ``pending``; True if the pool broke.
+        def collect(index, kind, value, seconds=0.0) -> bool:
+            """Store one outcome; True when it is the one that stops."""
+            nonlocal stopped
+            if kind == "error":
+                results[index] = BatchItemError(index, *value, seconds=seconds)
+                return False
+            results[index] = value
+            hit = bool(stop_when and stop_when(value)) and not stopped
+            stopped = stopped or hit
+            return hit
 
-        Items that complete (including captured per-item exceptions)
-        land in ``results``; a :class:`BrokenProcessPool` poisons every
-        not-yet-collected future, so those slots are left ``None`` for
-        the caller to arbitrate via the started flags.
-        """
-        broken = False
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)),
-            mp_context=ctx,
-            initializer=_init_batch,
-            initargs=(fn, items, cancel, started, trace),
-        ) as executor:
-            futures = {executor.submit(_run_batch_item, i): i for i in pending}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    continue
-                except Exception as exc:  # per-future failure (pool intact)
-                    result = BatchItemError(
-                        index, "worker-died", "worker failed: {}".format(exc)
-                    )
-                results[index] = result
-                self._maybe_stop(result, cancel, stop_when)
-        return broken
-
-    def _map_sequential(self, fn, items, cancel, stop_when, trace=False) -> List:
-        # Install the worker-side globals in-process too, so item
-        # functions reach the cancel event through batch_cancel() on
-        # both paths.
-        saved = (
-            _BATCH_FN, _BATCH_ITEMS, _BATCH_CANCEL, _BATCH_STARTED,
-            _BATCH_TRACE,
-        )
-        _init_batch(fn, items, cancel, trace=trace)
-        try:
-            results: List = []
-            for i in range(len(items)):
-                result = _run_batch_item(i)
-                results.append(result)
-                self._maybe_stop(result, cancel, stop_when)
+        if self.jobs == 1 or len(results) <= 1:
+            for i in range(len(results)):
+                if stopped:
+                    break
+                collect(i, *_outcome(unit, i))
             return results
-        finally:
-            _init_batch(*saved)
 
-    @staticmethod
-    def _maybe_stop(result, cancel, stop_when) -> None:
-        if (
-            stop_when is not None
-            and cancel is not None
-            and not isinstance(result, BatchItemError)
-            and not cancel.is_set()
-            and stop_when(result)
-        ):
-            cancel.set()
+        slots = WorkerSlots(min(self.jobs, len(results)), unit)
+        pending = deque(range(len(results)))
+        sent = [0.0] * len(results)
+        try:
+            while True:
+                if stopped:
+                    pending.clear()
+                for slot in slots.idle():
+                    if not pending:
+                        break
+                    i = pending.popleft()
+                    sent[i] = time.monotonic()
+                    slots.dispatch(slot, i + 1, i)
+                if not slots.running():
+                    break
+                for kind, unit_id, payload in slots.events():
+                    i = unit_id - 1
+                    if kind == "requeue":
+                        pending.appendleft(i)
+                    elif kind in ("result", "error"):
+                        if collect(i, kind, payload,
+                                   time.monotonic() - sent[i]):
+                            slots.cancel_running()
+        finally:
+            slots.close()
+        return results

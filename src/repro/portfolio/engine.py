@@ -1,10 +1,13 @@
 """Parallel portfolio solving with first-win cancellation.
 
 One instance fans out to N :class:`~repro.portfolio.backends.SolverBackend`
-workers over a ``ProcessPoolExecutor``; the first definitive verdict sets
-a shared cancellation event, the losers notice it at their next conflict
-slice and stand down, and every backend's fate is reported as a
-per-backend :class:`PortfolioStats` row.
+legs as a :meth:`~repro.portfolio.batch.BatchScheduler.map` over the
+shared worker pool; the first validated definitive verdict stops the
+map — running losers are cancelled through their slot flag and stand
+down at their next conflict slice, legs not yet started never run — and
+every backend's fate is reported as a per-backend :class:`PortfolioStats`
+row.  A leg whose worker dies gets an error row; its siblings are
+untouched.
 
 Soundness and determinism:
 
@@ -24,16 +27,14 @@ Soundness and determinism:
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..sat.solver import SAT, UNSAT
 from .backends import BackendResult, SolverBackend
-from .batch import mp_context
+from .batch import BatchItemError, BatchScheduler, batch_cancel, default_jobs
 
 #: Stats row status values.
 STATUS_SAT = "sat"
@@ -76,6 +77,10 @@ class PortfolioResult:
     stats: List[PortfolioStats] = field(default_factory=list)
     wall_seconds: float = 0.0
     results: List[Optional[BackendResult]] = field(default_factory=list)
+    #: Learnt facts merged from every facts-safe result (see
+    #: :func:`merge_facts`) — cancelled losers contribute too.
+    level0: List[int] = field(default_factory=list)
+    binaries: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def n_cancelled(self) -> int:
@@ -108,83 +113,181 @@ def arbitrate(
     return best
 
 
-# Worker-side state, installed by the pool initializer: the cancellation
-# event cannot cross the task queue (it rides process inheritance), and
-# the shared formula would otherwise be re-pickled once per backend.
-_WORKER_CANCEL = None
-_WORKER_FORMULA = None
-_WORKER_TRACE = False
+@dataclass
+class Leg:
+    """One backend solve: the unit a portfolio race or a cube conquest
+    maps over the worker pool.  ``cube`` (cube legs only) is passed as
+    assumptions; ``span`` and ``prefix`` name the leg's trace span and
+    metric counters."""
+
+    index: int
+    backend: SolverBackend
+    formula: object
+    deadline: Optional[float]
+    conflict_budget: Optional[int]
+    cube: Optional[Tuple[int, ...]] = None
+    span: str = "portfolio.backend"
+    prefix: str = "backend"
+    trace: bool = False
 
 
-def _init_worker(cancel, formula, trace=False) -> None:  # repro: allow[FORK-SAFETY] the documented fork-inheritance shipping point: runs once per worker in the pool initializer, before any solve
-    global _WORKER_CANCEL, _WORKER_FORMULA, _WORKER_TRACE
-    _WORKER_CANCEL = cancel
-    _WORKER_FORMULA = formula
-    _WORKER_TRACE = trace
+def run_leg(leg: Leg) -> Tuple[BackendResult, float]:
+    """Solve one leg where the pool runs it; returns ``(result, seconds)``.
 
-
-def _observe_backend(
-    result: BackendResult, backend_name: str, name: str, index: int,
-    t0: float, elapsed: float,
-) -> None:
-    """Attach a worker-local span + metrics snapshot to ``result``.
-
-    Post-fork instrumentation (FORK-SAFETY): the tracer and registry are
-    created *here*, in the process that did the solving, and their
-    serialized state rides the result back for parent-side merging.
-    The span brackets work that already happened, so its window is
-    rewritten to the measured solve interval (``time.monotonic()`` is
-    system-wide, so the parent's stitched timeline stays aligned).
+    A raising backend loses the leg, not the run: the exception becomes
+    an error result.  With ``leg.trace`` the leg is instrumented
+    post-fork (FORK-SAFETY): a tracer and a registry are created *here*,
+    in the process that did the solving, and ride the result back for
+    parent-side merging.  The span brackets work that already happened,
+    so its window is rewritten to the measured solve interval
+    (``time.monotonic()`` is system-wide, so the parent's stitched
+    timeline stays aligned).
     """
-    tracer = Tracer()
-    with tracer.span(name, backend=backend_name, index=index) as span:
-        span.set("conflicts", result.conflicts)
-        span.set("cancelled", result.cancelled)
-        if result.error:
-            span.set("error", result.error)
-    span.data["t0"] = t0
-    span.data["dur"] = elapsed
-    registry = MetricsRegistry()
-    registry.inc("backend_solves")
-    registry.inc("backend_conflicts", result.conflicts)
-    registry.observe("backend_solve_s", elapsed)
-    result.spans = tracer.spans()
-    result.metrics = registry.snapshot()
-
-
-def _solve_entry(
-    index: int,
-    backend: SolverBackend,
-    deadline: Optional[float],
-    conflict_budget: Optional[int],
-) -> Tuple[int, BackendResult, float]:
-    start = time.monotonic()
+    kwargs = {} if leg.cube is None else {"assumptions": list(leg.cube)}
+    t0 = time.monotonic()
     try:
-        result = backend.solve(
-            _WORKER_FORMULA,
-            deadline=deadline,
-            conflict_budget=conflict_budget,
-            cancel=_WORKER_CANCEL,
+        result = leg.backend.solve(
+            leg.formula,
+            deadline=leg.deadline,
+            conflict_budget=leg.conflict_budget,
+            cancel=batch_cancel(),
+            **kwargs,
         )
-    except Exception as exc:  # a crashing backend loses, not the run
+    except Exception as exc:
         result = BackendResult(
             None,
             facts_safe=False,
             error="{}: {}".format(type(exc).__name__, exc),
         )
-    elapsed = time.monotonic() - start
-    if _WORKER_TRACE:
-        _observe_backend(
-            result, backend.name, "portfolio.backend", index, start, elapsed
-        )
-    return index, result, elapsed
+    elapsed = time.monotonic() - t0
+    if leg.trace:
+        registry = MetricsRegistry()
+        registry.inc(leg.prefix + "_solves")
+        registry.inc(leg.prefix + "_conflicts", result.conflicts)
+        registry.observe(leg.prefix + "_solve_s", elapsed)
+        result.metrics = registry.snapshot()
+        attrs = {"backend": leg.backend.name, "index": leg.index}
+        if leg.cube is not None:
+            attrs["cube"] = list(leg.cube)
+        tracer = Tracer()
+        with tracer.span(leg.span, **attrs) as span:
+            span.set("conflicts", result.conflicts)
+            span.set("cancelled", result.cancelled)
+            if result.error:
+                span.set("error", result.error)
+        span.data["t0"] = t0
+        span.data["dur"] = elapsed
+        result.spans = tracer.spans()
+    return result, elapsed
+
+
+def validated(result: BackendResult, validate) -> BackendResult:
+    """Demote a SAT claim whose model ``validate`` rejects (or that has
+    no model): an unvalidated SAT answer never wins."""
+    if result.status is SAT and validate is not None:
+        if result.model is None or not validate(result.model):
+            result.status = None
+            result.error = result.error or "model failed validation"
+            result.demoted = True
+    return result
+
+
+def leg_status(result: BackendResult, unsat: str = STATUS_UNSAT) -> str:
+    """The stats-row status of one leg result (cube rows name UNSAT
+    ``refuted``)."""
+    if result.demoted:
+        return STATUS_INVALID_MODEL
+    if result.status is SAT:
+        return STATUS_SAT
+    if result.status is UNSAT:
+        return unsat
+    if result.cancelled:
+        return STATUS_CANCELLED
+    if result.error:
+        return STATUS_ERROR
+    return STATUS_UNKNOWN
+
+
+def absorb_observability(
+    tracer, metrics, result: Optional[BackendResult],
+    parent_id: Optional[str],
+) -> Optional[str]:
+    """Merge one leg result's spans and metrics at the result boundary.
+
+    Adoption reparents the worker's root span under ``parent_id`` and
+    deduplicates by span id, so a duplicate delivery can never
+    double-count.  Returns the leg's span id, if any.
+    """
+    if result is None:
+        return None
+    metrics.merge(result.metrics)
+    if not result.spans:
+        return None
+    tracer.adopt(result.spans, parent_id=parent_id)
+    for span in result.spans:
+        if span.get("parent") is None:
+            return span.get("id")
+    return None
+
+
+def run_legs(legs, jobs, validate, stop, tracer, metrics, parent_id):
+    """Map :func:`run_leg` over ``legs`` on the worker pool; the first
+    validated result for which ``stop`` holds ends the map.
+
+    Returns ``(result, seconds, span_id)`` per leg, in leg order, with
+    every result validated and its observability absorbed under
+    ``parent_id``; ``result`` is None for a leg that never started, and
+    an error result for one whose worker died.
+    """
+    raw = BatchScheduler(jobs).map(
+        run_leg, legs,
+        stop_when=lambda entry: stop(validated(entry[0], validate)),
+    )
+    out = []
+    for entry in raw:
+        if entry is None:
+            out.append((None, 0.0, None))
+        elif isinstance(entry, BatchItemError):
+            error = "worker failed: {}: {}".format(entry.kind, entry.error)
+            out.append((BackendResult(None, facts_safe=False, error=error),
+                        entry.seconds, None))
+        else:
+            result, seconds = entry
+            out.append((result, seconds, absorb_observability(
+                tracer, metrics, result, parent_id)))
+    return out
+
+
+def merge_facts(
+    results: Sequence[Optional[BackendResult]], forced: Sequence[int] = ()
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Level-0 units (first occurrence order, then ``forced``) and the
+    sorted binary clauses of every facts-safe result."""
+    level0: List[int] = []
+    seen = set()
+    binaries = set()
+    for res in results:
+        if res is None or not res.facts_safe:
+            continue
+        for lit in res.level0:
+            if lit not in seen:
+                seen.add(lit)
+                level0.append(lit)
+        binaries.update(res.binaries)
+    for lit in forced:
+        if lit not in seen:
+            seen.add(lit)
+            level0.append(lit)
+    return level0, sorted(binaries)
 
 
 class PortfolioRunner:
     """Race a fixed set of backends on single instances.
 
     ``jobs`` bounds the worker processes (``None`` — one per backend,
-    capped by CPU count; ``1`` — the deterministic sequential mode, where
+    capped by the CPUs this process may run on, see
+    :func:`~repro.portfolio.batch.default_jobs`; ``1`` — the
+    deterministic sequential mode, where
     backends run in order and everything after the first definitive
     verdict is cancelled without running).  ``validate`` is an optional
     ``model_bits -> bool`` callback; when present, SAT answers without a
@@ -228,49 +331,34 @@ class PortfolioRunner:
             "portfolio.race",
             backends=[b.name for b in self.backends],
         ) as race_span:
-            active: List[Tuple[int, SolverBackend]] = []
-            stats: List[Optional[PortfolioStats]] = [None] * len(self.backends)
-            for i, backend in enumerate(self.backends):
-                if backend.available():
-                    active.append((i, backend))
-                else:
-                    stats[i] = PortfolioStats(backend.name, STATUS_SKIPPED)
-
-            if self.jobs is not None:
-                jobs = self.jobs
-            else:
-                jobs = min(len(active), os.cpu_count() or 1)
-            jobs = max(1, min(jobs, len(active))) if active else 1
+            legs = [
+                Leg(i, backend, formula, deadline, conflict_budget,
+                    trace=self.tracer.enabled)
+                for i, backend in enumerate(self.backends)
+                if backend.available()
+            ]
+            jobs = self.jobs if self.jobs is not None else default_jobs()
+            jobs = max(1, min(jobs, len(legs)))
             race_span.set("jobs", jobs)
-            if not active:
-                return PortfolioResult(
-                    None, stats=[s for s in stats if s], wall_seconds=0.0,
-                    results=[None] * len(self.backends),
-                )
 
             results: List[Optional[BackendResult]] = [None] * len(self.backends)
-            seconds = [0.0] * len(self.backends)
-            leg_ids: List[Optional[str]] = [None] * len(self.backends)
-            if jobs == 1:
-                self._run_sequential(
-                    active, formula, deadline, conflict_budget, results,
-                    seconds, stats, leg_ids,
-                )
-            else:
-                self._run_parallel(
-                    active, formula, deadline, conflict_budget, results,
-                    seconds, stats, jobs, leg_ids, race_span.id,
-                )
-
-            out_stats = []
-            for i, row in enumerate(stats):
-                if row is None:
-                    row = self._stats_row(
-                        self.backends[i], results[i], seconds[i]
+            stats = [PortfolioStats(b.name, STATUS_SKIPPED) for b in self.backends]
+            ran = run_legs(
+                legs, jobs, self.validate, lambda r: r.status is not None,
+                self.tracer, self.metrics, race_span.id,
+            )
+            for leg, (res, seconds, span_id) in zip(legs, ran):
+                results[leg.index] = res
+                if res is None:  # never started: the race was over
+                    stats[leg.index] = PortfolioStats(
+                        leg.backend.name, STATUS_CANCELLED, cancelled=True
                     )
-                    stats[i] = row
-                row.span_id = leg_ids[i]
-                out_stats.append(row)
+                    continue
+                stats[leg.index] = PortfolioStats(
+                    leg.backend.name, leg_status(res), seconds=seconds,
+                    conflicts=res.conflicts, cancelled=res.cancelled,
+                    demoted=res.demoted, error=res.error, span_id=span_id,
+                )
             winner = arbitrate(list(enumerate(results)))
             verdict = None
             model = None
@@ -280,155 +368,16 @@ class PortfolioRunner:
                 verdict = bool(win_result.status)
                 model = win_result.model
                 winner_name = self.backends[winner].name
-                out_stats[winner].won = True
+                stats[winner].won = True
                 race_span.set("winner", winner_name)
+            level0, binaries = merge_facts(results)
             return PortfolioResult(
                 verdict,
                 model=model,
                 winner=winner_name,
-                stats=out_stats,
+                stats=stats,
                 wall_seconds=time.monotonic() - start,
                 results=results,
+                level0=level0,
+                binaries=binaries,
             )
-
-    # -- execution modes ---------------------------------------------------
-
-    def _run_sequential(
-        self, active, formula, deadline, conflict_budget, results, seconds,
-        stats, leg_ids,
-    ) -> None:
-        decided = False
-        for index, backend in active:
-            if decided:
-                stats[index] = PortfolioStats(
-                    backend.name, STATUS_CANCELLED, cancelled=True
-                )
-                continue
-            with self.tracer.span(
-                "portfolio.backend", backend=backend.name, index=index
-            ) as span:
-                t0 = time.monotonic()
-                try:
-                    result = backend.solve(
-                        formula, deadline=deadline, conflict_budget=conflict_budget
-                    )
-                except Exception as exc:
-                    result = BackendResult(
-                        None,
-                        facts_safe=False,
-                        error="{}: {}".format(type(exc).__name__, exc),
-                    )
-                seconds[index] = time.monotonic() - t0
-                span.set("conflicts", result.conflicts)
-            leg_ids[index] = span.id
-            self.metrics.inc("backend_solves")
-            self.metrics.inc("backend_conflicts", result.conflicts)
-            self.metrics.observe("backend_solve_s", seconds[index])
-            results[index] = self._validated(result)
-            if results[index].status is not None:
-                decided = True
-
-    def _run_parallel(
-        self, active, formula, deadline, conflict_budget, results, seconds,
-        stats, jobs, leg_ids, race_id,
-    ) -> None:
-        ctx = mp_context()
-        cancel = ctx.Event()
-        executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(cancel, formula, self.tracer.enabled),
-        )
-        try:
-            spawn_t0 = time.monotonic()
-            futures = {
-                executor.submit(
-                    _solve_entry, index, backend, deadline, conflict_budget,
-                ): index
-                for index, backend in active
-            }
-            for future in as_completed(futures):
-                try:
-                    index, result, elapsed = future.result()
-                except Exception as exc:  # worker died (not a solve error)
-                    index = futures[future]
-                    result = BackendResult(
-                        None,
-                        facts_safe=False,
-                        error="worker failed: {}".format(exc),
-                    )
-                    # The worker cannot report its own timing any more;
-                    # attribute the wall time since fan-out so the stats
-                    # row reflects how long the backend really held a
-                    # slot (it used to claim 0.0s).
-                    elapsed = time.monotonic() - spawn_t0
-                seconds[index] = elapsed
-                leg_ids[index] = self._absorb_observability(result, race_id)
-                results[index] = self._validated(result)
-                if results[index].status is not None and not cancel.is_set():
-                    # First definitive, validated verdict: stop the rest.
-                    cancel.set()
-        finally:
-            cancel.set()
-            executor.shutdown(wait=True)
-
-    def _absorb_observability(
-        self, result: Optional[BackendResult], parent_id: Optional[str]
-    ) -> Optional[str]:
-        """Merge one worker result's spans/metrics at the result boundary.
-
-        Adoption reparents the worker's root span under the race span
-        and deduplicates by span id, so a duplicate delivery can never
-        double-count.  Returns the worker's leg span id, if any.
-        """
-        if result is None:
-            return None
-        self.metrics.merge(result.metrics)
-        if not result.spans:
-            return None
-        self.tracer.adopt(result.spans, parent_id=parent_id)
-        for span in result.spans:
-            if span.get("parent") is None:
-                return span.get("id")
-        return None
-
-    # -- helpers -----------------------------------------------------------
-
-    def _validated(self, result: BackendResult) -> BackendResult:
-        if result.status is SAT and self.validate is not None:
-            if result.model is None or not self.validate(result.model):
-                # Demote: an unvalidated SAT claim never wins.
-                result.status = None
-                result.error = result.error or "model failed validation"
-                result.demoted = True
-        return result
-
-    def _stats_row(
-        self, backend: SolverBackend, result: Optional[BackendResult],
-        elapsed: float,
-    ) -> PortfolioStats:
-        if result is None:
-            return PortfolioStats(backend.name, STATUS_CANCELLED, cancelled=True)
-        demoted = result.demoted
-        if demoted:
-            status = STATUS_INVALID_MODEL
-        elif result.status is SAT:
-            status = STATUS_SAT
-        elif result.status is UNSAT:
-            status = STATUS_UNSAT
-        elif result.cancelled:
-            status = STATUS_CANCELLED
-        elif result.error:
-            status = STATUS_ERROR
-        else:
-            status = STATUS_UNKNOWN
-        return PortfolioStats(
-            backend.name,
-            status,
-            seconds=elapsed,
-            conflicts=result.conflicts,
-            cancelled=result.cancelled,
-            demoted=demoted,
-            error=result.error,
-        )

@@ -1,116 +1,46 @@
-"""The long-lived daemon worker pool behind the solver service.
+"""The long-lived worker pool behind the solver service.
 
-:class:`repro.portfolio.batch.BatchScheduler` ships a *fixed* batch by
-fork inheritance and tears the pool down when the batch drains; a server
-cannot work that way — jobs arrive over time and must be cancellable
-individually.  :class:`WorkerPool` therefore generalises the batch
-layer's machinery to a persistent pool:
+:class:`WorkerPool` runs server jobs on the same
+:class:`~repro.portfolio.batch.WorkerSlots` as every other fan-out —
+one process per slot with its own duplex pipe, a started flag and a
+cancel flag — and adds what a service needs on top:
 
-* **submission by message** — the parent dispatches whole (picklable)
-  :class:`~repro.server.jobs.JobSpec` objects over *per-worker* job
-  queues, no fork-time state shipping.  One queue per worker (rather
-  than one shared queue) is deliberate: a worker killed while blocked in
-  ``get()`` dies holding the queue's read lock, which would wedge every
-  future reader — a private queue is simply discarded with its worker
-  and the respawned slot gets a fresh one;
-* **per-job cooperative cancellation** — a shared flags array holds,
-  per worker slot, the id of the job that slot should abandon; the
-  worker-side :class:`_CancelToken` compares its slot against its
-  current job id and plugs into the conflict-slice cancel checks of
-  :func:`repro.portfolio.backends.sliced_solve`, so a cancel lands
-  within one conflict slice;
-* **per-job deadlines** — the watchdog thread sweeps running jobs and
-  cancels any that outlive ``timeout_s`` (measured from job *start*);
-  the pool reports those with a ``timeout`` verdict;
-* **dead-worker respawn** — a worker that dies mid-job (OOM-kill,
-  ``os._exit``) fails *that job only* with a ``worker-died`` error; a
-  job dispatched to the dead slot but never started is requeued for the
-  next free worker; the slot respawns and keeps serving.  This mirrors
-  the batch scheduler's death-isolation semantics.
+* **submission by message** — jobs arrive over time, so whole
+  (picklable) :class:`~repro.server.jobs.JobSpec` objects go down the
+  pipe of the next idle slot; nothing is shipped at fork time;
+* **per-job cooperative cancellation** — :meth:`WorkerPool.cancel`
+  writes the job's id into its slot's cancel flag; the worker-side
+  :class:`~repro.portfolio.batch.CancelToken` plugs into the
+  conflict-slice cancel checks, so a cancel lands within one slice;
+* **per-job deadlines** — measured from job *start*; a job that outlives
+  ``timeout_s`` is cancelled the same way and reported as ``timeout``;
+* **the one death rule** of the slots — a job whose worker dies mid-run
+  fails with ``worker-died``, one dispatched to a dying worker but never
+  started is requeued, the slot respawns and keeps serving.
 
-Events flow back over one shared result queue (safe to share: workers
-only *put*, and a writer dies holding no read lock the parent needs),
-drained by a reader thread that resolves waiters and forwards progress
-to per-job callbacks — the asyncio front end (:mod:`repro.server.app`)
-bridges those callbacks onto the event loop.
+One parent thread drives the slots: it waits on the pipes, the process
+sentinels and a wake-up pipe (poked by :meth:`submit` and
+:meth:`close`), dispatches, sweeps deadlines and calls the per-job
+``on_event`` callbacks — the asyncio front end (:mod:`repro.server.app`)
+bridges those onto the event loop.
 """
 
 from __future__ import annotations
 
-import queue
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, Optional
 
 from ..obs import MetricsRegistry
-from ..portfolio.batch import default_jobs, mp_context
+from ..portfolio.batch import WorkerSlots, default_jobs
 from .jobs import JobSpec, execute_job
 
-#: Flag-array value meaning "nothing to cancel on this slot".
-_IDLE = 0
-
-#: Watchdog sweep period (deadline resolution), seconds.
+#: Deadline sweep period (deadline resolution), seconds.
 SWEEP_INTERVAL_S = 0.05
-
-#: Dispatch attempts per job before a repeatedly-requeued job (its
-#: workers keep dying before starting it) is failed outright.
-MAX_JOB_ATTEMPTS = 3
-
-
-class _CancelToken:
-    """Worker-side cancel signal for one job: set exactly when the
-    parent wrote this worker's slot in the shared flags array to this
-    job's id.  Any object with ``is_set()`` satisfies the cooperative
-    cancel protocol, so this token rides the same conflict-slice checks
-    as the portfolio's shared Event."""
-
-    __slots__ = ("_flags", "_slot", "_job_id")
-
-    def __init__(self, flags, slot: int, job_id: int):
-        self._flags = flags
-        self._slot = slot
-        self._job_id = job_id
-
-    def is_set(self) -> bool:
-        return self._flags[self._slot] == self._job_id
-
-
-def _worker_main(slot, job_queue, event_queue, cancel_flags, started_flags,
-                 cache_dir):
-    """Daemon worker loop: pull a spec, execute, post events; ``None``
-    is the shutdown sentinel.  Runs until told to stop or killed —
-    crash isolation is the parent watchdog's job, not ours.
-
-    ``started_flags[slot]`` is written (shared memory, instantly
-    visible) before the job runs and cleared after its result is
-    posted: the watchdog reads it to tell a job that died *mid-run*
-    (fail it) from one still sitting unread in a dead worker's queue
-    (requeue it) — the "started" event alone can lag in the event
-    queue past the moment the death is observed."""
-    while True:
-        spec = job_queue.get()
-        if spec is None:
-            return
-        started_flags[slot] = spec.job_id
-        event_queue.put(("started", spec.job_id, slot))
-        token = _CancelToken(cancel_flags, slot, spec.job_id)
-
-        def emit_progress(stage, payload, _jid=spec.job_id):
-            event_queue.put(("progress", _jid, {"stage": stage, **payload}))
-
-        try:
-            result = execute_job(
-                spec, cache_dir=cache_dir, cancel=token, progress=emit_progress
-            )
-            event_queue.put(("result", spec.job_id, result))
-        except Exception as exc:
-            event_queue.put(
-                ("error", spec.job_id,
-                 "{}: {}".format(type(exc).__name__, exc))
-            )
-        started_flags[slot] = _IDLE
 
 
 @dataclass
@@ -118,16 +48,13 @@ class _JobState:
     """Parent-side bookkeeping for one submitted job.
 
     ``state`` walks ``queued`` (waiting for a free slot) →
-    ``dispatched`` (in a worker's queue, not yet picked up) →
-    ``running`` → ``done``; death handling keys off the distinction
-    between ``dispatched`` (safe to requeue) and ``running`` (the
-    casualty)."""
+    ``dispatched`` (sent to a slot, not yet picked up) → ``running`` →
+    ``done``."""
 
     spec: JobSpec
     on_event: Optional[Callable[[str, object], None]] = None
     state: str = "queued"
     worker: Optional[int] = None
-    attempts: int = 0
     deadline: Optional[float] = None
     cancel_requested: bool = False
     timed_out: bool = False
@@ -140,10 +67,9 @@ class WorkerPool:
 
     ``jobs`` is the worker count (defaults to the CPU affinity mask via
     :func:`repro.portfolio.batch.default_jobs`); ``cache_dir`` is handed
-    to every worker so all jobs share one persistent conversion cache;
-    ``start_method`` overrides the multiprocessing context (the default
-    follows :func:`repro.portfolio.batch.mp_context`, including its
-    ``REPRO_MP_START`` env override).
+    to every worker so all jobs share one persistent conversion cache.
+    The start method follows :func:`repro.portfolio.batch.mp_context`,
+    including its ``REPRO_MP_START`` override.
 
     Use as a context manager, or call :meth:`close` — workers are
     daemonic either way, so a dying parent never leaks them.
@@ -153,34 +79,16 @@ class WorkerPool:
         self,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        start_method: Optional[str] = None,
     ):
-        import multiprocessing
-
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else mp_context()
-        )
         self.n_workers = jobs if jobs is not None else default_jobs()
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
         self.cache_dir = cache_dir
-        self._event_queue = self._ctx.Queue()
-        # Slot -> id of the job that slot must abandon (_IDLE = none).
-        # Plain shared memory, no lock: single-writer per decision,
-        # equality-compared on the worker side.
-        self._flags = self._ctx.Array("q", self.n_workers, lock=False)
-        # Slot -> id of the job that slot is currently executing
-        # (written worker-side before user code runs; see _worker_main).
-        self._started = self._ctx.Array("q", self.n_workers, lock=False)
         self._lock = threading.Lock()
         self._jobs: Dict[int, _JobState] = {}
         self._pending: Deque[int] = deque()
-        self._busy: List[Optional[int]] = [None] * self.n_workers
         self._next_id = 1
         self._closed = False
-        self._respawns = 0
         self._completed = 0
         self._failed = 0
         # Service-wide metrics: every finished job's worker-side
@@ -189,18 +97,17 @@ class WorkerPool:
         # standing fork-boundary pattern.  Instance-threaded, guarded by
         # the pool lock.
         self.metrics = MetricsRegistry()
-        self._worker_queues: List[object] = [None] * self.n_workers
-        self._workers: List[object] = [None] * self.n_workers
-        for slot in range(self.n_workers):
-            self._spawn(slot)
-        self._reader = threading.Thread(
-            target=self._read_events, name="pool-reader", daemon=True
+        self._slots = WorkerSlots(
+            self.n_workers, partial(execute_job, cache_dir=cache_dir),
+            daemon=True,
         )
-        self._reader.start()
-        self._watchdog = threading.Thread(
-            target=self._watch, name="pool-watchdog", daemon=True
+        self._wake_r, self._wake_w = os.pipe()
+        for fd in (self._wake_r, self._wake_w):
+            os.set_blocking(fd, False)
+        self._thread = threading.Thread(
+            target=self._serve, name="pool-serve", daemon=True
         )
-        self._watchdog.start()
+        self._thread.start()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -210,24 +117,8 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _spawn(self, slot: int) -> None:
-        """(Re)create the worker on a slot, with a fresh private queue."""
-        self._flags[slot] = _IDLE
-        self._started[slot] = _IDLE
-        job_queue = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(slot, job_queue, self._event_queue, self._flags,
-                  self._started, self.cache_dir),
-            name="solver-worker-{}".format(slot),
-            daemon=True,
-        )
-        proc.start()
-        self._worker_queues[slot] = job_queue
-        self._workers[slot] = proc
-
     def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting jobs, shut workers down, join the threads.
+        """Stop accepting jobs, stop the serving thread, shut workers down.
 
         Jobs still running are abandoned (their workers are terminated
         after ``timeout``); waiters on them stay unresolved, so drain
@@ -237,16 +128,17 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            for q in self._worker_queues:
-                q.put(None)
-        for proc in self._workers:
-            proc.join(timeout=timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._event_queue.put(("stop", 0, None))
-        self._reader.join(timeout=timeout)
-        self._watchdog.join(timeout=timeout)
+        self._wake()
+        self._thread.join(timeout=timeout)
+        self._slots.close(timeout)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # already poked, not yet drained
+            pass
 
     # -- submission -----------------------------------------------------------
 
@@ -257,8 +149,8 @@ class WorkerPool:
     ) -> int:
         """Queue a job; returns its (pool-assigned, non-zero) job id.
 
-        ``on_event(kind, payload)`` — called from the reader thread —
-        receives ``("progress", dict)`` events then one terminal
+        ``on_event(kind, payload)`` — called from the pool's serving
+        thread — receives ``("progress", dict)`` events then one terminal
         ``("result", dict)`` or ``("error", str)``.
         """
         spec.validate()
@@ -270,13 +162,13 @@ class WorkerPool:
             spec.job_id = job_id
             self._jobs[job_id] = _JobState(spec=spec, on_event=on_event)
             self._pending.append(job_id)
-            self._dispatch_locked()
+        self._wake()
         return job_id
 
     def cancel(self, job_id: int) -> bool:
         """Request cooperative cancellation of a job.
 
-        Running jobs get their worker's flag set and stop within one
+        Running jobs get their slot's cancel flag set and stop within one
         conflict slice; jobs still waiting for a worker resolve to a
         ``cancelled`` verdict immediately.  Returns False for
         unknown/finished jobs.
@@ -286,17 +178,15 @@ class WorkerPool:
             if st is None or st.state == "done":
                 return False
             st.cancel_requested = True
-            if st.state == "queued":
-                self._pending.remove(job_id)
-            elif st.worker is not None:
-                self._flags[st.worker] = job_id
+            if st.state != "queued":
+                self._slots.cancel(st.worker, job_id)
                 return True
-        if st.state == "queued":
-            self._finish(
-                st,
-                {"job_id": job_id, "verdict": "cancelled", "model": None,
-                 "stats": {}, "seconds": 0.0},
-            )
+            self._pending.remove(job_id)
+        self._finish(
+            st,
+            {"job_id": job_id, "verdict": "cancelled", "model": None,
+             "stats": {}, "seconds": 0.0},
+        )
         return True
 
     def wait(
@@ -317,8 +207,8 @@ class WorkerPool:
             states = [st.state for st in self._jobs.values()]
             return {
                 "workers": self.n_workers,
-                "alive": sum(1 for p in self._workers if p.is_alive()),
-                "respawns": self._respawns,
+                "alive": sum(1 for p in self._slots.procs if p.is_alive()),
+                "respawns": self._slots.respawns,
                 "queued": states.count("queued"),
                 "dispatched": states.count("dispatched"),
                 "running": states.count("running"),
@@ -328,28 +218,81 @@ class WorkerPool:
                 "metrics": self.metrics.snapshot(),
             }
 
-    # -- parent-side machinery ------------------------------------------------
+    # -- the serving thread ---------------------------------------------------
+
+    def _serve(self) -> None:
+        """Dispatch, sweep deadlines, and turn slot events into job
+        state until :meth:`close`."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                self._dispatch_locked()
+                self._sweep_locked()
+            events = self._slots.events(SWEEP_INTERVAL_S, [self._wake_r])
+            try:
+                os.read(self._wake_r, 4096)
+            except BlockingIOError:
+                pass
+            for kind, job_id, payload in events:
+                self._on_slot_event(kind, job_id, payload)
 
     def _dispatch_locked(self) -> None:
         """Hand pending jobs to idle slots; caller holds the lock."""
-        if self._closed:
-            return
-        for slot in range(self.n_workers):
-            if self._busy[slot] is not None:
-                continue
+        for slot in self._slots.idle():
             while self._pending:
-                job_id = self._pending.popleft()
-                st = self._jobs[job_id]
+                st = self._jobs[self._pending.popleft()]
                 if st.state != "queued":
-                    # A stale requeue of a job that since resolved
-                    # (e.g. a worker died after posting the result).
+                    # A stale requeue of a job that since resolved.
                     continue
                 st.state = "dispatched"
                 st.worker = slot
-                st.attempts += 1
-                self._busy[slot] = job_id
-                self._worker_queues[slot].put(st.spec)
+                self._slots.dispatch(slot, st.spec.job_id, st.spec)
+                if st.cancel_requested:
+                    self._slots.cancel(slot, st.spec.job_id)
                 break
+
+    def _sweep_locked(self) -> None:
+        """Cancel running jobs past their deadline; caller holds the lock."""
+        now = time.monotonic()
+        for st in self._jobs.values():
+            if (
+                st.state == "running"
+                and st.deadline is not None
+                and not st.timed_out
+                and now >= st.deadline
+            ):
+                st.timed_out = True
+                self._slots.cancel(st.worker, st.spec.job_id)
+
+    def _on_slot_event(self, kind: str, job_id: int, payload) -> None:
+        with self._lock:
+            st = self._jobs.get(job_id)
+            if st is None or st.state == "done":
+                return
+            if kind == "started":
+                st.state = "running"
+                if st.spec.timeout_s is not None:
+                    st.deadline = time.monotonic() + st.spec.timeout_s
+                return
+            if kind == "requeue":
+                st.state = "queued"
+                st.worker = None
+                self._pending.appendleft(job_id)
+                return
+        if kind == "progress":
+            stage, data = payload
+            self._notify(st, "progress", {"stage": stage, **data})
+        elif kind == "result":
+            if st.timed_out and payload.get("verdict") == "cancelled":
+                payload["verdict"] = "timeout"
+            self._finish(st, payload)
+        elif kind == "error":
+            self._finish(st, {
+                "job_id": job_id,
+                "verdict": "error",
+                "error": "{}: {}".format(*payload),
+            })
 
     def _finish(self, st: _JobState, result: Dict[str, object]) -> None:
         """Record a terminal result; caller must hold no lock."""
@@ -357,128 +300,22 @@ class WorkerPool:
             if st.state == "done":
                 return
             st.state = "done"
-            slot = st.worker
-            if slot is not None and self._busy[slot] == st.spec.job_id:
-                self._busy[slot] = None
-                # Whatever cancel/deadline flag targeted this job is
-                # stale now; clear it so the slot's next job starts
-                # clean.
-                if self._flags[slot] == st.spec.job_id:
-                    self._flags[slot] = _IDLE
             st.result = result
             self.metrics.merge(result.get("metrics"))
             if result.get("verdict") == "error":
                 self._failed += 1
             else:
                 self._completed += 1
-            on_event = st.on_event
-            self._dispatch_locked()
-        if on_event is not None:
-            kind = "error" if result.get("verdict") == "error" else "result"
-            payload = result.get("error") if kind == "error" else result
-            try:
-                on_event(kind, payload)
-            except Exception:
-                pass
+        if result.get("verdict") == "error":
+            self._notify(st, "error", result.get("error"))
+        else:
+            self._notify(st, "result", result)
         st.done.set()
 
-    def _read_events(self) -> None:
-        """Drain worker events: job starts, progress, results, errors."""
-        while True:
+    @staticmethod
+    def _notify(st: _JobState, kind: str, payload) -> None:
+        if st.on_event is not None:
             try:
-                kind, job_id, payload = self._event_queue.get(timeout=0.2)
-            except queue.Empty:
-                with self._lock:
-                    if self._closed:
-                        return
-                continue
-            if kind == "stop":
-                return
-            with self._lock:
-                st = self._jobs.get(job_id)
-            if st is None:
-                continue
-            if kind == "started":
-                with self._lock:
-                    if st.state == "dispatched":
-                        st.state = "running"
-                        if st.spec.timeout_s is not None:
-                            st.deadline = (
-                                time.monotonic() + st.spec.timeout_s
-                            )
-                        if st.cancel_requested:
-                            self._flags[payload] = job_id
-            elif kind == "progress":
-                if st.on_event is not None:
-                    try:
-                        st.on_event("progress", payload)
-                    except Exception:
-                        pass
-            elif kind == "result":
-                if st.timed_out and payload.get("verdict") == "cancelled":
-                    payload["verdict"] = "timeout"
-                self._finish(st, payload)
-            elif kind == "error":
-                self._finish(
-                    st,
-                    {"job_id": job_id, "verdict": "error", "error": payload},
-                )
-
-    def _watch(self) -> None:
-        """Sweep deadlines and respawn dead workers."""
-        while True:
-            time.sleep(SWEEP_INTERVAL_S)
-            dead_jobs: List[_JobState] = []
-            with self._lock:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                for st in self._jobs.values():
-                    if (
-                        st.state == "running"
-                        and st.deadline is not None
-                        and not st.timed_out
-                        and now >= st.deadline
-                    ):
-                        st.timed_out = True
-                        if st.worker is not None:
-                            self._flags[st.worker] = st.spec.job_id
-                for slot in range(self.n_workers):
-                    proc = self._workers[slot]
-                    if proc.is_alive():
-                        continue
-                    job_id = self._busy[slot]
-                    if job_id is not None:
-                        st = self._jobs[job_id]
-                        # The shared started flag, not the (possibly
-                        # lagging) "started" event, decides the job's
-                        # fate: the worker wrote it before running.
-                        if self._started[slot] == job_id:
-                            # The casualty: it was executing when the
-                            # worker died.
-                            dead_jobs.append(st)
-                        elif st.attempts >= MAX_JOB_ATTEMPTS:
-                            # Requeued repeatedly and its worker died
-                            # before starting it every time: stop
-                            # burning workers on it.
-                            dead_jobs.append(st)
-                        elif st.state != "done":
-                            # Never started — requeue it at the front
-                            # for the next free worker.
-                            st.state = "queued"
-                            st.worker = None
-                            self._pending.appendleft(job_id)
-                        self._busy[slot] = None
-                    self._spawn(slot)
-                    self._respawns += 1
-                    self._dispatch_locked()
-            for st in dead_jobs:
-                self._finish(
-                    st,
-                    {
-                        "job_id": st.spec.job_id,
-                        "verdict": "error",
-                        "error": "worker-died: worker process died "
-                                 "running job",
-                    },
-                )
+                st.on_event(kind, payload)
+            except Exception:
+                pass

@@ -56,14 +56,14 @@ class ScriptedBackend(SolverBackend):
 REFUTED = (("status", False), ("assumption_failure", True))
 
 
-def _run_scripted(backend, depth):
+def _run_scripted(backend, depth, jobs=1):
     # Occurrence split branches on x0 first, then x1: cube first
     # literals at depth 1 are mk_lit(0) / mk_lit(0, True).
     f = CnfFormula(4)
     f.add_clause([mk_lit(0), mk_lit(1)])
     f.add_clause([mk_lit(0, True), mk_lit(2)])
     f.add_clause([mk_lit(1, True), mk_lit(3)])
-    conq = CubeConqueror([backend], jobs=1, depth=depth, mode="occurrence")
+    conq = CubeConqueror([backend], jobs=jobs, depth=depth, mode="occurrence")
     return conq.run(f, timeout_s=10)
 
 
@@ -182,10 +182,13 @@ def test_sat_and_global_unsat_raise_disagreement():
             mk_lit(0, True): (("status", False),),
         },
         REFUTED,
-        honour_cancel=False,  # both definitive answers reach aggregation
+        honour_cancel=False,
     )
+    # Two slots start both cubes before either answer is read, and
+    # neither honours the cancel: both definitive answers reach
+    # aggregation.
     with pytest.raises(CubeDisagreement):
-        _run_scripted(script, depth=1)
+        _run_scripted(script, depth=1, jobs=2)
 
 
 # -- model validation -------------------------------------------------------

@@ -80,32 +80,45 @@ def _first_sat_probe(x):
 
 def test_map_stop_when_cancels_remaining_sequential():
     # The first-win protocol on the deterministic jobs=1 path: once
-    # stop_when hits, later items observe the cancel event and stand
-    # down instead of doing real work.
-    cancel = mp_context().Event()
+    # stop_when hits, later items never run and their slots stay None.
     results = BatchScheduler(1).map(
         _first_sat_probe,
         range(8),
-        cancel=cancel,
         stop_when=lambda r: r[0] == "sat",
     )
-    assert cancel.is_set()
     assert [r[0] for r in results[:4]] == ["unknown"] * 3 + ["sat"]
-    assert all(r[0] == "cancelled" for r in results[4:])
+    assert results[4:] == [None] * 4
 
 
 def test_map_stop_when_parallel_still_returns_every_slot():
-    cancel = mp_context().Event()
     results = BatchScheduler(2).map(
         _first_sat_probe,
         range(8),
-        cancel=cancel,
         stop_when=lambda r: r[0] == "sat",
     )
-    assert cancel.is_set()
     assert len(results) == 8
     assert ("sat", 3) in results
-    assert all(r[0] in ("sat", "unknown", "cancelled") for r in results)
+    assert all(
+        r is None or r[0] in ("sat", "unknown", "cancelled") for r in results
+    )
+
+
+def _wait_for_cancel(x):
+    if x == 0:
+        return "stop"
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        if batch_cancel().is_set():
+            return "cancelled"
+        time.sleep(0.01)
+    return "ran out"
+
+
+def test_map_stop_when_cancels_running_items_through_their_slot():
+    results = BatchScheduler(2).map(
+        _wait_for_cancel, [1, 0], stop_when=lambda r: r == "stop"
+    )
+    assert results == ["cancelled", "stop"]
 
 
 def test_run_family_poison_problem_degrades_to_unsolved():

@@ -244,6 +244,24 @@ def test_parallel_dying_leg_leaves_healthy_sibling_verdict():
     assert outcome.stats[1].status == "error"
 
 
+def test_default_jobs_follow_the_affinity_mask(monkeypatch):
+    # Regression: the race sized itself by os.cpu_count(), oversubscribing
+    # a container pinned to fewer CPUs than the machine has.
+    import os
+
+    from repro.obs import Tracer
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    tracer = Tracer()
+    runner = PortfolioRunner(
+        [CdclBackend("minisat"), CdclBackend("cms")], tracer=tracer
+    )
+    assert runner.run(sat_micro(), timeout_s=10).verdict is True
+    race = next(s for s in tracer.spans() if s["name"] == "portfolio.race")
+    assert race["attrs"]["jobs"] == 1
+
+
 def test_parallel_verdict_matches_sequential():
     backends = [CdclBackend("minisat"), CdclBackend("cms", seed=1)]
     seq = PortfolioRunner(backends, jobs=1).run(sat_micro(), timeout_s=10)

@@ -1,9 +1,8 @@
 """The persistent worker pool: submission, cancellation, deadlines, and
 death isolation.
 
-The pool generalises the batch scheduler's fork-shipped one-shot pools
-to a long-lived service pool, so the invariants under test mirror the
-batch layer's: a worker dying mid-job fails *that job only* and the slot
+The pool runs on the same worker slots as the batch scheduler, so the
+invariants under test mirror the batch layer's: a worker dying mid-job fails *that job only* and the slot
 respawns; cancellation is cooperative and lands within one conflict
 slice; deadlines are per-job and start when the job does.
 """
@@ -163,8 +162,9 @@ def _exploding_execute_job(spec, cache_dir=None, cancel=None, progress=None):
 
 def test_worker_death_mid_job_fails_only_that_job(monkeypatch):
     # fork start method so the monkeypatched execute_job is inherited.
+    monkeypatch.setenv("REPRO_MP_START", "fork")
     monkeypatch.setattr(pool_mod, "execute_job", _exploding_execute_job)
-    with WorkerPool(jobs=2, start_method="fork") as pool:
+    with WorkerPool(jobs=2) as pool:
         boom = pool.submit(
             JobSpec(fmt="dimacs", text="c BOOM\n" + EASY, preprocess=False)
         )
@@ -183,20 +183,20 @@ def test_worker_death_mid_job_fails_only_that_job(monkeypatch):
         assert stats["failed"] == 1
 
 
-def test_idle_worker_death_respawns_cleanly():
-    # A worker killed while *blocked on its queue* dies holding that
-    # queue's read lock; the per-worker-queue design discards the queue
-    # with the worker, so the respawned slot must keep serving.
-    with WorkerPool(jobs=1, start_method="fork") as pool:
+def test_idle_worker_death_respawns_cleanly(monkeypatch):
+    # A worker killed while *blocked reading its pipe* takes only that
+    # pipe with it; the respawned slot must keep serving.
+    monkeypatch.setenv("REPRO_MP_START", "fork")
+    with WorkerPool(jobs=1) as pool:
         first = pool.wait(
             pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False)),
             timeout=60,
         )
         assert first["verdict"] == "sat"
-        pool._workers[0].terminate()
+        pool._slots.procs[0].terminate()
         deadline = time.monotonic() + 10
         while pool.stats()["respawns"] == 0:
-            assert time.monotonic() < deadline, "watchdog never respawned"
+            assert time.monotonic() < deadline, "slot never respawned"
             time.sleep(0.05)
         second = pool.wait(
             pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False)),
