@@ -36,29 +36,19 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..portfolio.backends import BackendResult, SolverBackend, create_backend
-from ..portfolio.engine import (
-    STATUS_CANCELLED,
-    STATUS_ERROR,
-    STATUS_INVALID_MODEL,
-    STATUS_SAT,
-    STATUS_UNKNOWN,
-    Leg,
-    leg_status,
-    merge_facts,
-    run_legs,
-)
+from ..portfolio.engine import Leg, leg_status, merge_facts, run_legs
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT
 from .splitter import DEFAULT_MAX_CUBES, split_formula
 
-#: Per-cube stats row status values: the portfolio's, with UNSAT named
-#: ``refuted`` (a cube's UNSAT refutes only its piece of the partition).
-CUBE_SAT = STATUS_SAT
+#: Per-cube stats row status values (those of
+#: :func:`~repro.portfolio.engine.leg_status`, UNSAT named ``refuted``).
+CUBE_SAT = "sat"
 CUBE_REFUTED = "refuted"
-CUBE_UNKNOWN = STATUS_UNKNOWN
-CUBE_CANCELLED = STATUS_CANCELLED
-CUBE_ERROR = STATUS_ERROR
-CUBE_INVALID_MODEL = STATUS_INVALID_MODEL
+CUBE_UNKNOWN = "unknown"
+CUBE_CANCELLED = "cancelled"
+CUBE_ERROR = "error"
+CUBE_INVALID_MODEL = "invalid-model"
 
 
 class CubeDisagreement(RuntimeError):

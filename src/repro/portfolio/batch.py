@@ -178,8 +178,12 @@ class WorkerSlots:
         self._conns: List = [None] * n
         self._dispatches = {}
         self.respawns = 0
-        for slot in range(n):
-            self._spawn(slot)
+        try:
+            for slot in range(n):
+                self._spawn(slot)
+        except BaseException:  # e.g. fork failing: stop what did start
+            self.close(0.0)
+            raise
 
     def _spawn(self, slot: int) -> None:
         self._started[slot] = IDLE
@@ -287,18 +291,19 @@ class WorkerSlots:
     def close(self, timeout: float = 5.0) -> None:
         """Stop every worker: a polite ``None``, then terminate whatever
         is still running after ``timeout`` (running units are abandoned)."""
-        for conn in self._conns:
+        conns = [c for c in self._conns if c is not None]
+        for conn in conns:
             try:
                 conn.send(None)
             except OSError:
                 pass
         end = time.monotonic() + timeout
-        for proc in self.procs:
+        for proc in filter(None, self.procs):
             proc.join(max(0.0, end - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
                 proc.join(1.0)
-        for conn in self._conns:
+        for conn in conns:
             conn.close()
 
 
