@@ -149,6 +149,8 @@ def test_portfolio_race(kind):
         assert row.status in ("error", "cancelled"), row
     if kind in ("exit", "sigkill", "sigkill-mid-write"):
         assert "worker-died" in outcome.stats[1].error
+    if kind in ("hang", "cancel"):
+        assert outcome.stats[1].status == "cancelled"
 
 
 @pytest.mark.parametrize("kind", FAULTS)
@@ -167,6 +169,8 @@ def test_cube_conquest(kind):
     assert outcome.stats[1].status in ("error", "cancelled"), outcome.stats
     if kind in ("exit", "sigkill", "sigkill-mid-write"):
         assert "worker-died" in outcome.stats[1].error
+    if kind in ("hang", "cancel"):
+        assert outcome.stats[1].status == "cancelled"
 
 
 def _batch_unit(item):
@@ -203,6 +207,8 @@ def test_batch_map(kind):
         assert results[1].kind == "worker-died"
     if kind == "raise":
         assert results[1].kind == "RuntimeError"
+    if kind in ("hang", "cancel"):
+        assert results[1] == "cancelled"
 
 
 # -- server jobs -------------------------------------------------------------

@@ -103,24 +103,6 @@ def test_map_stop_when_parallel_still_returns_every_slot():
     )
 
 
-def _wait_for_cancel(x):
-    if x == 0:
-        return "stop"
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        if batch_cancel().is_set():
-            return "cancelled"
-        time.sleep(0.01)
-    return "ran out"
-
-
-def test_map_stop_when_cancels_running_items_through_their_slot():
-    results = BatchScheduler(2).map(
-        _wait_for_cancel, [1, 0], stop_when=lambda r: r == "stop"
-    )
-    assert results == ["cancelled", "stop"]
-
-
 def test_run_family_poison_problem_degrades_to_unsolved():
     # One pathological instance must not kill the grid: the broken
     # problem (no ring) scores as unsolved-at-timeout, the healthy one
