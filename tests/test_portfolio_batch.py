@@ -182,6 +182,26 @@ def test_map_death_spares_a_running_sibling():
     assert results[1] == "healthy"
 
 
+def _exit_on_multiple_of_five(x):
+    if x % 5 == 0:
+        os._exit(1)
+    return x * 10
+
+
+def test_map_many_deaths_over_more_slots_than_cores():
+    # Stress: four slots on a small machine, every fifth item killing its
+    # worker.  Each death costs exactly its own item; everything else
+    # comes back, and no worker outlives the map.
+    results = BatchScheduler(4).map(_exit_on_multiple_of_five, range(40))
+    for x, res in enumerate(results):
+        if x % 5 == 0:
+            assert isinstance(res, BatchItemError)
+            assert res.kind == "worker-died"
+        else:
+            assert res == x * 10
+    assert multiprocessing.active_children() == []
+
+
 def test_map_sequential_path_unaffected_by_death_machinery():
     # jobs=1 never forks: the poison item would kill the test process
     # itself, so only check the plain path still threads results through.

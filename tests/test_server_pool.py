@@ -210,3 +210,48 @@ def test_pool_rejects_submit_after_close():
     pool.close()
     with pytest.raises(RuntimeError):
         pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+
+
+def test_concurrent_submit_and_cancel_resolve_every_job_once():
+    # More workers than cores, three submitting threads, every third job
+    # cancelled at once: each job must resolve exactly once, and the
+    # pool's counters must add up.
+    import threading
+
+    n_threads, per_thread = 3, 12
+    events = {}
+    lock = threading.Lock()
+    ids = []
+
+    def client(k):
+        for i in range(per_thread):
+            def on_event(kind, payload, key=(k, i)):
+                if kind != "progress":
+                    with lock:
+                        events[key] = events.get(key, 0) + 1
+
+            job = pool.submit(
+                JobSpec(fmt="dimacs", text=EASY if i % 2 else UNSAT,
+                        preprocess=False),
+                on_event=on_event,
+            )
+            if i % 3 == 0:
+                pool.cancel(job)
+            with lock:
+                ids.append(job)
+
+    with WorkerPool(jobs=4) as pool:
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        verdicts = [pool.wait(job, timeout=60)["verdict"] for job in ids]
+        stats = pool.stats()
+    assert len(set(ids)) == n_threads * per_thread
+    assert set(verdicts) <= {"sat", "unsat", "cancelled"}
+    assert sorted(events.values()) == [1] * len(ids)
+    assert stats["done"] == stats["completed"] == len(ids)
+    assert stats["failed"] == 0
