@@ -9,8 +9,11 @@ counter never moves, and (b) the engine's output is bit-for-bit the same
 as the pre-change sorted-tuple engine (the debug oracle).
 """
 
+import json
+
 import pytest
 
+from golden.anf_pipeline import FIXTURE, record
 from repro.anf import AnfSystem
 from repro.anf import monomial as mono
 from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
@@ -62,6 +65,15 @@ def test_wide_pipeline_matches_tuple_oracle_bit_for_bit():
     for v in range(inst.n_vars):
         assert sys_mask.state.value(v) == sys_oracle.state.value(v)
         assert sys_mask.state.find(v) == sys_oracle.state.find(v)
+
+
+def test_wide_pipeline_matches_golden_record():
+    """Mask-path engine output == the recorded output (see
+    ``golden/anf_pipeline.py``), which the tuple engine matched when the
+    record was written."""
+    with open(FIXTURE) as f:
+        golden = json.load(f)
+    assert json.loads(json.dumps(record())) == golden
 
 
 @pytest.mark.slow
