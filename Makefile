@@ -33,23 +33,24 @@ bench-smoke:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_*.py -q --benchmark-disable
 
 # The GF(2) kernel perf claim: the Four-Russians `rref` >=3x over the
-# verbatim seed Gauss-Jordan (`rref_gj`) on the real Simon32-XL
-# linearisation, bit-for-bit identical output.  REPRO_BENCH_COUNT>=2
-# arms the ratio assertion.
+# verbatim seed Gauss-Jordan (the `rref_gj` oracle in tests/oracles/)
+# on the real Simon32-XL linearisation, bit-for-bit identical output.
+# REPRO_BENCH_COUNT>=2 arms the ratio assertion.
 bench-gf2:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_solver_core.py \
 		-q --benchmark-only -k "gf2_rref"
 
 # The mask-native XL/ElimLin perf claim (>=3x on the to_matrix /
-# _occurrence_counts paths at cipher scale, zero tuple fallbacks),
-# timed and asserted.  REPRO_BENCH_COUNT>=2 arms the ratio assertions.
+# _occurrence_counts paths at cipher scale, against the seed codecs and
+# eliminator in tests/oracles/), timed and asserted.
+# REPRO_BENCH_COUNT>=2 arms the ratio assertions.
 bench-elimlin:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_solver_core.py \
 		-q --benchmark-only -k "elimlin_wide or xl_wide"
 
 # The mask-native ANF→CNF perf claim (>=3x on the isolated
-# truth-table/convert path at Simon32 scale, zero tuple fallbacks) plus
-# the bit-for-bit differential vs the scalar converter on Simon/Speck.
+# truth-table/convert path at Simon32 scale) plus the bit-for-bit
+# differential vs the scalar converter in tests/oracles/ on Simon/Speck.
 # REPRO_BENCH_COUNT>=2 arms the ratio assertion.
 bench-cnf:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_anf_to_cnf.py \

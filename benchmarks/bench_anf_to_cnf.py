@@ -8,11 +8,10 @@ Simon32 scale (288 variables — more than four 64-bit mask limbs):
 * the *isolated truth-table/convert path* — batch numpy truth tables
   over support-compressed term masks plus the structure-keyed Karnaugh
   cache, against the seed's per-row Python evaluation with a fresh
-  Quine–McCluskey run per chunk — must be >= 3x, with zero tuple
-  fallbacks;
-* end-to-end ``convert_polynomials`` vs the seed ``convert_scalar``
-  twin is verified bit-for-bit (clauses, xors, maps) on Simon *and*
-  Speck encodings, with the speedup recorded.
+  Quine–McCluskey run per chunk — must be >= 3x;
+* end-to-end ``convert_polynomials`` vs the seed scalar converter
+  (``tests/oracles/anf_to_cnf.py``) is verified bit-for-bit (clauses,
+  xors, maps) on Simon *and* Speck encodings, with the speedup recorded.
 
 ``REPRO_BENCH_COUNT >= 2`` arms the ratio assertions (the smoke run
 uses count 1 and only checks correctness), mirroring
@@ -25,12 +24,12 @@ import pytest
 
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
-from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
 from repro.ciphers import simon, speck
 from repro.core.anf_to_cnf import AnfToCnf
 from repro.core.config import Config
 from repro.minimize import minimize, truth_table
 from repro.minimize.truthtable import truth_table_masks
+from tests.oracles.anf_to_cnf import convert_polynomials_scalar
 
 from .conftest import bench_count
 
@@ -92,7 +91,7 @@ def test_cnf_wide_truthtable_isolated_batch_vs_python(benchmark):
     """The isolated truth-table/convert path at Simon32 scale: numpy
     batch evaluation + structure-keyed cube cache vs the seed's per-row
     Python truth table and per-chunk Quine–McCluskey.  Must be >= 3x,
-    zero tuple fallbacks, identical cube covers chunk for chunk.
+    with identical cube covers chunk for chunk.
     """
     inst = simon.generate_instance(2, 8, seed=7)
     assert inst.n_vars > 4 * mono.LIMB_BITS
@@ -132,9 +131,7 @@ def test_cnf_wide_truthtable_isolated_batch_vs_python(benchmark):
     # Shape-local cube space == support-index cube space (the renaming
     # is order-preserving), so the covers must agree exactly.
     assert covers_new == covers_seed
-    reset_mask_fallback_hits()
     benchmark.pedantic(batch_cached, rounds=3 if full else 1, iterations=1)
-    assert mask_fallback_hits() == 0
     ratio = seed_s / new_s
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["chunks"] = len(chunks)
@@ -165,8 +162,8 @@ def test_cnf_wide_convert_simon_vs_scalar(benchmark):
     config = Config()
 
     fast = lambda: AnfToCnf(config).convert_polynomials(polys, n_vars=inst.n_vars)
-    scalar = lambda: AnfToCnf(config).convert_polynomials_scalar(
-        polys, n_vars=inst.n_vars
+    scalar = lambda: convert_polynomials_scalar(
+        polys, n_vars=inst.n_vars, config=config
     )
 
     full = bench_count() >= 2
@@ -174,9 +171,7 @@ def test_cnf_wide_convert_simon_vs_scalar(benchmark):
         fast, scalar, rounds=5 if full else 1
     )
     _assert_formulas_identical(conv_new, conv_seed)
-    reset_mask_fallback_hits()
     conv = benchmark.pedantic(fast, rounds=3 if full else 1, iterations=1)
-    assert mask_fallback_hits() == 0
     ratio = seed_s / new_s
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["clauses"] = len(conv.formula.clauses)
@@ -188,21 +183,19 @@ def test_cnf_wide_convert_simon_vs_scalar(benchmark):
 def test_cnf_wide_convert_speck_differential(benchmark):
     """Differential leg on the Speck32 encoding (476 variables, ARX
     structure with distinct chunk shapes from the modular additions):
-    bit-for-bit agreement with the scalar twin, zero fallbacks."""
+    bit-for-bit agreement with the scalar twin."""
     inst = speck.generate_instance(2, 5, seed=11)
     assert inst.n_vars > 7 * mono.LIMB_BITS
     polys = list(inst.polynomials)
     config = Config()
 
     fast = lambda: AnfToCnf(config).convert_polynomials(polys, n_vars=inst.n_vars)
-    conv_seed = AnfToCnf(config).convert_polynomials_scalar(
-        polys, n_vars=inst.n_vars
+    conv_seed = convert_polynomials_scalar(
+        polys, n_vars=inst.n_vars, config=config
     )
-    reset_mask_fallback_hits()
     conv_new = benchmark.pedantic(
         fast, rounds=3 if bench_count() >= 2 else 1, iterations=1
     )
-    assert mask_fallback_hits() == 0
     _assert_formulas_identical(conv_new, conv_seed)
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["clauses"] = len(conv_new.formula.clauses)

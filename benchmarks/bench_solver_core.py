@@ -7,10 +7,13 @@ Gauss–Jordan (the M4RI stand-in) reduces XL-sized matrices, and how fast
 the incremental ANF propagation engine folds fact batches into the
 master system (the `_absorb` inner loop of the Bosphorus workflow).
 
-The ``test_anf_wide_*`` benches pin the width-adaptive monomial masks:
-on >64-variable Simon32/Speck32 round encodings they time the mask path
-against the sorted-tuple debug oracle (the pre-change representation at
-those widths) and assert the fallback-hit counter stays at zero.
+The ``test_anf_wide_*`` benches time the width-adaptive monomial masks
+on >64-variable Simon32/Speck32 round encodings; the rewrite sweep races
+the mask path against the sorted-tuple literal-substitution loop (the
+pre-change representation at those widths, kept as a differential
+oracle in ``tests/oracles/``).  The XL/ElimLin and GF(2) benches race
+the rewritten layers against the seed codecs and eliminator from the
+same package.
 """
 
 import random
@@ -21,7 +24,6 @@ import pytest
 from repro.anf import AnfSystem
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
-from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
 from repro.ciphers import simon, speck
 from repro.core.config import Config
 from repro.core.probing import run_probing
@@ -29,26 +31,30 @@ from repro.core.propagation import propagate
 from repro.gf2 import GF2Matrix
 from repro.sat import Solver, mk_lit
 from repro.satcomp import generators
+from tests.oracles.gf2 import rref_gj
+from tests.oracles.linearize import rows_to_polys_scalar, to_matrix_scalar
+from tests.oracles.system import normalize as seed_normalize
 
 from .conftest import bench_count
 
 
-def _ab_best(fn, rounds):  # repro: allow[MASK-PATH] the bench seed leg: times the tuple oracle against the mask path
-    """Interleaved best-of timing: (mask_path_s, tuple_oracle_s).
+def _ab_best_pair(fn_new, fn_seed, rounds):
+    """Interleaved best-of timing of two implementations:
+    (new_s, seed_s, new_result, seed_result).
 
-    Interleaving the two paths round by round cancels machine drift, and
+    Interleaving the two legs round by round cancels machine drift, and
     best-of-N is robust to scheduler noise.
     """
-    best_mask = best_tuple = float("inf")
+    best_new = best_seed = float("inf")
+    r_new = r_seed = None
     for _ in range(rounds):
         t0 = time.perf_counter()
-        fn()
-        best_mask = min(best_mask, time.perf_counter() - t0)
-        with mono.tuple_oracle():
-            t0 = time.perf_counter()
-            fn()
-            best_tuple = min(best_tuple, time.perf_counter() - t0)
-    return best_mask, best_tuple
+        r_new = fn_new()
+        best_new = min(best_new, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        r_seed = fn_seed()
+        best_seed = min(best_seed, time.perf_counter() - t0)
+    return best_new, best_seed, r_new, r_seed
 
 
 def test_cdcl_random3sat_threshold(benchmark):
@@ -130,17 +136,18 @@ def test_anf_propagation_probing_sweep(benchmark):
 
 
 def test_anf_wide_rewrite_sweep_mask_vs_tuple(benchmark):
-    """Propagation rewrite kernel at cipher scale: mask path vs fallback.
+    """Propagation rewrite kernel at cipher scale: mask path vs tuple loop.
 
     A Simon32-[2,8] round encoding (288 variables — more than four
     64-bit limbs) with a batch of learnt units and (negated)
     equivalences in the variable state; the measured work is the
     per-batch rewrite of every equation, i.e. exactly the O(system)
     normalisation sweep the pre-change ``_absorb`` paid per fact batch.
-    The width-adaptive mask path must beat the sorted-tuple fallback
-    (the pre-change representation for every monomial here, since all
-    of them touch variables >= 64) by at least 2x, with zero tuple
-    fallbacks.
+    The width-adaptive mask path must agree with the pre-change
+    pipeline — ``Poly``-valued substitutions classified back into
+    literals, then the sorted-tuple literal-substitution loop (the
+    pre-change representation for every monomial here, since all of
+    them touch variables >= 64) — and beat it by at least 2x.
     """
     inst = simon.generate_instance(2, 8, seed=7)
     assert inst.n_vars > 4 * mono.LIMB_BITS
@@ -155,13 +162,15 @@ def test_anf_wide_rewrite_sweep_mask_vs_tuple(benchmark):
     def sweep():
         return [system.normalize(p) for p in polys]
 
+    def tuple_sweep():
+        return [seed_normalize(system, p) for p in polys]
+
     full = bench_count() >= 2
-    reset_mask_fallback_hits()
-    mask_s, tuple_s = _ab_best(sweep, rounds=12 if full else 3)
-    assert mask_fallback_hits() > 0  # the oracle leg really ran tuples
-    reset_mask_fallback_hits()
+    mask_s, tuple_s, got, want = _ab_best_pair(
+        sweep, tuple_sweep, rounds=12 if full else 3
+    )
+    assert got == want
     benchmark.pedantic(sweep, rounds=3 if full else 1, iterations=1)
-    assert mask_fallback_hits() == 0  # cipher scale, zero tuple fallbacks
     ratio = tuple_s / mask_s
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["mask_ms"] = round(mask_s * 1e3, 3)
@@ -171,13 +180,12 @@ def test_anf_wide_rewrite_sweep_mask_vs_tuple(benchmark):
         assert ratio >= 2.0, "wide-mask path only {:.2f}x faster".format(ratio)
 
 
-def test_anf_wide_absorb_batches_mask_vs_tuple(benchmark):
+def test_anf_wide_absorb_batches(benchmark):
     """Full `_absorb` loop on a 288-variable Simon32 encoding.
 
-    End to end (occurrence bookkeeping, GF(2) echelonisation and
-    worklist overhead included, all representation-independent) the
-    mask path still wins; the kernel-level gap is what the rewrite-sweep
-    bench isolates.  Fallback counter must stay at zero.
+    End to end: occurrence bookkeeping, GF(2) echelonisation and
+    worklist overhead included; the kernel-level mask-vs-tuple gap is
+    what the rewrite-sweep bench isolates.
     """
     inst = simon.generate_instance(2, 8, seed=7)
     facts = [
@@ -198,16 +206,9 @@ def test_anf_wide_absorb_batches_mask_vs_tuple(benchmark):
         return system
 
     full = bench_count() >= 2
-    mask_s, tuple_s = _ab_best(absorb_all, rounds=5 if full else 1)
-    reset_mask_fallback_hits()
     system = benchmark.pedantic(absorb_all, rounds=3 if full else 1, iterations=1)
-    assert mask_fallback_hits() == 0
     assert system.check_assignment(inst.witness)
-    ratio = tuple_s / mask_s
     benchmark.extra_info["n_vars"] = inst.n_vars
-    benchmark.extra_info["speedup"] = round(ratio, 2)
-    if full:
-        assert ratio >= 1.15, "absorb loop only {:.2f}x faster".format(ratio)
 
 
 def test_anf_wide_probing_sweep_speck(benchmark):
@@ -215,7 +216,7 @@ def test_anf_wide_probing_sweep_speck(benchmark):
 
     Pure propagation load over scratch copies; the agreement harvest
     additionally prunes candidates with one AND of the branch touched
-    masks.  Fallback counter must stay at zero.
+    masks.
     """
     inst = speck.generate_instance(2, 5, seed=11)
     assert inst.n_vars > 7 * mono.LIMB_BITS
@@ -224,17 +225,10 @@ def test_anf_wide_probing_sweep_speck(benchmark):
 
     probe = lambda: run_probing(system, None, 16)
     full = bench_count() >= 2
-    mask_s, tuple_s = _ab_best(probe, rounds=5 if full else 1)
-    reset_mask_fallback_hits()
     result = benchmark.pedantic(probe, rounds=3 if full else 1, iterations=1)
-    assert mask_fallback_hits() == 0
     assert result.probed == 16
-    ratio = tuple_s / mask_s
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["facts"] = len(result.facts)
-    benchmark.extra_info["speedup"] = round(ratio, 2)
-    if full:
-        assert ratio >= 1.2, "probing sweep only {:.2f}x faster".format(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +240,18 @@ def test_anf_wide_probing_sweep_speck(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _seed_gauss_jordan(polynomials):  # repro: allow[ONE-KERNEL] the bench seed leg: runs the rref_gj oracle as the baseline under measurement
-    """The seed GJE data path: per-cell encode, column-at-a-time\n    Gauss-Jordan (`rref_gj`, the pre-M4RI eliminator), per-row decode."""
+def _seed_gauss_jordan(polynomials):
+    """The seed GJE data path: per-cell encode, column-at-a-time
+    Gauss-Jordan (`rref_gj`, the pre-M4RI eliminator), per-row decode."""
     from repro.core.linearize import Linearization
 
     polys = [p for p in polynomials if not p.is_zero()]
     if not polys:
         return []
     lin = Linearization(polys)
-    matrix = lin.to_matrix_scalar(polys)
-    matrix.rref_gj()
-    return lin.rows_to_polys_scalar(matrix)
+    matrix = to_matrix_scalar(lin, polys)
+    rref_gj(matrix)
+    return rows_to_polys_scalar(lin, matrix)
 
 
 def _seed_run_elimlin(polynomials, config, rng):
@@ -335,7 +330,7 @@ def _seed_run_elimlin(polynomials, config, rng):
     return result
 
 
-def _seed_run_xl(polynomials, config, rng):  # repro: allow[ONE-KERNEL] the bench seed leg: replays the verbatim seed XL data path on the rref_gj oracle
+def _seed_run_xl(polynomials, config, rng):
     """The seed XL loop: tuple-set monomial bookkeeping, push-then-check
     caps (overshooting), scalar GJE data path on the `rref_gj`
     column-at-a-time eliminator."""
@@ -382,9 +377,9 @@ def _seed_run_xl(polynomials, config, rng):  # repro: allow[ONE-KERNEL] the benc
     result.expanded_rows = len(expanded)
     lin = Linearization(expanded)
     result.columns = lin.n_cols
-    matrix = lin.to_matrix_scalar(expanded)
-    matrix.rref_gj()
-    reduced = lin.rows_to_polys_scalar(matrix)
+    matrix = to_matrix_scalar(lin, expanded)
+    rref_gj(matrix)
+    reduced = rows_to_polys_scalar(lin, matrix)
     linear, monomial_rows = extract_facts(reduced)
     result.facts = linear + monomial_rows
     return result
@@ -407,27 +402,13 @@ def _elimlin_workload(inst, n_pairs, seed=3):
     return polys
 
 
-def _ab_best_pair(fn_new, fn_seed, rounds):
-    """Interleaved best-of timing of two implementations."""
-    best_new = best_seed = float("inf")
-    r_new = r_seed = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        r_new = fn_new()
-        best_new = min(best_new, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        r_seed = fn_seed()
-        best_seed = min(best_seed, time.perf_counter() - t0)
-    return best_new, best_seed, r_new, r_seed
-
-
 def test_xl_wide_linearize_packed_vs_scalar(benchmark):
     """The `to_matrix` path at XL scale: packed bulk encode/decode vs the
     seed per-cell/per-row twins, on a >64-variable Simon expansion.
 
     This isolates exactly the rewritten layer (matrix build + row
     decode; the RREF between them is shared and excluded).  Must be
-    >= 3x, with zero tuple fallbacks.
+    >= 3x.
     """
     from repro.core.linearize import Linearization
 
@@ -454,14 +435,12 @@ def test_xl_wide_linearize_packed_vs_scalar(benchmark):
         return lin.to_matrix(rows), lin.rows_to_polys(reduced)
 
     def scalar():
-        return lin.to_matrix_scalar(rows), lin.rows_to_polys_scalar(reduced)
+        return to_matrix_scalar(lin, rows), rows_to_polys_scalar(lin, reduced)
 
     full = bench_count() >= 2
-    reset_mask_fallback_hits()
     new_s, seed_s, (m_new, d_new), (m_seed, d_seed) = _ab_best_pair(
         packed, scalar, rounds=5 if full else 1
     )
-    assert mask_fallback_hits() == 0
     assert (m_new._data == m_seed._data).all()
     assert d_new == d_seed
     benchmark.pedantic(packed, rounds=3 if full else 1, iterations=1)
@@ -480,7 +459,7 @@ def test_elimlin_wide_elimination_persistent_vs_recount(benchmark):
 
     This isolates exactly the rewritten elimination loop (the GJE
     producing its input runs once, outside the timed region).  Must be
-    >= 3x, with zero tuple fallbacks.
+    >= 3x.
     """
     from repro.core.elimlin import _eliminate, _occurrence_counts
     from repro.core.linearize import gauss_jordan
@@ -525,13 +504,11 @@ def test_elimlin_wide_elimination_persistent_vs_recount(benchmark):
         return current
 
     full = bench_count() >= 2
-    reset_mask_fallback_hits()
     new_s, seed_s, cur_new, cur_seed = _ab_best_pair(
         lambda: run_phase(True),
         lambda: run_phase(False),
         rounds=5 if full else 1,
     )
-    assert mask_fallback_hits() == 0
     assert sorted(cur_new, key=hash) == sorted(cur_seed, key=hash)
     benchmark.pedantic(
         lambda: run_phase(True), rounds=3 if full else 1, iterations=1
@@ -546,8 +523,7 @@ def test_elimlin_wide_elimination_persistent_vs_recount(benchmark):
 def test_elimlin_wide_end_to_end_vs_seed(benchmark):
     """Full `run_elimlin` vs the seed replica on a 288-variable Simon
     workload.  End to end the shared RREF bounds the gap; the rewritten
-    layers still win and the outputs agree bit-for-bit, with zero tuple
-    fallbacks.
+    layers still win and the outputs agree bit-for-bit.
     """
     from repro.core.elimlin import run_elimlin
 
@@ -564,13 +540,11 @@ def test_elimlin_wide_end_to_end_vs_seed(benchmark):
     assert res_new.facts == res_seed.facts
     assert res_new.eliminated_vars == res_seed.eliminated_vars
     assert res_new.residual == res_seed.residual
-    reset_mask_fallback_hits()
     res = benchmark.pedantic(
         lambda: run_elimlin(polys, config, random.Random(0)),
         rounds=3 if full else 1,
         iterations=1,
     )
-    assert mask_fallback_hits() == 0
     ratio = seed_s / new_s
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["eliminated"] = res.eliminated
@@ -587,8 +561,8 @@ def test_xl_wide_end_to_end_vs_seed(benchmark):
     """Full `run_xl` vs the seed replica on the Simon32 encoding at the
     default budgets.  The seed leg overshoots the caps by its final
     pushes (the fixed engine may therefore expand one row less); the
-    mask-native engine must stay within every cap, agree on the sampled
-    set, and run with zero tuple fallbacks.
+    mask-native engine must stay within every cap and agree on the
+    sampled set.
     """
     from repro.core.xl import run_xl
 
@@ -607,13 +581,11 @@ def test_xl_wide_end_to_end_vs_seed(benchmark):
     assert res_new.expanded_rows <= config.xl_max_rows
     assert res_new.columns <= config.xl_max_cols
     assert res_new.expanded_rows * res_new.columns <= size_cap
-    reset_mask_fallback_hits()
     res = benchmark.pedantic(
         lambda: run_xl(polys, config, random.Random(0)),
         rounds=3 if full else 1,
         iterations=1,
     )
-    assert mask_fallback_hits() == 0
     ratio = seed_s / new_s
     benchmark.extra_info["rows"] = res.expanded_rows
     benchmark.extra_info["cols"] = res.columns
@@ -660,7 +632,7 @@ def _simon32_xl_matrix():
     return lin, rows
 
 
-def test_gf2_rref_m4ri_vs_gj(benchmark):  # repro: allow[ONE-KERNEL] the differential bench: races the kernel against the rref_gj oracle bit-for-bit
+def test_gf2_rref_m4ri_vs_gj(benchmark):
     """The isolated elimination kernel: Four-Russians `rref` vs the seed
     column-at-a-time Gauss-Jordan oracle `rref_gj`, on the real
     Simon32-XL linearisation.  The two must agree bit-for-bit (pivot
@@ -678,7 +650,7 @@ def test_gf2_rref_m4ri_vs_gj(benchmark):  # repro: allow[ONE-KERNEL] the differe
         new_s = min(new_s, time.perf_counter() - t0)
         m_gj = lin.to_matrix(rows)
         t0 = time.perf_counter()
-        p_gj = m_gj.rref_gj()
+        p_gj = rref_gj(m_gj)
         seed_s = min(seed_s, time.perf_counter() - t0)
     assert p_new == p_gj
     assert (m_new._data == m_gj._data).all()

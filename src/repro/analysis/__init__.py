@@ -11,7 +11,7 @@ the standard library and scans the whole repo in seconds.
 from .config import (
     DEFAULT_TARGETS,
     FINGERPRINTS_PATH,
-    ORACLE_FUNCTIONS,
+    ORACLE_DIR,
     AnalysisConfig,
 )
 from .findings import (
@@ -40,7 +40,7 @@ __all__ = [
     "Finding",
     "META_RULE_IDS",
     "ModuleContext",
-    "ORACLE_FUNCTIONS",
+    "ORACLE_DIR",
     "PARSE_ERROR",
     "PRAGMA_BARE",
     "PRAGMA_UNKNOWN",

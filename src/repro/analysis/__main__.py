@@ -19,7 +19,7 @@ from . import fingerprint as fp
 from .config import (
     DEFAULT_TARGETS,
     FINGERPRINTS_PATH,
-    ORACLE_FUNCTIONS,
+    ORACLE_DIR,
     AnalysisConfig,
 )
 from .rules import ALL_RULES
@@ -79,15 +79,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _update_fingerprints(root: Path) -> int:
-    pins = fp.compute_fingerprints(root, ORACLE_FUNCTIONS)
-    missing = [key for key, value in pins.items() if value is None]
-    if missing:
-        for key in missing:
-            print("cannot fingerprint {}: not found".format(key), file=sys.stderr)
+    pins = fp.compute_fingerprints(root, ORACLE_DIR)
+    if not pins:
+        print("no oracle definitions under {}".format(root / ORACLE_DIR),
+              file=sys.stderr)
         return 2
     path = root / FINGERPRINTS_PATH
     path.parent.mkdir(parents=True, exist_ok=True)
-    fp.write_fingerprints(path, {k: v for k, v in pins.items() if v})
+    fp.write_fingerprints(path, pins)
     print("pinned {} oracle fingerprints to {}".format(len(pins), path))
     return 0
 

@@ -1,7 +1,8 @@
 """Analysis run configuration: targets, rule selection, overrides.
 
 The defaults encode this repo's layout (scan ``src`` and
-``benchmarks``; fingerprints pinned in ``tests/oracle_fingerprints.json``)
+``benchmarks``; the frozen oracles live in ``tests/oracles/``, their
+fingerprints are pinned in ``tests/oracle_fingerprints.json``)
 but everything is overridable — the fixture self-tests re-scope rules to
 temp directories through the same knobs.
 """
@@ -18,17 +19,11 @@ DEFAULT_TARGETS = ("src", "benchmarks")
 #: Directory names never descended into.
 SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
-#: The frozen differential oracles: (module path, qualified name).
-#: Shared by the ORACLE-FREEZE rule, the --update-fingerprints CLI and
-#: the tier-1 fingerprint test.
-ORACLE_FUNCTIONS = (
-    ("repro/gf2/matrix.py", "GF2Matrix.rref_gj"),
-    ("repro/anf/monomial.py", "tuple_oracle"),
-    ("repro/core/anf_to_cnf.py", "AnfToCnf.convert_scalar"),
-    ("repro/core/anf_to_cnf.py", "AnfToCnf.convert_polynomials_scalar"),
-    ("repro/core/linearize.py", "Linearization.to_matrix_scalar"),
-    ("repro/core/linearize.py", "Linearization.rows_to_polys_scalar"),
-)
+#: Directory of the frozen differential oracles, relative to the
+#: analysis root.  Every top-level function and class in its ``*.py``
+#: files is pinned; shared by the ORACLE-FREEZE rule, the
+#: --update-fingerprints CLI and the tier-1 fingerprint test.
+ORACLE_DIR = "tests/oracles"
 
 #: Default location of the pinned oracle fingerprints, relative to the
 #: analysis root.

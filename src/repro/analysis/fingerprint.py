@@ -1,74 +1,57 @@
 """Normalized-AST fingerprints for the frozen differential oracles.
 
-The repo's correctness story leans on a handful of *oracle* functions
-kept verbatim at seed semantics (``GF2Matrix.rref_gj``, the scalar
-converter twins, ``monomial.tuple_oracle`` — see the ORACLE-FREEZE rule
-for the list).  Their value is being unchanged; "improving" one
-silently invalidates every differential test that pins a fast path to
-it.  This module hashes each oracle's **normalized AST** — docstrings
-stripped, formatting and comments invisible by construction — so lint
-(and the tier-1 fingerprint test) can detect any semantic edit while
-staying robust to whitespace/comment churn around it.
+The repo's correctness story leans on the *oracle* functions and
+classes in ``tests/oracles/``, kept verbatim at seed semantics (the
+seed Gauss–Jordan, the scalar converter, the tuple monomial merges).
+Their value is being unchanged; "improving" one silently invalidates
+every differential test that pins a fast path to it.  This module
+hashes every top-level definition in the oracle directory by its
+**normalized AST** — docstrings stripped, formatting and comments
+invisible by construction — so lint (and the tier-1 fingerprint test)
+can detect any semantic edit while staying robust to whitespace/comment
+churn around it.  A definition is pinned under the key
+``<file relative to the root>::<name>``.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 #: Prefix recorded in the fingerprint file, so the hash scheme is
 #: self-describing and can be evolved.
 HASH_PREFIX = "sha256:"
 
-
-def find_function(tree: ast.AST, qualname: str) -> Optional[ast.AST]:
-    """The def node for ``qualname`` (``Class.method`` or ``func``)."""
-    parts = qualname.split(".")
-    scope: ast.AST = tree
-    for i, part in enumerate(parts):
-        found = None
-        for node in ast.iter_child_nodes(scope):
-            if (
-                isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-                and node.name == part
-            ):
-                found = node
-                break
-        if found is None:
-            return None
-        scope = found
-    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return scope
-    return None
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _strip_docstring(node: ast.AST) -> ast.AST:
-    """Drop the leading docstring Expr (normalization: docstring edits
-    do not change oracle semantics)."""
-    body = getattr(node, "body", None)
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-        and len(body) > 1
-    ):
-        node.body = body[1:]  # type: ignore[attr-defined]
+def _strip_docstrings(node: ast.AST) -> ast.AST:
+    """Drop the leading docstring Expr of ``node`` and of every def or
+    class nested in it (normalization: docstring edits do not change
+    oracle semantics)."""
+    for sub in ast.walk(node):
+        if not isinstance(sub, _DEFS):
+            continue
+        body = sub.body
+        if (
+            isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+            and len(body) > 1
+        ):
+            sub.body = body[1:]
     return node
 
 
 def normalized_dump(node: ast.AST) -> str:
-    """The canonical text hashed for a function: ``ast.dump`` without
+    """The canonical text hashed for a definition: ``ast.dump`` without
     source locations, after docstring stripping.  Comments and
     formatting never reach the AST, so only semantic edits change it."""
-    import copy
-
-    clean = _strip_docstring(copy.deepcopy(node))
+    clean = _strip_docstrings(copy.deepcopy(node))
     return ast.dump(clean, annotate_fields=True, include_attributes=False)
 
 
@@ -77,40 +60,24 @@ def fingerprint_node(node: ast.AST) -> str:
     return HASH_PREFIX + digest
 
 
-def fingerprint_source(source: str, qualname: str) -> Optional[str]:
-    """Fingerprint of ``qualname`` inside ``source`` (None if absent)."""
-    node = find_function(ast.parse(source), qualname)
-    if node is None:
-        return None
-    return fingerprint_node(node)
-
-
-def oracle_key(file: str, qualname: str) -> str:
-    return "{}::{}".format(file, qualname)
-
-
-def compute_fingerprints(
-    root: Path, oracles: Sequence[Tuple[str, str]], src_dir: str = "src"
-) -> Dict[str, Optional[str]]:
-    """Fingerprints for ``(file, qualname)`` oracles under ``root``.
-
-    ``file`` is the module path relative to the source tree (e.g.
-    ``repro/gf2/matrix.py``); missing files or functions map to None so
-    callers can report exactly what drifted.
-    """
-    out: Dict[str, Optional[str]] = {}
-    for file, qualname in oracles:
-        path = root / src_dir / file
-        if not path.is_file():
-            path = root / file
-        key = oracle_key(file, qualname)
-        if not path.is_file():
-            out[key] = None
-            continue
-        out[key] = fingerprint_source(
-            path.read_text(encoding="utf-8"), qualname
-        )
+def oracle_definitions(root: Path, oracle_dir: str) -> Dict[str, ast.AST]:
+    """Pin key -> node for every top-level function and class in the
+    ``*.py`` files of ``oracle_dir`` (relative to ``root``)."""
+    out: Dict[str, ast.AST] = {}
+    for path in sorted((root / oracle_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, _DEFS):
+                out["{}/{}::{}".format(oracle_dir, path.name, node.name)] = node
     return out
+
+
+def compute_fingerprints(root: Path, oracle_dir: str) -> Dict[str, str]:
+    """Pin key -> fingerprint for every oracle definition."""
+    return {
+        key: fingerprint_node(node)
+        for key, node in oracle_definitions(root, oracle_dir).items()
+    }
 
 
 def load_fingerprints(path: Path) -> Dict[str, str]:
@@ -140,14 +107,14 @@ def write_fingerprints(path: Path, pins: Dict[str, str]) -> None:
 
 
 def diff_fingerprints(
-    expected: Dict[str, str], actual: Dict[str, Optional[str]]
+    expected: Dict[str, str], actual: Dict[str, str]
 ) -> List[str]:
     """Human lines describing drift between pinned and recomputed."""
     problems = []
     for key in sorted(set(expected) | set(actual)):
         exp, act = expected.get(key), actual.get(key)
         if act is None:
-            problems.append("{}: oracle function missing".format(key))
+            problems.append("{}: oracle definition missing".format(key))
         elif exp is None:
             problems.append("{}: no pinned fingerprint".format(key))
         elif exp != act:

@@ -1,19 +1,14 @@
-"""MASK-PATH: monomials ride the packed masks; matrices are built bulk.
+"""MASK-PATH: matrices are built with the bulk constructors.
 
-The standing invariants (ROADMAP, PRs 2–4): the sorted-tuple monomial
-merge survives only as the debug oracle
-(:func:`repro.anf.monomial.tuple_oracle`), and matrix producers use the
+The standing invariant (ROADMAP, PRs 3–4): matrix producers use the
 bulk constructors (``from_cells`` / ``from_masks`` / ``from_rows``)
-instead of per-cell ``set`` loops.  This rule flags:
-
-* any ``tuple_oracle()`` use outside the monomial module that defines
-  it (differential tests live in ``tests/``, which lint does not scan;
-  bench seed legs carry justified pragmas);
-* a ``.set(i, j, value)`` matrix cell write driven from a loop — the
-  per-cell producer shape the bulk constructors replaced.  The check
-  keys on the cell write's three-argument arity, which keeps it off the
-  two-argument ``span.set(key, value)`` attribute shape the
-  observability layer stamps inside loops.
+instead of per-cell ``set`` loops.  This rule flags a
+``.set(i, j, value)`` matrix cell write driven from a loop — the
+per-cell producer shape the bulk constructors replaced.  The check keys
+on the cell write's three-argument arity, which keeps it off the
+two-argument ``span.set(key, value)`` attribute shape the observability
+layer stamps inside loops.  (The seed per-cell codec lives with the
+tests as a differential oracle, outside the scanned tree.)
 """
 
 from __future__ import annotations
@@ -26,54 +21,27 @@ from ..rules_base import ModuleContext, Rule, call_name, file_is
 class MaskPathRule(Rule):
     id = "MASK-PATH"
     description = (
-        "no tuple_oracle() outside the monomial module; matrix "
-        "producers use from_cells/from_masks/from_rows, not per-cell "
-        "set loops"
+        "matrix producers use from_cells/from_masks/from_rows, not "
+        "per-cell set loops"
     )
     fix_hint = (
         "stay on the mask path: build matrices with "
         "GF2Matrix.from_cells/from_masks/from_rows"
     )
     default_settings = {
-        #: The module defining (and self-testing) the oracle switch.
-        "oracle_files": ["repro/anf/monomial.py"],
         #: The matrix layer itself: its primitives legitimately touch
         #: cells one at a time (the bulk constructors are built on them).
         "cell_exempt_files": ["repro/gf2/matrix.py"],
-        #: Frozen scalar-oracle scopes that keep their seed per-cell
-        #: loops verbatim.
-        "cell_exempt_qualnames": [
-            ("repro/core/linearize.py", "Linearization.to_matrix_scalar"),
-        ],
     }
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
-        name = call_name(node)
-        if name == "tuple_oracle" and not file_is(
-            ctx.modpath, self.settings["oracle_files"]
-        ):
-            ctx.report(
-                self,
-                node,
-                "tuple_oracle() use outside the designated oracle module",
-                "the tuple merge is a debug oracle; production paths "
-                "must stay mask-native (fallback counter asserted zero)",
-            )
-            return
         if (
-            name == "set"
+            call_name(node) == "set"
             and isinstance(node.func, ast.Attribute)
             and len(node.args) >= 3
             and ctx.loop_depth > 0
+            and not file_is(ctx.modpath, self.settings["cell_exempt_files"])
         ):
-            if file_is(ctx.modpath, self.settings["cell_exempt_files"]):
-                return
-            qn = ctx.qualname()
-            if any(
-                ctx.modpath == f and (qn == q or qn.startswith(q + "."))
-                for f, q in self.settings["cell_exempt_qualnames"]
-            ):
-                return
             ctx.report(
                 self,
                 node,

@@ -3,13 +3,10 @@
 The standing invariant (ROADMAP, PR 6): all elimination call sites go
 through :func:`repro.gf2.elimination.eliminate` (or the
 ``rref``/``rank``/``solve_affine``/``kernel_basis``/``rref_rows``
-wrappers riding it).  The seed column-at-a-time Gauss–Jordan survives
-*only* as the differential oracle ``GF2Matrix.rref_gj``.  This rule
-flags:
+wrappers riding it).  The seed column-at-a-time Gauss–Jordan lives with
+the tests as a differential oracle, outside the scanned tree.  This
+rule flags:
 
-* calls to ``rref_gj`` outside the kernel module and the oracle's own
-  body (production code must never run the oracle; bench seed legs
-  carry justified pragmas);
 * per-row elimination primitives (``xor_row_into`` / ``swap_rows``)
   driven from a loop — the signature of a hand-rolled sweep;
 * the hand-rolled column-loop shape itself: a ``for ... in range(...)``
@@ -101,42 +98,24 @@ class OneKernelRule(Rule):
     description = (
         "GF(2) elimination must go through repro.gf2.elimination."
         "eliminate() (or its rank/solve_affine/kernel_basis/rref_rows "
-        "wrappers); no hand-rolled column loops, no production rref_gj"
+        "wrappers); no hand-rolled column loops"
     )
     fix_hint = (
         "route the elimination through repro.gf2.elimination.eliminate()"
     )
     default_settings = {
-        #: The kernel module itself (defines eliminate(), dispatches to
-        #: the oracle in "gj" mode).
+        #: The kernel module itself (defines eliminate()).
         "exempt_files": ["repro/gf2/elimination.py"],
-        #: (file, qualname) scopes allowed to BE the oracle.
-        "exempt_qualnames": [("repro/gf2/matrix.py", "GF2Matrix.rref_gj")],
     }
 
     def _exempt(self, ctx: ModuleContext) -> bool:
-        if file_is(ctx.modpath, self.settings["exempt_files"]):
-            return True
-        qn = ctx.qualname()
-        return any(
-            ctx.modpath == f and (qn == q or qn.startswith(q + "."))
-            for f, q in self.settings["exempt_qualnames"]
-        )
+        return file_is(ctx.modpath, self.settings["exempt_files"])
 
     def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
         if self._exempt(ctx):
             return
         name = call_name(node)
-        if name == "rref_gj":
-            ctx.report(
-                self,
-                node,
-                "call to the frozen seed oracle rref_gj() outside the "
-                "elimination kernel",
-                "production code calls eliminate()/rref(); only the "
-                "kernel and differential tests may run the oracle",
-            )
-        elif name in ("xor_row_into", "swap_rows") and ctx.loop_depth > 0:
+        if name in ("xor_row_into", "swap_rows") and ctx.loop_depth > 0:
             ctx.report(
                 self,
                 node,

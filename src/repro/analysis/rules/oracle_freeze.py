@@ -1,16 +1,19 @@
 """ORACLE-FREEZE: the differential oracles stay verbatim.
 
 Every hot path in this repo is pinned bit-for-bit to a seed-semantics
-twin: ``GF2Matrix.rref_gj`` for the M4RI kernel, the scalar converter
-pair for the mask-native ANF→CNF bridge, the scalar matrix codecs for
-the linearisation layer, ``monomial.tuple_oracle`` for the mask path.
-Their entire value is being *unchanged*: an "improvement" to an oracle
-re-anchors every differential test to the new behaviour and the
-equivalence guarantee silently evaporates.
+twin in ``tests/oracles/``: the column-at-a-time Gauss–Jordan for the
+M4RI kernel, the scalar converter for the mask-native ANF→CNF bridge,
+the scalar matrix codecs for the linearisation layer, the sorted-tuple
+merges and loops for the bitmask monomial layer.  Their entire value is
+being *unchanged*: an "improvement" to an oracle re-anchors every
+differential test to the new behaviour and the equivalence guarantee
+silently evaporates.
 
-This rule recomputes each oracle's normalized-AST fingerprint
-(:mod:`repro.analysis.fingerprint` — comments/formatting/docstrings
-do not affect it) and compares against the pinned hashes in
+This rule reads the oracle files itself — lint scans only ``src`` and
+``benchmarks``, and the oracles live with the tests — recomputes each
+pinned definition's normalized-AST fingerprint
+(:mod:`repro.analysis.fingerprint` — comments/formatting/docstrings do
+not affect it) and compares against the pinned hashes in
 ``tests/oracle_fingerprints.json``.  Any drift fails lint with an
 explanation; a deliberate, reviewed oracle change regenerates the pins
 via ``python -m repro.analysis --update-fingerprints``.
@@ -20,15 +23,16 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Optional
+from typing import List, Optional
 
 from .. import fingerprint as fp
-from ..config import FINGERPRINTS_PATH, ORACLE_FUNCTIONS
-from ..rules_base import ModuleContext, Rule
+from ..config import FINGERPRINTS_PATH, ORACLE_DIR
+from ..findings import Finding
+from ..rules_base import Rule
 
 _FREEZE_EXPLANATION = (
     "oracles keep verbatim seed semantics: every differential test pins "
-    "a fast path bit-for-bit to this function, so edits invalidate the "
+    "a fast path bit-for-bit to this definition, so edits invalidate the "
     "equivalence guarantee; if the change is deliberate and reviewed, "
     "regenerate the pins with 'python -m repro.analysis "
     "--update-fingerprints'"
@@ -38,76 +42,63 @@ _FREEZE_EXPLANATION = (
 class OracleFreezeRule(Rule):
     id = "ORACLE-FREEZE"
     description = (
-        "the frozen differential oracles (rref_gj, convert_scalar/"
-        "convert_polynomials_scalar, to_matrix_scalar/"
-        "rows_to_polys_scalar, tuple_oracle) match their pinned "
-        "normalized-AST fingerprints"
+        "every definition in tests/oracles/ (the frozen differential "
+        "oracles) matches its pinned normalized-AST fingerprint"
     )
     fix_hint = _FREEZE_EXPLANATION
     default_settings = {
-        #: (module path, qualname) pairs under freeze.
-        "oracles": list(ORACLE_FUNCTIONS),
+        #: Oracle directory, resolved against the analysis root.
+        "oracle_dir": ORACLE_DIR,
         #: Pinned-hash file, resolved against the analysis root.
         "fingerprints_path": FINGERPRINTS_PATH,
         #: Analysis root (set by the runner).
         "root": None,
     }
 
-    def __init__(self, settings=None):
-        super().__init__(settings)
-        self._pins: Optional[Dict[str, str]] = None
-        self._pins_error: Optional[str] = None
+    def _finding(self, file: str, node: Optional[ast.AST], message: str) -> Finding:
+        return Finding(
+            rule=self.id,
+            file=file,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+            hint=self.fix_hint,
+        )
 
-    def _load_pins(self) -> Optional[Dict[str, str]]:
-        if self._pins is None and self._pins_error is None:
-            root = Path(self.settings["root"] or ".")
-            path = root / self.settings["fingerprints_path"]
-            try:
-                self._pins = fp.load_fingerprints(path)
-            except FileNotFoundError:
-                self._pins_error = (
-                    "fingerprint file missing: {} (generate it with "
-                    "'python -m repro.analysis "
-                    "--update-fingerprints')".format(path)
-                )
-            except ValueError as exc:
-                self._pins_error = str(exc)
-        return self._pins
-
-    def begin_module(self, ctx: ModuleContext) -> None:
-        mine = [
-            (f, q) for f, q in self.settings["oracles"] if f == ctx.modpath
-        ]
-        if not mine:
-            return
-        pins = self._load_pins()
-        if pins is None:
-            ctx.report(self, ctx.tree, self._pins_error or "no fingerprints")
-            return
-        for file, qualname in mine:
-            key = fp.oracle_key(file, qualname)
-            node = fp.find_function(ctx.tree, qualname)
-            if node is None:
-                ctx.report(
-                    self,
-                    ctx.tree,
-                    "frozen oracle {} removed or renamed".format(qualname),
-                )
-                continue
-            actual = fp.fingerprint_node(node)
+    def check_repo(self) -> List[Finding]:
+        root = Path(self.settings["root"] or ".")
+        pins_file = self.settings["fingerprints_path"]
+        try:
+            pins = fp.load_fingerprints(root / pins_file)
+        except FileNotFoundError:
+            return [self._finding(
+                pins_file,
+                None,
+                "fingerprint file missing: {} (generate it with "
+                "'python -m repro.analysis --update-fingerprints')".format(
+                    root / pins_file
+                ),
+            )]
+        except ValueError as exc:
+            return [self._finding(pins_file, None, str(exc))]
+        nodes = fp.oracle_definitions(root, self.settings["oracle_dir"])
+        findings: List[Finding] = []
+        for key in sorted(set(pins) | set(nodes)):
+            file, _, name = key.partition("::")
+            node = nodes.get(key)
             pinned = pins.get(key)
-            if pinned is None:
-                ctx.report(
-                    self,
-                    node,
-                    "frozen oracle {} has no pinned fingerprint".format(
-                        qualname
-                    ),
+            if node is None:
+                message = "frozen oracle {} removed or renamed".format(name)
+            elif pinned is None:
+                message = "frozen oracle {} has no pinned fingerprint".format(
+                    name
                 )
-            elif pinned != actual:
-                ctx.report(
-                    self,
-                    node,
+            elif pinned != fp.fingerprint_node(node):
+                message = (
                     "frozen oracle {} was edited (normalized-AST "
-                    "fingerprint drifted from its pin)".format(qualname),
+                    "fingerprint drifted from its pin)".format(name)
                 )
+            else:
+                continue
+            findings.append(self._finding(file, node, message))
+        return findings

@@ -5,7 +5,10 @@ and any number of ``visit_<NodeType>`` methods.  One
 :class:`ModuleWalker` pass per file dispatches every AST node to every
 interested rule (no per-rule re-walk), maintaining the shared lexical
 context rules need — enclosing class/function names and loop depth —
-plus ``begin_module``/``end_module`` hooks for whole-file checks.
+plus ``begin_module``/``end_module`` hooks for whole-file checks.  A
+rule whose subject lies outside the scanned files (the frozen oracles
+under ``tests/``) reads them itself in :meth:`Rule.check_repo`, which
+the runner calls once per run.
 
 Settings are plain dicts: a rule's ``default_settings`` are merged with
 the per-run overrides from :class:`repro.analysis.config.AnalysisConfig`,
@@ -89,6 +92,10 @@ class Rule:
 
     def end_module(self, ctx: ModuleContext) -> None:
         pass
+
+    def check_repo(self) -> List[Finding]:
+        """Findings about files the rule reads itself (once per run)."""
+        return []
 
 
 def path_in(modpath: str, prefixes: Sequence[str]) -> bool:

@@ -126,6 +126,8 @@ def analyze_paths(
         report.findings.extend(active)
         report.suppressed.extend(suppressed)
         report.files_scanned += 1
+    for rule in rules:
+        report.findings.extend(rule.check_repo())
     report.findings.sort(key=lambda f: (f.file, f.line, f.col, f.rule))
     report.suppressed.sort(key=lambda f: (f.file, f.line, f.col, f.rule))
     return report

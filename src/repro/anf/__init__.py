@@ -16,12 +16,7 @@ from .parser import (
 )
 from .polynomial import Poly, PolyBuilder
 from .ring import Ring
-from .stats import (
-    SystemStats,
-    describe_system,
-    mask_fallback_hits,
-    reset_mask_fallback_hits,
-)
+from .stats import SystemStats, describe_system
 from .system import AnfSystem, ContradictionError, VariableState
 
 __all__ = [
@@ -29,8 +24,6 @@ __all__ = [
     "Monomial",
     "SystemStats",
     "describe_system",
-    "mask_fallback_hits",
-    "reset_mask_fallback_hits",
     "Poly",
     "PolyBuilder",
     "Ring",

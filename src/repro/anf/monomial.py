@@ -28,15 +28,12 @@ Invariants (the width-adaptive contract):
 
 * ``mask_of`` is *total* on valid monomials — every tuple of
   non-negative variable indices has a mask, and a negative index raises
-  ``ValueError`` on every path (mask or oracle, :func:`make` or
-  :func:`mask_of`).
-* The historical sorted-tuple merge implementations survive only as a
-  *debug oracle*: :func:`tuple_oracle` flips the module onto them so the
-  differential tests can cross-check the mask path, and every execution
-  of a tuple-path op increments the fallback counter
-  (:func:`fallback_hits`).  Production runs assert the counter stays at
-  zero — cipher-scale systems (hundreds to thousands of variables) ride
-  the bitwise path end to end.
+  ``ValueError`` (:func:`make`, :func:`mask_of`, :func:`intern`,
+  :func:`remove`).
+* The mask path is the only path: cipher-scale systems (hundreds to
+  thousands of variables) ride the bitwise ops end to end.  The
+  historical sorted-tuple merges live with the tests as differential
+  oracles (``tests/oracles/monomial.py``).
 
 Masks and their tuples are *interned*: :func:`make`, :func:`mul` and
 friends return a canonical tuple object per distinct monomial, so hot
@@ -48,7 +45,6 @@ equal to interned ones and may be passed to every function here.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -61,10 +57,6 @@ ONE: Monomial = ()
 #: :func:`mask_words`), matching ``gf2.matrix``'s packed ``uint64`` rows.
 LIMB_BITS = 64
 
-#: Backwards-compatible alias from the single-word era.  Masks are no
-#: longer limited to this width — it now only names the one-limb stride.
-MASK_BITS = LIMB_BITS
-
 # Interning tables.  ``_mask_of`` maps a (canonical or raw) tuple to its
 # bitmask; ``_tuple_of`` maps a bitmask back to the canonical tuple.
 # Both grow with the distinct monomials actually seen, which in practice
@@ -76,59 +68,6 @@ _tuple_of: Dict[int, Monomial] = {0: ONE}
 #: tables are pure caches, so clearing only costs re-interning; the cap
 #: keeps long experiment sweeps (many instances per process) bounded.
 _INTERN_CAP = 1 << 20
-
-# Debug-oracle state.  ``_use_masks`` is flipped by :func:`tuple_oracle`
-# only; ``_fallback_hits`` counts every execution of a tuple-path op, so
-# tests and benches can assert the bitwise path handled everything.
-_use_masks = True
-_fallback_hits = 0
-
-
-def fallback_hits() -> int:
-    """How many ops ran on the sorted-tuple oracle path so far.
-
-    Stays at zero for production runs at any width; the counter moves
-    only inside :func:`tuple_oracle` (or if a future regression
-    reintroduces a genuine fallback).  Snapshot before / after a run and
-    assert a zero delta to pin "no tuple fallbacks" — the Bosphorus
-    workflow records exactly that delta in its result stats.
-    """
-    return _fallback_hits
-
-
-def reset_fallback_hits() -> None:
-    """Reset the fallback counter to zero (test isolation helper)."""
-    global _fallback_hits
-    _fallback_hits = 0
-
-
-def masks_enabled() -> bool:
-    """True unless inside :func:`tuple_oracle`.
-
-    The polynomial layer consults this to pick between its mask-native
-    substitution kernels and the legacy per-variable loops (kept as the
-    oracle implementation for the differential harness).
-    """
-    return _use_masks
-
-
-@contextmanager
-def tuple_oracle():
-    """Route mul/divides/lcm/remove/make/intern through the tuple oracle.
-
-    The oracle is the pre-mask sorted-tuple merge implementation —
-    uncached, allocation-per-op — kept as the reference semantics for
-    the differential harness and the wide-path benchmarks.  Results are
-    equal (``==``) to mask-path results, but not interned.
-    """
-    global _use_masks
-    prev = _use_masks
-    _use_masks = False
-    try:
-        yield
-    finally:
-        _use_masks = prev
-
 
 def _check_var(v: int) -> None:
     if v < 0:
@@ -282,12 +221,6 @@ def assignment_mask(assignment: Sequence[int]) -> int:
 
 def intern(m: Monomial) -> Monomial:
     """The canonical shared tuple equal to ``m`` (identity-stable)."""
-    if not _use_masks:
-        global _fallback_hits
-        _fallback_hits += 1
-        for v in m:
-            _check_var(v)
-        return m
     return _tuple_from_mask(mask_of(m))
 
 
@@ -296,18 +229,11 @@ def make(variables: Iterable[int]) -> Monomial:
 
     Duplicates collapse (``x * x = x`` in the Boolean ring) and the result
     is sorted so equal monomials compare equal.  A negative index raises
-    ``ValueError`` (uniformly, on the mask and oracle paths).
+    ``ValueError``.
 
     >>> make([3, 1, 3])
     (1, 3)
     """
-    if not _use_masks:
-        global _fallback_hits
-        _fallback_hits += 1
-        vs = sorted(set(variables))
-        if vs and vs[0] < 0:
-            _check_var(vs[0])
-        return tuple(vs)
     mask = 0
     for v in variables:
         if v < 0:
@@ -331,29 +257,7 @@ def mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    if _use_masks:
-        return _tuple_from_mask(mask_of(a) | mask_of(b))
-    # Debug oracle: merge two sorted tuples, dropping duplicates.
-    global _fallback_hits
-    _fallback_hits += 1
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif x > y:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    return _tuple_from_mask(mask_of(a) | mask_of(b))
 
 
 def contains(m: Monomial, var: int) -> bool:
@@ -366,23 +270,14 @@ def divides(a: Monomial, b: Monomial) -> bool:
     ``a & b == a`` on masks."""
     if len(a) > len(b):
         return False
-    if _use_masks:
-        ma = mask_of(a)
-        return ma & mask_of(b) == ma
-    global _fallback_hits
-    _fallback_hits += 1
-    bs = set(b)
-    return all(v in bs for v in a)
+    ma = mask_of(a)
+    return ma & mask_of(b) == ma
 
 
 def remove(m: Monomial, var: int) -> Monomial:
     """The monomial with ``var`` divided out; ``m`` must contain ``var``."""
     _check_var(var)
-    if _use_masks:
-        return _tuple_from_mask(mask_of(m) & ~(1 << var))
-    global _fallback_hits
-    _fallback_hits += 1
-    return tuple(v for v in m if v != var)
+    return _tuple_from_mask(mask_of(m) & ~(1 << var))
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -391,12 +286,12 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def expand_negated_mask(base_mask: int, negated: Iterable[int]) -> List[int]:
-    """Mask form of :func:`expand_negated`: monomial masks of
-    ``base * Π_y (x_y + 1)``.
+    """Monomial masks of ``base * Π_y (x_y + 1)`` in the Boolean ring.
 
-    Each negated factor doubles the list with one OR per entry; the
-    result is empty when some ``y`` already divides the base
-    (``y * (y + 1) = 0``).  Works at any width.
+    Each negated factor doubles the list with one OR per entry (the
+    subset expansion); the result is empty when some ``y`` already
+    divides the base (``y * (y + 1) = 0``).  Shared by literal
+    substitution and the CNF clause conversion.  Works at any width.
     """
     out = [base_mask]
     for y in set(negated):
@@ -404,24 +299,6 @@ def expand_negated_mask(base_mask: int, negated: Iterable[int]) -> List[int]:
         if base_mask & bit:
             return []
         out += [m | bit for m in out]
-    return out
-
-
-def expand_negated(base: Monomial, negated: Iterable[int]) -> list:
-    """Monomials of ``base * Π_y (x_y + 1)`` in the Boolean ring.
-
-    Each negated-variable factor doubles the sum (the subset expansion);
-    the result is the empty list when the product collapses to zero,
-    i.e. some ``y`` already divides ``base`` (``y * (y + 1) = 0``).
-    Shared by the literal-substitution fast path and the CNF clause
-    conversion so the expansion idiom lives in one place.
-    """
-    ys = sorted(set(negated))
-    if any(y in base for y in ys):
-        return []
-    out = [base]
-    for y in ys:
-        out += [mul(p, (y,)) for p in out]
     return out
 
 
@@ -456,7 +333,4 @@ def deglex_key(m: Monomial):
     mask order does *not* agree with deglex, so the tuple stays the
     canonical comparison object at every width.
     """
-    if not _use_masks:
-        global _fallback_hits
-        _fallback_hits += 1
     return (len(m), m)

@@ -296,21 +296,11 @@ class Poly:
             return _ZERO
         acc: Set[Monomial] = set()
         toggle_in, toggle_out = acc.add, acc.discard
-        if mono.masks_enabled():
-            from_mask = mono.from_mask
-            b_pairs = other.monomial_masks()
-            for ma, _ in self.monomial_masks():
-                for mb, _ in b_pairs:
-                    m = from_mask(ma | mb)
-                    if m in acc:
-                        toggle_out(m)
-                    else:
-                        toggle_in(m)
-            return Poly._from_frozenset(frozenset(acc))
-        mul = mono.mul
-        for a in self._monomials:
-            for b in other._monomials:
-                m = mul(a, b)
+        from_mask = mono.from_mask
+        b_pairs = other.monomial_masks()
+        for ma, _ in self.monomial_masks():
+            for mb, _ in b_pairs:
+                m = from_mask(ma | mb)
                 if m in acc:
                     toggle_out(m)
                 else:
@@ -329,19 +319,10 @@ class Poly:
         if not m:
             return self
         acc: Set[Monomial] = set()
-        if mono.masks_enabled():
-            mmask = mono.mask_of(m)
-            from_mask = mono.from_mask
-            for mk, _ in self.monomial_masks():
-                prod = from_mask(mk | mmask)
-                if prod in acc:
-                    acc.discard(prod)
-                else:
-                    acc.add(prod)
-            return Poly._from_frozenset(frozenset(acc))
-        mul = mono.mul
-        for a in self._monomials:
-            prod = mul(a, m)
+        mmask = mono.mask_of(m)
+        from_mask = mono.from_mask
+        for mk, _ in self.monomial_masks():
+            prod = from_mask(mk | mmask)
             if prod in acc:
                 acc.discard(prod)
             else:
@@ -367,132 +348,26 @@ class Poly:
         """
         if var < 0:
             raise ValueError("negative variable index: {}".format(var))
-        if mono.masks_enabled():
-            bit = 1 << var
-            if not self.support_mask() & bit:
-                return self
-            acc: Set[Monomial] = set()
-            from_mask = mono.from_mask
-            rep_pairs = replacement.monomial_masks()
-            for mk, m in self.monomial_masks():
-                if not mk & bit:
-                    if m in acc:
-                        acc.discard(m)
-                    else:
-                        acc.add(m)
-                    continue
-                rest = mk & ~bit
-                for rk, _ in rep_pairs:
-                    prod = from_mask(rest | rk)
-                    if prod in acc:
-                        acc.discard(prod)
-                    else:
-                        acc.add(prod)
-            return Poly._from_frozenset(frozenset(acc))
-        # Tuple-oracle twin: the pre-mask per-monomial remove/mul loop.
-        if self._vars is not None and var not in self._vars:
+        bit = 1 << var
+        if not self.support_mask() & bit:
             return self
-        untouched: Set[Monomial] = set()
-        acc2: Set[Monomial] = set()
-        hit = False
-        for m in self._monomials:
-            if var not in m:
-                untouched.add(m)
-                continue
-            hit = True
-            rest = mono.remove(m, var)
-            for r in replacement._monomials:
-                prod = mono.mul(rest, r)
-                if prod in acc2:
-                    acc2.discard(prod)
-                else:
-                    acc2.add(prod)
-        if not hit:
-            return self
-        return Poly._from_frozenset(frozenset(untouched) ^ frozenset(acc2))
-
-    def substitute_many(self, mapping: Dict[int, "Poly"]) -> "Poly":
-        """Simultaneously substitute several variables.
-
-        The substitution is simultaneous: replacement polynomials are *not*
-        themselves rewritten, matching GJE-style back-substitution.
-
-        Replacements that are constants or (possibly negated) single
-        variables — the shapes ANF propagation's variable state produces —
-        take a monomial-rewriting fast path that skips the generic
-        polynomial products.
-        """
-        if not mapping:
-            return self
-        simple: Optional[Dict[int, Tuple[Optional[int], int]]] = {}
-        for v, rp in mapping.items():
-            ms = rp._monomials
-            n = len(ms)
-            if n == 0:
-                simple[v] = (None, 0)  # constant 0: the monomial dies
-            elif n == 1:
-                (m,) = ms
-                if not m:
-                    simple[v] = (None, 1)  # constant 1: drop the variable
-                elif len(m) == 1:
-                    simple[v] = (m[0], 0)  # alias y
-                else:
-                    simple = None
-                    break
-            elif n == 2 and mono.ONE in ms:
-                other = next(mm for mm in ms if mm)
-                if len(other) == 1:
-                    simple[v] = (other[0], 1)  # negated alias y + 1
-                else:
-                    simple = None
-                    break
-            else:
-                simple = None
-                break
-        if simple is not None:
-            return self.substitute_literals(simple)
-        use_masks = mono.masks_enabled()
-        sub_mask = 0
-        if use_masks:
-            for v in mapping:
-                sub_mask |= 1 << v
         acc: Set[Monomial] = set()
-        if use_masks:
-            # One AND against the substitution mask screens untouched
-            # monomials; only the intersection bits are substituted.
-            work = self.monomial_masks()
-        else:
-            work = [(None, m) for m in self._monomials]
-        for mk, m in work:
-            if use_masks:
-                inter = mk & sub_mask
-                if not inter:
-                    if m in acc:
-                        acc.discard(m)
-                    else:
-                        acc.add(m)
-                    continue
-                hit = mono.bits_of(inter)
-                rest: Monomial = mono.from_mask(mk & ~sub_mask)
-            else:
-                hit = [v for v in m if v in mapping]
-                if not hit:
-                    if m in acc:
-                        acc.discard(m)
-                    else:
-                        acc.add(m)
-                    continue
-                rest = tuple(v for v in m if v not in mapping)
-            prod = Poly.from_monomial(rest)
-            for v in hit:
-                prod = prod * mapping[v]
-                if prod.is_zero():
-                    break
-            for pm in prod._monomials:
-                if pm in acc:
-                    acc.discard(pm)
+        from_mask = mono.from_mask
+        rep_pairs = replacement.monomial_masks()
+        for mk, m in self.monomial_masks():
+            if not mk & bit:
+                if m in acc:
+                    acc.discard(m)
                 else:
-                    acc.add(pm)
+                    acc.add(m)
+                continue
+            rest = mk & ~bit
+            for rk, _ in rep_pairs:
+                prod = from_mask(rest | rk)
+                if prod in acc:
+                    acc.discard(prod)
+                else:
+                    acc.add(prod)
         return Poly._from_frozenset(frozenset(acc))
 
     def substitute_literals(
@@ -509,14 +384,11 @@ class Poly:
         width-adaptive AND screens each monomial (most monomials of a
         dirtied equation do not mention a substituted variable), dead
         monomials die on a second AND, and the rewritten base monomial is
-        assembled by mask OR instead of list-sort.  The per-variable loop
-        survives as the tuple-oracle implementation.
+        assembled by mask OR instead of list-sort.
 
         ``AnfSystem.normalize`` pre-splits the masks itself and calls
         :meth:`substitute_masks` directly.
         """
-        if not mono.masks_enabled():
-            return self._substitute_literals_tuple(simple)
         sub_mask = 0  # all substituted variables
         dead_mask = 0  # -> constant 0: the monomial dies
         alias: Optional[Dict[int, Tuple[int, int]]] = None  # -> y or y + 1
@@ -584,52 +456,6 @@ class Poly:
             # Π (y_i + 1) = Σ over subsets; empty when the product dies.
             for pmask in mono.expand_negated_mask(base_mask, negated):
                 pm = from_mask(pmask)
-                if pm in acc:
-                    acc.discard(pm)
-                else:
-                    acc.add(pm)
-        return Poly._from_frozenset(frozenset(acc))
-
-    def _substitute_literals_tuple(
-        self, simple: Dict[int, Tuple[Optional[int], int]]
-    ) -> "Poly":
-        """Tuple-oracle twin of :meth:`substitute_literals` (the
-        pre-mask per-variable loop), used under
-        :func:`repro.anf.monomial.tuple_oracle`."""
-        get = simple.get
-        acc: Set[Monomial] = set()
-        for m in self._monomials:
-            base = []
-            negated = None
-            dead = False
-            for v in m:
-                s = get(v)
-                if s is None:
-                    base.append(v)
-                    continue
-                y, c = s
-                if y is None:
-                    if c == 0:
-                        dead = True
-                        break
-                    # constant 1: variable simply drops out
-                elif c == 0:
-                    base.append(y)
-                else:
-                    if negated is None:
-                        negated = set()
-                    negated.add(y)
-            if dead:
-                continue
-            base_m = mono.make(base)
-            if not negated:
-                if base_m in acc:
-                    acc.discard(base_m)
-                else:
-                    acc.add(base_m)
-                continue
-            # Π (y_i + 1) = Σ over subsets; empty when the product dies.
-            for pm in mono.expand_negated(base_m, negated):
                 if pm in acc:
                     acc.discard(pm)
                 else:

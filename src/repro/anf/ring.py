@@ -42,14 +42,6 @@ class Ring:
             self._index[name] = idx
         return idx
 
-    def new_variables(self, count: int, prefix: Optional[str] = None) -> List[int]:
-        """Allocate ``count`` fresh variables, optionally named prefix0.."""
-        out = []
-        for i in range(count):
-            name = None if prefix is None else "{}{}".format(prefix, i)
-            out.append(self.new_variable(name))
-        return out
-
     def name(self, index: int) -> str:
         """Display name of a variable (``x<index>`` if unnamed)."""
         n = self._names[index]

@@ -4,12 +4,6 @@ Used by the CLI's ``--stats`` flag and the experiment reports: degree
 histograms, monomial counts and density tell you at a glance whether a
 system is in XL's comfort zone (low degree, many equations) or SAT's
 (sparse, wide support).
-
-Also re-exports the monomial layer's tuple-fallback counter
-(:func:`mask_fallback_hits` / :func:`reset_mask_fallback_hits`): the
-width-adaptive mask representation is supposed to handle *every*
-monomial bitwise, so tests and benchmarks snapshot this counter around
-cipher-scale runs and assert a zero delta.
 """
 
 from __future__ import annotations
@@ -17,22 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from . import monomial as _mono
 from .polynomial import Poly
-
-
-def mask_fallback_hits() -> int:
-    """Process-wide count of monomial ops that took the tuple oracle path.
-
-    Zero on the production mask path at any width; see
-    :func:`repro.anf.monomial.fallback_hits`.
-    """
-    return _mono.fallback_hits()
-
-
-def reset_mask_fallback_hits() -> None:
-    """Reset the fallback counter (test/bench isolation helper)."""
-    _mono.reset_fallback_hits()
 
 
 @dataclass

@@ -32,13 +32,12 @@ class VariableState:
         self._parent: List[int] = list(range(n_vars))
         self._parity: List[int] = [0] * n_vars
         self._value: List[Optional[int]] = [None] * n_vars
-        # Every variable that might have a non-trivial substitution (a
-        # value or a non-root representative).  Lets AnfSystem.normalize
-        # skip untouched variables without a union-find walk.  The mask
-        # mirror makes the "does this polynomial mention any touched
-        # variable" test a single width-adaptive AND against the
+        # Mask over every variable that might have a non-trivial
+        # substitution (a value or a non-root representative).  Lets
+        # AnfSystem.normalize skip untouched variables without a
+        # union-find walk: "does this polynomial mention any touched
+        # variable" is a single width-adaptive AND against the
         # polynomial's cached support mask.
-        self._touched: Set[int] = set()
         self._touched_mask: int = 0
         # Literal-substitution cache: variable -> (None, c) for a value,
         # (root, parity) for an equivalence literal, or None when the
@@ -103,8 +102,6 @@ class VariableState:
         Raises :class:`ContradictionError` on conflict.
         """
         root, parity = self.find(v)
-        self._touched.add(v)
-        self._touched.add(root)
         self._touched_mask |= (1 << v) | (1 << root)
         self._lit_cache.clear()
         want = value ^ parity
@@ -125,7 +122,6 @@ class VariableState:
         """
         ra, pa = self.find(a)
         rb, pb = self.find(b)
-        self._touched.update((a, b, ra, rb))
         self._touched_mask |= (1 << a) | (1 << b) | (1 << ra) | (1 << rb)
         self._lit_cache.clear()
         joint = pa ^ pb ^ parity
@@ -160,14 +156,9 @@ class VariableState:
         other._parent = list(self._parent)
         other._parity = list(self._parity)
         other._value = list(self._value)
-        other._touched = set(self._touched)
         other._touched_mask = self._touched_mask
         other._lit_cache = {}
         return other
-
-    def known_variables(self) -> List[int]:
-        """All variables with a determined value."""
-        return [v for v in range(len(self._parent)) if self.value(v) is not None]
 
     def literal_of(self, v: int) -> Optional[Tuple[Optional[int], int]]:
         """The literal substitution for ``v`` in encoded form, cached.
@@ -190,19 +181,6 @@ class VariableState:
             entry = (root, parity) if root != v else None
         cache[v] = entry
         return entry
-
-    def substitution_for(self, v: int) -> Optional[Poly]:
-        """Polynomial to substitute for ``v``, or None if v is its own rep.
-
-        Values map to constants; equivalences map to ``root (+ 1)``.
-        """
-        val = self.value(v)
-        if val is not None:
-            return Poly.constant(val)
-        root, parity = self.find(v)
-        if root == v:
-            return None
-        return Poly.variable(root).add_constant(parity)
 
     def as_assignment(self, n_vars: int, default: int = 0) -> List[int]:
         """Concrete assignment: determined values, ``default`` elsewhere.
@@ -396,41 +374,30 @@ class AnfSystem:
         hit = state._touched_mask & p.support_mask()
         if not hit:
             return p
-        if mono.masks_enabled():
-            # Mask-native pipeline: state literals feed the substitution
-            # kernel directly as pre-split masks — no intermediate Poly
-            # objects, no re-classification, no per-call dict.
-            literal_of = state.literal_of
-            sub_mask = dead_mask = alias_mask = 0
-            alias: Optional[Dict[int, Tuple[int, int]]] = None
-            for v in mono.bits_of(hit):
-                entry = literal_of(v)
-                if entry is None:
-                    continue
-                y, c = entry
-                bit = 1 << v
-                sub_mask |= bit
-                if y is None:
-                    if c == 0:
-                        dead_mask |= bit
-                else:
-                    alias_mask |= bit
-                    if alias is None:
-                        alias = {}
-                    alias[v] = (y, c)
-            if not sub_mask:
-                return p
-            return p.substitute_masks(sub_mask, dead_mask, alias_mask, alias)
-        # Tuple-oracle path: the pre-change pipeline through Poly-valued
-        # substitutions and substitute_many's shape classification.
-        mapping: Dict[int, Poly] = {}
+        # State literals feed the substitution kernel directly as
+        # pre-split masks — no intermediate Poly objects, no
+        # re-classification, no per-call dict.
+        literal_of = state.literal_of
+        sub_mask = dead_mask = alias_mask = 0
+        alias: Optional[Dict[int, Tuple[int, int]]] = None
         for v in mono.bits_of(hit):
-            sub = state.substitution_for(v)
-            if sub is not None:
-                mapping[v] = sub
-        if not mapping:
+            entry = literal_of(v)
+            if entry is None:
+                continue
+            y, c = entry
+            bit = 1 << v
+            sub_mask |= bit
+            if y is None:
+                if c == 0:
+                    dead_mask |= bit
+            else:
+                alias_mask |= bit
+                if alias is None:
+                    alias = {}
+                alias[v] = (y, c)
+        if not sub_mask:
             return p
-        return p.substitute_many(mapping)
+        return p.substitute_masks(sub_mask, dead_mask, alias_mask, alias)
 
     def copy(self) -> "AnfSystem":
         """Deep-enough copy: fresh state/occurrence, shared immutable polys.

@@ -33,10 +33,10 @@ structure-keyed *Karnaugh cache*: chunks whose
 function up to an order-preserving variable renaming, so one minimised
 cube cover (in local-index space) serves all of them — Simon/Speck
 round functions emit thousands of structurally identical chunks and
-minimise once.  The seed per-variable/per-row converter survives as
-:meth:`AnfToCnf.convert_scalar` / :meth:`AnfToCnf.convert_polynomials_scalar`,
-the differential oracle and the ``bench_anf_to_cnf`` baseline leg; both
-paths produce bit-for-bit identical formulas.
+minimise once.  The seed per-variable converter lives with the tests
+(``tests/oracles/anf_to_cnf.py``) as the differential oracle and the
+``bench_anf_to_cnf`` baseline leg; both produce bit-for-bit identical
+formulas.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class ConversionStats:
     monomial_vars: int = 0
     unit_clauses: int = 0
     equivalence_clauses: int = 0
-    # Structure-keyed Karnaugh cache accounting (mask path only; the
-    # scalar oracle minimises every chunk from scratch).
+    # Structure-keyed Karnaugh cache accounting.
     karnaugh_cache_hits: int = 0
     karnaugh_cache_misses: int = 0
     # Persistent-cache tiers (only with a disk store attached): covers
@@ -131,8 +130,7 @@ class AnfToCnf:
     covers spill per shape key, and whole conversion results are keyed by
     the canonical system hash (:func:`system_fingerprint`), so a repeat
     conversion skips minimisation entirely and reproduces the exact same
-    formula bit for bit.  The scalar oracle paths never consult the disk
-    — their value is re-deriving everything from scratch.
+    formula bit for bit.
     ``use_conversion_cache=False`` keeps the whole-conversion tier off
     (the Karnaugh tier still spills), which the cache tests use to
     exercise the per-shape path in isolation.
@@ -169,15 +167,6 @@ class AnfToCnf:
             state=system.state,
         )
 
-    def convert_scalar(self, system: AnfSystem) -> ConversionResult:
-        """Seed-path twin of :meth:`convert` (the differential oracle)."""
-        return self.convert_parts(
-            n_vars=max(system.ring.n_vars, system.state.n_vars),
-            polynomials=list(system.polynomials),
-            state=system.state,
-            scalar=True,
-        )
-
     def convert_polynomials(
         self, polynomials: Sequence[Poly], n_vars: Optional[int] = None
     ) -> ConversionResult:
@@ -186,28 +175,14 @@ class AnfToCnf:
             n_vars = _infer_n_vars(polynomials)
         return self.convert_parts(n_vars, polynomials, state=None)
 
-    def convert_polynomials_scalar(
-        self, polynomials: Sequence[Poly], n_vars: Optional[int] = None
-    ) -> ConversionResult:
-        """Seed-path twin of :meth:`convert_polynomials`."""
-        if n_vars is None:
-            n_vars = _infer_n_vars(polynomials)
-        return self.convert_parts(n_vars, polynomials, state=None, scalar=True)
-
-    def convert_parts(
-        self, n_vars, polynomials, state, scalar: bool = False
-    ) -> ConversionResult:
-        if scalar:
-            # The frozen oracle path stays untouched by observability:
-            # its value is re-deriving everything from scratch.
-            return self._convert_inner(n_vars, polynomials, state, scalar)
+    def convert_parts(self, n_vars, polynomials, state) -> ConversionResult:
         with self.tracer.span(
             "anf_to_cnf.convert",
             n_vars=n_vars,
             n_polys=len(polynomials),
         ) as span:
             with self.metrics.timer("conversion_s"):
-                result = self._convert_inner(n_vars, polynomials, state, scalar)
+                result = self._convert_inner(n_vars, polynomials, state)
             stats = result.stats
             span.set("clauses", len(result.formula.clauses))
             for name in (
@@ -222,11 +197,9 @@ class AnfToCnf:
             self.metrics.inc("conversions")
         return result
 
-    def _convert_inner(
-        self, n_vars, polynomials, state, scalar: bool = False
-    ) -> ConversionResult:
+    def _convert_inner(self, n_vars, polynomials, state) -> ConversionResult:
         fingerprint = None
-        if not scalar and self.store is not None and self.use_conversion_cache:
+        if self.store is not None and self.use_conversion_cache:
             fingerprint = system_fingerprint(
                 n_vars, polynomials, state, self.config
             )
@@ -242,13 +215,10 @@ class AnfToCnf:
                 return cached
         formula = CnfFormula(n_vars)
         stats = ConversionStats()
-        if scalar:
-            ctx = _ScalarContext(n_vars, formula, stats, self.config)
-        else:
-            ctx = _Context(
-                n_vars, formula, stats, self.config, self._karnaugh_cache,
-                store=self.store,
-            )
+        ctx = _Context(
+            n_vars, formula, stats, self.config, self._karnaugh_cache,
+            store=self.store,
+        )
 
         if state is not None:
             for v in range(state.n_vars):
@@ -535,127 +505,3 @@ class _Context:
 def _pair_deglex_key(pair: _TermPair):
     m = pair[1]
     return (len(m), m)
-
-
-class _ScalarContext:
-    """The seed tuple-path converter, kept as the differential oracle.
-
-    Per-variable Python loops, tuple-keyed monomial map, a fresh
-    ``2**K`` truth-table enumeration and Quine–McCluskey run for every
-    chunk — exactly the pre-mask data path (modulo the cut-variable
-    contract fix, which applies to both paths).  The baseline leg of
-    ``bench_anf_to_cnf``; output formulas are bit-for-bit identical to
-    :class:`_Context`'s.
-    """
-
-    def __init__(self, n_vars: int, formula: CnfFormula, stats: ConversionStats, config: Config):
-        self.next_var = n_vars
-        self.formula = formula
-        self.stats = stats
-        self.config = config
-        self.var_of_monomial: Dict[Monomial, int] = {}
-        self.monomial_of_var: Dict[int, Monomial] = {}
-        self.cut_vars: Set[int] = set()
-        # Single-variable monomials map to the variable itself.
-        for v in range(n_vars):
-            self.var_of_monomial[(v,)] = v
-            self.monomial_of_var[v] = (v,)
-
-    def fresh_var(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        self.formula.n_vars = max(self.formula.n_vars, v + 1)
-        return v
-
-    # -- main poly dispatch -------------------------------------------------
-
-    def convert_poly(self, p: Poly) -> None:
-        rhs = 1 if p.has_constant_term() else 0
-        terms = sorted((m for m in p.monomials if m), key=mono.deglex_key)
-        if not terms:
-            if rhs:
-                self.formula.add_clause([])
-            return
-        for chunk, chunk_rhs in self._cut(terms, rhs):
-            self._emit_short(chunk, chunk_rhs)
-
-    def _cut(self, terms: List[Monomial], rhs: int):
-        """XOR-cutting: split into chunks of at most L terms (clamped to
-        3, matching :meth:`_Context._cut` — a 2-chunk is a no-progress
-        rename and looped forever in the seed)."""
-        cut_len = max(self.config.xor_cut_len, 3)
-        while len(terms) > cut_len:
-            head, tail = terms[: cut_len - 1], terms[cut_len - 1:]
-            aux = self.fresh_var()
-            self.cut_vars.add(aux)
-            self.stats.cut_vars += 1
-            # aux = head_1 ⊕ ... (definition: head ⊕ aux = 0).
-            yield (head + [(aux,)], 0)
-            terms = [(aux,)] + tail
-        yield (terms, rhs)
-
-    def _emit_short(self, terms: List[Monomial], rhs: int) -> None:
-        support = sorted({v for m in terms for v in m})
-        if len(support) <= self.config.karnaugh_limit:
-            self._emit_karnaugh(terms, rhs, support)
-        else:
-            self._emit_tseitin(terms, rhs)
-
-    # -- approach 1: Karnaugh map + minimisation ------------------------------
-
-    def _emit_karnaugh(self, terms: List[Monomial], rhs: int, support: List[int]) -> None:
-        self.stats.karnaugh_polys += 1
-        poly = Poly(terms).add_constant(rhs)
-        on_set = truth_table(poly, support)
-        cubes = minimize(on_set, len(support))
-        for cube in cubes:
-            clause = [
-                mk_lit(var, negated)
-                for var, negated in cube_to_clause(cube, support, len(support))
-            ]
-            self.formula.add_clause(clause)
-            self.stats.karnaugh_clauses += 1
-
-    # -- approach 2: Tseitin-style monomial vars + XOR enumeration -----------
-
-    def _monomial_var(self, m: Monomial) -> int:
-        """CNF variable standing for the monomial, defining it on first use."""
-        existing = self.var_of_monomial.get(m)
-        if existing is not None:
-            return existing
-        y = self.fresh_var()
-        self.var_of_monomial[m] = y
-        self.monomial_of_var[y] = m
-        self.stats.monomial_vars += 1
-        # y = AND of the variables: (¬y ∨ x_i) for each i, (y ∨ ⋁ ¬x_i).
-        for v in m:
-            self.formula.add_clause([mk_lit(y, True), mk_lit(v)])
-            self.stats.and_clauses += 1
-        self.formula.add_clause([mk_lit(y)] + [mk_lit(v, True) for v in m])
-        self.stats.and_clauses += 1
-        return y
-
-    def _emit_tseitin(self, terms: List[Monomial], rhs: int) -> None:
-        self.stats.tseitin_polys += 1
-        term_vars = []
-        for m in terms:
-            if len(m) == 1:
-                term_vars.append(m[0])
-            else:
-                term_vars.append(self._monomial_var(m))
-        if self.config.emit_xor_clauses:
-            self.formula.add_xor(term_vars, rhs)
-            return
-        n = len(term_vars)
-        # Forbid every assignment whose parity differs from rhs:
-        # 2**(n-1) clauses of n literals each.
-        for pattern in range(1 << n):
-            parity = bin(pattern).count("1") & 1
-            if parity == rhs:
-                continue
-            clause = [
-                mk_lit(term_vars[i], negated=bool(pattern >> i & 1))
-                for i in range(n)
-            ]
-            self.formula.add_clause(clause)
-            self.stats.tseitin_clauses += 1

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..anf import monomial as mono
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 from ..anf.system import AnfSystem, ContradictionError
@@ -182,11 +181,6 @@ class Bosphorus:
         metrics = MetricsRegistry()
         self.metrics = metrics
         self.converter.metrics = metrics
-        # Snapshot the monomial-layer fallback counter: the whole run —
-        # propagation, XL/ElimLin, probing, conversion — must stay on the
-        # width-adaptive mask path, and the delta is reported so tests
-        # and benches can assert "zero tuple fallbacks" at cipher scale.
-        fallback_base = mono.fallback_hits()
 
         try:
             with tracer.span("propagation.initial"):
@@ -299,9 +293,6 @@ class Bosphorus:
                     if new_facts == 0:
                         break
         except ContradictionError:
-            metrics.inc(
-                "mask_fallback_hits", mono.fallback_hits() - fallback_base
-            )
             return self._unsat_result(
                 facts,
                 iterations,
@@ -313,7 +304,6 @@ class Bosphorus:
         with tracer.span("conversion.final"):
             processed = materialize(system)
             conversion = self.converter.convert(system)
-        metrics.inc("mask_fallback_hits", mono.fallback_hits() - fallback_base)
         return BosphorusResult(
             status=status,
             facts=facts,
@@ -373,7 +363,6 @@ class Bosphorus:
         return {
             "techniques": techniques,
             "fact_summary": facts.summary(),
-            "mask_fallback_hits": metrics.counter("mask_fallback_hits"),
             "karnaugh_cache_hits": metrics.counter("karnaugh_cache_hits"),
             "karnaugh_cache_misses": metrics.counter("karnaugh_cache_misses"),
             "karnaugh_disk_hits": metrics.counter("karnaugh_disk_hits"),

@@ -49,41 +49,25 @@ def clause_to_poly(lits: Sequence[int]) -> Poly:
     literal contributes a ``(v + 1)`` factor, i.e. a subset expansion.
     Mask-native: the base monomial is assembled as one bitmask OR and the
     expansion runs on masks (:func:`repro.anf.monomial.expand_negated_mask`),
-    so the CNF→ANF direction rides the packed path like everything else;
-    the tuple loop survives under :func:`repro.anf.monomial.tuple_oracle`.
+    so the CNF→ANF direction rides the packed path like everything else.
     The whole product is accumulated in one :class:`PolyBuilder` instead
     of a chain of intermediate ``Poly`` allocations.
     """
-    if mono.masks_enabled():
-        base_mask = 0
-        expand_mask_vars: List[int] = []
-        for l in lits:
-            v = lit_var(l)
-            if v < 0:
-                raise ValueError("negative variable index: {}".format(v))
-            if lit_sign(l):  # negated literal: false when the var is 1
-                base_mask |= 1 << v
-            else:  # positive literal: false when the var is 0
-                expand_mask_vars.append(v)
-        masks = mono.expand_negated_mask(base_mask, expand_mask_vars)
-        if not masks:
-            return Poly.zero()  # v * (v + 1) = 0: tautological clause
-        builder = PolyBuilder()
-        builder.add_monomials(mono.from_mask(mk) for mk in masks)
-        return builder.build()
-    base: List[int] = []
-    expand = set()
+    base_mask = 0
+    expand_mask_vars: List[int] = []
     for l in lits:
         v = lit_var(l)
-        if lit_sign(l):
-            base.append(v)
-        else:
-            expand.add(v)
-    products = mono.expand_negated(mono.make(base), expand)
-    if not products:
-        return Poly.zero()
+        if v < 0:
+            raise ValueError("negative variable index: {}".format(v))
+        if lit_sign(l):  # negated literal: false when the var is 1
+            base_mask |= 1 << v
+        else:  # positive literal: false when the var is 0
+            expand_mask_vars.append(v)
+    masks = mono.expand_negated_mask(base_mask, expand_mask_vars)
+    if not masks:
+        return Poly.zero()  # v * (v + 1) = 0: tautological clause
     builder = PolyBuilder()
-    builder.add_monomials(products)
+    builder.add_monomials(mono.from_mask(mk) for mk in masks)
     return builder.build()
 
 

@@ -19,8 +19,8 @@ which scatters all 1-cells into the packed 64-bit-limb rows (the
 Decoding is batch too: :meth:`~repro.gf2.matrix.GF2Matrix.rows_cols`
 bit-walks only the non-zero packed words of the reduced matrix, so the
 many all-zero rows an RREF leaves behind cost nothing.  The historical
-per-cell / per-row paths survive as ``to_matrix_scalar`` /
-``rows_to_polys_scalar`` — the equivalence oracle for tests and the
+per-cell / per-row codecs live with the tests
+(``tests/oracles/linearize.py``) as the equivalence oracle and the
 baseline leg of the ``bench_solver_core`` linearisation benches.
 """
 
@@ -87,23 +87,6 @@ class Linearization:
             row_idx, col_idx, len(polynomials), self.n_cols
         )
 
-    def to_matrix_scalar(self, polynomials: Sequence[Poly]) -> GF2Matrix:
-        """Per-cell oracle twin of :meth:`to_matrix` (the seed path).
-
-        Sets one bit at a time through ``GF2Matrix.set``; kept as the
-        equivalence reference for tests and as the baseline leg of the
-        linearisation benches.
-        """
-        m = GF2Matrix(len(polynomials), self.n_cols)
-        for i, p in enumerate(polynomials):
-            for monom in p.monomials:
-                m.set(i, self.column_of[monom], 1)
-        return m
-
-    def row_to_poly(self, matrix: GF2Matrix, row: int) -> Poly:
-        """Interpret a matrix row back as a polynomial."""
-        return Poly(self.columns[j] for j in matrix.row_cols(row))
-
     def rows_to_polys(self, matrix: GF2Matrix) -> List[Poly]:
         """All non-zero rows as polynomials, batch-decoded.
 
@@ -119,15 +102,6 @@ class Linearization:
                 out.append(
                     Poly._from_frozenset(frozenset(columns[j] for j in cols))
                 )
-        return out
-
-    def rows_to_polys_scalar(self, matrix: GF2Matrix) -> List[Poly]:
-        """Per-row oracle twin of :meth:`rows_to_polys` (the seed path)."""
-        out = []
-        for i in range(matrix.n_rows):
-            p = self.row_to_poly(matrix, i)
-            if not p.is_zero():
-                out.append(p)
         return out
 
 

@@ -106,7 +106,6 @@ def run_probing(
     interesting_mask = 0
     for p in system.polynomials:
         interesting_mask |= p.support_mask()
-    interesting = mono.bits_of(interesting_mask)
 
     for var in _candidate_variables(system, max_probes):
         result.probed += 1
@@ -131,16 +130,10 @@ def run_probing(
         # propagation touched it (master-determined ones are skipped
         # below), so one AND of the branch touched masks prunes the
         # candidate sweep from "every interesting variable" to the
-        # assumption's cone.  The tuple oracle keeps the pre-change full
-        # sweep; both iterate ascending, so the learnt facts coincide.
-        if mono.masks_enabled():
-            candidates = mono.bits_of(
-                zero_state.touched_mask
-                & one_state.touched_mask
-                & interesting_mask
-            )
-        else:
-            candidates = interesting
+        # assumption's cone.
+        candidates = mono.bits_of(
+            zero_state.touched_mask & one_state.touched_mask & interesting_mask
+        )
         for other in candidates:
             if other == var or system.state.value(other) is not None:
                 continue

@@ -3,7 +3,7 @@
 :func:`eliminate` is the one elimination kernel API — every consumer
 (linearize/elimlin/xl/propagation/xorengine and the derived matrix
 paths ``rank``/``solve_affine``/``kernel_basis``/``rref_rows``) reduces
-through it; ``GF2Matrix.rref_gj`` stays the differential oracle.
+through it.
 """
 
 from .elimination import choose_block_size, eliminate

@@ -12,9 +12,9 @@ once.
 
 Method of Four Russians (M4RI)
 ------------------------------
-The seed eliminator (kept verbatim as
-:meth:`~repro.gf2.matrix.GF2Matrix.rref_gj`, the differential oracle)
-works a column at a time: one strided column scan plus one row-XOR
+The seed eliminator (kept verbatim with the tests in
+``tests/oracles/gf2.py``, the differential oracle) works a column at a
+time: one strided column scan plus one row-XOR
 sweep plus a physical row swap per pivot, so a rank-``r`` reduction
 pays ``r`` full-matrix passes and ``r`` row moves.  The kernel here
 processes columns in blocks of ``k`` (4–8, chosen from the row count by
@@ -56,7 +56,7 @@ Because the simulated pivot hunt mirrors the oracle's candidate order
 and swaps exactly (lowest row position at or below the front wins), and
 the cleared value of a row is *unique* — the pivot rows restrict to an
 invertible triangular system on the pivot columns — the kernel's output
-is bit-for-bit identical to ``rref_gj``: pivot list, row order and row
+is bit-for-bit identical to the seed's: pivot list, row order and row
 content, which the hypothesis suites and the Simon32-scale differential
 benches assert.
 """
@@ -90,10 +90,6 @@ _SMALL_ACTIVE = 48
 #: what makes wide blocks (and their halved per-block overhead) pay.
 _SPLIT_T = 8
 
-#: Elimination modes accepted by :func:`eliminate`.
-MODES = ("m4ri", "gj")
-
-
 def choose_block_size(n_rows: int, n_cols: int) -> int:
     """Pick the Four-Russians block width ``k`` from the matrix size.
 
@@ -119,8 +115,8 @@ def m4ri_rref(
 
     Processes columns left to right (up to ``max_cols`` if given) in
     blocks of ``block`` (chosen from the matrix size when None),
-    returning the pivot column list exactly as
-    :meth:`~repro.gf2.matrix.GF2Matrix.rref_gj` would.
+    returning the pivot column list exactly as the seed column-at-a-time
+    Gauss–Jordan would.
     """
     n_rows = matrix.n_rows
     ncols = matrix.n_cols if max_cols is None else min(max_cols, matrix.n_cols)
@@ -443,26 +439,13 @@ def eliminate(
     matrix: "GF2Matrix",
     *,
     max_cols: Optional[int] = None,
-    mode: str = "m4ri",
     block: Optional[int] = None,
 ) -> List[int]:
     """The single elimination entry point for every GF(2) consumer.
 
     Reduces ``matrix`` to RREF in place over its first ``max_cols``
-    columns (all of them when None) and returns the pivot column list.
-
-    ``mode`` selects the kernel: ``"m4ri"`` (default) is the
-    Four-Russians eliminator above; ``"gj"`` is the seed column-at-a-
-    time Gauss–Jordan, kept verbatim as the differential oracle — both
-    produce bit-for-bit identical matrices and pivots.  ``block``
-    overrides the Four-Russians block width (tests and benches only).
+    columns (all of them when None) with the Four-Russians eliminator
+    above and returns the pivot column list.  ``block`` overrides the
+    block width (tests and benches only).
     """
-    if mode == "m4ri":
-        return m4ri_rref(matrix, max_cols=max_cols, block=block)
-    if mode == "gj":
-        return matrix.rref_gj(max_cols=max_cols)
-    raise ValueError(
-        "unknown elimination mode {!r} (expected one of {})".format(
-            mode, "/".join(MODES)
-        )
-    )
+    return m4ri_rref(matrix, max_cols=max_cols, block=block)

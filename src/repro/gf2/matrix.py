@@ -5,10 +5,8 @@ elimination is Method-of-Four-Russians (M4RI): columns are processed in
 blocks of ``k``, each block builds the ``2**k`` table of pivot-row
 combinations once, and every other row is cleared with a single
 table-lookup XOR — see :mod:`repro.gf2.elimination`, the one kernel
-every GF(2) consumer calls.  The seed column-at-a-time Gauss–Jordan
-survives verbatim as :meth:`GF2Matrix.rref_gj`, the differential
-oracle.  That keeps the inner loop in numpy, which is what makes XL and
-ElimLin usable from pure Python.
+every GF(2) consumer calls.  That keeps the inner loop in numpy, which
+is what makes XL and ElimLin usable from pure Python.
 """
 
 from __future__ import annotations
@@ -290,10 +288,6 @@ class GF2Matrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _column_mask(self, j: int):
-        word, mask = j >> 6, np.uint64(1) << np.uint64(j & 63)
-        return word, mask
-
     def rref(
         self, max_cols: Optional[int] = None, block: Optional[int] = None
     ) -> List[int]:
@@ -303,50 +297,14 @@ class GF2Matrix:
         in blocks of ``block`` (chosen from the matrix size when None).
         Returns the list of pivot column indices, in order; ``len`` of the
         result is the rank of the processed block.  Bit-for-bit identical
-        to :meth:`rref_gj`, the seed Gauss–Jordan kept as the oracle.
+        to the seed column-at-a-time Gauss–Jordan (the differential
+        oracle in ``tests/oracles/gf2.py``).
         """
         return m4ri_rref(self, max_cols=max_cols, block=block)
-
-    def rref_gj(self, max_cols: Optional[int] = None) -> List[int]:
-        """The seed column-at-a-time Gauss–Jordan RREF (in place).
-
-        One vectorised row-XOR sweep per pivot column.  Kept verbatim as
-        the differential oracle for the Four-Russians kernel (see
-        :mod:`repro.gf2.elimination`); not called by any production
-        path.
-        """
-        ncols = self.n_cols if max_cols is None else min(max_cols, self.n_cols)
-        pivots: List[int] = []
-        rank = 0
-        data = self._data
-        for j in range(ncols):
-            if rank >= self.n_rows:
-                break
-            word, mask = self._column_mask(j)
-            col = data[:, word] & mask
-            candidates = np.nonzero(col[rank:])[0]
-            if candidates.size == 0:
-                continue
-            pivot = rank + int(candidates[0])
-            if pivot != rank:
-                data[[rank, pivot]] = data[[pivot, rank]]
-                col = data[:, word] & mask
-            hit = np.nonzero(col)[0]
-            hit = hit[hit != rank]
-            if hit.size:
-                data[hit] ^= data[rank]
-            pivots.append(j)
-            rank += 1
-        return pivots
 
     def rank(self) -> int:
         """Rank of the matrix (works on a copy; self is unchanged)."""
         return len(eliminate(self.copy()))
-
-    def nonzero_rows(self) -> List[int]:
-        """Indices of rows that are not entirely zero (one vectorised
-        ``any`` pass, no per-row Python loop)."""
-        return [int(i) for i in np.nonzero(self._data.any(axis=1))[0]]
 
     # -- solving -------------------------------------------------------------
 

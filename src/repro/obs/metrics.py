@@ -5,7 +5,8 @@ A :class:`MetricsRegistry` is **instance-threaded, never module-global**
 workers accumulate into their own local registry whose
 :meth:`~MetricsRegistry.snapshot` rides the result object back to the
 parent, where :meth:`~MetricsRegistry.merge` folds it in at the result
-boundary — the same shipping pattern ``mask_fallback_hits`` uses today.
+boundary — the same shipping pattern worker spans use
+(:meth:`~repro.obs.trace.Tracer.adopt`).
 
 Snapshots are plain JSON-serialisable dicts, so they cross both the
 pickle boundary (the worker pipes) and the server's

@@ -28,10 +28,6 @@ __all__ = [
 STATS_SCHEMA: Dict[str, str] = {
     "techniques": "per-iteration technique records (see TECHNIQUE_SCHEMA)",
     "fact_summary": "FactStore.summary(): learnt-fact counts by source",
-    "mask_fallback_hits": (
-        "monomial-layer tuple-fallback delta over the run (0 = the whole "
-        "run stayed on the width-adaptive mask path)"
-    ),
     "karnaugh_cache_hits": (
         "run-wide in-memory Karnaugh-cache hits, summed over every "
         "conversion of the run (inner-SAT iterations, final CNF, "

@@ -1,6 +1,7 @@
-"""Fixture: ONE-KERNEL suppressed — a justified differential harness."""
+"""Fixture: ONE-KERNEL suppressed — a justified per-row primitive loop."""
 
 
-def race_oracle(m, kernel_result):
-    expected = m.rref_gj()  # repro: allow[ONE-KERNEL] differential harness: races the kernel against the frozen oracle
-    return expected == kernel_result
+def fold_rows(m, rows):
+    for r in rows:
+        m.xor_row_into(r, 0)  # repro: allow[ONE-KERNEL] folds a few rows into one accumulator row; no elimination happens
+    return m

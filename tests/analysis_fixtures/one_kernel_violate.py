@@ -1,12 +1,12 @@
-"""Fixture: ONE-KERNEL violations — oracle call, primitive loop, hand-rolled sweep.
+"""Fixture: ONE-KERNEL violations — primitive loops, hand-rolled sweep.
 
 Never imported; the self-tests analyze this file as text only.
 """
 
 
-def run_oracle(m):
-    m.rref_gj()
-    return m
+def swap_sweep(m, rows):
+    for r in rows:
+        m.swap_rows(r, 0)
 
 
 def primitive_sweep(m, rows):

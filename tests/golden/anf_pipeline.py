@@ -15,7 +15,8 @@ iteration order inside a polynomial.
 
 The record was first written while the monomial layer still carried
 its sorted-tuple mode, and generation asserted that the mask and tuple
-engines produced exactly this output.  ``tests/test_propagation_wide.py``
+engines produced exactly this output; the tuple mode is gone, so the
+record now stands in for it.  ``tests/test_propagation_wide.py``
 replays it.  Regenerate only in a change that means to alter
 propagation or probing (and say so in its description)::
 
@@ -76,21 +77,9 @@ def record() -> Dict[str, object]:
     }
 
 
-def generate() -> Dict[str, object]:
-    """Record the mask engine and assert the tuple engine agrees."""
-    from repro.anf import monomial as mono
-
-    golden = record()
-    with mono.tuple_oracle():
-        oracle = record()
-    assert mono.fallback_hits() > 0, "the tuple engine did not run"
-    assert oracle == golden, "mask and tuple engines disagree"
-    return golden
-
-
 def main() -> None:
     with open(FIXTURE, "w") as f:
-        json.dump(generate(), f, indent=1, sort_keys=True)
+        json.dump(record(), f, indent=1, sort_keys=True)
         f.write("\n")
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import (
     AnalysisConfig,
+    analyze_paths,
     analyze_source,
     build_rules,
     validate_report_dict,
@@ -118,45 +119,54 @@ def test_obs_layer_is_inside_production_clock_scope():
 
 
 # -- ORACLE-FREEZE: fingerprint pinning against a temp tree ---------------
+#
+# The rule reads its oracle files itself (they live outside the scanned
+# tree), so each case writes the oracle under a temp root and asks the
+# rule for its repo-level findings.
 
 ORACLE_SRC = '''\
 def frozen(x):
     """The frozen oracle."""
     return (x + 1) * 2
+
+
+class Frozen:
+    """A frozen oracle class."""
+
+    def step(self, x):
+        """One step."""
+        return x - 1
 '''
+
+FREEZE_SETTINGS = {"oracle_dir": "oracles", "fingerprints_path": "pins.json"}
 
 
 def freeze_rule(tmp_path):
-    return OracleFreezeRule(
-        {
-            "oracles": [("fixture_oracle.py", "frozen")],
-            "fingerprints_path": "pins.json",
-            "root": str(tmp_path),
-        }
+    return OracleFreezeRule(dict(FREEZE_SETTINGS, root=str(tmp_path)))
+
+
+def write_oracle(tmp_path, source):
+    (tmp_path / "oracles").mkdir(exist_ok=True)
+    (tmp_path / "oracles" / "fixture_oracle.py").write_text(
+        source, encoding="utf-8"
     )
 
 
 def pin_oracle(tmp_path, source):
-    (tmp_path / "src").mkdir(exist_ok=True)
-    (tmp_path / "src" / "fixture_oracle.py").write_text(
-        source, encoding="utf-8"
-    )
-    pins = fp.compute_fingerprints(
-        tmp_path, [("fixture_oracle.py", "frozen")]
-    )
+    write_oracle(tmp_path, source)
     fp.write_fingerprints(
-        tmp_path / "pins.json", {k: v for k, v in pins.items() if v}
+        tmp_path / "pins.json", fp.compute_fingerprints(tmp_path, "oracles")
     )
 
 
-def analyze_oracle(source, rule):
-    return analyze_source(source, "fixture_oracle.py", [rule])
+def freeze_findings(tmp_path, source):
+    write_oracle(tmp_path, source)
+    return freeze_rule(tmp_path).check_repo()
 
 
 def test_oracle_freeze_quiet_when_pinned(tmp_path):
     pin_oracle(tmp_path, ORACLE_SRC)
-    active, _ = analyze_oracle(ORACLE_SRC, freeze_rule(tmp_path))
-    assert active == []
+    assert freeze_findings(tmp_path, ORACLE_SRC) == []
 
 
 def test_oracle_freeze_ignores_docstring_and_comment_churn(tmp_path):
@@ -164,41 +174,74 @@ def test_oracle_freeze_ignores_docstring_and_comment_churn(tmp_path):
     churned = ORACLE_SRC.replace(
         '"""The frozen oracle."""',
         '"""Reworded documentation."""  # cosmetic comment',
-    )
+    ).replace('"""One step."""', '"""One reworded step."""')
     assert churned != ORACLE_SRC
-    active, _ = analyze_oracle(churned, freeze_rule(tmp_path))
-    assert active == []
+    assert freeze_findings(tmp_path, churned) == []
 
 
 def test_oracle_freeze_flags_semantic_drift(tmp_path):
     pin_oracle(tmp_path, ORACLE_SRC)
-    drifted = ORACLE_SRC.replace("(x + 1) * 2", "(x + 2) * 2")
-    active, _ = analyze_oracle(drifted, freeze_rule(tmp_path))
-    assert [f.rule for f in active] == ["ORACLE-FREEZE"]
-    assert "drifted" in active[0].message
+    for old, new, name, line in [
+        ("(x + 1) * 2", "(x + 2) * 2", "frozen", 1),
+        ("x - 1", "x - 2", "Frozen", 6),
+    ]:
+        active = freeze_findings(tmp_path, ORACLE_SRC.replace(old, new))
+        assert [f.rule for f in active] == ["ORACLE-FREEZE"]
+        assert "drifted" in active[0].message
+        assert name in active[0].message
+        assert active[0].file == "oracles/fixture_oracle.py"
+        assert active[0].line == line
 
 
 def test_oracle_freeze_flags_removed_oracle(tmp_path):
     pin_oracle(tmp_path, ORACLE_SRC)
-    active, _ = analyze_oracle(
-        "def other(x):\n    return x\n", freeze_rule(tmp_path)
+    active = freeze_findings(
+        tmp_path, ORACLE_SRC.replace("def frozen(", "def other(")
+    )
+    assert [f.rule for f in active] == ["ORACLE-FREEZE"] * 2
+    messages = sorted(f.message for f in active)
+    assert "frozen oracle frozen removed or renamed" in messages
+    assert "frozen oracle other has no pinned fingerprint" in messages
+
+
+def test_oracle_freeze_flags_unpinned_definition(tmp_path):
+    pin_oracle(tmp_path, ORACLE_SRC)
+    active = freeze_findings(
+        tmp_path, ORACLE_SRC + "\n\ndef helper():\n    return 0\n"
     )
     assert [f.rule for f in active] == ["ORACLE-FREEZE"]
-    assert "removed or renamed" in active[0].message
+    assert "helper has no pinned fingerprint" in active[0].message
+    assert active[0].line == 14
 
 
 def test_oracle_freeze_flags_missing_pin(tmp_path):
-    (tmp_path / "src").mkdir(exist_ok=True)
     fp.write_fingerprints(tmp_path / "pins.json", {})
-    active, _ = analyze_oracle(ORACLE_SRC, freeze_rule(tmp_path))
-    assert [f.rule for f in active] == ["ORACLE-FREEZE"]
-    assert "no pinned fingerprint" in active[0].message
+    active = freeze_findings(tmp_path, ORACLE_SRC)
+    assert [f.rule for f in active] == ["ORACLE-FREEZE"] * 2
+    assert all("no pinned fingerprint" in f.message for f in active)
 
 
 def test_oracle_freeze_flags_missing_pin_file(tmp_path):
-    active, _ = analyze_oracle(ORACLE_SRC, freeze_rule(tmp_path))
+    active = freeze_findings(tmp_path, ORACLE_SRC)
     assert [f.rule for f in active] == ["ORACLE-FREEZE"]
     assert "missing" in active[0].message
+
+
+def test_oracle_freeze_reports_through_the_runner(tmp_path):
+    """The runner folds the rule's repo-level findings into the report
+    even though the oracle file is not among the scanned paths."""
+    pin_oracle(tmp_path, ORACLE_SRC)
+    write_oracle(tmp_path, ORACLE_SRC.replace("(x + 1)", "(x + 3)"))
+    scanned = tmp_path / "scanned.py"
+    scanned.write_text("X = 1\n", encoding="utf-8")
+    config = AnalysisConfig(
+        root=tmp_path,
+        rule_ids=["ORACLE-FREEZE"],
+        rule_settings={"ORACLE-FREEZE": FREEZE_SETTINGS},
+    )
+    report = analyze_paths([str(scanned)], config)
+    assert report.files_scanned == 1
+    assert [f.file for f in report.findings] == ["oracles/fixture_oracle.py"]
 
 
 # -- the CLI gate: a deliberate violation must fail the run ----------------

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from oracles.anf_to_cnf import convert_polynomials_scalar, convert_scalar
 from repro.anf import AnfSystem, Poly, Ring, parse_system
 from repro.core import AnfToCnf, Config
 from repro.sat import Solver, mk_lit
@@ -229,18 +230,14 @@ def random_polys(seed, n=8, max_deg=3):
 @pytest.mark.parametrize("seed", range(12))
 def test_mask_path_matches_scalar_differentially(seed):
     """The mask-native converter is bit-for-bit the seed scalar path on
-    random systems, across K/L/emit_xor settings, with zero fallbacks."""
-    from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
-
+    random systems, across K/L/emit_xor settings."""
     polys = random_polys(seed)
     if not polys:
         return
     for k, cut, emit in [(2, 3, False), (8, 5, False), (3, 4, True), (8, 3, True)]:
         cfg = Config(karnaugh_limit=k, xor_cut_len=cut, emit_xor_clauses=emit)
-        reset_mask_fallback_hits()
         fast = AnfToCnf(cfg).convert_polynomials(polys, n_vars=8)
-        assert mask_fallback_hits() == 0
-        scalar = AnfToCnf(cfg).convert_polynomials_scalar(polys, n_vars=8)
+        scalar = convert_polynomials_scalar(polys, n_vars=8, config=cfg)
         assert_conversions_identical(fast, scalar)
 
 
@@ -255,19 +252,17 @@ def test_mask_path_matches_scalar_with_state():
     system = AnfSystem(ring, polys)
     propagate(system)
     conv = AnfToCnf(Config())
-    assert_conversions_identical(conv.convert(system), conv.convert_scalar(system))
+    assert_conversions_identical(
+        conv.convert(system), convert_scalar(system, Config())
+    )
 
 
 def test_n_vars_scan_uses_support_masks_beyond_64():
     """Regression: inferred n_vars must be max variable + 1 past the
     one-limb mask boundary (the seed scanned tuple-path variables())."""
-    from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
-
     for top in (63, 64, 65, 128, 200):
         polys = [Poly([(3, top), (17,)]), Poly([(top - 1,), ()])]
-        reset_mask_fallback_hits()
         conv = AnfToCnf(Config()).convert_polynomials(polys)
-        assert mask_fallback_hits() == 0
         assert conv.n_anf_vars == top + 1
         assert conv.formula.n_vars >= top + 1
     assert AnfToCnf(Config()).convert_polynomials([]).n_anf_vars == 0

@@ -2,7 +2,7 @@
 
 The kernel contract (the tentpole invariant of the one-kernel refactor)
 is *bit-for-bit* equality with the seed Gauss–Jordan oracle
-(`GF2Matrix.rref_gj`): identical pivot list, identical row order,
+(`rref_gj` in `tests/oracles/gf2.py`): identical pivot list, identical row order,
 identical row content — not merely the same row space.  These tests pin
 that contract across packed-word boundaries (widths 63/64/65/128/257),
 random rank deficiency, column caps and block-width overrides, plus a
@@ -12,8 +12,9 @@ Simon32-XL-scale differential run marked slow.
 import numpy as np
 import pytest
 
+from oracles.gf2 import rref_gj
 from repro.gf2 import GF2Matrix, eliminate
-from repro.gf2.elimination import MODES, choose_block_size, m4ri_rref
+from repro.gf2.elimination import choose_block_size, m4ri_rref
 
 WIDTHS = [63, 64, 65, 128, 257]
 
@@ -33,7 +34,7 @@ def _assert_matches_oracle(a, *, max_cols=None, block=None):
     m = GF2Matrix.from_dense(a)
     oracle = GF2Matrix.from_dense(a)
     pivots = m4ri_rref(m, max_cols=max_cols, block=block)
-    assert pivots == oracle.rref_gj(max_cols=max_cols)
+    assert pivots == rref_gj(oracle, max_cols=max_cols)
     assert (m._data == oracle._data).all()
     return pivots
 
@@ -79,28 +80,13 @@ def test_choose_block_size_bounds():
                 assert k <= max(n_cols, 1)
 
 
-def test_eliminate_dispatch_modes_agree():
-    rng = np.random.default_rng(42)
-    a = _random_matrix(rng, 25, 90, 0.3, True)
-    m = GF2Matrix.from_dense(a)
-    g = GF2Matrix.from_dense(a)
-    assert eliminate(m, mode="m4ri") == eliminate(g, mode="gj")
-    assert (m._data == g._data).all()
-    assert set(MODES) == {"m4ri", "gj"}
-
-
-def test_eliminate_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        eliminate(GF2Matrix(1, 1), mode="strassen")
-
-
 def test_eliminate_respects_max_cols():
     # Columns past the cap must be reduced against but never pivoted on.
     m = GF2Matrix.from_rows([[0, 2], [0, 1], [1, 2]], 3)
     pivots = eliminate(m, max_cols=2)
     assert all(p < 2 for p in pivots)
     oracle = GF2Matrix.from_rows([[0, 2], [0, 1], [1, 2]], 3)
-    oracle.rref_gj(max_cols=2)
+    rref_gj(oracle, max_cols=2)
     assert (m._data == oracle._data).all()
 
 
@@ -130,5 +116,5 @@ def test_kernel_matches_oracle_at_simon32_xl_scale():
     m = lin.to_matrix(rows)
     oracle = lin.to_matrix(rows)
     pivots = eliminate(m)
-    assert pivots == oracle.rref_gj()
+    assert pivots == rref_gj(oracle)
     assert (m._data == oracle._data).all()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.gf2 import rref_gj
 from repro.gf2 import GF2Matrix, rref_rows
 
 dense = st.lists(
@@ -188,7 +189,7 @@ def test_rref_matches_gj_oracle(width, data):
     m = GF2Matrix.from_masks(rows, width)
     oracle = GF2Matrix.from_masks(rows, width)
     pivots = m.rref(max_cols=max_cols, block=block)
-    assert pivots == oracle.rref_gj(max_cols=max_cols)
+    assert pivots == rref_gj(oracle, max_cols=max_cols)
     assert (m._data == oracle._data).all()
 
 

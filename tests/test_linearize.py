@@ -1,5 +1,6 @@
 """Tests for linearisation and GJE fact extraction (Table I machinery)."""
 
+from oracles.linearize import rows_to_polys_scalar, to_matrix_scalar
 from repro.anf import Poly, Ring, parse_system
 from repro.anf.parser import parse_polynomial
 from repro.core import Linearization, extract_facts, gauss_jordan
@@ -95,10 +96,10 @@ def test_packed_matrix_matches_scalar_oracle():
     polys = [p for p in polys if not p.is_zero()]
     lin = Linearization(polys)
     packed = lin.to_matrix(polys)
-    scalar = lin.to_matrix_scalar(polys)
+    scalar = to_matrix_scalar(lin, polys)
     assert (packed.to_dense() == scalar.to_dense()).all()
     packed.rref()
-    assert lin.rows_to_polys(packed) == lin.rows_to_polys_scalar(packed)
+    assert lin.rows_to_polys(packed) == rows_to_polys_scalar(lin, packed)
 
 
 def test_to_matrix_unknown_monomial_raises():

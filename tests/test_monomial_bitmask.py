@@ -2,10 +2,9 @@
 
 The monomial layer shadows *every* monomial with a width-adaptive int
 bitmask and routes mul/divides/lcm/remove through bitwise ops; the
-historical sorted-tuple merge survives only as a debug oracle behind
-``monomial.tuple_oracle()``.  These property tests cross-check the two
-paths at widths straddling the 64-bit limb boundaries (63, 64, 65, 127,
-128, 1000 variables), pin the fallback-hit counter semantics, and cover
+historical sorted-tuple merges live in ``tests/oracles/monomial.py``.
+These property tests cross-check the two at widths straddling the
+64-bit limb boundaries (63, 64, 65, 127, 128, 1000 variables) and cover
 the mask <-> packed-word interop with ``gf2.matrix``.
 """
 
@@ -15,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import monomial as oracle
+from oracles.polynomial import poly_mul
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
-from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
 from repro.gf2 import GF2Matrix
 
 #: Variable-universe widths straddling the limb boundaries.
@@ -35,12 +35,6 @@ def monomial_pair(draw):
     return draw(st.lists(var, max_size=8)), draw(st.lists(var, max_size=8))
 
 
-def oracle(fn, *args):
-    """Run a monomial op on the sorted-tuple debug-oracle path."""
-    with mono.tuple_oracle():
-        return fn(*args)
-
-
 def tuple_mul(a, b):
     """Independent reference: sorted union of variable sets."""
     return tuple(sorted(set(a) | set(b)))
@@ -52,7 +46,7 @@ def tuple_mul(a, b):
 @given(monomial_pair())
 def test_make_matches_oracle(pair):
     a, _ = pair
-    assert mono.make(a) == oracle(mono.make, a) == tuple(sorted(set(a)))
+    assert mono.make(a) == oracle.make(a) == tuple(sorted(set(a)))
 
 
 @given(monomial_pair())
@@ -60,14 +54,14 @@ def test_mul_matches_oracle_and_reference(pair):
     a, b = pair
     ma, mb = mono.make(a), mono.make(b)
     got = mono.mul(ma, mb)
-    assert got == oracle(mono.mul, ma, mb) == tuple_mul(ma, mb)
+    assert got == oracle.mul(ma, mb) == tuple_mul(ma, mb)
 
 
 @given(monomial_pair())
 def test_divides_matches_oracle(pair):
     a, b = pair
     ma, mb = mono.make(a), mono.make(b)
-    assert mono.divides(ma, mb) == oracle(mono.divides, ma, mb)
+    assert mono.divides(ma, mb) == oracle.divides(ma, mb)
     assert mono.divides(ma, mb) == set(ma).issubset(set(mb))
 
 
@@ -75,7 +69,7 @@ def test_divides_matches_oracle(pair):
 def test_lcm_matches_oracle(pair):
     a, b = pair
     ma, mb = mono.make(a), mono.make(b)
-    assert mono.lcm(ma, mb) == oracle(mono.lcm, ma, mb) == tuple_mul(ma, mb)
+    assert mono.lcm(ma, mb) == oracle.lcm(ma, mb) == tuple_mul(ma, mb)
 
 
 @given(monomial_pair())
@@ -83,7 +77,7 @@ def test_remove_matches_oracle(pair):
     a, _ = pair
     m = mono.make(a)
     for v in m:
-        assert mono.remove(m, v) == oracle(mono.remove, m, v)
+        assert mono.remove(m, v) == oracle.remove(m, v)
         assert mono.remove(m, v) == tuple(x for x in m if x != v)
 
 
@@ -91,7 +85,7 @@ def test_remove_matches_oracle(pair):
 def test_intern_matches_oracle(pair):
     a, _ = pair
     m = tuple(sorted(set(a)))
-    assert mono.intern(m) == oracle(mono.intern, m) == m
+    assert mono.intern(m) == oracle.intern(m) == m
     # Interning is identity-stable on the mask path at any width.
     assert mono.intern(m) is mono.intern(tuple(m))
 
@@ -100,9 +94,9 @@ def test_intern_matches_oracle(pair):
 def test_deglex_key_matches_oracle(pair):
     a, b = pair
     ma, mb = mono.make(a), mono.make(b)
-    assert mono.deglex_key(ma) == oracle(mono.deglex_key, ma)
+    assert mono.deglex_key(ma) == oracle.deglex_key(ma)
     assert (mono.deglex_key(ma) < mono.deglex_key(mb)) == (
-        oracle(mono.deglex_key, ma) < oracle(mono.deglex_key, mb)
+        oracle.deglex_key(ma) < oracle.deglex_key(mb)
     )
 
 
@@ -119,9 +113,7 @@ def test_poly_product_matches_oracle_at_width(width, seed):
         )
 
     p, q = rand_poly(), rand_poly()
-    with mono.tuple_oracle():
-        want = p * q
-    assert p * q == want
+    assert p * q == poly_mul(p, q)
 
 
 # -- limb boundaries and mask round trips -------------------------------------
@@ -171,16 +163,15 @@ def test_raw_tuples_interoperate_with_interned():
     assert mono.mul(raw, (3,)) == (2, 3, 5)
 
 
-# -- negative variable indices: uniform ValueError on both paths ---------------
+# -- negative variable indices: uniform ValueError, mask path and oracle -----
 
 
 @pytest.mark.parametrize("bad", [[-1], [3, -2, 5], [-(10**9)]])
 def test_make_rejects_negative_indices_on_both_paths(bad):
     with pytest.raises(ValueError):
         mono.make(bad)
-    with mono.tuple_oracle():
-        with pytest.raises(ValueError):
-            mono.make(bad)
+    with pytest.raises(ValueError):
+        oracle.make(bad)
 
 
 def test_mask_of_rejects_negative_indices():
@@ -195,40 +186,10 @@ def test_intern_and_remove_reject_negative_indices_on_both_paths():
         mono.intern((-4,))
     with pytest.raises(ValueError):
         mono.remove((1, 2), -1)
-    with mono.tuple_oracle():
-        with pytest.raises(ValueError):
-            mono.intern((-4,))
-        with pytest.raises(ValueError):
-            mono.remove((1, 2), -1)
-
-
-# -- fallback-hit counter ------------------------------------------------------
-
-
-def test_mask_path_never_touches_fallback_counter():
-    reset_mask_fallback_hits()
-    a = mono.make([1, 63, 64, 900])
-    b = mono.make([2, 64, 127, 128])
-    mono.mul(a, b)
-    mono.divides(a, b)
-    mono.lcm(a, b)
-    mono.remove(a, 900)
-    mono.intern(a)
-    mono.deglex_key(a)
-    assert mask_fallback_hits() == 0
-
-
-def test_tuple_oracle_counts_fallbacks_and_restores():
-    reset_mask_fallback_hits()
-    a, b = (1, 70), (2, 70)
-    with mono.tuple_oracle():
-        mono.mul(a, b)
-        mono.divides(a, b)
-    assert mask_fallback_hits() == 2
-    mono.mul(a, b)  # back on the mask path
-    assert mask_fallback_hits() == 2
-    reset_mask_fallback_hits()
-    assert mask_fallback_hits() == 0
+    with pytest.raises(ValueError):
+        oracle.intern((-4,))
+    with pytest.raises(ValueError):
+        oracle.remove((1, 2), -1)
 
 
 # -- packed-word interop with gf2.matrix --------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import polynomial as oracle
 from repro.anf import Poly, parse_polynomial, Ring
 
 N_VARS = 5
@@ -138,13 +139,6 @@ def test_substitute_missing_var_is_identity():
     assert p.substitute(4, Poly.one()) is p
 
 
-def test_substitute_many_simultaneous():
-    p = P("x1 + x2")
-    # Simultaneous {x1 -> x2, x2 -> x1} swaps, yielding x2 + x1 = p.
-    q = p.substitute_many({1: Poly.variable(2), 2: Poly.variable(1)})
-    assert q == p
-
-
 def test_evaluate():
     p = P("x1*x2 + x3 + 1")
     assert p.evaluate([0, 1, 1, 0, 0, 0]) == 0
@@ -229,8 +223,6 @@ def test_substitute_mask_native_matches_tuple_oracle():
     remove/mul loop at any width (here: across the one-limb boundary)."""
     import random
 
-    from repro.anf import monomial as mono
-
     rng = random.Random(9)
     for _ in range(60):
         width = rng.choice([10, 63, 64, 65, 100])
@@ -245,20 +237,38 @@ def test_substitute_mask_native_matches_tuple_oracle():
             deg = rng.randrange(0, 3)
             rep_ms.append(tuple(sorted(rng.sample(range(width), deg))))
         replacement = Poly(rep_ms)
-        got = p.substitute(var, replacement)
-        with mono.tuple_oracle():
-            want = p.substitute(var, replacement)
-        assert got == want
+        assert p.substitute(var, replacement) == oracle.substitute(
+            p, var, replacement
+        )
+
+
+def test_substitute_literals_matches_tuple_oracle():
+    """The mask-native literal substitution (propagation's rewrite
+    kernel) agrees with the per-variable tuple loop at any width:
+    constants, aliases and negated aliases, including aliases onto a
+    variable the monomial already holds."""
+    import random
+
+    rng = random.Random(11)
+    for _ in range(200):
+        width = rng.choice([10, 63, 64, 65, 130])
+        p = Poly(
+            tuple(sorted(rng.sample(range(width), rng.randrange(0, 4))))
+            for _ in range(rng.randrange(1, 7))
+        )
+        simple = {}
+        for v in rng.sample(range(width), rng.randrange(1, 5)):
+            y = rng.choice([None, rng.randrange(width)])
+            if y == v:
+                continue
+            simple[v] = (y, rng.randrange(2))
+        got = p.substitute_literals(simple)
+        assert got == oracle.substitute_literals(p, simple)
 
 
 def test_substitute_negative_variable_raises():
-    import pytest
-
-    from repro.anf import monomial as mono
-
     p = Poly([(1,), ()])
     with pytest.raises(ValueError):
         p.substitute(-1, Poly.zero())
-    with mono.tuple_oracle():
-        with pytest.raises(ValueError):
-            p.substitute(-1, Poly.zero())
+    with pytest.raises(ValueError):
+        oracle.substitute(p, -1, Poly.zero())

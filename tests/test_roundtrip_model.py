@@ -10,9 +10,7 @@ evaluate-on-the-original-ANF, asserting
   monomial auxiliaries, satisfies the source system;
 * every verdict (SAT *and* UNSAT) agrees with brute force over the
   system's support — the instances are built with small supports inside
-  wide variable spaces precisely so brute force stays exact;
-* the whole round trip stays on the packed mask path (zero tuple
-  fallbacks).
+  wide variable spaces precisely so brute force stays exact.
 """
 
 import pytest
@@ -20,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anf import AnfSystem, Poly, Ring
-from repro.anf.stats import mask_fallback_hits, reset_mask_fallback_hits
 from repro.core import (
     AnfToCnf,
     Config,
@@ -123,9 +120,7 @@ def test_roundtrip_models_match_brute_force(width, data):
     support, polys, config = data.draw(anf_case(width))
     if not polys:
         return
-    reset_mask_fallback_hits()
     conv = AnfToCnf(config).convert_polynomials(polys, n_vars=width)
-    assert mask_fallback_hits() == 0
     assert conv.n_anf_vars == width
 
     verdict, solver = solve_formula(conv.formula)

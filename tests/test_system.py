@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles.system import normalize as seed_normalize
 from repro.anf import AnfSystem, ContradictionError, Poly, Ring, VariableState
 from repro.anf.parser import parse_polynomial
 
@@ -66,18 +67,6 @@ def test_equate_consistent_values_ok():
     st_.assign(0, 0)
     st_.assign(1, 1)
     assert st_.equate(0, 1, 1) is True
-
-
-def test_substitution_for():
-    st_ = VariableState(4)
-    st_.assign(0, 1)
-    st_.equate(1, 2, 1)
-    assert st_.substitution_for(0) == Poly.one()
-    sub = st_.substitution_for(1)
-    root, _ = st_.find(1)
-    if root != 1:
-        assert sub == Poly.variable(2) + Poly.one()
-    assert st_.substitution_for(3) is None
 
 
 def test_as_assignment_respects_equivalences():
@@ -150,6 +139,33 @@ def test_normalize_equivalence():
     assert normalized == Poly.one() or normalized == P("x1 + x2")
     # x1 + x2 = (x2+1) + x2 = 1 under the equivalence.
     assert sys_.normalize(P("x1 + x2")).is_one()
+
+
+def test_normalize_matches_seed_pipeline():
+    """The mask-native normalize agrees with the seed Poly-valued
+    pipeline at widths across the one-limb boundary."""
+    import random
+
+    rng = random.Random(13)
+    for _ in range(40):
+        width = rng.choice([10, 64, 65, 130])
+        system = AnfSystem(Ring(width))
+        for v in rng.sample(range(width), rng.randrange(1, 8)):
+            try:
+                if rng.random() < 0.4:
+                    system.state.assign(v, rng.randrange(2))
+                else:
+                    other = rng.randrange(width)
+                    if other != v:
+                        system.state.equate(v, other, rng.randrange(2))
+            except ContradictionError:
+                pass
+        for _ in range(10):
+            p = Poly(
+                tuple(sorted(rng.sample(range(width), rng.randrange(0, 4))))
+                for _ in range(rng.randrange(1, 6))
+            )
+            assert system.normalize(p) == seed_normalize(system, p)
 
 
 def test_check_assignment():
