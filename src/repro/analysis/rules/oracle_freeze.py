@@ -55,7 +55,9 @@ class OracleFreezeRule(Rule):
         "root": None,
     }
 
-    def _finding(self, file: str, node: Optional[ast.AST], message: str) -> Finding:
+    def _finding(
+        self, file: str, node: Optional[ast.AST], message: str
+    ) -> Finding:
         return Finding(
             rule=self.id,
             file=file,

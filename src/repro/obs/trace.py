@@ -10,8 +10,8 @@ The fork boundary follows the repo's standing pattern (FORK-SAFETY):
 tracers are instance-threaded, never module-global.  A forked worker
 creates its *own* fresh ``Tracer`` after the fork, and its finished
 spans ride the result object back to the parent — exactly like the
-worker's metrics snapshot (:mod:`repro.obs.metrics`) — where :meth:`Tracer.adopt` reparents the worker
-roots under the parent's racing span and deduplicates by span id, so a
+worker's metrics snapshot (:mod:`repro.obs.metrics`) — where
+:meth:`Tracer.adopt` reparents the worker roots under the parent's racing span and deduplicates by span id, so a
 retried/respawned delivery can never double-count.  Span ids embed the
 pid, a per-process tracer instance number and a sequence number, which
 keeps ids unique across every process of a run without any shared state.

@@ -22,7 +22,13 @@ from repro.sat.types import mk_lit
 class ScalarContext:
     """Mutable conversion state: variable allocation and the monomial map."""
 
-    def __init__(self, n_vars: int, formula: CnfFormula, stats: ConversionStats, config: Config):
+    def __init__(
+        self,
+        n_vars: int,
+        formula: CnfFormula,
+        stats: ConversionStats,
+        config: Config,
+    ):
         self.next_var = n_vars
         self.formula = formula
         self.stats = stats
@@ -45,7 +51,9 @@ class ScalarContext:
 
     def convert_poly(self, p: Poly) -> None:
         rhs = 1 if p.has_constant_term() else 0
-        terms = sorted((m for m in p.monomials if m), key=lambda m: (len(m), m))
+        terms = sorted(
+            (m for m in p.monomials if m), key=lambda m: (len(m), m)
+        )
         if not terms:
             if rhs:
                 self.formula.add_clause([])
@@ -77,7 +85,9 @@ class ScalarContext:
 
     # -- approach 1: Karnaugh map + minimisation ------------------------------
 
-    def _emit_karnaugh(self, terms: List[Monomial], rhs: int, support: List[int]) -> None:
+    def _emit_karnaugh(
+        self, terms: List[Monomial], rhs: int, support: List[int]
+    ) -> None:
         self.stats.karnaugh_polys += 1
         poly = Poly(terms).add_constant(rhs)
         on_set = truth_table(poly, support)
@@ -194,5 +204,8 @@ def convert_polynomials_scalar(
 ) -> ConversionResult:
     """Twin of ``AnfToCnf(config).convert_polynomials(polynomials, n_vars)``."""
     if n_vars is None:
-        n_vars = max((max(p.variables()) + 1 for p in polynomials if p.variables()), default=0)
+        n_vars = max(
+            (max(p.variables()) + 1 for p in polynomials if p.variables()),
+            default=0,
+        )
     return convert_parts_scalar(n_vars, polynomials, None, config or Config())

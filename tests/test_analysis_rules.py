@@ -194,6 +194,8 @@ def test_oracle_freeze_flags_semantic_drift(tmp_path):
 
 
 def test_oracle_freeze_flags_removed_oracle(tmp_path):
+    """A renamed definition is both a removed pin and an unpinned
+    definition."""
     pin_oracle(tmp_path, ORACLE_SRC)
     active = freeze_findings(
         tmp_path, ORACLE_SRC.replace("def frozen(", "def other(")
@@ -202,16 +204,6 @@ def test_oracle_freeze_flags_removed_oracle(tmp_path):
     messages = sorted(f.message for f in active)
     assert "frozen oracle frozen removed or renamed" in messages
     assert "frozen oracle other has no pinned fingerprint" in messages
-
-
-def test_oracle_freeze_flags_unpinned_definition(tmp_path):
-    pin_oracle(tmp_path, ORACLE_SRC)
-    active = freeze_findings(
-        tmp_path, ORACLE_SRC + "\n\ndef helper():\n    return 0\n"
-    )
-    assert [f.rule for f in active] == ["ORACLE-FREEZE"]
-    assert "helper has no pinned fingerprint" in active[0].message
-    assert active[0].line == 14
 
 
 def test_oracle_freeze_flags_missing_pin(tmp_path):
