@@ -11,11 +11,13 @@ Two claims behind ``make bench-server``:
 * **a warm cache beats a cold one** — the same ANF jobs against a
   server restarted on the same cache directory take strictly fewer
   Karnaugh minimisations (zero reconversions: every conversion loads
-  from disk) and reproduce the CNF bit-for-bit.  This one asserts
-  unconditionally: it is determinism, not timing.
+  from disk) and reproduce the CNF bit-for-bit; so does a job whose
+  fact-learning loop runs several iterations in one CNF numbering.
+  This one asserts unconditionally: it is determinism, not timing.
 """
 
 import asyncio
+import io
 import os
 import random
 import time
@@ -57,6 +59,31 @@ def _cnf_family(count, n=130, ratio=4.26):
             lines.append(" ".join(map(str, lits)) + " 0")
         texts.append("\n".join(lines) + "\n")
     return texts
+
+
+#: A CNF job whose Bosphorus loop runs several iterations: tiny conflict
+#: budgets on a pigeonhole refutation, XL and ElimLin on.
+LOOP_JOB = {
+    "fmt": "dimacs",
+    "solve": False,
+    "config": {
+        "sat_conflict_start": 5,
+        "sat_conflict_step": 5,
+        "sat_conflict_max": 20,
+        "max_iterations": 4,
+        "karnaugh_limit": 3,
+        "xor_cut_len": 3,
+    },
+}
+
+
+def _php_text(holes=5):
+    from repro.satcomp.generators import pigeonhole
+    from repro.sat.dimacs import write_dimacs
+
+    buf = io.StringIO()
+    write_dimacs(buf, pigeonhole(holes))
+    return buf.getvalue()
 
 
 def _run_batch(jobs, cache_dir, texts, repeat=1, fmt="anf", **options):
@@ -146,6 +173,19 @@ def test_warm_cache_beats_cold_with_zero_reconversions(benchmark,
         stats = warm_r["stats"]
         assert stats.get("conversion_disk_hits", 0) > 0
         assert stats.get("karnaugh_cache_misses", 0) == 0
+
+    # The same holds for a job whose loop runs several iterations: each
+    # iteration's conversion continues one CNF numbering, and the warm
+    # run replays every one of them (plus the final conversion and the
+    # CNF augmentation) from disk, bit for bit.
+    _, (cold_loop,) = _run_batch(1, cache_dir, [_php_text()], **LOOP_JOB)
+    _, (warm_loop,) = _run_batch(1, cache_dir, [_php_text()], **LOOP_JOB)
+    iterations = cold_loop["stats"]["iterations"]
+    assert iterations >= 3
+    assert warm_loop["cnf_sha256"] == cold_loop["cnf_sha256"]
+    assert warm_loop["stats"]["techniques"] == cold_loop["stats"]["techniques"]
+    assert warm_loop["stats"]["conversion_disk_hits"] == iterations + 2
+    assert warm_loop["stats"]["karnaugh_cache_misses"] == 0
 
     benchmark.extra_info["cold_s"] = round(cold_s, 2)
     benchmark.extra_info["warm_s"] = round(warm_s, 2)

@@ -17,6 +17,21 @@ map for such variables").  Cut auxiliaries stand for partial XOR sums,
 not monomials, so they live only in :attr:`ConversionResult.cut_vars`
 and never appear in the monomial maps.
 
+Conversion sessions
+-------------------
+Every conversion runs in a :class:`ConversionSession`: one CNF numbering
+for a whole Bosphorus run.  A monomial keeps its CNF variable for the
+session's lifetime and an XOR-cut auxiliary is defined exactly once.  A
+per-polynomial clause memo (keyed by the polynomial's sorted monomial
+masks plus its constant) and the set of state unit/equivalence clauses
+already emitted let each conversion report
+:attr:`ConversionResult.delta`: the clauses the session never emitted
+before, which is all an incremental solver fed by earlier conversions
+needs.  :attr:`ConversionResult.formula` is still the whole system's
+CNF, assembled mostly from memo hits.  A one-shot
+:meth:`AnfToCnf.convert` is a fresh session's first conversion, whose
+delta is the whole formula.
+
 Mask-native conversion path
 ---------------------------
 The production converter rides the packed monomial masks end to end
@@ -41,6 +56,7 @@ formulas.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -61,7 +77,12 @@ _TermPair = Tuple[int, Monomial]
 
 @dataclass
 class ConversionStats:
-    """Clause/variable accounting for one conversion."""
+    """Clause/variable accounting for one conversion.
+
+    The encoding counters count the work the conversion did: in a
+    session, a polynomial served from the clause memo counts only as a
+    ``memo_hits``.
+    """
 
     karnaugh_polys: int = 0
     tseitin_polys: int = 0
@@ -72,6 +93,7 @@ class ConversionStats:
     monomial_vars: int = 0
     unit_clauses: int = 0
     equivalence_clauses: int = 0
+    memo_hits: int = 0
     # Structure-keyed Karnaugh cache accounting.
     karnaugh_cache_hits: int = 0
     karnaugh_cache_misses: int = 0
@@ -95,6 +117,12 @@ class ConversionResult:
     * a *cut* auxiliary — a partial XOR sum from XOR-cutting, tracked
       only in :attr:`cut_vars` (it stands for no monomial, so it never
       appears in :attr:`monomial_of_var`).
+
+    The maps are the session's: they cover every auxiliary the session
+    has numbered so far, so a model or a learnt literal of an
+    incremental solver fed by earlier conversions translates too.
+    ``delta`` holds the clauses and XORs this conversion emitted that
+    its session had never emitted before.
     """
 
     formula: CnfFormula
@@ -103,6 +131,7 @@ class ConversionResult:
     monomial_of_var: Dict[int, Monomial]
     cut_vars: Set[int]
     stats: ConversionStats
+    delta: Optional[CnfFormula] = None
 
     def is_original_var(self, cnf_var: int) -> bool:
         """True if the CNF variable is one of the problem's ANF variables."""
@@ -128,9 +157,9 @@ class AnfToCnf:
     attached explicitly or auto-created from ``config.cache_dir``) the
     caches gain a disk tier that survives the process: minimised Karnaugh
     covers spill per shape key, and whole conversion results are keyed by
-    the canonical system hash (:func:`system_fingerprint`), so a repeat
-    conversion skips minimisation entirely and reproduces the exact same
-    formula bit for bit.
+    the session's history plus the canonical system hash
+    (:func:`system_fingerprint`), so a repeat run skips minimisation
+    entirely and reproduces the exact same formulas bit for bit.
     ``use_conversion_cache=False`` keeps the whole-conversion tier off
     (the Karnaugh tier still spills), which the cache tests use to
     exercise the per-shape path in isolation.
@@ -159,13 +188,13 @@ class AnfToCnf:
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics or MetricsRegistry()
 
+    def session(self) -> "ConversionSession":
+        """A fresh conversion session: one CNF numbering for one run."""
+        return ConversionSession(self)
+
     def convert(self, system: AnfSystem) -> ConversionResult:
         """Convert the (propagated) system to CNF."""
-        return self.convert_parts(
-            n_vars=max(system.ring.n_vars, system.state.n_vars),
-            polynomials=list(system.polynomials),
-            state=system.state,
-        )
+        return self.session().convert(system)
 
     def convert_polynomials(
         self, polynomials: Sequence[Poly], n_vars: Optional[int] = None
@@ -173,137 +202,73 @@ class AnfToCnf:
         """Convert a bare polynomial list (no variable state)."""
         if n_vars is None:
             n_vars = _infer_n_vars(polynomials)
-        return self.convert_parts(n_vars, polynomials, state=None)
-
-    def convert_parts(self, n_vars, polynomials, state) -> ConversionResult:
-        with self.tracer.span(
-            "anf_to_cnf.convert",
-            n_vars=n_vars,
-            n_polys=len(polynomials),
-        ) as span:
-            with self.metrics.timer("conversion_s"):
-                result = self._convert_inner(n_vars, polynomials, state)
-            stats = result.stats
-            span.set("clauses", len(result.formula.clauses))
-            for name in (
-                "karnaugh_cache_hits",
-                "karnaugh_cache_misses",
-                "karnaugh_disk_hits",
-                "conversion_disk_hits",
-            ):
-                value = getattr(stats, name)
-                span.set(name, value)
-                self.metrics.inc(name, value)
-            self.metrics.inc("conversions")
-        return result
-
-    def _convert_inner(self, n_vars, polynomials, state) -> ConversionResult:
-        fingerprint = None
-        if self.store is not None and self.use_conversion_cache:
-            fingerprint = system_fingerprint(
-                n_vars, polynomials, state, self.config
-            )
-            cached = self.store.get("conversion", fingerprint)
-            if cached is not None:
-                # The stored stats describe the formula (clause/variable
-                # accounting stays truthful); the work counters are reset
-                # because no minimisation happened on this load.
-                cached.stats.karnaugh_cache_hits = 0
-                cached.stats.karnaugh_cache_misses = 0
-                cached.stats.karnaugh_disk_hits = 0
-                cached.stats.conversion_disk_hits = 1
-                return cached
-        formula = CnfFormula(n_vars)
-        stats = ConversionStats()
-        ctx = _Context(
-            n_vars, formula, stats, self.config, self._karnaugh_cache,
-            store=self.store,
-        )
-
-        if state is not None:
-            for v in range(state.n_vars):
-                value = state.value(v)
-                if value is not None:
-                    formula.add_clause([mk_lit(v, negated=(value == 0))])
-                    stats.unit_clauses += 1
-                    continue
-                root, parity = state.find(v)
-                if root != v:
-                    # v = root ⊕ parity.
-                    if parity == 0:
-                        formula.add_clause([mk_lit(v), mk_lit(root, True)])
-                        formula.add_clause([mk_lit(v, True), mk_lit(root)])
-                    else:
-                        formula.add_clause([mk_lit(v), mk_lit(root)])
-                        formula.add_clause([mk_lit(v, True), mk_lit(root, True)])
-                    stats.equivalence_clauses += 2
-
-        for p in polynomials:
-            if p.is_zero():
-                continue
-            if p.is_one():
-                formula.add_clause([])  # the empty clause: UNSAT
-                continue
-            ctx.convert_poly(p)
-
-        result = ConversionResult(
-            formula=formula,
-            n_anf_vars=n_vars,
-            var_of_monomial=ctx.var_of_monomial,
-            monomial_of_var=ctx.monomial_of_var,
-            cut_vars=ctx.cut_vars,
-            stats=stats,
-        )
-        if fingerprint is not None:
-            self.store.put("conversion", fingerprint, result)
-        return result
+        return self.session().convert_parts(n_vars, polynomials, state=None)
 
 
 def system_fingerprint(n_vars, polynomials, state, config: Config) -> tuple:
     """Canonical hashable identity of one conversion's *inputs*.
 
-    Two calls with equal fingerprints produce bit-for-bit identical CNF,
-    so the fingerprint is the key of the persistent whole-conversion
-    cache.  It covers everything :meth:`AnfToCnf.convert_parts` reads:
+    Two first conversions of a session with equal fingerprints produce
+    bit-for-bit identical CNF; a later conversion's persistent-cache key
+    adds the session's history.  It covers everything
+    :meth:`ConversionSession.convert_parts` reads:
 
     * the variable count and, per polynomial *in list order* (auxiliary
       numbering depends on it), the sorted monomial-mask multiset plus
       the constant term (the in-poly emission order is canonicalised by
-      ``convert_poly`` itself, so the multiset is exact);
-    * the variable state's non-trivial entries (fixed values and
-      union-find equivalences with parity);
+      the converter itself, so the multiset is exact);
+    * the variable state's unit and equivalence clauses;
     * the conversion parameters K, L and the XOR-clause switch.
 
     Masks are plain ints at any width, so the key is deterministic
     across processes and runs.
     """
-    poly_keys = []
-    for p in polynomials:
-        poly_keys.append((
-            tuple(sorted(mk for mk, _ in p.monomial_masks())),
-            1 if p.has_constant_term() else 0,
-        ))
-    state_key = ()
-    if state is not None:
-        entries = []
-        for v in range(state.n_vars):
-            value = state.value(v)
-            if value is not None:
-                entries.append((v, "=", value))
-                continue
-            root, parity = state.find(v)
-            if root != v:
-                entries.append((v, "~", root, parity))
-        state_key = (state.n_vars, tuple(entries))
+    return _fingerprint(
+        n_vars,
+        [_poly_key(p) for p in polynomials],
+        _state_clauses(state) if state is not None else [],
+        config,
+    )
+
+
+def _fingerprint(n_vars, poly_keys, state_clauses, config: Config) -> tuple:
     return (
         "anf-conversion",
         n_vars,
         tuple(poly_keys),
-        state_key,
+        tuple(map(tuple, state_clauses)),
         config.karnaugh_limit,
         config.xor_cut_len,
         config.emit_xor_clauses,
     )
+
+
+def _poly_key(p: Poly) -> tuple:
+    """A polynomial's sorted monomial masks plus its constant term."""
+    return (
+        tuple(sorted(mk for mk, _ in p.monomial_masks())),
+        1 if p.has_constant_term() else 0,
+    )
+
+
+def _state_clauses(state) -> List[List[int]]:
+    """The variable state's unit and equivalence clauses, by variable."""
+    clauses = []
+    for v in range(state.n_vars):
+        value = state.value(v)
+        if value is not None:
+            clauses.append([mk_lit(v, negated=(value == 0))])
+            continue
+        root, parity = state.find(v)
+        if root != v:
+            # v = root ⊕ parity.
+            if parity == 0:
+                clauses.append([mk_lit(v), mk_lit(root, True)])
+                clauses.append([mk_lit(v, True), mk_lit(root)])
+            else:
+                clauses.append([mk_lit(v), mk_lit(root)])
+                clauses.append([mk_lit(v, True), mk_lit(root, True)])
+    return clauses
 
 
 def _infer_n_vars(polynomials: Sequence[Poly]) -> int:
@@ -321,61 +286,236 @@ def _infer_n_vars(polynomials: Sequence[Poly]) -> int:
     return n_vars
 
 
-class _Context:
-    """Mutable conversion state: variable allocation and the monomial map.
+class ConversionSession:
+    """Run-wide conversion state: one CNF numbering, a clause memo.
 
     The mask-native production path: chunk terms are (mask, monomial)
     pairs straight off ``Poly.monomial_masks()``, the monomial→variable
     map is keyed by mask on the hot path, supports are mask ORs, and
-    Karnaugh covers come from the shared structure-keyed cache.
+    Karnaugh covers come from the converter's structure-keyed cache.
+
+    A fresh polynomial's encoding is recorded as a list of *items*: a
+    clause (list), an XOR ``(variables, rhs)`` (tuple) or a monomial
+    variable whose AND definition must precede what follows (int).
+    Emitting items into a formula writes each definition once per
+    formula, so the whole formula and the delta come from one walk
+    each, and the session's first conversion emits exactly what a
+    fresh per-call converter would, in the same order.
+
+    ``solver`` is the run's warm CDCL solver, fed each conversion's
+    delta by :func:`repro.core.satlearn.run_sat`.
     """
 
-    def __init__(
-        self,
-        n_vars: int,
-        formula: CnfFormula,
-        stats: ConversionStats,
-        config: Config,
-        karnaugh_cache: Dict[tuple, list],
-        store=None,
-    ):
-        self.next_var = n_vars
-        self.formula = formula
-        self.stats = stats
-        self.config = config
+    def __init__(self, converter: AnfToCnf):
+        self.converter = converter
+        self.config = converter.config
+        self.n_vars: Optional[int] = None
+        self.next_var = 0
         self.var_of_monomial: Dict[Monomial, int] = {}
         self.monomial_of_var: Dict[int, Monomial] = {}
         self.cut_vars: Set[int] = set()
-        self._karnaugh_cache = karnaugh_cache
-        self._store = store
         # Auxiliary-variable lookup by monomial mask.  Single-variable
         # terms never route through here (``_emit_tseitin`` resolves a
         # single-bit mask to its variable inline), so only degree >= 2
         # monomials are interned.
         self._var_of_mask: Dict[int, int] = {}
-        # Single-variable monomials map to the variable itself.
-        for v in range(n_vars):
-            self.var_of_monomial[(v,)] = v
-            self.monomial_of_var[v] = (v,)
+        self._definitions: Dict[int, List[List[int]]] = {}
+        # Monomial variables whose definition some delta has carried.
+        self._defined: Set[int] = set()
+        self._memo: Dict[tuple, list] = {}
+        self._state_emitted: Set[tuple] = set()
+        # Digest of every earlier persistent-cache key of this session.
+        self._history = ""
+        self._items: list = []
+        self.stats = ConversionStats()
+        self.solver = None
+
+    def convert(self, system: AnfSystem) -> ConversionResult:
+        """Convert the (propagated) system to CNF."""
+        return self.convert_parts(
+            n_vars=max(system.ring.n_vars, system.state.n_vars),
+            polynomials=list(system.polynomials),
+            state=system.state,
+        )
+
+    def convert_parts(self, n_vars, polynomials, state) -> ConversionResult:
+        converter = self.converter
+        with converter.tracer.span(
+            "anf_to_cnf.convert",
+            n_vars=n_vars,
+            n_polys=len(polynomials),
+        ) as span:
+            with converter.metrics.timer("conversion_s"):
+                result = self._convert_inner(n_vars, polynomials, state)
+            stats = result.stats
+            span.set("clauses", len(result.formula.clauses))
+            span.set("memo_hits", stats.memo_hits)
+            for name in (
+                "karnaugh_cache_hits",
+                "karnaugh_cache_misses",
+                "karnaugh_disk_hits",
+                "conversion_disk_hits",
+            ):
+                value = getattr(stats, name)
+                span.set(name, value)
+                converter.metrics.inc(name, value)
+            converter.metrics.inc("conversions")
+        return result
+
+    def _convert_inner(self, n_vars, polynomials, state) -> ConversionResult:
+        if self.n_vars is None:
+            self.n_vars = self.next_var = n_vars
+            for v in range(n_vars):
+                self.var_of_monomial[(v,)] = v
+                self.monomial_of_var[v] = (v,)
+        elif n_vars != self.n_vars:
+            raise ValueError(
+                "a conversion session numbers {} ANF variables, not {}".format(
+                    self.n_vars, n_vars
+                )
+            )
+        state_clauses = _state_clauses(state) if state is not None else []
+        keys = [_poly_key(p) for p in polynomials]
+        store = self.converter.store
+        cache_key = None
+        if store is not None and self.converter.use_conversion_cache:
+            # The history makes an entry replay only onto the allocator
+            # state it was recorded from.
+            cache_key = (
+                self._history,
+                _fingerprint(n_vars, keys, state_clauses, self.config),
+            )
+            self._history = hashlib.sha256(
+                repr(cache_key).encode("utf-8")
+            ).hexdigest()
+            cached = store.get("conversion", cache_key)
+            if cached is not None:
+                result, fresh_at = cached
+                self._adopt(result, state_clauses)
+                self._memo.update((keys[i], items) for i, items in fresh_at)
+                # The stored stats describe the formula (clause/variable
+                # accounting stays truthful); the work counters are reset
+                # because no minimisation happened on this load.
+                result.stats.karnaugh_cache_hits = 0
+                result.stats.karnaugh_cache_misses = 0
+                result.stats.karnaugh_disk_hits = 0
+                result.stats.conversion_disk_hits = 1
+                return result
+
+        stats = self.stats = ConversionStats()
+        formula = CnfFormula(n_vars)
+        delta = CnfFormula(n_vars)
+        emitted = self._state_emitted
+        for clause in state_clauses:
+            formula.clauses.append(clause)
+            if len(clause) == 1:
+                stats.unit_clauses += 1
+            else:
+                stats.equivalence_clauses += 1
+            if tuple(clause) not in emitted:
+                emitted.add(tuple(clause))
+                delta.clauses.append(clause)
+
+        # Polynomials first seen by this conversion, by list position.
+        # The memo learns them only afterwards, so a duplicate within one
+        # conversion is encoded afresh, exactly as a per-call converter
+        # would.
+        fresh_at: List[Tuple[int, list]] = []
+        fresh: Dict[tuple, list] = {}
+        defined_here: Set[int] = set()
+        for i, (p, key) in enumerate(zip(polynomials, keys)):
+            items = self._memo.get(key)
+            if items is not None:
+                stats.memo_hits += 1
+            else:
+                items = self._encode(p)
+                if key not in fresh:
+                    fresh[key] = items
+                    fresh_at.append((i, items))
+                self._emit(items, delta, self._defined)
+            self._emit(items, formula, defined_here)
+        self._memo.update(fresh)
+        # The maps are the session's, so the formula defines every
+        # monomial variable in them: its models then reconstruct
+        # strictly, even where a monomial only an earlier system used
+        # would otherwise be free.
+        for y in self._var_of_mask.values():
+            if y not in defined_here:
+                formula.clauses.extend(self._definition(y))
+        formula.n_vars = delta.n_vars = self.next_var
+
+        result = ConversionResult(
+            formula=formula,
+            n_anf_vars=n_vars,
+            var_of_monomial=self.var_of_monomial,
+            monomial_of_var=self.monomial_of_var,
+            cut_vars=self.cut_vars,
+            stats=stats,
+            delta=delta,
+        )
+        if cache_key is not None:
+            store.put("conversion", cache_key, (result, fresh_at))
+        return result
+
+    def _adopt(self, result: ConversionResult, state_clauses) -> None:
+        """Take over the allocator state a stored ``result`` left."""
+        self.var_of_monomial = result.var_of_monomial
+        self.monomial_of_var = result.monomial_of_var
+        self.cut_vars = result.cut_vars
+        self.next_var = result.formula.n_vars
+        self._var_of_mask = {
+            mono.mask_of(m): y
+            for y, m in self.monomial_of_var.items()
+            if y >= self.n_vars
+        }
+        self._defined = set(self._var_of_mask.values())
+        self._state_emitted.update(map(tuple, state_clauses))
+
+    def _emit(self, items: list, formula: CnfFormula, defined: Set[int]) -> None:
+        """Append a polynomial's items, defining each monomial variable
+        the first time ``formula`` needs it."""
+        clauses = formula.clauses
+        for item in items:
+            kind = item.__class__
+            if kind is list:
+                clauses.append(item)
+            elif kind is tuple:
+                formula.xors.append(item)
+            elif item not in defined:
+                defined.add(item)
+                clauses.extend(self._definition(item))
+
+    def _definition(self, y: int) -> List[List[int]]:
+        """The AND definition of monomial variable ``y``:
+        (¬y ∨ x_i) for each i, then (y ∨ ⋁ ¬x_i)."""
+        clauses = self._definitions.get(y)
+        if clauses is None:
+            variables = self.monomial_of_var[y]
+            clauses = [[mk_lit(y, True), mk_lit(v)] for v in variables]
+            clauses.append([mk_lit(y)] + [mk_lit(v, True) for v in variables])
+            self._definitions[y] = clauses
+        return clauses
 
     def fresh_var(self) -> int:
         v = self.next_var
         self.next_var += 1
-        self.formula.n_vars = max(self.formula.n_vars, v + 1)
         return v
 
     # -- main poly dispatch -------------------------------------------------
 
-    def convert_poly(self, p: Poly) -> None:
+    def _encode(self, p: Poly) -> list:
+        """A fresh polynomial's items (see the class docstring)."""
+        self._items = items = []
         rhs = 1 if p.has_constant_term() else 0
         pairs = [(mk, m) for mk, m in p.monomial_masks() if mk]
         if not pairs:
             if rhs:
-                self.formula.add_clause([])
-            return
+                items.append([])  # 1 = 0: the empty clause
+            return items
         pairs.sort(key=_pair_deglex_key)
         for chunk, chunk_rhs in self._cut(pairs, rhs):
             self._emit_short(chunk, chunk_rhs)
+        return items
 
     def _cut(
         self, pairs: List[_TermPair], rhs: int
@@ -416,16 +556,18 @@ class _Context:
         self.stats.karnaugh_polys += 1
         key = mono.shape_key((mk for mk, _ in pairs), support_mask, rhs)
         n = key[0]
-        cubes = self._karnaugh_cache.get(key)
+        karnaugh_cache = self.converter._karnaugh_cache
+        store = self.converter.store
+        cubes = karnaugh_cache.get(key)
         if cubes is not None:
             self.stats.karnaugh_cache_hits += 1
         else:
-            if self._store is not None:
+            if store is not None:
                 # Disk tier: a cover minimised by any earlier run (or a
                 # sibling worker) with the same shape.
-                cubes = self._store.get("karnaugh", key)
+                cubes = store.get("karnaugh", key)
                 if cubes is not None:
-                    self._karnaugh_cache[key] = cubes
+                    karnaugh_cache[key] = cubes
                     self.stats.karnaugh_disk_hits += 1
         if cubes is None:
             local_masks = key[1]
@@ -439,24 +581,24 @@ class _Context:
                 ).add_constant(rhs)
                 on_set = truth_table(local_poly, list(range(n)))
             cubes = minimize(on_set, n)
-            self._karnaugh_cache[key] = cubes
+            karnaugh_cache[key] = cubes
             self.stats.karnaugh_cache_misses += 1
-            if self._store is not None:
-                self._store.put("karnaugh", key, cubes)
+            if store is not None:
+                store.put("karnaugh", key, cubes)
         support = mono.bits_of(support_mask)
-        formula = self.formula
+        items = self._items
         for cube in cubes:
             clause = [
                 mk_lit(var, negated)
                 for var, negated in cube_to_clause(cube, support, n)
             ]
-            formula.add_clause(clause)
+            items.append(clause)
             self.stats.karnaugh_clauses += 1
 
     # -- approach 2: Tseitin-style monomial vars + XOR enumeration -----------
 
     def _monomial_var(self, mk: int, m: Monomial) -> int:
-        """CNF variable standing for the monomial, defining it on first use."""
+        """CNF variable standing for the monomial, numbered on first use."""
         existing = self._var_of_mask.get(mk)
         if existing is not None:
             return existing
@@ -465,27 +607,22 @@ class _Context:
         self.var_of_monomial[m] = y
         self.monomial_of_var[y] = m
         self.stats.monomial_vars += 1
-        # y = AND of the variables: (¬y ∨ x_i) for each i, (y ∨ ⋁ ¬x_i).
-        variables = mono.bits_of(mk)
-        for v in variables:
-            self.formula.add_clause([mk_lit(y, True), mk_lit(v)])
-            self.stats.and_clauses += 1
-        self.formula.add_clause(
-            [mk_lit(y)] + [mk_lit(v, True) for v in variables]
-        )
-        self.stats.and_clauses += 1
+        self.stats.and_clauses += len(m) + 1
         return y
 
     def _emit_tseitin(self, pairs: List[_TermPair], rhs: int) -> None:
         self.stats.tseitin_polys += 1
+        items = self._items
         term_vars = []
         for mk, m in pairs:
             if mk & (mk - 1) == 0:  # single-bit mask: the variable itself
                 term_vars.append(mk.bit_length() - 1)
             else:
-                term_vars.append(self._monomial_var(mk, m))
+                y = self._monomial_var(mk, m)
+                items.append(y)
+                term_vars.append(y)
         if self.config.emit_xor_clauses:
-            self.formula.add_xor(term_vars, rhs)
+            items.append((term_vars, rhs))
             return
         n = len(term_vars)
         # Forbid every assignment whose parity differs from rhs:
@@ -498,7 +635,7 @@ class _Context:
                 mk_lit(term_vars[i], negated=bool(pattern >> i & 1))
                 for i in range(n)
             ]
-            self.formula.add_clause(clause)
+            items.append(clause)
             self.stats.tseitin_clauses += 1
 
 

@@ -181,6 +181,9 @@ class Bosphorus:
         metrics = MetricsRegistry()
         self.metrics = metrics
         self.converter.metrics = metrics
+        # One CNF numbering and one warm inner solver for the whole run:
+        # each iteration's conversion hands the solver only new clauses.
+        session = self.converter.session()
 
         try:
             with tracer.span("propagation.initial"):
@@ -251,7 +254,7 @@ class Bosphorus:
                                 config,
                                 sat_budget,
                                 self.inner_solver_config,
-                                converter=self.converter,
+                                session=session,
                                 tracer=tracer,
                                 metrics=metrics,
                             )
@@ -303,7 +306,7 @@ class Bosphorus:
 
         with tracer.span("conversion.final"):
             processed = materialize(system)
-            conversion = self.converter.convert(system)
+            conversion = session.convert(system)
         return BosphorusResult(
             status=status,
             facts=facts,

@@ -1,7 +1,15 @@
 """Conflict-bounded SAT solving as a fact learner (paper section II-D).
 
 The ANF is converted to CNF and handed to the CDCL solver with a conflict
-budget.  Outcomes:
+budget.  The solver is incremental, after the MiniSat interface (Eén &
+Sörensson, "Temporal Induction by Incremental SAT Solving", BMC 2003):
+one :class:`~repro.sat.solver.Solver` lives on the run's
+:class:`~repro.core.anf_to_cnf.ConversionSession`, each call adds only
+the clauses the session never emitted before and searches on, so learnt
+clauses, activities and phases carry over between budget steps.  That is
+sound because every clause ever added follows from the original ANF plus
+the session's fixed auxiliary definitions; clauses of polynomials the
+loop has since simplified away stay, and are harmless.  Outcomes:
 
 * UNSAT — the learnt fact is the contradiction ``1 = 0``;
 * SAT — the satisfying assignment is reported (Bosphorus stores it but
@@ -24,11 +32,18 @@ from typing import List, Optional, Set, Tuple
 from ..anf.polynomial import Poly
 from ..anf.system import AnfSystem
 from ..obs import NULL_TRACER
-from ..sat.solver import SAT, UNKNOWN, UNSAT, Solver, SolverConfig
+from ..sat import SOLVER_COUNTERS, solver_counters
+from ..sat.solver import SAT, UNSAT, Solver, SolverConfig
 from ..sat.types import TRUE, UNDEF, lit_neg, lit_sign, lit_var
 from ..sat.xorengine import XorEngine
-from .anf_to_cnf import AnfToCnf, ConversionResult, system_fingerprint
+from .anf_to_cnf import (
+    AnfToCnf,
+    ConversionResult,
+    ConversionSession,
+    system_fingerprint,
+)
 from .config import Config
+from .solution import make_model_validator
 
 __all__ = [
     "SatLearnResult",
@@ -73,6 +88,62 @@ def _status_name(status) -> str:
     return "unknown"
 
 
+def _fanout_backends(kind: str, config: Config, solver_config):
+    """The ``kind`` ("portfolio" or "cube") fan-out's backends.
+
+    A caller-supplied ``solver_config`` (Bosphorus's
+    ``inner_solver_config``) replaces the stock personality tuning of
+    every in-process backend; per-backend seeds still apply on top, so
+    the legs stay diversified.
+    """
+    from ..portfolio import CdclBackend, create_backend
+
+    backends = [
+        create_backend(spec) for spec in getattr(config, kind + "_backends")
+    ]
+    if solver_config is not None:
+        for backend in backends:
+            if isinstance(backend, CdclBackend):
+                backend.config_override = solver_config
+    if getattr(config, kind + "_timeout_s") is None:
+        # The inner SAT step is conflict-bounded (paper budget C); a
+        # backend that cannot honour that budget would make the loop
+        # iteration unbounded, so demand an explicit wall-clock bound.
+        unbounded = [b.name for b in backends if not b.supports_conflict_budget]
+        if unbounded:
+            raise ValueError(
+                "{0}_timeout_s must be set when {0}_backends include "
+                "wall-clock-only backends: {1}".format(
+                    kind, ", ".join(unbounded)
+                )
+            )
+    return backends
+
+
+def _fanout_result(outcome, conflicts, conversion, config, **extra):
+    """A fan-out outcome (verdict, validated model, merged facts) as a
+    :class:`SatLearnResult`."""
+    result = SatLearnResult(
+        status=outcome.verdict,
+        conflicts=conflicts,
+        conversion=conversion,
+        **extra,
+    )
+    if outcome.verdict is UNSAT:
+        result.facts = [Poly.one()]
+        return result
+
+    result.facts = extract_facts(
+        _HarvestedFacts(outcome.level0, outcome.binaries), conversion, config
+    )
+    if outcome.verdict is SAT and outcome.model is not None:
+        result.model = [
+            1 if (v < len(outcome.model) and outcome.model[v]) else 0
+            for v in range(conversion.n_anf_vars)
+        ]
+    return result
+
+
 def _run_sat_portfolio(
     system: AnfSystem,
     config: Config,
@@ -84,11 +155,6 @@ def _run_sat_portfolio(
 ) -> SatLearnResult:
     """The inner SAT step as a backend race (``config.use_portfolio``).
 
-    A caller-supplied ``solver_config`` (Bosphorus's
-    ``inner_solver_config``) replaces the stock personality tuning of
-    every in-process backend; per-backend seeds still apply on top, so
-    the race stays diversified.
-
     Each backend gets the same conflict budget; SAT models are only
     accepted after reconstruction through the conversion's auxiliaries
     and evaluation on the original ANF (invalid models demote that
@@ -96,27 +162,10 @@ def _run_sat_portfolio(
     backend — cancelled losers still contribute their proven level-0
     units.
     """
-    from ..portfolio import CdclBackend, PortfolioRunner, create_backend
-    from .solution import make_model_validator
-
-    backends = [create_backend(spec) for spec in config.portfolio_backends]
-    if solver_config is not None:
-        for backend in backends:
-            if isinstance(backend, CdclBackend):
-                backend.config_override = solver_config
-    if config.portfolio_timeout_s is None:
-        # The inner SAT step is conflict-bounded (paper budget C); a
-        # backend that cannot honour that budget would make the loop
-        # iteration unbounded, so demand an explicit wall-clock bound.
-        unbounded = [b.name for b in backends if not b.supports_conflict_budget]
-        if unbounded:
-            raise ValueError(
-                "portfolio_timeout_s must be set when portfolio_backends "
-                "include wall-clock-only backends: " + ", ".join(unbounded)
-            )
+    from ..portfolio import PortfolioRunner
 
     runner = PortfolioRunner(
-        backends,
+        _fanout_backends("portfolio", config, solver_config),
         jobs=config.portfolio_jobs,
         validate=make_model_validator(conversion, system.polynomials),
         tracer=tracer,
@@ -130,26 +179,9 @@ def _run_sat_portfolio(
     conflicts = max(
         (r.conflicts for r in outcome.results if r is not None), default=0
     )
-    result = SatLearnResult(
-        status=outcome.verdict,
-        conflicts=conflicts,
-        conversion=conversion,
-        portfolio=outcome,
+    return _fanout_result(
+        outcome, conflicts, conversion, config, portfolio=outcome
     )
-    if outcome.verdict is UNSAT:
-        result.facts = [Poly.one()]
-        return result
-
-    result.facts = extract_facts(
-        _HarvestedFacts(outcome.level0, outcome.binaries), conversion, config
-    )
-
-    if outcome.verdict is SAT and outcome.model is not None:
-        result.model = [
-            1 if (v < len(outcome.model) and outcome.model[v]) else 0
-            for v in range(conversion.n_anf_vars)
-        ]
-    return result
 
 
 def _run_sat_cube(
@@ -174,27 +206,9 @@ def _run_sat_cube(
     layer's bugfix guards with a regression test).
     """
     from ..cube import CubeConqueror
-    from ..portfolio import CdclBackend, create_backend
-    from .solution import make_model_validator
-
-    backends = [create_backend(spec) for spec in config.cube_backends]
-    if solver_config is not None:
-        for backend in backends:
-            if isinstance(backend, CdclBackend):
-                backend.config_override = solver_config
-    if config.cube_timeout_s is None:
-        # Same bounding policy as the portfolio: a backend that ignores
-        # the conflict budget needs an explicit wall-clock bound or one
-        # hard cube wedges the loop iteration.
-        unbounded = [b.name for b in backends if not b.supports_conflict_budget]
-        if unbounded:
-            raise ValueError(
-                "cube_timeout_s must be set when cube_backends include "
-                "wall-clock-only backends: " + ", ".join(unbounded)
-            )
 
     conqueror = CubeConqueror(
-        backends,
+        _fanout_backends("cube", config, solver_config),
         jobs=config.cube_jobs,
         depth=config.cube_depth,
         mode=config.cube_mode,
@@ -209,25 +223,7 @@ def _run_sat_cube(
         conflict_budget=budget,
     )
     conflicts = sum(r.conflicts for r in outcome.results if r is not None)
-    result = SatLearnResult(
-        status=outcome.verdict,
-        conflicts=conflicts,
-        conversion=conversion,
-        cube=outcome,
-    )
-    if outcome.verdict is UNSAT:
-        result.facts = [Poly.one()]
-        return result
-
-    result.facts = extract_facts(
-        _HarvestedFacts(outcome.level0, outcome.binaries), conversion, config
-    )
-    if outcome.verdict is SAT and outcome.model is not None:
-        result.model = [
-            1 if (v < len(outcome.model) and outcome.model[v]) else 0
-            for v in range(conversion.n_anf_vars)
-        ]
-    return result
+    return _fanout_result(outcome, conflicts, conversion, config, cube=outcome)
 
 
 def run_sat(
@@ -235,31 +231,37 @@ def run_sat(
     config: Optional[Config] = None,
     conflict_budget: Optional[int] = None,
     solver_config: Optional[SolverConfig] = None,
-    converter: Optional[AnfToCnf] = None,
+    session: Optional[ConversionSession] = None,
     tracer=None,
     metrics=None,
 ) -> SatLearnResult:
     """Convert, solve under a conflict budget, and harvest learnt facts.
 
-    Pass a long-lived ``converter`` to share its structure-keyed Karnaugh
-    cache across invocations (the Bosphorus loop converts the same round
-    structures every iteration).  The converter carries its own config:
-    when one is passed, *its* conversion parameters (K, L,
-    ``emit_xor_clauses``) are the ones used — ``config`` then only
-    governs the conflict budget and fact harvesting, so build the
-    converter from the same config unless you mean them to differ.
+    The system is converted in ``session`` (a fresh one when omitted).
+    The in-process solver lives on the session: each call adds only the
+    conversion's delta clauses to it and searches on, so a session
+    passed to every loop iteration keeps its learnt clauses, activities
+    and phases.  ``result.conflicts`` is this call's share.  The
+    session's converter carries its own config: its conversion
+    parameters (K, L, ``emit_xor_clauses``) are the ones used —
+    ``config`` then only governs the conflict budget and fact harvesting.
 
-    With ``config.cache_dir`` set (or a converter carrying a store) the
-    conversion is keyed by the canonical system hash
-    (:func:`system_fingerprint`): a system already converted by any
-    earlier run — this process or a previous one — loads from disk with
-    bit-for-bit identical CNF, reported via
+    With ``config.cache_dir`` set (or a converter carrying a store) each
+    conversion is keyed by the session's history plus the canonical
+    system hash (:func:`system_fingerprint`): a run repeating an earlier
+    run's conversions — in this process or a previous one — loads them
+    from disk with bit-for-bit identical CNF, reported via
     ``result.conversion.stats.conversion_disk_hits``.
+
+    A SAT model is validated on ``system``; an invalid one raises
+    ``RuntimeError``, because it proves a soundness bug.
     """
     config = config or Config()
     tracer = tracer or NULL_TRACER
     budget = conflict_budget if conflict_budget is not None else config.sat_conflict_start
-    conversion = (converter or AnfToCnf(config, tracer=tracer)).convert(system)
+    if session is None:
+        session = AnfToCnf(config, tracer=tracer).session()
+    conversion = session.convert(system)
     if config.use_cube and config.cube_backends:
         return _run_sat_cube(
             system, config, budget, conversion, solver_config, tracer, metrics
@@ -271,27 +273,29 @@ def run_sat(
     with tracer.span(
         "sat.solve", backend="in-process", budget=budget
     ) as span:
-        solver = Solver(solver_config)
+        solver = session.solver
+        if solver is None:
+            solver = session.solver = Solver(solver_config)
+        before = solver_counters(solver)
         solver.ensure_vars(conversion.formula.n_vars)
-        ok = solver.add_clauses(conversion.formula.clauses)
-        if ok and conversion.formula.xors:
-            engine = XorEngine()
-            for variables, rhs in conversion.formula.xors:
+        delta = conversion.delta
+        if solver.add_clauses(delta.clauses) and delta.xors:
+            # New XORs join the bound engine, which re-eliminates the
+            # whole XOR set at level 0 when it is attached again.
+            engine = solver.xor_engine or XorEngine()
+            for variables, rhs in delta.xors:
                 engine.add_xor(variables, rhs)
             solver.attach_xor_engine(engine)
-            ok = solver.ok
-
-        if not ok:
-            span.set("status", "unsat")
-            return SatLearnResult(
-                status=UNSAT, facts=[Poly.one()], conversion=conversion
-            )
-
+        # A solver made UNSAT while adding answers UNSAT at once.
         status = solver.solve(conflict_budget=budget)
+        counters = solver_counters(solver)
+        for name in SOLVER_COUNTERS:
+            counters[name] -= before[name]
+        for name, value in counters.items():
+            span.set(name, value)
         span.set("status", _status_name(status))
-        span.set("conflicts", solver.num_conflicts)
         result = SatLearnResult(
-            status=status, conflicts=solver.num_conflicts, conversion=conversion
+            status=status, conflicts=counters["conflicts"], conversion=conversion
         )
         if status is UNSAT:
             result.facts = [Poly.one()]
@@ -299,6 +303,13 @@ def run_sat(
 
         result.facts = extract_facts(solver, conversion, config)
         if status is SAT:
+            if not make_model_validator(conversion, system.polynomials)(
+                solver.model
+            ):
+                raise RuntimeError(
+                    "in-process SAT model fails the ANF it was converted "
+                    "from: a soundness bug"
+                )
             model = []
             for v in range(conversion.n_anf_vars):
                 val = solver.model[v] if v < len(solver.model) else UNDEF

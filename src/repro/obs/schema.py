@@ -52,7 +52,10 @@ TECHNIQUE_SCHEMA: Dict[str, str] = {
     "groebner_facts": "facts absorbed from the Buchberger pass",
     "probing_facts": "facts absorbed from variable probing",
     "sat_status": "inner SAT verdict (SAT/UNSAT/UNKNOWN sentinel)",
-    "sat_conflicts": "conflicts spent by the inner SAT step",
+    "sat_conflicts": (
+        "conflicts this iteration's inner SAT call spent: the warm "
+        "solver's running total minus its total before the call"
+    ),
     "sat_facts": "facts absorbed from SAT-solver harvesting",
     "sat_portfolio_winner": "winning backend name (portfolio runs only)",
     "sat_cubes": "number of cubes conquered (cube runs only)",

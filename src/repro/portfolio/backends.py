@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sat import cms_config, lingeling_config, minisat_config
+from ..sat import cms_config, lingeling_config, minisat_config, solver_counters
 from ..sat.dimacs import CnfFormula, expand_xors, write_dimacs
 from ..sat.preprocess import Preprocessor
 from ..sat.solver import SAT, UNSAT, Solver, SolverConfig
@@ -89,6 +89,9 @@ class BackendResult:
     # shipping pattern as the learnt facts above.
     spans: Optional[list] = None
     metrics: Optional[dict] = None
+    #: In-process solves only: the solver's work counters at exit
+    #: (:func:`repro.sat.solver_counters`), recorded on the caller's span.
+    counters: Optional[dict] = None
 
 
 def _deadline_of(timeout_s: Optional[float], deadline: Optional[float]) -> Optional[float]:
@@ -332,6 +335,7 @@ class CdclBackend(SolverBackend):
     def _harvest(
         self, result: BackendResult, solver: Solver, facts_safe: bool
     ) -> BackendResult:
+        result.counters = solver_counters(solver)
         if facts_safe:
             result.facts_safe = True
             result.level0 = solver.level0_literals()

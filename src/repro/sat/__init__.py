@@ -34,6 +34,18 @@ from .xorengine import XorClause, XorEngine
 from .xorrecovery import formula_with_recovered_xors, recover_xors
 
 
+#: The CDCL work counters a span records at exit, read from
+#: ``Solver.num_<name>``; :func:`solver_counters` adds the learnt-DB size.
+SOLVER_COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
+
+
+def solver_counters(solver: Solver) -> dict:
+    """The solver's running work totals plus its learnt-clause count."""
+    counts = {name: getattr(solver, "num_" + name) for name in SOLVER_COUNTERS}
+    counts["learnts"] = len(solver.learnts)
+    return counts
+
+
 def minisat_config() -> SolverConfig:
     """Plain CDCL tuned like MiniSat 2.2."""
     return SolverConfig(var_decay=0.95, restart_base=100, use_luby=True)
@@ -59,6 +71,8 @@ __all__ = [
     "UNSAT",
     "UNKNOWN",
     "luby",
+    "SOLVER_COUNTERS",
+    "solver_counters",
     "Preprocessor",
     "PreprocessResult",
     "XorEngine",

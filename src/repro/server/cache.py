@@ -32,11 +32,12 @@ from typing import Any, Optional
 
 #: Bump when the entry layout or any cached value's semantics change:
 #: old entries then read back as misses and are rewritten.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Namespace for minimised Karnaugh cube covers (shape_key → cubes).
 NS_KARNAUGH = "karnaugh"
-#: Namespace for whole conversion results (system hash → ConversionResult).
+#: Namespace for whole conversion results ((session history, system hash)
+#: → (ConversionResult, the session's new clause-memo entries by position)).
 NS_CONVERSION = "conversion"
 
 

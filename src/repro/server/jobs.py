@@ -292,6 +292,8 @@ def execute_job(
             verdict = VERDICT_TIMEOUT
         span.set("verdict", verdict)
         span.set("conflicts", res.conflicts)
+        for name, value in (res.counters or {}).items():
+            span.set(name, value)
     metrics.inc("backend_solves")
     metrics.inc("backend_conflicts", res.conflicts)
     stats = dict(pre_stats)
