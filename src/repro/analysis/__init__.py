@@ -2,7 +2,7 @@
 
 Mechanizes the repo's standing invariants (see ROADMAP) as static-
 analysis rules over stdlib ``ast``: ONE-KERNEL, MASK-PATH, DET-RNG,
-FORK-SAFETY, FACTS-SAFE and ORACLE-FREEZE, with an explicit suppression
+FORK-SAFETY and ORACLE-FREEZE, with an explicit suppression
 pragma (``# repro: allow[RULE-ID] <justification>``).  Run it as
 ``python -m repro.analysis`` or ``make lint``; it needs nothing beyond
 the standard library and scans the whole repo in seconds.

@@ -32,7 +32,7 @@ def _parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter: mechanizes the repo's standing "
             "invariants (one GF(2) kernel, mask path, threaded RNG, "
-            "fork safety, facts_safe discipline, frozen oracles)"
+            "fork safety, frozen oracles)"
         ),
     )
     parser.add_argument(

@@ -6,7 +6,6 @@ from typing import Dict, List, Type
 
 from ..rules_base import Rule
 from .det_rng import DetRngRule
-from .facts_safe import FactsSafeRule
 from .fork_safety import ForkSafetyRule
 from .mask_path import MaskPathRule
 from .one_kernel import OneKernelRule
@@ -18,7 +17,6 @@ ALL_RULES: List[Type[Rule]] = [
     MaskPathRule,
     DetRngRule,
     ForkSafetyRule,
-    FactsSafeRule,
     OracleFreezeRule,
 ]
 
@@ -28,7 +26,6 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "DetRngRule",
-    "FactsSafeRule",
     "ForkSafetyRule",
     "MaskPathRule",
     "OneKernelRule",

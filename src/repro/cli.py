@@ -22,7 +22,6 @@ from typing import List, Optional
 from .anf import Ring, read_anf, write_anf
 from .core.bosphorus import Bosphorus, STATUS_SAT, STATUS_UNSAT
 from .core.config import Config
-from .experiments.runner import run_final_solver
 from .obs import NULL_TRACER, Tracer
 from .sat.dimacs import read_dimacs, write_dimacs
 
@@ -203,22 +202,16 @@ def _final_solve(args, result, tracer=NULL_TRACER):
                     row.backend, row.status, row.seconds, row.conflicts,
                     "  [winner]" if row.won else ""))
         return outcome.verdict, outcome.model
-    if args.backend:
-        from .portfolio import create_backend
+    from .portfolio import create_backend
 
-        backend = create_backend(args.backend)
-        if not backend.available():
-            print("c backend unavailable: {}".format(backend.name))
-            return None, None
-        with tracer.span("final.solve", backend=backend.name) as span:
-            res = backend.solve(result.cnf, timeout_s=args.timeout)
-            span.set("conflicts", res.conflicts)
-        return res.status, res.model
-    with tracer.span("final.solve", backend=args.solver):
-        verdict, model, _ = run_final_solver(
-            result.cnf, args.solver, args.timeout
-        )
-    return verdict, model
+    backend = create_backend(args.backend or args.solver)
+    if not backend.available():
+        print("c backend unavailable: {}".format(backend.name))
+        return None, None
+    with tracer.span("final.solve", backend=backend.name) as span:
+        res = backend.solve(result.cnf, timeout_s=args.timeout)
+        span.set("conflicts", res.conflicts)
+    return res.status, res.model
 
 
 def build_serve_parser() -> argparse.ArgumentParser:

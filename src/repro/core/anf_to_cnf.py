@@ -160,16 +160,12 @@ class AnfToCnf:
     the session's history plus the canonical system hash
     (:func:`system_fingerprint`), so a repeat run skips minimisation
     entirely and reproduces the exact same formulas bit for bit.
-    ``use_conversion_cache=False`` keeps the whole-conversion tier off
-    (the Karnaugh tier still spills), which the cache tests use to
-    exercise the per-shape path in isolation.
     """
 
     def __init__(
         self,
         config: Optional[Config] = None,
         store=None,
-        use_conversion_cache: bool = True,
         tracer=None,
         metrics=None,
     ):
@@ -179,7 +175,6 @@ class AnfToCnf:
 
             store = CacheStore(self.config.cache_dir)
         self.store = store
-        self.use_conversion_cache = use_conversion_cache
         # shape_key -> minimised cube cover in local-index space.
         self._karnaugh_cache: Dict[tuple, list] = {}
         # Observability (repro.obs): instance-threaded, never global.
@@ -378,7 +373,7 @@ class ConversionSession:
         keys = [_poly_key(p) for p in polynomials]
         store = self.converter.store
         cache_key = None
-        if store is not None and self.converter.use_conversion_cache:
+        if store is not None:
             # The history makes an entry replay only onto the allocator
             # state it was recorded from.
             cache_key = (

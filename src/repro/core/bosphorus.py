@@ -256,20 +256,10 @@ class Bosphorus:
                                 self.inner_solver_config,
                                 session=session,
                                 tracer=tracer,
-                                metrics=metrics,
                             )
                             it_stats["sat_status"] = sat_res.status
                             it_stats["sat_conflicts"] = sat_res.conflicts
                             span.set("conflicts", sat_res.conflicts)
-                            if sat_res.portfolio is not None:
-                                it_stats["sat_portfolio_winner"] = (
-                                    sat_res.portfolio.winner
-                                )
-                            if sat_res.cube is not None:
-                                it_stats["sat_cubes"] = sat_res.cube.n_cubes
-                                it_stats["sat_cubes_refuted"] = (
-                                    sat_res.cube.n_refuted
-                                )
                             if sat_res.status is UNSAT:
                                 raise ContradictionError(
                                     "SAT solver proved UNSAT"

@@ -19,8 +19,8 @@ pure-Python reproduction remains fast (documented in DESIGN.md §6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 
 @dataclass
@@ -78,33 +78,6 @@ class Config:
     # default, JSON lines when the path ends in ".jsonl".  None keeps
     # the zero-overhead no-op tracer everywhere.
     trace_path: Optional[str] = None
-    # Portfolio mode for the inner SAT step (repro.portfolio): instead of
-    # one in-process solver, race the named backends under the same
-    # conflict budget; the first *validated* verdict wins and learnt
-    # facts are merged from every facts-safe backend.  Backend specs are
-    # resolved by ``repro.portfolio.create_backend`` ("minisat", "cms@7",
-    # "dimacs:kissat", ...).  ``portfolio_jobs=1`` is the deterministic
-    # sequential race; ``portfolio_timeout_s`` optionally adds a
-    # wall-clock bound on top of the conflict budget.
-    use_portfolio: bool = False
-    portfolio_backends: Tuple[str, ...] = ("minisat", "cms", "cms@1")
-    portfolio_jobs: int = 1
-    portfolio_timeout_s: Optional[float] = None
-    # Cube-and-conquer mode for the inner SAT step (repro.cube): split
-    # the CNF into up to ``min(2**cube_depth, cube_max_cubes)``
-    # assumption cubes (``cube_mode``: "lookahead" walks the tree with
-    # unit propagation, "occurrence" is the syntactic ranking) and
-    # conquer them over ``cube_jobs`` workers with first-SAT early exit;
-    # UNSAT only when every cube is refuted.  Backend specs resolve via
-    # ``repro.portfolio.create_backend`` and are assigned round-robin
-    # over the cubes.  Takes precedence over ``use_portfolio``.
-    use_cube: bool = False
-    cube_depth: int = 4
-    cube_backends: Tuple[str, ...] = ("minisat",)
-    cube_jobs: int = 1
-    cube_mode: str = "lookahead"
-    cube_max_cubes: int = 256
-    cube_timeout_s: Optional[float] = None
 
     def with_(self, **kwargs) -> "Config":
         """A copy of this config with the given fields replaced."""

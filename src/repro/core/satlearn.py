@@ -62,21 +62,6 @@ class SatLearnResult:
     model: Optional[List[int]] = None  # over the ANF variables
     conflicts: int = 0
     conversion: Optional[ConversionResult] = None
-    portfolio: Optional[object] = None  # PortfolioResult when config.use_portfolio
-    cube: Optional[object] = None  # CubeOutcome when config.use_cube
-
-
-class _HarvestedFacts:
-    """Adapter giving merged portfolio learnt facts the solver's
-    fact-harvesting surface (:meth:`level0_literals`, ``learnt_binaries``),
-    so :func:`extract_facts` serves both paths unchanged."""
-
-    def __init__(self, level0, binaries):
-        self._level0 = list(level0)
-        self.learnt_binaries = set(binaries)
-
-    def level0_literals(self):
-        return self._level0
 
 
 def _status_name(status) -> str:
@@ -88,144 +73,6 @@ def _status_name(status) -> str:
     return "unknown"
 
 
-def _fanout_backends(kind: str, config: Config, solver_config):
-    """The ``kind`` ("portfolio" or "cube") fan-out's backends.
-
-    A caller-supplied ``solver_config`` (Bosphorus's
-    ``inner_solver_config``) replaces the stock personality tuning of
-    every in-process backend; per-backend seeds still apply on top, so
-    the legs stay diversified.
-    """
-    from ..portfolio import CdclBackend, create_backend
-
-    backends = [
-        create_backend(spec) for spec in getattr(config, kind + "_backends")
-    ]
-    if solver_config is not None:
-        for backend in backends:
-            if isinstance(backend, CdclBackend):
-                backend.config_override = solver_config
-    if getattr(config, kind + "_timeout_s") is None:
-        # The inner SAT step is conflict-bounded (paper budget C); a
-        # backend that cannot honour that budget would make the loop
-        # iteration unbounded, so demand an explicit wall-clock bound.
-        unbounded = [b.name for b in backends if not b.supports_conflict_budget]
-        if unbounded:
-            raise ValueError(
-                "{0}_timeout_s must be set when {0}_backends include "
-                "wall-clock-only backends: {1}".format(
-                    kind, ", ".join(unbounded)
-                )
-            )
-    return backends
-
-
-def _fanout_result(outcome, conflicts, conversion, config, **extra):
-    """A fan-out outcome (verdict, validated model, merged facts) as a
-    :class:`SatLearnResult`."""
-    result = SatLearnResult(
-        status=outcome.verdict,
-        conflicts=conflicts,
-        conversion=conversion,
-        **extra,
-    )
-    if outcome.verdict is UNSAT:
-        result.facts = [Poly.one()]
-        return result
-
-    result.facts = extract_facts(
-        _HarvestedFacts(outcome.level0, outcome.binaries), conversion, config
-    )
-    if outcome.verdict is SAT and outcome.model is not None:
-        result.model = [
-            1 if (v < len(outcome.model) and outcome.model[v]) else 0
-            for v in range(conversion.n_anf_vars)
-        ]
-    return result
-
-
-def _run_sat_portfolio(
-    system: AnfSystem,
-    config: Config,
-    budget: int,
-    conversion: ConversionResult,
-    solver_config: Optional[SolverConfig] = None,
-    tracer=None,
-    metrics=None,
-) -> SatLearnResult:
-    """The inner SAT step as a backend race (``config.use_portfolio``).
-
-    Each backend gets the same conflict budget; SAT models are only
-    accepted after reconstruction through the conversion's auxiliaries
-    and evaluation on the original ANF (invalid models demote that
-    backend's answer).  Learnt facts are merged from every facts-safe
-    backend — cancelled losers still contribute their proven level-0
-    units.
-    """
-    from ..portfolio import PortfolioRunner
-
-    runner = PortfolioRunner(
-        _fanout_backends("portfolio", config, solver_config),
-        jobs=config.portfolio_jobs,
-        validate=make_model_validator(conversion, system.polynomials),
-        tracer=tracer,
-        metrics=metrics,
-    )
-    outcome = runner.run(
-        conversion.formula,
-        timeout_s=config.portfolio_timeout_s,
-        conflict_budget=budget,
-    )
-    conflicts = max(
-        (r.conflicts for r in outcome.results if r is not None), default=0
-    )
-    return _fanout_result(
-        outcome, conflicts, conversion, config, portfolio=outcome
-    )
-
-
-def _run_sat_cube(
-    system: AnfSystem,
-    config: Config,
-    budget: int,
-    conversion: ConversionResult,
-    solver_config: Optional[SolverConfig] = None,
-    tracer=None,
-    metrics=None,
-) -> SatLearnResult:
-    """The inner SAT step as a cube-and-conquer run (``config.use_cube``).
-
-    The CNF is split into assumption cubes and conquered over the
-    bounded pool; every cube gets the same conflict budget.  SAT models
-    validate through the conversion before they are accepted, UNSAT is
-    reported only on a global refutation shortcut or when every cube is
-    refuted, and learnt facts merge from every facts-safe cube result —
-    plus the splitter's root-propagation units.  Cube-local units can
-    never appear: assumptions enter the solver as decisions, so
-    ``level0_literals()`` stays globally valid (the conflation this
-    layer's bugfix guards with a regression test).
-    """
-    from ..cube import CubeConqueror
-
-    conqueror = CubeConqueror(
-        _fanout_backends("cube", config, solver_config),
-        jobs=config.cube_jobs,
-        depth=config.cube_depth,
-        mode=config.cube_mode,
-        max_cubes=config.cube_max_cubes,
-        validate=make_model_validator(conversion, system.polynomials),
-        tracer=tracer,
-        metrics=metrics,
-    )
-    outcome = conqueror.run(
-        conversion.formula,
-        timeout_s=config.cube_timeout_s,
-        conflict_budget=budget,
-    )
-    conflicts = sum(r.conflicts for r in outcome.results if r is not None)
-    return _fanout_result(outcome, conflicts, conversion, config, cube=outcome)
-
-
 def run_sat(
     system: AnfSystem,
     config: Optional[Config] = None,
@@ -233,7 +80,6 @@ def run_sat(
     solver_config: Optional[SolverConfig] = None,
     session: Optional[ConversionSession] = None,
     tracer=None,
-    metrics=None,
 ) -> SatLearnResult:
     """Convert, solve under a conflict budget, and harvest learnt facts.
 
@@ -262,14 +108,6 @@ def run_sat(
     if session is None:
         session = AnfToCnf(config, tracer=tracer).session()
     conversion = session.convert(system)
-    if config.use_cube and config.cube_backends:
-        return _run_sat_cube(
-            system, config, budget, conversion, solver_config, tracer, metrics
-        )
-    if config.use_portfolio and config.portfolio_backends:
-        return _run_sat_portfolio(
-            system, config, budget, conversion, solver_config, tracer, metrics
-        )
     with tracer.span(
         "sat.solve", backend="in-process", budget=budget
     ) as span:

@@ -1,4 +1,5 @@
-"""Cube-and-conquer on top of the portfolio pool.
+"""Cube-and-conquer on top of the portfolio pool: a final-solve engine
+(CLI ``--cube``) that answers one CNF's verdict.
 
 The classic split (Heule/Kullmann/Biere): a *splitter* partitions the
 CNF's search space into assumption cubes
@@ -7,9 +8,7 @@ bounded :class:`repro.portfolio.BatchScheduler` pool with first-SAT
 early exit and all-cubes-refuted UNSAT aggregation
 (:mod:`repro.cube.conquer`).  Soundness leans on the backend assumption
 plumbing: backends report ``assumption_failure`` so a refuted cube is
-never conflated with a refuted formula, and cube-local units can never
-leak into the harvested level-0 facts (assumptions are decisions, never
-level 0).
+never conflated with a refuted formula.
 """
 
 from .conquer import (

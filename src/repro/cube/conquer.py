@@ -19,13 +19,8 @@ every fan-out).  The first-win protocol is the map's ``stop_when``:
 
 A validated SAT and a global refutation in one run is a soundness bug
 and raises :class:`CubeDisagreement`, mirroring the portfolio engine's
-disagreement policy.
-
-Learnt facts are merged exactly as the portfolio merges them: level-0
-units and binary clauses from every ``facts_safe`` backend result —
-sound even from cube runs, because assumptions enter the solver as
-decisions (level >= 1) and can never leak into ``level0_literals()`` —
-plus the splitter's root-propagation units.
+disagreement policy.  A conquest answers a verdict (and a validated
+model) only; no learnt fact travels back from a cube.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..portfolio.backends import BackendResult, SolverBackend, create_backend
-from ..portfolio.engine import Leg, leg_status, merge_facts, run_legs
+from ..portfolio.engine import Leg, leg_status, run_legs
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT
 from .splitter import DEFAULT_MAX_CUBES, split_formula
@@ -87,8 +82,6 @@ class CubeOutcome:
     #: splitter's root propagation), not from refuting every cube.
     global_unsat: bool = False
     wall_seconds: float = 0.0
-    level0: List[int] = field(default_factory=list)
-    binaries: List[Tuple[int, int]] = field(default_factory=list)
     results: List[Optional[BackendResult]] = field(default_factory=list)
     variables: List[int] = field(default_factory=list)
 
@@ -244,5 +237,3 @@ class CubeConqueror:
             # Every scheduled cube refuted; together with the splitter's
             # closed branches the partition is exhausted.
             outcome.verdict = UNSAT
-
-        outcome.level0, outcome.binaries = merge_facts(results, cubeset.forced)

@@ -20,8 +20,8 @@ Two splitters share the :class:`CubeSet` output shape:
   ``refuted``), propagation-implied variables are never branched on, and
   each node branches on the best-ranked variable still unassigned *in
   that subtree* — so different cubes may split on different variables.
-  Root-level propagation also yields ``forced`` units: genuine global
-  facts, harvested for free.
+  Root-level propagation also yields ``forced`` units, which hold in
+  every model of the formula.
 
 XOR constraints are expanded for the lookahead walk, but branching
 variables and forced units are always restricted to the *original*

@@ -8,7 +8,6 @@ from .runner import (
     run_family,
     run_final_solver,
     run_instance,
-    solve_with_budget,
 )
 from .report import cactus_points, markdown_table, render_cactus, solved_counts
 from .tables import (
@@ -31,7 +30,6 @@ __all__ = [
     "run_instance",
     "run_family",
     "run_final_solver",
-    "solve_with_budget",
     "TableBlock",
     "run_block",
     "format_blocks",

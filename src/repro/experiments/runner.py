@@ -33,10 +33,9 @@ from ..core.anf_to_cnf import AnfToCnf
 from ..core.bosphorus import Bosphorus
 from ..core.config import Config
 from ..core.solution import Solution
-from ..portfolio.backends import CdclBackend, sliced_solve
+from ..portfolio.backends import CdclBackend
 from ..portfolio.batch import BatchItemError, BatchScheduler
 from ..sat.dimacs import CnfFormula
-from ..sat.solver import Solver
 
 PERSONALITIES = ("minisat", "lingeling", "cms")
 
@@ -73,18 +72,6 @@ class RunResult:
     conflicts: int = 0
     model_checked: Optional[bool] = None
     decided_by_bosphorus: bool = False
-
-
-def solve_with_budget(
-    solver: Solver, deadline: float, slice_conflicts: int = 500
-) -> Optional[bool]:
-    """Run CDCL in slices until verdict or the wall-clock deadline.
-
-    A thin wrapper over :func:`repro.portfolio.backends.sliced_solve` —
-    there is exactly one slicing/deadline policy, and a deadline already
-    in the past never buys a free conflict slice.
-    """
-    return sliced_solve(solver, deadline=deadline, slice_conflicts=slice_conflicts)
 
 
 def run_final_solver(

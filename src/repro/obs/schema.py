@@ -57,9 +57,6 @@ TECHNIQUE_SCHEMA: Dict[str, str] = {
         "solver's running total minus its total before the call"
     ),
     "sat_facts": "facts absorbed from SAT-solver harvesting",
-    "sat_portfolio_winner": "winning backend name (portfolio runs only)",
-    "sat_cubes": "number of cubes conquered (cube runs only)",
-    "sat_cubes_refuted": "number of cubes refuted (cube runs only)",
 }
 
 TECHNIQUE_KEYS = frozenset(TECHNIQUE_SCHEMA)

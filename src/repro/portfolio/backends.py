@@ -33,7 +33,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sat import cms_config, lingeling_config, minisat_config, solver_counters
@@ -55,11 +55,7 @@ class BackendResult:
     ``status`` follows the solver convention: ``True`` SAT, ``False``
     UNSAT, ``None`` no verdict.  ``model`` is 0/1 bits over the *input*
     formula's variables (``None`` when unavailable — e.g. an external
-    solver that does not print ``v`` lines).  ``level0`` and
-    ``binaries`` carry the learnt facts Bosphorus harvests (encoded
-    literals / literal pairs); they are only populated when
-    ``facts_safe`` — a backend whose preprocessing is merely
-    equisatisfiable (BVE) must not contribute facts.
+    solver that does not print ``v`` lines).
 
     ``assumption_failure`` qualifies an UNSAT answer produced under
     non-empty ``assumptions``: when True the refutation may hinge on the
@@ -75,9 +71,6 @@ class BackendResult:
     status: Optional[bool]
     model: Optional[List[int]] = None
     conflicts: int = 0
-    level0: List[int] = field(default_factory=list)
-    binaries: List[Tuple[int, int]] = field(default_factory=list)
-    facts_safe: bool = False
     cancelled: bool = False
     demoted: bool = False
     assumption_failure: bool = False
@@ -85,8 +78,7 @@ class BackendResult:
     # Observability (repro.obs), populated only when tracing is on: the
     # worker-local tracer's finished span dicts and the worker-local
     # MetricsRegistry snapshot.  They ride the result back across the
-    # pickle boundary and are adopted/merged parent-side — the same
-    # shipping pattern as the learnt facts above.
+    # pickle boundary and are adopted/merged parent-side.
     spans: Optional[list] = None
     metrics: Optional[dict] = None
     #: In-process solves only: the solver's work counters at exit
@@ -117,9 +109,9 @@ def sliced_solve(
     """Run CDCL in conflict slices until a verdict, the deadline, budget
     exhaustion, or cancellation — whichever comes first.
 
-    The one interruptible-solve policy shared by every consumer
-    (backends, the experiment harness): a deadline already in the past
-    never buys a conflict slice.  ``assumptions`` are re-applied on every
+    The one interruptible-solve policy, shared by every in-process
+    backend: a deadline already in the past never buys a conflict
+    slice.  ``assumptions`` are re-applied on every
     slice; after an UNSAT verdict the caller reads
     ``solver.assumptions_failed`` to tell a cube-relative refutation from
     a global one.
@@ -188,8 +180,8 @@ class CdclBackend(SolverBackend):
     delegates here:
 
     * ``lingeling`` runs the SatELite-style :class:`Preprocessor` first
-      (equisatisfiable, so learnt facts are withheld: ``facts_safe`` is
-      False);
+      (skipped under assumptions: BVE could eliminate an assumed
+      variable);
     * ``cms`` recovers Tseitin-encoded XORs from plain CNF and attaches
       the native :class:`XorEngine`;
     * other personalities get XOR constraints *expanded* to plain
@@ -199,10 +191,6 @@ class CdclBackend(SolverBackend):
 
     personality: str = "minisat"
     seed: Optional[int] = None
-    #: Replaces the personality's stock SolverConfig when set (the
-    #: Bosphorus ``inner_solver_config`` plumbing); ``seed`` still
-    #: applies on top, so diversified copies stay decorrelated.
-    config_override: Optional[SolverConfig] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -218,11 +206,7 @@ class CdclBackend(SolverBackend):
         }
         if self.personality not in factories:
             raise ValueError("unknown personality: " + self.personality)
-        cfg = (
-            self.config_override
-            if self.config_override is not None
-            else factories[self.personality]()
-        )
+        cfg = factories[self.personality]()
         if self.seed is not None:
             cfg = replace(cfg, seed=self.seed)
         return cfg
@@ -243,11 +227,8 @@ class CdclBackend(SolverBackend):
         if _cancelled(cancel) or (
             deadline is not None and time.monotonic() >= deadline
         ):
-            return BackendResult(
-                None, facts_safe=False, cancelled=_cancelled(cancel)
-            )
+            return BackendResult(None, cancelled=_cancelled(cancel))
         n_report = formula.n_vars
-        facts_safe = True
 
         if self.personality == "cms" and not formula.xors:
             from ..sat.xorrecovery import formula_with_recovered_xors
@@ -260,49 +241,29 @@ class CdclBackend(SolverBackend):
         clauses = [list(c) for c in formula.clauses]
         n_vars = formula.n_vars
         preprocessor = None
-        if self.personality == "lingeling":
-            facts_safe = False  # BVE is equisatisfiable, not equivalent
-            if not assumptions:
-                # BVE may eliminate an assumed variable, silently
-                # dropping the cube constraint — under assumptions the
-                # personality runs unpreprocessed (facts stay withheld:
-                # the personality contract, not the preprocessing, fixes
-                # the flag).
-                preprocessor = Preprocessor(n_vars, clauses)
-                pre = preprocessor.run()
-                if not pre.status:
-                    return BackendResult(UNSAT, conflicts=0, facts_safe=False)
-                clauses = pre.clauses
+        if self.personality == "lingeling" and not assumptions:
+            # BVE may eliminate an assumed variable, silently dropping
+            # the cube constraint — under assumptions the personality
+            # runs unpreprocessed.
+            preprocessor = Preprocessor(n_vars, clauses)
+            pre = preprocessor.run()
+            if not pre.status:
+                return BackendResult(UNSAT)
+            clauses = pre.clauses
 
         solver = Solver(self._config())
         solver.ensure_vars(n_vars)
         if assumptions:
             solver.ensure_vars(1 + max(a >> 1 for a in assumptions))
         if not solver.add_clauses(clauses):
-            return self._harvest(
-                BackendResult(
-                    UNSAT,
-                    conflicts=solver.num_conflicts,
-                    facts_safe=False,
-                ),
-                solver,
-                facts_safe,
-            )
+            return self._harvest(BackendResult(UNSAT), solver)
         if use_engine:
             engine = XorEngine()
             for variables, rhs in formula.xors:
                 engine.add_xor(variables, rhs)
             solver.attach_xor_engine(engine)
             if not solver.ok:
-                return self._harvest(
-                    BackendResult(
-                        UNSAT,
-                        conflicts=solver.num_conflicts,
-                        facts_safe=False,
-                    ),
-                    solver,
-                    facts_safe,
-                )
+                return self._harvest(BackendResult(UNSAT), solver)
 
         verdict = sliced_solve(
             solver,
@@ -314,8 +275,6 @@ class CdclBackend(SolverBackend):
 
         result = BackendResult(
             verdict,
-            facts_safe=False,  # _harvest upgrades for safe personalities
-            conflicts=solver.num_conflicts,
             cancelled=verdict is None and _cancelled(cancel),
             # UNSAT with the flag still False is a *global* refutation
             # even though a cube was assumed — the search never needed
@@ -330,16 +289,13 @@ class CdclBackend(SolverBackend):
             if preprocessor is not None:
                 raw = preprocessor.extend_model(raw)
             result.model = [1 if x == TRUE else 0 for x in raw[:n_report]]
-        return self._harvest(result, solver, facts_safe)
+        return self._harvest(result, solver)
 
-    def _harvest(
-        self, result: BackendResult, solver: Solver, facts_safe: bool
-    ) -> BackendResult:
+    @staticmethod
+    def _harvest(result: BackendResult, solver: Solver) -> BackendResult:
+        """Record the solver's conflicts and work counters on ``result``."""
+        result.conflicts = solver.num_conflicts
         result.counters = solver_counters(solver)
-        if facts_safe:
-            result.facts_safe = True
-            result.level0 = solver.level0_literals()
-            result.binaries = solver.learnt_binary_clauses()
         return result
 
 
@@ -384,7 +340,6 @@ class DimacsBackend(SolverBackend):
         if not self.available():
             return BackendResult(
                 None,
-                facts_safe=False,
                 error="binary not found: {}".format(
                     self.command[0] if self.command else "<empty command>"
                 ),
@@ -396,9 +351,7 @@ class DimacsBackend(SolverBackend):
         if _cancelled(cancel) or (
             deadline is not None and time.monotonic() >= deadline
         ):
-            return BackendResult(
-                None, facts_safe=False, cancelled=_cancelled(cancel)
-            )
+            return BackendResult(None, cancelled=_cancelled(cancel))
         n_report = formula.n_vars
         plain = expand_xors(formula)
         if assumptions:
@@ -419,7 +372,7 @@ class DimacsBackend(SolverBackend):
             if not any("{cnf}" in a for a in self.command):
                 argv.append(path)
             if deadline is not None and time.monotonic() >= deadline:
-                return BackendResult(None, facts_safe=False)
+                return BackendResult(None)
             try:
                 proc = subprocess.Popen(
                     argv,
@@ -432,7 +385,7 @@ class DimacsBackend(SolverBackend):
                     start_new_session=True,
                 )
             except OSError as exc:
-                return BackendResult(None, facts_safe=False, error=str(exc))
+                return BackendResult(None, error=str(exc))
             # Drain stdout on a thread: a solver printing more than a
             # pipe buffer (big "v" model lines) would otherwise block
             # writing while this loop only polls for exit — deadlock.
@@ -462,9 +415,7 @@ class DimacsBackend(SolverBackend):
                 proc.stdout.close()
             stdout = "".join(chunks)
             if killed:
-                return BackendResult(
-                    None, facts_safe=False, cancelled=_cancelled(cancel)
-                )
+                return BackendResult(None, cancelled=_cancelled(cancel))
             result = self._parse(stdout, proc.returncode, n_report)
             if assumptions and result.status is UNSAT:
                 result.assumption_failure = True
@@ -503,8 +454,7 @@ class DimacsBackend(SolverBackend):
         model = None
         if status is SAT and saw_model:
             model = [values.get(v, 0) for v in range(n_vars)]
-        # An external binary's preprocessing is a black box: never safe.
-        return BackendResult(status, model=model, facts_safe=False)
+        return BackendResult(status, model=model)
 
 
 # -- registry -------------------------------------------------------------

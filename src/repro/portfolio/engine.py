@@ -77,10 +77,6 @@ class PortfolioResult:
     stats: List[PortfolioStats] = field(default_factory=list)
     wall_seconds: float = 0.0
     results: List[Optional[BackendResult]] = field(default_factory=list)
-    #: Learnt facts merged from every facts-safe result (see
-    #: :func:`merge_facts`) — cancelled losers contribute too.
-    level0: List[int] = field(default_factory=list)
-    binaries: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def n_cancelled(self) -> int:
@@ -155,9 +151,7 @@ def run_leg(leg: Leg) -> Tuple[BackendResult, float]:
         )
     except Exception as exc:
         result = BackendResult(
-            None,
-            facts_safe=False,
-            error="{}: {}".format(type(exc).__name__, exc),
+            None, error="{}: {}".format(type(exc).__name__, exc)
         )
     elapsed = time.monotonic() - t0
     if leg.trace:
@@ -249,36 +243,13 @@ def run_legs(legs, jobs, validate, stop, tracer, metrics, parent_id):
             out.append((None, 0.0, None))
         elif isinstance(entry, BatchItemError):
             error = "worker failed: {}: {}".format(entry.kind, entry.error)
-            out.append((BackendResult(None, facts_safe=False, error=error),
-                        entry.seconds, None))
+            out.append((BackendResult(None, error=error), entry.seconds,
+                        None))
         else:
             result, seconds = entry
             out.append((result, seconds, absorb_observability(
                 tracer, metrics, result, parent_id)))
     return out
-
-
-def merge_facts(
-    results: Sequence[Optional[BackendResult]], forced: Sequence[int] = ()
-) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """Level-0 units (first occurrence order, then ``forced``) and the
-    sorted binary clauses of every facts-safe result."""
-    level0: List[int] = []
-    seen = set()
-    binaries = set()
-    for res in results:
-        if res is None or not res.facts_safe:
-            continue
-        for lit in res.level0:
-            if lit not in seen:
-                seen.add(lit)
-                level0.append(lit)
-        binaries.update(res.binaries)
-    for lit in forced:
-        if lit not in seen:
-            seen.add(lit)
-            level0.append(lit)
-    return level0, sorted(binaries)
 
 
 class PortfolioRunner:
@@ -370,7 +341,6 @@ class PortfolioRunner:
                 winner_name = self.backends[winner].name
                 stats[winner].won = True
                 race_span.set("winner", winner_name)
-            level0, binaries = merge_facts(results)
             return PortfolioResult(
                 verdict,
                 model=model,
@@ -378,6 +348,4 @@ class PortfolioRunner:
                 stats=stats,
                 wall_seconds=time.monotonic() - start,
                 results=results,
-                level0=level0,
-                binaries=binaries,
             )

@@ -13,11 +13,13 @@ production config exposes.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
+    RULES_BY_ID,
     AnalysisConfig,
     analyze_paths,
     analyze_source,
@@ -43,7 +45,6 @@ CASES = [
     ("MASK-PATH", "mask_path", 2),
     ("DET-RNG", "det_rng", 5),
     ("FORK-SAFETY", "fork_safety", 3),
-    ("FACTS-SAFE", "facts_safe", 3),
 ]
 
 
@@ -88,6 +89,19 @@ def test_rule_suppressed_with_justification(rule_id, stem, n):
         assert f.rule == rule_id
         assert f.suppressed
         assert f.justification  # bare pragmas are a separate finding
+
+
+def test_readme_rule_table_matches_registry():
+    # The README's rule table documents exactly the registered rules:
+    # a deleted rule leaves no row behind, a new one needs a row.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Rule | Invariant it enforces |", 1)[1]
+    rows = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([A-Z-]+)` \|", line).group(1))
+    assert sorted(rows) == sorted(RULES_BY_ID)
 
 
 # -- DET-RNG over the observability layer ---------------------------------

@@ -1,5 +1,6 @@
 """Tests for the bosphorus-py command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -105,6 +106,20 @@ def test_solver_personality_flag(anf_file, capsys):
 
 
 NO_LEARN = ["--no-sat", "--no-xl", "--no-elimlin"]
+
+
+def test_solver_flag_final_solve_span_carries_conflicts(anf_file, tmp_path):
+    # --solver and --backend share one final-solve branch, so a --solver
+    # run's final.solve span records the backend's conflicts too.
+    trace = tmp_path / "run.jsonl"
+    code = main(["--anfread", anf_file, "--solve", "--solver", "minisat",
+                 "--trace", str(trace)] + NO_LEARN)
+    assert code == 10
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    final = [s for s in spans if s["name"] == "final.solve"]
+    assert len(final) == 1
+    assert final[0]["attrs"]["backend"] == "minisat"
+    assert "conflicts" in final[0]["attrs"]
 
 
 def test_portfolio_flag_sequential(anf_file, capsys):

@@ -13,7 +13,7 @@ from repro.cube import (
     CubeDisagreement,
 )
 from repro.portfolio import BackendResult, CdclBackend, DimacsBackend, SolverBackend
-from repro.sat import CnfFormula, Solver, parse_dimacs
+from repro.sat import CnfFormula, parse_dimacs
 from repro.sat.types import mk_lit
 from repro.satcomp.generators import pigeonhole, random_ksat
 
@@ -252,26 +252,6 @@ def test_dimacs_backend_cubes_ride_as_unit_clauses(tmp_path):
     lines = [l for l in captured.read_text().splitlines()
              if l and not l.startswith(("c", "p"))]
     assert any(len(l.split()) == 2 and l.endswith(" 0") for l in lines)
-
-
-# -- facts ------------------------------------------------------------------
-
-
-def test_facts_merge_is_globally_valid():
-    # x0 forces x1 forces x2; x3 stays free, so the lookahead branches
-    # on it and both cubes are SAT.  Every merged level-0 unit must hold
-    # in all models of the original formula.
-    f = parse_dimacs("p cnf 4 4\n1 0\n-1 2 0\n-2 3 0\n3 4 0\n")
-    conq = CubeConqueror([CdclBackend("minisat")], jobs=1, depth=2,
-                         mode="lookahead")
-    outcome = conq.run(f, timeout_s=20)
-    assert outcome.verdict is True
-    assert {l >> 1 for l in outcome.level0} >= {0, 1, 2}
-    for lit in outcome.level0:
-        solver = Solver()
-        solver.ensure_vars(f.n_vars)
-        assert all(solver.add_clause(list(c)) for c in f.clauses)
-        assert solver.solve(assumptions=[lit ^ 1]) is False, lit
 
 
 # -- guards -----------------------------------------------------------------

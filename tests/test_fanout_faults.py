@@ -113,8 +113,8 @@ class FaultBackend(SolverBackend):
         past = max(0.0, deadline - time.monotonic()) + 0.1 if deadline else 0.0
         payload = _inject(self.kind, cancel, past)
         if payload is None:
-            return BackendResult(None, facts_safe=False, cancelled=True)
-        return BackendResult(None, facts_safe=False, error=payload)
+            return BackendResult(None, cancelled=True)
+        return BackendResult(None, error=payload)
 
 
 def _slow_validate(bits):

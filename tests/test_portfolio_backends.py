@@ -183,19 +183,8 @@ def test_lingeling_assumptions_bypass_bve():
     backend = CdclBackend("lingeling")
     result = backend.solve(sat_micro(), timeout_s=20, assumptions=[1])
     assert result.status is True and result.model[0] == 0
-    assert not result.facts_safe  # the personality contract is unchanged
     result = backend.solve(sat_micro(), timeout_s=20, assumptions=[3])
     assert result.status is False and result.assumption_failure
-
-
-def test_facts_safety_flag(backend):
-    result = backend.solve(sat_micro(), timeout_s=20)
-    if isinstance(backend, DimacsBackend):
-        assert not result.facts_safe
-    elif isinstance(backend, CdclBackend):
-        # BVE preprocessing is only equisatisfiable: lingeling must not
-        # contribute learnt facts; the other personalities must.
-        assert result.facts_safe == (backend.personality != "lingeling")
 
 
 def test_backends_are_picklable(backend):
@@ -275,20 +264,6 @@ def test_dimacs_backend_drains_large_output(tmp_path):
     assert time.monotonic() - start < 15.0
     assert result.status is True
     assert result.model == [1, 1]
-
-
-def test_cdcl_backend_config_override():
-    # Bosphorus's inner_solver_config plumbing: the override replaces
-    # the personality tuning, the diversification seed still applies.
-    from repro.sat import SolverConfig
-
-    custom = SolverConfig(var_decay=0.5, restart_base=7)
-    backend = CdclBackend("cms", seed=9, config_override=custom)
-    cfg = backend._config()
-    assert cfg.var_decay == 0.5 and cfg.restart_base == 7
-    assert cfg.seed == 9
-    result = backend.solve(sat_micro(), timeout_s=10)
-    assert result.status is True
 
 
 def test_dimacs_backend_parses_unsat_exit_code(tmp_path):

@@ -1,5 +1,5 @@
-"""PortfolioRunner: first-win cancellation, deterministic arbitration,
-model validation/demotion, and the Bosphorus inner-SAT portfolio mode.
+"""PortfolioRunner: first-win cancellation, deterministic arbitration
+and model validation/demotion.
 """
 
 import itertools
@@ -7,10 +7,9 @@ import time
 
 import pytest
 
-from repro.anf import AnfSystem, parse_system
-from repro.core import Bosphorus, Config
+from repro.anf import AnfSystem
+from repro.core import Config
 from repro.core.anf_to_cnf import AnfToCnf
-from repro.core.satlearn import run_sat
 from repro.core.solution import solution_from_model
 from repro.portfolio import (
     BackendResult,
@@ -174,25 +173,6 @@ def test_timeout_bounds_the_whole_race_not_each_backend():
     assert elapsed < 1.4  # one shared 0.6 s budget, not 3 x 0.6 s
 
 
-def test_run_sat_portfolio_rejects_unbounded_external_backends():
-    from repro.anf import AnfSystem, parse_system
-
-    ring, polys = parse_system("x1*x2 + x3")
-    config = Config(
-        use_portfolio=True,
-        portfolio_backends=("minisat", "dimacs:no-such-binary"),
-        portfolio_timeout_s=None,
-    )
-    with pytest.raises(ValueError, match="portfolio_timeout_s"):
-        run_sat(AnfSystem(ring, polys), config, 100)
-    # With an explicit wall-clock bound the race runs; the missing
-    # binary is skipped and the in-process backend answers.
-    bounded = config.with_(portfolio_timeout_s=10.0)
-    result = run_sat(AnfSystem(ring.clone(), list(polys)), bounded, 100)
-    assert result.status is True
-    assert result.portfolio.winner == "minisat"
-
-
 # -- parallel mode ----------------------------------------------------------
 
 
@@ -316,62 +296,3 @@ def test_portfolio_validated_verdict_on_cipher_roundtrip(cipher):
     assert outcome.winner in ("minisat", "cms@5")
     assert validate(outcome.model)
     assert any(s.cancelled for s in outcome.stats)
-
-
-# -- the Bosphorus inner-SAT portfolio mode ---------------------------------
-
-PAPER_SYSTEM = """\
-x1*x2 + x3 + x4 + 1
-x1*x2*x3 + x1 + x3 + 1
-x1*x3 + x3*x4*x5 + x3
-x2*x3 + x3*x5 + 1
-x2*x3 + x5 + 1
-"""
-
-
-def test_run_sat_portfolio_mode():
-    ring, polys = parse_system(PAPER_SYSTEM)
-    system = AnfSystem(ring, polys)
-    config = Config(
-        use_portfolio=True,
-        portfolio_backends=("minisat", "cms@1"),
-        portfolio_jobs=1,
-    )
-    result = run_sat(system, config, 2000)
-    assert result.status is True
-    assert result.portfolio is not None
-    assert result.portfolio.winner == "minisat"
-    from repro.core.solution import Solution
-
-    assert Solution(result.model).satisfies(list(system.polynomials))
-
-
-def test_run_sat_portfolio_matches_single_solver_verdict():
-    ring, polys = parse_system(PAPER_SYSTEM)
-    single = run_sat(AnfSystem(ring.clone(), list(polys)), Config(), 2000)
-    config = Config(
-        use_portfolio=True,
-        portfolio_backends=("minisat", "cms", "cms@2"),
-        portfolio_jobs=1,
-    )
-    racy = run_sat(AnfSystem(ring.clone(), list(polys)), config, 2000)
-    assert racy.status is single.status is True
-
-
-def test_bosphorus_end_to_end_with_portfolio():
-    ring, polys = parse_system(PAPER_SYSTEM)
-    config = Config(
-        use_portfolio=True,
-        portfolio_backends=("minisat", "cms@1"),
-        portfolio_jobs=1,
-    )
-    result = Bosphorus(config).preprocess_anf(ring, polys)
-    assert result.status == "sat"
-    # The paper example's unique solution: x1..x4 = 1, x5 = 0.
-    assert result.solution.values[1:6] == [1, 1, 1, 1, 0]
-    winners = [
-        it.get("sat_portfolio_winner")
-        for it in result.stats["techniques"]
-        if "sat_portfolio_winner" in it
-    ]
-    assert winners  # the portfolio actually ran inside the loop

@@ -100,7 +100,7 @@ def test_past_deadline_returns_unsolved_immediately():
 def test_solve_with_budget_past_deadline_runs_no_slice():
     import time
 
-    from repro.experiments import solve_with_budget
+    from repro.portfolio.backends import sliced_solve
     from repro.sat import Solver
     from repro.satcomp.generators import pigeonhole
 
@@ -109,7 +109,7 @@ def test_solve_with_budget_past_deadline_runs_no_slice():
     solver.ensure_vars(formula.n_vars)
     for clause in formula.clauses:
         solver.add_clause(clause)
-    assert solve_with_budget(solver, deadline=time.monotonic()) is None
+    assert sliced_solve(solver, deadline=time.monotonic()) is None
     assert solver.num_conflicts == 0
 
 

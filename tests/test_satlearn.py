@@ -1,8 +1,6 @@
 """Tests for conflict-bounded SAT fact learning (paper section II-D)."""
 
-import pytest
-
-from repro.anf import AnfSystem, Poly, Ring, parse_system
+from repro.anf import AnfSystem, Poly, parse_system
 from repro.core import Config, propagate, run_sat
 from repro.sat import UNSAT
 
@@ -102,93 +100,3 @@ def test_monomial_facts_opt_in():
     cfg = Config(monomial_facts_from_sat=True, karnaugh_limit=4)
     result = run_sat(sys_, cfg)
     assert result.status is not UNSAT
-
-
-# -- cube-and-conquer mode (config.use_cube) --------------------------------
-
-PAPER_SYSTEM = """\
-x1*x2 + x3 + x4 + 1
-x1*x2*x3 + x1 + x3 + 1
-x1*x3 + x3*x4*x5 + x3
-x2*x3 + x3*x5 + 1
-x2*x3 + x5 + 1
-"""
-
-
-def test_run_sat_cube_mode_sat():
-    sys_ = system_of(PAPER_SYSTEM)
-    config = Config(use_cube=True, cube_depth=3, cube_jobs=1)
-    result = run_sat(sys_, config, 2000)
-    assert result.status is True
-    assert result.cube is not None and result.cube.n_cubes >= 1
-    from repro.core.solution import Solution
-
-    assert Solution(result.model).satisfies(list(sys_.polynomials))
-
-
-def test_run_sat_cube_matches_single_solver_verdict():
-    for text in (PAPER_SYSTEM, "x1*x2 + 1\nx1*x2"):
-        single = run_sat(system_of(text), Config(), 2000)
-        for mode in ("lookahead", "occurrence"):
-            cubed = run_sat(
-                system_of(text),
-                Config(use_cube=True, cube_depth=2, cube_mode=mode,
-                       cube_backends=("minisat", "cms@1")),
-                2000,
-            )
-            assert cubed.status is single.status
-
-
-def test_run_sat_cube_unsat_appends_contradiction():
-    sys_ = system_of("x1*x2 + 1\nx1*x2")
-    result = run_sat(sys_, Config(use_cube=True, cube_depth=2), 2000)
-    assert result.status is UNSAT
-    assert result.facts == [Poly.one()]
-
-
-def test_run_sat_cube_facts_are_globally_sound():
-    import itertools
-
-    text = "x1*x2 + x3\nx2 + x4 + 1\nx3*x4 + x1"
-    result = run_sat(
-        system_of(text), Config(use_cube=True, cube_depth=3), 2000
-    )
-    _, polys = parse_system(text)
-    solutions = [
-        bits for bits in itertools.product([0, 1], repeat=5)
-        if all(p.evaluate(list(bits)) == 0 for p in polys)
-    ]
-    assert solutions
-    for fact in result.facts:
-        for sol in solutions:
-            assert fact.evaluate(list(sol)) == 0, fact
-
-
-def test_run_sat_cube_rejects_unbounded_external_backends():
-    import pytest
-
-    config = Config(
-        use_cube=True, cube_backends=("minisat", "dimacs:no-such-binary"),
-        cube_timeout_s=None,
-    )
-    with pytest.raises(ValueError, match="cube_timeout_s"):
-        run_sat(system_of("x1*x2 + x3"), config, 100)
-    bounded = config.with_(cube_timeout_s=10.0)
-    result = run_sat(system_of("x1*x2 + x3"), bounded, 100)
-    assert result.status is True
-
-
-def test_bosphorus_end_to_end_with_cube():
-    from repro.anf import parse_system as _parse
-    from repro.core import Bosphorus
-
-    ring, polys = _parse(PAPER_SYSTEM)
-    config = Config(use_cube=True, cube_depth=2, cube_jobs=1)
-    result = Bosphorus(config).preprocess_anf(ring, polys)
-    assert result.status == "sat"
-    assert result.solution.values[1:6] == [1, 1, 1, 1, 0]
-    cube_runs = [
-        it["sat_cubes"] for it in result.stats["techniques"]
-        if "sat_cubes" in it
-    ]
-    assert cube_runs  # the cube scheduler actually ran inside the loop

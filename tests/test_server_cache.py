@@ -13,6 +13,7 @@ import io
 import multiprocessing
 import os
 import pickle
+import shutil
 
 import pytest
 
@@ -174,9 +175,11 @@ def test_karnaugh_disk_tier_hits_without_conversion_cache(tmp_path):
     config = Config(cache_dir=str(tmp_path))
     cold = AnfToCnf(config).convert(_system())
     assert cold.stats.karnaugh_cache_misses > 0
-    # use_conversion_cache=False forces a real re-conversion, so any
-    # reuse must come from the per-shape Karnaugh disk tier.
-    warm = AnfToCnf(config, use_conversion_cache=False).convert(_system())
+    # Dropping the whole-conversion namespace forces a real
+    # re-conversion, so any reuse must come from the per-shape Karnaugh
+    # disk tier.
+    shutil.rmtree(tmp_path / "conversion")
+    warm = AnfToCnf(config).convert(_system())
     assert warm.stats.conversion_disk_hits == 0
     assert warm.stats.karnaugh_disk_hits > 0
     assert warm.stats.karnaugh_cache_misses == 0

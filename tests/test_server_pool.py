@@ -149,6 +149,15 @@ def test_spec_validation_rejects_bad_jobs():
         JobSpec(fmt="dimacs", text=EASY, config={"cache_dir": "/x"}).validate()
 
 
+def test_spec_validation_rejects_removed_fanout_overrides():
+    # The loop's SAT step has one path: a client asking for a fan-out
+    # inside the loop must fail loudly, not silently get another search.
+    for field in ("use_portfolio", "use_cube"):
+        spec = JobSpec(fmt="dimacs", text=EASY, config={field: True})
+        with pytest.raises(ValueError, match=field):
+            spec.validate()
+
+
 # -- death isolation ---------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.anf import AnfSystem, Poly, Ring, parse_system
 from repro.core import Bosphorus, Config, run_sat
 from repro.core.bosphorus import STATUS_SAT, STATUS_UNKNOWN
-from repro.experiments.runner import solve_with_budget
+from repro.portfolio.backends import sliced_solve
 from repro.sat import Solver, mk_lit
 
 
@@ -61,8 +61,8 @@ def test_solve_with_budget_respects_deadline():
     for c in f.clauses:
         solver.add_clause(c)
     start = time.monotonic()
-    verdict = solve_with_budget(solver, deadline=time.monotonic() + 0.2,
-                                slice_conflicts=50)
+    verdict = sliced_solve(solver, deadline=time.monotonic() + 0.2,
+                           slice_conflicts=50)
     assert verdict is None
     assert time.monotonic() - start < 5.0
 
