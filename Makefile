@@ -10,9 +10,9 @@ test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
 # Static analysis: the AST invariant linter (src + benchmarks; stdlib
-# only, runs in seconds).  Exit 0 clean, 1 findings.  Set
-# LINT_FORMAT=json for the machine-readable report; see README
-# "Static analysis" for the rules and the suppression pragma.
+# only, runs in seconds).  Exit 0 clean, 1 findings; one line per
+# finding, then a tally.  See README "Static analysis" for the rules
+# and the suppression pragma.
 lint:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis
 

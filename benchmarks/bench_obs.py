@@ -88,13 +88,15 @@ def test_tracing_off_overhead_under_two_percent(benchmark):
 def test_traced_run_emits_valid_jsonl(benchmark, tmp_path):
     path = tmp_path / "trace.jsonl"
     ring, polys = _workload()
-    config = fast_config()
-    config.trace_path = str(path)
+    tracer = Tracer()
     result = benchmark.pedantic(
-        lambda: Bosphorus(config).preprocess_anf(ring, polys),
+        lambda: Bosphorus(fast_config(), tracer=tracer).preprocess_anf(
+            ring, polys
+        ),
         rounds=1,
         iterations=1,
     )
+    tracer.export(str(path))
 
     spans = [json.loads(line) for line in path.read_text().splitlines()]
     assert spans

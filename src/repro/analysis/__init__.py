@@ -4,8 +4,9 @@ Mechanizes the repo's standing invariants (see ROADMAP) as static-
 analysis rules over stdlib ``ast``: ONE-KERNEL, MASK-PATH, DET-RNG,
 FORK-SAFETY and ORACLE-FREEZE, with an explicit suppression
 pragma (``# repro: allow[RULE-ID] <justification>``).  Run it as
-``python -m repro.analysis`` or ``make lint``; it needs nothing beyond
-the standard library and scans the whole repo in seconds.
+``python -m repro.analysis`` or ``make lint``: it prints one line per
+finding and a tally, needs nothing beyond the standard library and
+scans the whole repo in seconds.
 """
 
 from .config import (
@@ -14,13 +15,7 @@ from .config import (
     ORACLE_DIR,
     AnalysisConfig,
 )
-from .findings import (
-    REPORT_SCHEMA,
-    REPORT_VERSION,
-    Finding,
-    Report,
-    validate_report_dict,
-)
+from .findings import Finding, Report
 from .pragmas import META_RULE_IDS, PRAGMA_BARE, PRAGMA_UNKNOWN
 from .rules import ALL_RULES, RULES_BY_ID
 from .rules_base import ModuleContext, Rule
@@ -44,8 +39,6 @@ __all__ = [
     "PARSE_ERROR",
     "PRAGMA_BARE",
     "PRAGMA_UNKNOWN",
-    "REPORT_SCHEMA",
-    "REPORT_VERSION",
     "Report",
     "Rule",
     "RULES_BY_ID",
@@ -53,5 +46,4 @@ __all__ = [
     "analyze_source",
     "build_rules",
     "known_rule_ids",
-    "validate_report_dict",
 ]

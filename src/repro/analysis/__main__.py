@@ -1,16 +1,13 @@
 """CLI: ``python -m repro.analysis [paths...]`` — the lint gate.
 
-Exit status: 0 clean, 1 findings, 2 usage error.  ``--format json``
-(or ``LINT_FORMAT=json`` in the environment) emits the machine-readable
-report; ``--update-fingerprints`` regenerates the pinned oracle hashes
-after a deliberate, reviewed oracle change.
+Exit status: 0 clean, 1 findings, 2 usage error.  Findings print one
+line each, then a tally; ``--update-fingerprints`` regenerates the
+pinned oracle hashes after a deliberate, reviewed oracle change.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -43,12 +40,6 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default=os.environ.get("LINT_FORMAT", "human"),
-        help="output format (env LINT_FORMAT; default human)",
-    )
-    parser.add_argument(
         "--rules",
         help="comma-separated rule ids to run (default: all)",
     )
@@ -65,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also print pragma-suppressed findings (human format)",
+        help="also print pragma-suppressed findings",
     )
     parser.add_argument(
         "--update-fingerprints",
@@ -114,18 +105,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_human())
-        if args.show_suppressed and report.suppressed:
-            print("\nsuppressed:")
-            for f in report.suppressed:
-                print(
-                    "{}: {} {}  [allowed: {}]".format(
-                        f.location(), f.rule, f.message, f.justification
-                    )
+    print(report.render_human())
+    if args.show_suppressed and report.suppressed:
+        print("\nsuppressed:")
+        for f in report.suppressed:
+            print(
+                "{}: {} {}  [allowed: {}]".format(
+                    f.location(), f.rule, f.message, f.justification
                 )
+            )
     return 0 if report.ok else 1
 
 

@@ -1,22 +1,16 @@
-"""Findings: what a rule reports, and how reports are serialised.
+"""Findings: what a rule reports, and how a report renders.
 
 A :class:`Finding` pins one invariant violation to ``file:line:col``
 with the rule id, a human message and a fix hint.  The runner collects
 them per file, applies the suppression pragmas
-(:mod:`repro.analysis.pragmas`) and renders the survivors in one of two
-formats: ``human`` (one greppable line per finding) or ``json`` (the
-machine-readable report whose shape is pinned by
-:data:`REPORT_SCHEMA` and :func:`validate_report_dict` — no
-third-party jsonschema dependency).
+(:mod:`repro.analysis.pragmas`) and renders the survivors one
+greppable line per finding, then a tally line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-#: Version stamp of the JSON report shape; bump on breaking changes.
-REPORT_VERSION = 1
+from typing import List, Optional
 
 
 @dataclass
@@ -38,33 +32,6 @@ class Finding:
     def location(self) -> str:
         return "{}:{}:{}".format(self.file, self.line, self.col)
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "rule": self.rule,
-            "file": self.file,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
-        if self.suppressed:
-            out["suppressed"] = True
-            out["justification"] = self.justification or ""
-        return out
-
-    @staticmethod
-    def from_dict(obj: Dict[str, Any]) -> "Finding":
-        return Finding(
-            rule=obj["rule"],
-            file=obj["file"],
-            line=obj["line"],
-            col=obj["col"],
-            message=obj["message"],
-            hint=obj.get("hint", ""),
-            suppressed=bool(obj.get("suppressed", False)),
-            justification=obj.get("justification"),
-        )
-
 
 @dataclass
 class Report:
@@ -77,14 +44,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": REPORT_VERSION,
-            "files_scanned": self.files_scanned,
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-        }
 
     def render_human(self) -> str:
         lines = []
@@ -104,63 +63,3 @@ class Report:
         )
         return "\n".join(lines)
 
-
-#: The JSON report shape, jsonschema-style (validated by
-#: :func:`validate_report_dict`, stdlib only).
-REPORT_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["version", "files_scanned", "findings", "suppressed"],
-    "properties": {
-        "version": {"type": "integer"},
-        "files_scanned": {"type": "integer"},
-        "findings": {"type": "array", "items": {"$ref": "#/definitions/finding"}},
-        "suppressed": {"type": "array", "items": {"$ref": "#/definitions/finding"}},
-    },
-    "definitions": {
-        "finding": {
-            "type": "object",
-            "required": ["rule", "file", "line", "col", "message", "hint"],
-            "properties": {
-                "rule": {"type": "string"},
-                "file": {"type": "string"},
-                "line": {"type": "integer"},
-                "col": {"type": "integer"},
-                "message": {"type": "string"},
-                "hint": {"type": "string"},
-                "suppressed": {"type": "boolean"},
-                "justification": {"type": "string"},
-            },
-        }
-    },
-}
-
-
-def _check_finding_dict(obj: Any, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError("{}: finding is not an object".format(where))
-    for key in ("rule", "file", "message", "hint"):
-        if not isinstance(obj.get(key), str):
-            raise ValueError("{}: missing/invalid {!r}".format(where, key))
-    for key in ("line", "col"):
-        if not isinstance(obj.get(key), int) or isinstance(obj.get(key), bool):
-            raise ValueError("{}: missing/invalid {!r}".format(where, key))
-    if "suppressed" in obj and not isinstance(obj["suppressed"], bool):
-        raise ValueError("{}: invalid 'suppressed'".format(where))
-    if "justification" in obj and not isinstance(obj["justification"], str):
-        raise ValueError("{}: invalid 'justification'".format(where))
-
-
-def validate_report_dict(obj: Any) -> None:
-    """Raise ValueError unless ``obj`` matches :data:`REPORT_SCHEMA`."""
-    if not isinstance(obj, dict):
-        raise ValueError("report is not an object")
-    if obj.get("version") != REPORT_VERSION:
-        raise ValueError("unknown report version: {!r}".format(obj.get("version")))
-    if not isinstance(obj.get("files_scanned"), int):
-        raise ValueError("missing/invalid 'files_scanned'")
-    for key in ("findings", "suppressed"):
-        seq = obj.get(key)
-        if not isinstance(seq, list):
-            raise ValueError("missing/invalid {!r}".format(key))
-        for i, item in enumerate(seq):
-            _check_finding_dict(item, "{}[{}]".format(key, i))

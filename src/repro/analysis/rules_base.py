@@ -38,15 +38,9 @@ class ModuleContext:
     source: str
     tree: ast.AST
     findings: List[Finding] = field(default_factory=list)
-    class_stack: List[str] = field(default_factory=list)
     func_stack: List[str] = field(default_factory=list)
     loop_depth: int = 0
     _seen: Set[Tuple[str, int, int, str]] = field(default_factory=set)
-
-    def qualname(self) -> str:
-        """Dotted name of the enclosing class/function scope ('' at
-        module level)."""
-        return ".".join(self.class_stack + self.func_stack)
 
     def report(
         self,
@@ -119,15 +113,6 @@ def call_name(node: ast.Call) -> str:
     return ""
 
 
-def receiver_name(node: ast.Call) -> str:
-    """The immediate receiver of a method call (``x`` in ``x.f()``,
-    '' for plain calls or computed receivers)."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id
-    return ""
-
-
 class ModuleWalker:
     """One AST pass dispatching nodes to every rule's visitors."""
 
@@ -148,10 +133,6 @@ class ModuleWalker:
             self.ctx.func_stack.append(node.name)
             self._children(node)
             self.ctx.func_stack.pop()
-        elif isinstance(node, ast.ClassDef):
-            self.ctx.class_stack.append(node.name)
-            self._children(node)
-            self.ctx.class_stack.pop()
         elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             self.ctx.loop_depth += 1
             self._children(node)

@@ -168,25 +168,6 @@ class SmallScaleAES:
             state = self.add_round_key(state, keys[rnd])
         return state
 
-    # -- bit packing -----------------------------------------------------------------
-
-    @property
-    def block_bits(self) -> int:
-        return self.r * self.c * self.e
-
-    def bits_to_state(self, bits: int) -> List[int]:
-        """Unpack an integer into state elements (element 0 in the low bits)."""
-        mask = self.field.size - 1
-        return [
-            (bits >> (i * self.e)) & mask for i in range(self.r * self.c)
-        ]
-
-    def state_to_bits(self, state: Sequence[int]) -> int:
-        out = 0
-        for i, x in enumerate(state):
-            out |= x << (i * self.e)
-        return out
-
 
 # -- symbolic encoding -----------------------------------------------------------
 

@@ -112,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> Config:
     """Translate CLI flags into a :class:`Config`."""
-    config = Config(
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        trace_path=getattr(args, "trace", None),
-    )
+    config = Config(seed=args.seed, cache_dir=args.cache_dir)
     overrides = {
         "xl_sample_bits": args.samplebits,
         "elimlin_sample_bits": args.samplebits,
@@ -269,8 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    # The CLI owns the tracer (rather than letting Bosphorus build one
-    # from config.trace_path) so the final solve's portfolio legs and
+    # The CLI owns the tracer, so the final solve's portfolio legs and
     # cubes land in the same stitched trace as the preprocessing loop.
     tracer = Tracer() if args.trace else NULL_TRACER
     try:
@@ -339,7 +334,14 @@ def _run(args, config, tracer) -> int:
             # A SAT verdict without a printable model (e.g. an external
             # backend that reports no ``v`` lines).
             return 10
-        n = result.system.ring.n_vars if result.system else len(values)
+        # Print the input's variables only: a CNF input's ANF ring also
+        # numbers the clause-cutting auxiliaries.
+        if args.cnfread:
+            n = result.original_cnf.n_vars
+        elif result.system:
+            n = result.system.ring.n_vars
+        else:
+            n = len(values)
         lits = [
             "{}{}".format("" if values[v] else "-", v + 1)
             for v in range(min(n, len(values)))

@@ -153,28 +153,22 @@ class AnfToCnf:
     converter across calls (as the Bosphorus loop does) shares minimised
     covers between iterations.
 
-    With a persistent ``store`` (a :class:`repro.server.cache.CacheStore`,
-    attached explicitly or auto-created from ``config.cache_dir``) the
-    caches gain a disk tier that survives the process: minimised Karnaugh
+    With ``config.cache_dir`` set, a persistent ``store`` (a
+    :class:`repro.server.cache.CacheStore` on that directory) gives the
+    caches a disk tier that survives the process: minimised Karnaugh
     covers spill per shape key, and whole conversion results are keyed by
     the session's history plus the canonical system hash
     (:func:`system_fingerprint`), so a repeat run skips minimisation
     entirely and reproduces the exact same formulas bit for bit.
     """
 
-    def __init__(
-        self,
-        config: Optional[Config] = None,
-        store=None,
-        tracer=None,
-        metrics=None,
-    ):
+    def __init__(self, config: Optional[Config] = None, tracer=None, metrics=None):
         self.config = config or Config()
-        if store is None and self.config.cache_dir:
+        self.store = None
+        if self.config.cache_dir:
             from ..server.cache import CacheStore
 
-            store = CacheStore(self.config.cache_dir)
-        self.store = store
+            self.store = CacheStore(self.config.cache_dir)
         # shape_key -> minimised cube cover in local-index space.
         self._karnaugh_cache: Dict[tuple, list] = {}
         # Observability (repro.obs): instance-threaded, never global.

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 from ..anf.system import AnfSystem, ContradictionError
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, MetricsRegistry
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT, SolverConfig
 from .anf_to_cnf import AnfToCnf, ConversionResult
@@ -89,17 +89,12 @@ class Bosphorus:
     ):
         self.config = config or Config()
         self.inner_solver_config = inner_solver_config
-        # Observability (repro.obs).  A caller-supplied tracer is used
-        # as-is (the caller exports); otherwise ``config.trace_path``
-        # creates an owned tracer whose spans are exported when a
-        # preprocess entry point finishes.  The default is the
+        # Observability (repro.obs).  A caller-supplied tracer records
+        # the run's spans (the caller exports them); the default is the
         # zero-overhead no-op.  The metrics registry is per-run
         # (``_run_loop`` swaps in a fresh one) — instance-threaded,
         # never module-global.
-        self._owns_tracer = tracer is None and bool(self.config.trace_path)
-        if tracer is None:
-            tracer = Tracer() if self.config.trace_path else NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self.metrics = MetricsRegistry()
         # One converter per workflow: its structure-keyed Karnaugh cache
         # is shared across the inner-SAT conversions of every iteration,
@@ -129,7 +124,6 @@ class Bosphorus:
                 result = self._run_loop(system, facts)
             span.set("status", result.status)
             span.set("iterations", result.iterations)
-        self._export_trace()
         return result
 
     def preprocess_cnf(self, formula: CnfFormula) -> BosphorusResult:
@@ -148,15 +142,7 @@ class Bosphorus:
             )
         if result.solution is not None:
             result.solution = Solution(result.solution.values[: formula.n_vars])
-        # Re-export: the augmentation spans postdate preprocess_anf's
-        # export, and the trace file should cover the whole call.
-        self._export_trace()
         return result
-
-    def _export_trace(self) -> None:
-        """Write the owned tracer's spans to ``config.trace_path``."""
-        if self._owns_tracer and self.config.trace_path:
-            self.tracer.export(self.config.trace_path)
 
     # -- the loop -------------------------------------------------------------
 
@@ -184,6 +170,19 @@ class Bosphorus:
         # One CNF numbering and one warm inner solver for the whole run:
         # each iteration's conversion hands the solver only new clauses.
         session = self.converter.session()
+        # The ANF learners in loop order: (enabled, source, learn).  Each
+        # ``learn`` reads the system as it stands when it is called, so a
+        # learner sees the facts its predecessors folded in.
+        learners = [
+            (config.use_xl, SOURCE_XL,
+             lambda: run_xl(system.polynomials, config, rng).facts),
+            (config.use_elimlin, SOURCE_ELIMLIN,
+             lambda: run_elimlin(system.polynomials, config, rng).facts),
+            (config.use_groebner, SOURCE_GROEBNER,
+             lambda: buchberger(list(system.polynomials)).facts),
+            (config.use_probing, SOURCE_PROBING,
+             lambda: run_probing(system, config, config.probe_limit).facts),
+        ]
 
         try:
             with tracer.span("propagation.initial"):
@@ -193,56 +192,15 @@ class Bosphorus:
                 it_stats: Dict[str, object] = {"iteration": iterations}
                 it_span = tracer.span("satlearn.iteration", iteration=iterations)
                 with it_span:
-                    if config.use_xl:
-                        with tracer.span("xl") as span, metrics.timer("xl_s"):
-                            xl_res = run_xl(system.polynomials, config, rng)
-                            added = self._absorb(
-                                system, facts, xl_res.facts, SOURCE_XL
-                            )
-                            span.set("facts", added)
-                        it_stats["xl_facts"] = added
-                        new_facts += added
-
-                    if config.use_elimlin:
-                        with tracer.span("elimlin") as span, metrics.timer(
-                            "elimlin_s"
+                    for enabled, source, learn in learners:
+                        if not enabled:
+                            continue
+                        with tracer.span(source) as span, metrics.timer(
+                            source + "_s"
                         ):
-                            el_res = run_elimlin(system.polynomials, config, rng)
-                            added = self._absorb(
-                                system, facts, el_res.facts, SOURCE_ELIMLIN
-                            )
+                            added = self._absorb(system, facts, learn(), source)
                             span.set("facts", added)
-                        it_stats["elimlin_facts"] = added
-                        new_facts += added
-
-                    if config.use_groebner:
-                        with tracer.span("groebner") as span, metrics.timer(
-                            "groebner_s"
-                        ):
-                            gb_res = buchberger(
-                                list(system.polynomials),
-                                max_pairs=config.groebner_max_pairs,
-                                max_basis=config.groebner_max_basis,
-                            )
-                            added = self._absorb(
-                                system, facts, gb_res.facts, SOURCE_GROEBNER
-                            )
-                            span.set("facts", added)
-                        it_stats["groebner_facts"] = added
-                        new_facts += added
-
-                    if config.use_probing:
-                        with tracer.span("probing") as span, metrics.timer(
-                            "probing_s"
-                        ):
-                            probe_res = run_probing(
-                                system, config, config.probe_limit
-                            )
-                            added = self._absorb(
-                                system, facts, probe_res.facts, SOURCE_PROBING
-                            )
-                            span.set("facts", added)
-                        it_stats["probing_facts"] = added
+                        it_stats[source + "_facts"] = added
                         new_facts += added
 
                     if config.use_sat:

@@ -51,14 +51,6 @@ class Config:
     # Failed-literal probing — the section-V "lookahead" plug-in.
     use_probing: bool = False
     probe_limit: int = 32
-    # Groebner budget (only if use_groebner).
-    groebner_max_pairs: int = 2000
-    groebner_max_basis: int = 500
-    # Extract monomial facts from SAT unit clauses on auxiliary monomial
-    # variables.  The paper disables this ("at present, any auxiliary
-    # variable ... does not participate in the learnt facts"); we keep the
-    # switch for the ablation benches.
-    monomial_facts_from_sat: bool = False
     # Emit native XOR clauses alongside (for GJE-capable final solvers).
     emit_xor_clauses: bool = False
     # Hard caps keeping the pure-Python XL matrices manageable.
@@ -72,12 +64,6 @@ class Config:
     # entries are content-addressed, version-stamped, and corrupt/stale
     # entries degrade to misses.  None keeps the caches in-memory only.
     cache_dir: Optional[str] = None
-    # Structured tracing (repro.obs): when set, one-shot entry points
-    # (Bosphorus, the CLI) record hierarchical spans for every phase and
-    # export them here on completion — Chrome trace_event format by
-    # default, JSON lines when the path ends in ".jsonl".  None keeps
-    # the zero-overhead no-op tracer everywhere.
-    trace_path: Optional[str] = None
 
     def with_(self, **kwargs) -> "Config":
         """A copy of this config with the given fields replaced."""

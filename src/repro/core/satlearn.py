@@ -20,8 +20,7 @@ In the SAT and budget cases, linear equations are harvested from the
 learnt clauses: every literal the solver fixed at decision level 0 gives a
 unit fact, and every complementary pair of learnt binary clauses
 ``(a ∨ b), (¬a ∨ ¬b)`` gives the equivalence ``a = ¬b``.  Facts on
-auxiliary (monomial / cut) variables are excluded by default, as in the
-paper.
+auxiliary (monomial / cut) variables are excluded, as in the paper.
 """
 
 from __future__ import annotations
@@ -90,12 +89,12 @@ def run_sat(
     and phases.  ``result.conflicts`` is this call's share.  The
     session's converter carries its own config: its conversion
     parameters (K, L, ``emit_xor_clauses``) are the ones used —
-    ``config`` then only governs the conflict budget and fact harvesting.
+    ``config`` then only governs the conflict budget.
 
-    With ``config.cache_dir`` set (or a converter carrying a store) each
-    conversion is keyed by the session's history plus the canonical
-    system hash (:func:`system_fingerprint`): a run repeating an earlier
-    run's conversions — in this process or a previous one — loads them
+    With the converter's ``config.cache_dir`` set, each conversion is
+    keyed by the session's history plus the canonical system hash
+    (:func:`system_fingerprint`): a run repeating an earlier run's
+    conversions — in this process or a previous one — loads them
     from disk with bit-for-bit identical CNF, reported via
     ``result.conversion.stats.conversion_disk_hits``.
 
@@ -139,7 +138,7 @@ def run_sat(
             result.facts = [Poly.one()]
             return result
 
-        result.facts = extract_facts(solver, conversion, config)
+        result.facts = extract_facts(solver, conversion)
         if status is SAT:
             if not make_model_validator(conversion, system.polynomials)(
                 solver.model
@@ -156,32 +155,19 @@ def run_sat(
         return result
 
 
-def extract_facts(
-    solver: Solver, conversion: ConversionResult, config: Config
-) -> List[Poly]:
-    """Translate level-0 units and complementary binaries into ANF facts."""
+def extract_facts(solver: Solver, conversion: ConversionResult) -> List[Poly]:
+    """Translate level-0 units and complementary binaries into ANF facts.
+
+    Only original ANF variables (``v < conversion.n_anf_vars``) take
+    part: monomial and cut auxiliaries never do, as in the paper.
+    """
+    n_anf_vars = conversion.n_anf_vars
     facts: List[Poly] = []
-
-    def usable_monomial(cnf_var: int):
-        m = conversion.monomial_of_var.get(cnf_var)
-        if m is None:
-            return None  # cut variable: never participates in facts
-        if len(m) == 1:
-            return m
-        return m if config.monomial_facts_from_sat else None
-
     for lit in solver.level0_literals():
         v = lit_var(lit)
-        m = usable_monomial(v)
-        if m is None:
-            continue
-        value = 0 if lit_sign(lit) else 1
-        if len(m) == 1:
-            facts.append(Poly.variable(m[0]).add_constant(value))
-        elif value == 1:
-            facts.append(Poly.from_monomial(m) + Poly.one())
-        else:
-            facts.append(Poly.from_monomial(m))
+        if v < n_anf_vars:
+            value = 0 if lit_sign(lit) else 1
+            facts.append(Poly.variable(v).add_constant(value))
 
     binaries: Set[Tuple[int, int]] = set(solver.learnt_binaries)
     seen_pairs = set()
@@ -190,19 +176,14 @@ def extract_facts(
         if comp not in binaries:
             continue
         va, vb = lit_var(a), lit_var(b)
-        if va == vb:
+        if va == vb or va >= n_anf_vars or vb >= n_anf_vars:
             continue
         key = tuple(sorted((va, vb)))
         if key in seen_pairs:
-            continue
-        ma, mb = usable_monomial(va), usable_monomial(vb)
-        if ma is None or mb is None or len(ma) != 1 or len(mb) != 1:
             continue
         seen_pairs.add(key)
         # (a ∨ b) ∧ (¬a ∨ ¬b) ⟺ lit_a ⊕ lit_b = 1 over literal values,
         # i.e. va ⊕ vb ⊕ (sign_a ⊕ sign_b ⊕ 1) = 0.
         c = (1 if lit_sign(a) else 0) ^ (1 if lit_sign(b) else 0) ^ 1
-        facts.append(
-            Poly.variable(ma[0]) + Poly.variable(mb[0]) + Poly.constant(c)
-        )
+        facts.append(Poly.variable(va) + Poly.variable(vb) + Poly.constant(c))
     return facts

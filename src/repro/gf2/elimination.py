@@ -106,17 +106,19 @@ def choose_block_size(n_rows: int, n_cols: int) -> int:
     return max(1, min(k, n_cols)) if n_cols else 1
 
 
-def m4ri_rref(
+def eliminate(
     matrix: "GF2Matrix",
+    *,
     max_cols: Optional[int] = None,
     block: Optional[int] = None,
 ) -> List[int]:
-    """In-place RREF by the Method of Four Russians.
+    """The single elimination entry point for every GF(2) consumer.
 
-    Processes columns left to right (up to ``max_cols`` if given) in
-    blocks of ``block`` (chosen from the matrix size when None),
-    returning the pivot column list exactly as the seed column-at-a-time
-    Gauss–Jordan would.
+    Reduces ``matrix`` to RREF in place by the Method of Four Russians,
+    processing columns left to right (up to ``max_cols`` if given) in
+    blocks of ``block`` (chosen from the matrix size when None; tests
+    and benches override it), and returns the pivot column list exactly
+    as the seed column-at-a-time Gauss–Jordan would.
     """
     n_rows = matrix.n_rows
     ncols = matrix.n_cols if max_cols is None else min(max_cols, matrix.n_cols)
@@ -433,19 +435,3 @@ def m4ri_rref(
     if permuted:
         data[:] = data[rowat]
     return pivots
-
-
-def eliminate(
-    matrix: "GF2Matrix",
-    *,
-    max_cols: Optional[int] = None,
-    block: Optional[int] = None,
-) -> List[int]:
-    """The single elimination entry point for every GF(2) consumer.
-
-    Reduces ``matrix`` to RREF in place over its first ``max_cols``
-    columns (all of them when None) with the Four-Russians eliminator
-    above and returns the pivot column list.  ``block`` overrides the
-    block width (tests and benches only).
-    """
-    return m4ri_rref(matrix, max_cols=max_cols, block=block)

@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elimination import eliminate, m4ri_rref
+from .elimination import eliminate
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -300,7 +300,7 @@ class GF2Matrix:
         to the seed column-at-a-time Gauss–Jordan (the differential
         oracle in ``tests/oracles/gf2.py``).
         """
-        return m4ri_rref(self, max_cols=max_cols, block=block)
+        return eliminate(self, max_cols=max_cols, block=block)
 
     def rank(self) -> int:
         """Rank of the matrix (works on a copy; self is unchanged)."""

@@ -5,8 +5,8 @@ Three pieces:
 * :mod:`repro.obs.trace` — hierarchical spans (monotonic clocks only)
   with a zero-overhead no-op default, cross-process stitching via
   :meth:`Tracer.adopt`, and JSON-lines / Chrome ``trace_event`` export;
-* :mod:`repro.obs.metrics` — instance-threaded counters, gauges and
-  duration histograms, merged parent-side at the result boundary;
+* :mod:`repro.obs.metrics` — instance-threaded counters and duration
+  histograms, merged parent-side at the result boundary;
 * :mod:`repro.obs.schema` — the frozen ``result.stats`` key schema and
   the span-dict validator.
 

@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges and duration histograms.
+"""Metrics: counters and duration histograms.
 
 A :class:`MetricsRegistry` is **instance-threaded, never module-global**
 (FORK-SAFETY): the owner of a run creates one and passes it down; forked
@@ -42,13 +42,12 @@ class _Timer:
 
 
 class MetricsRegistry:
-    """Counters, gauges and duration histograms for one run/process."""
+    """Counters and duration histograms for one run/process."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
         self._counters: Dict[str, Union[int, float]] = {}
-        self._gauges: Dict[str, Any] = {}
         self._histograms: Dict[str, Dict[str, float]] = {}
 
     # -- counters -------------------------------------------------------------
@@ -59,15 +58,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Union[int, float]:
         return self._counters.get(name, 0)
-
-    # -- gauges ---------------------------------------------------------------
-
-    def set_gauge(self, name: str, value: Any) -> None:
-        """Record a point-in-time value (last write wins on merge)."""
-        self._gauges[name] = value
-
-    def gauge(self, name: str, default: Any = None) -> Any:
-        return self._gauges.get(name, default)
 
     # -- histograms -----------------------------------------------------------
 
@@ -99,7 +89,6 @@ class MetricsRegistry:
         """Plain-dict view: picklable and JSON-serialisable."""
         return {
             "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "histograms": {k: dict(v) for k, v in self._histograms.items()},
         }
 
@@ -108,8 +97,7 @@ class MetricsRegistry:
     ) -> None:
         """Fold a snapshot (or another registry) into this one.
 
-        Counters add, gauges take the incoming value, histograms combine
-        count/sum/min/max.  ``None`` merges as empty, so callers can
+        Counters add, histograms combine count/sum/min/max.  ``None`` merges as empty, so callers can
         pass ``result.get("metrics")`` unguarded.
         """
         if other is None:
@@ -118,8 +106,6 @@ class MetricsRegistry:
             other = other.snapshot()
         for name, value in (other.get("counters") or {}).items():
             self.inc(name, value)
-        for name, value in (other.get("gauges") or {}).items():
-            self._gauges[name] = value
         for name, hist in (other.get("histograms") or {}).items():
             mine = self._histograms.get(name)
             if mine is None:

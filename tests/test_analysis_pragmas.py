@@ -1,27 +1,19 @@
-"""Pragma machinery tests: scoping, meta-findings, JSON round-trip.
+"""Pragma machinery tests: scoping and meta-findings.
 
 The suppression pragma ``# repro: allow[RULE-ID] <justification>`` has
-two scopes (exact line, whole function via the ``def`` line), two
+two scopes (exact line, whole function via the ``def`` line) and two
 meta-findings (bare suppression, unknown rule id — themselves never
-suppressible), and a pinned JSON report shape.  All are exercised here
-on inline sources through the same ``analyze_source`` entry the runner
-uses.
+suppressible).  All are exercised here on inline sources through the
+same ``analyze_source`` entry the runner uses.
 """
 
-import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import (
-    REPORT_VERSION,
     AnalysisConfig,
-    Finding,
-    Report,
     analyze_source,
     build_rules,
     known_rule_ids,
-    validate_report_dict,
 )
 from repro.analysis.pragmas import (
     PRAGMA_BARE,
@@ -153,50 +145,3 @@ def test_innermost_function_span_wins():
     assert index.match("DET-RNG", 3).justification == "inner waiver"
     assert index.match("DET-RNG", 4).justification == "outer waiver"
     assert index.match("DET-RNG", 1).justification == "outer waiver"
-
-
-# -- JSON report shape -----------------------------------------------------
-
-
-def test_report_json_round_trips_and_validates():
-    active, suppressed = analyze_source(LINE_SCOPED, "fixture.py", det_rules())
-    report = Report(findings=active, suppressed=suppressed, files_scanned=1)
-    payload = json.loads(json.dumps(report.to_dict()))
-    validate_report_dict(payload)
-    assert payload["version"] == REPORT_VERSION
-
-    back = [Finding.from_dict(obj) for obj in payload["findings"]]
-    assert [(f.rule, f.file, f.line, f.col, f.message, f.hint) for f in back] == [
-        (f.rule, f.file, f.line, f.col, f.message, f.hint) for f in active
-    ]
-    sup = [Finding.from_dict(obj) for obj in payload["suppressed"]]
-    assert sup[0].suppressed is True
-    assert sup[0].justification == "fixture: this draw only"
-
-
-def test_validate_report_rejects_malformed_payloads():
-    good = Report(files_scanned=0).to_dict()
-    validate_report_dict(good)  # baseline: the empty report is valid
-
-    breakers = [
-        {**good, "version": 99},
-        {**good, "files_scanned": "zero"},
-        {**good, "findings": "not-a-list"},
-        {**good, "findings": [{"rule": "X"}]},
-        {
-            **good,
-            "findings": [
-                {
-                    "rule": "X",
-                    "file": "f.py",
-                    "line": "one",
-                    "col": 1,
-                    "message": "m",
-                    "hint": "",
-                }
-            ],
-        },
-    ]
-    for payload in breakers:
-        with pytest.raises(ValueError):
-            validate_report_dict(payload)

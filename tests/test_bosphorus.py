@@ -230,6 +230,43 @@ def test_result_stats_keys_are_all_declared():
     validate_stats(result.stats)  # must not raise
 
 
+#: Four iterations in which XL, Groebner and probing each learn facts.
+LEARNER_MIX = """
+x2*x3*x6 + x2*x4*x6 + x3*x4*x7 + x3*x6 + 1
+x2*x7 + x5*x7 + x6*x7
+x1*x3 + x2*x4*x6 + x3*x6
+x2*x5*x7 + x3 + x3*x5*x6 + 1
+"""
+
+
+def test_each_iteration_runs_the_learners_in_order():
+    """Every ``satlearn.iteration`` span has one child span per ANF
+    learner, in loop order, whose ``facts`` attribute is the count the
+    iteration's ``techniques`` stats entry reports for that learner."""
+    from repro.obs import Tracer
+
+    learners = ["xl", "elimlin", "groebner", "probing"]
+    ring, polys = parse_system(LEARNER_MIX)
+    tracer = Tracer()
+    cfg = Config(use_groebner=True, use_probing=True, stop_on_solution=False)
+    result = Bosphorus(cfg, tracer=tracer).preprocess_anf(ring, polys)
+    spans = tracer.spans()
+    iterations = [s for s in spans if s["name"] == "satlearn.iteration"]
+    techniques = result.stats["techniques"]
+    assert len(iterations) == len(techniques) == result.iterations >= 2
+    for it_span, it_stats in zip(iterations, techniques):
+        children = sorted(
+            (s for s in spans
+             if s["parent"] == it_span["id"] and s["name"] in learners),
+            key=lambda s: s["t0"],
+        )
+        assert [s["name"] for s in children] == learners
+        for child in children:
+            assert child["attrs"]["facts"] == it_stats[child["name"] + "_facts"]
+    for name in ("xl", "groebner", "probing"):
+        assert sum(t[name + "_facts"] for t in techniques) > 0
+
+
 def test_augmented_cnf_stats_keys_are_all_declared():
     from repro.obs import undeclared_stats_keys
 

@@ -76,6 +76,26 @@ def test_cnf_preprocessing_roundtrip(cnf_file, tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_cnf_model_names_only_input_variables(tmp_path, capsys):
+    # The 7-literal clause is cut on CNF->ANF, so the internal ring has
+    # auxiliaries beyond the 8 input variables; the model must not.
+    clauses = [[1, 2, 3, 4, 5, 6, 7], [-1, -2], [8, -3]]
+    path = tmp_path / "cut.cnf"
+    path.write_text(
+        "p cnf 8 3\n"
+        + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    )
+    code = main(["--cnfread", str(path), "--solve",
+                 "--no-xl", "--no-elimlin", "--no-sat"])
+    out = capsys.readouterr().out
+    assert code == 10
+    model_line = [l for l in out.splitlines() if l.startswith("v ")][0]
+    lits = [int(tok) for tok in model_line.split()[1:-1]]
+    assert sorted(abs(lit) for lit in lits) == list(range(1, 9))
+    true_lits = set(lits)
+    assert all(any(lit in true_lits for lit in c) for c in clauses)
+
+
 def test_parameter_flags_map_to_config():
     parser = build_parser()
     args = parser.parse_args([

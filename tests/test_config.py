@@ -37,4 +37,3 @@ def test_all_techniques_enabled_by_default():
     cfg = Config()
     assert cfg.use_xl and cfg.use_elimlin and cfg.use_sat
     assert not cfg.use_groebner  # optional plug-in (paper section V)
-    assert not cfg.monomial_facts_from_sat  # paper: aux vars excluded

@@ -141,12 +141,10 @@ def test_counters_gauges_histograms():
     m = MetricsRegistry()
     m.inc("conversions")
     m.inc("conversions", 4)
-    m.set_gauge("queue_depth", 7)
     m.observe("solve_s", 0.5)
     m.observe("solve_s", 1.5)
     assert m.counter("conversions") == 5
     assert m.counter("missing") == 0
-    assert m.gauge("queue_depth") == 7
     snap = m.snapshot()
     assert snap["counters"]["conversions"] == 5
     hist = snap["histograms"]["solve_s"]
@@ -170,18 +168,16 @@ def test_merge_combines_counters_and_histograms():
     a.observe("solve_s", 1.0)
     b.inc("jobs", 3)
     b.observe("solve_s", 3.0)
-    b.set_gauge("depth", 9)
     a.merge(b)
     a.merge(None)  # tolerated
     assert a.counter("jobs") == 5
-    assert a.gauge("depth") == 9
     hist = a.snapshot()["histograms"]["solve_s"]
     assert hist == {"count": 2, "sum": 4.0, "min": 1.0, "max": 3.0}
 
 
 def test_merge_accepts_plain_snapshots():
     a = MetricsRegistry()
-    a.merge({"counters": {"jobs": 2}, "gauges": {},
+    a.merge({"counters": {"jobs": 2},
              "histograms": {"s": {"count": 1, "sum": 2.0,
                                   "min": 2.0, "max": 2.0}}})
     assert a.counter("jobs") == 2
@@ -367,9 +363,10 @@ def test_tracing_off_by_default_everywhere():
 def test_bosphorus_trace_export_chrome(tmp_path):
     path = tmp_path / "run.json"
     ring, polys = parse_system(PAPER_EXAMPLE)
-    config = Config(trace_path=str(path))
-    result = Bosphorus(config).preprocess_anf(ring, polys)
+    tracer = Tracer()
+    result = Bosphorus(Config(), tracer=tracer).preprocess_anf(ring, polys)
     assert result.status == STATUS_SAT
+    tracer.export(str(path))
     payload = json.loads(path.read_text())
     names = {e["name"] for e in payload["traceEvents"]}
     assert "bosphorus.preprocess" in names
@@ -380,11 +377,10 @@ def test_bosphorus_trace_export_chrome(tmp_path):
 def test_bosphorus_trace_export_jsonl(tmp_path):
     path = tmp_path / "run.jsonl"
     ring, polys = parse_system(PAPER_EXAMPLE)
-    config = Config(
-        trace_path=str(path), use_xl=False, use_elimlin=False,
-        stop_on_solution=False,
-    )
-    Bosphorus(config).preprocess_anf(ring, polys)
+    config = Config(use_xl=False, use_elimlin=False, stop_on_solution=False)
+    tracer = Tracer()
+    Bosphorus(config, tracer=tracer).preprocess_anf(ring, polys)
+    tracer.export(str(path))
     spans = [json.loads(line) for line in path.read_text().splitlines()]
     validate_spans(spans)
     names = [s["name"] for s in spans]

@@ -94,9 +94,3 @@ def test_monomial_facts_disabled_by_default():
     for fact in result.facts:
         assert fact.degree() <= 1, "aux monomial fact leaked: {}".format(fact)
 
-
-def test_monomial_facts_opt_in():
-    sys_ = system_of("x1*x2*x3*x4*x5*x6*x7*x8*x9 + 1\nx1 + x10 + x11 + x12")
-    cfg = Config(monomial_facts_from_sat=True, karnaugh_limit=4)
-    result = run_sat(sys_, cfg)
-    assert result.status is not UNSAT

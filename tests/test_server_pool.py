@@ -149,13 +149,51 @@ def test_spec_validation_rejects_bad_jobs():
         JobSpec(fmt="dimacs", text=EASY, config={"cache_dir": "/x"}).validate()
 
 
-def test_spec_validation_rejects_removed_fanout_overrides():
+def test_spec_validation_rejects_removed_overrides():
     # The loop's SAT step has one path: a client asking for a fan-out
     # inside the loop must fail loudly, not silently get another search.
-    for field in ("use_portfolio", "use_cube"):
+    # Likewise for the retired trace-file, monomial-fact and Groebner
+    # budget fields: the error names the field.
+    for field in (
+        "use_portfolio",
+        "use_cube",
+        "trace_path",
+        "monomial_facts_from_sat",
+        "groebner_max_pairs",
+        "groebner_max_basis",
+    ):
         spec = JobSpec(fmt="dimacs", text=EASY, config={field: True})
         with pytest.raises(ValueError, match=field):
             spec.validate()
+
+
+#: No learning: the model comes from the backend's final solve, over a
+#: CNF whose variables outnumber the input's.
+NO_LEARNING = {"use_xl": False, "use_elimlin": False, "use_sat": False}
+
+
+def test_backend_models_cover_only_the_input_variables():
+    # Clause cutting adds CNF->ANF auxiliaries to the DIMACS job's CNF;
+    # a 10-variable quadratic XOR above the Karnaugh limit adds monomial
+    # auxiliaries to the ANF job's.
+    dimacs = "p cnf 8 3\n1 2 3 4 5 6 7 0\n-1 -2 0\n8 -3 0\n"
+    result = execute_job(JobSpec(fmt="dimacs", text=dimacs, config=NO_LEARNING))
+    assert result["verdict"] == "sat"
+    model = result["model"]
+    assert len(model) == 8
+    clauses = [[1, 2, 3, 4, 5, 6, 7], [-1, -2], [8, -3]]
+    assert all(
+        any(model[abs(lit) - 1] == (lit > 0) for lit in clause)
+        for clause in clauses
+    )
+
+    anf = "x1*x2 + x3*x4 + x5*x6 + x7*x8 + x9*x10 + 1"
+    result = execute_job(JobSpec(fmt="anf", text=anf, config=NO_LEARNING))
+    assert result["verdict"] == "sat"
+    model = result["model"]
+    assert len(model) == 11  # the ring numbers x0..x10
+    pairs = sum(model[v] & model[v + 1] for v in range(1, 11, 2))
+    assert pairs % 2 == 1
 
 
 # -- death isolation ---------------------------------------------------------
