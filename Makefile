@@ -72,7 +72,7 @@ bench-portfolio:
 # REPRO_BENCH_COUNT>=2; verdict soundness always checked).
 bench-cube:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/test_cube_splitter.py \
-		tests/test_cube_conquer.py -q
+		tests/test_cube_conquer.py tests/test_cube_chains.py -q
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_cube.py \
 		-q --benchmark-only
 

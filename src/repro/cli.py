@@ -178,7 +178,7 @@ def _final_solve(args, result, tracer=NULL_TRACER):
                 print("c cube: #{:<4} {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
                     row.index, row.backend, row.status, row.seconds,
                     row.conflicts,
-                    "  [winner]" if row.status == "sat" else ""))
+                    "  [winner]" if row.cube == outcome.sat_cube else ""))
             if outcome.global_unsat:
                 print("c cube: refutation was global (whole-formula shortcut)")
         return outcome.verdict, outcome.model

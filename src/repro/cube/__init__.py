@@ -3,7 +3,8 @@
 
 The classic split (Heule/Kullmann/Biere): a *splitter* partitions the
 CNF's search space into assumption cubes
-(:mod:`repro.cube.splitter`), a *conqueror* fans the cubes over the
+(:mod:`repro.cube.splitter`), a *conqueror* deals the cubes into
+chains, each solved on one warm solver, and fans the chains over the
 bounded :class:`repro.portfolio.BatchScheduler` pool with first-SAT
 early exit and all-cubes-refuted UNSAT aggregation
 (:mod:`repro.cube.conquer`).  Soundness leans on the backend assumption

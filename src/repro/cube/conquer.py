@@ -1,14 +1,18 @@
 """Conquer: fan a cube set over the bounded batch pool.
 
-Each cube becomes one :class:`~repro.portfolio.engine.Leg` — the
-formula handed to a backend with the cube as assumptions, the same unit
-the portfolio race runs — mapped over
-:class:`repro.portfolio.BatchScheduler` (the one worker pool behind
-every fan-out).  The first-win protocol is the map's ``stop_when``:
+The cubes are dealt round-robin into **chains**, and each chain is one
+:class:`~repro.portfolio.engine.Leg` — the unit the portfolio race runs
+too — mapped over :class:`repro.portfolio.BatchScheduler` (the one
+worker pool behind every fan-out).  An in-process backend loads the
+formula once per chain and solves the chain's cubes in order, each as
+assumptions on the same warm solver, so learnt clauses carry from cube
+to cube (the incremental conquer of Heule, Kullmann, Wieringa and
+Biere, HVC 2011).  The first-win protocol is the map's ``stop_when``:
 
-* a **validated SAT** cube stops the run — running sibling cubes are
-  cancelled through their slot flag and stand down at their next
-  conflict slice, cubes not yet started never run (``cancelled`` rows);
+* a **validated SAT** cube stops the run — running chains are cancelled
+  through their slot flag and stand down at their next conflict slice,
+  chains not yet started never run, and every cube left without a
+  result gets a ``cancelled`` row;
 * an **UNSAT with** ``assumption_failure=False`` from an in-process
   backend is a *global* refutation (the proof never needed the cube), so
   it stops the run too — the whole-formula UNSAT shortcut;
@@ -16,6 +20,9 @@ every fan-out).  The first-win protocol is the map's ``stop_when``:
   refuted (plus the branches the splitter already closed).  A cube left
   unknown, errored, or cancelled blocks the UNSAT verdict: a partition
   with an open piece proves nothing.
+
+A chain stops at its first SAT claim; when the validator demotes it,
+the cubes the chain never reached go out again as a new chain.
 
 A validated SAT and a global refutation in one run is a soundness bug
 and raises :class:`CubeDisagreement`, mirroring the portfolio engine's
@@ -26,11 +33,12 @@ model) only; no learnt fact travels back from a cube.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..portfolio.backends import BackendResult, SolverBackend, create_backend
+from ..portfolio.batch import default_jobs
 from ..portfolio.engine import Leg, leg_status, run_legs
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT
@@ -99,11 +107,15 @@ class CubeOutcome:
 class CubeConqueror:
     """Split one CNF into cubes and conquer them over the batch pool.
 
-    ``backends`` (specs or instances) are assigned round-robin over the
-    cube list, so a heterogeneous pool — personalities, seed-diversified
-    copies, external ``dimacs:`` binaries — spreads across the
-    partition.  ``jobs`` bounds the worker processes (``1`` is the
-    deterministic sequential schedule used by the equivalence tests);
+    The cubes are dealt round-robin into ``n = max(jobs,
+    len(backends))`` chains (at most one per cube): chain ``k`` holds
+    cubes ``k, k+n, ...`` in order and runs on ``backends[k %
+    len(backends)]``, so a heterogeneous pool — personalities,
+    seed-diversified copies, external ``dimacs:`` binaries — spreads
+    across the partition.  Per-cube results depend only on the formula,
+    the cubes, ``jobs`` and the backends, never on which worker finishes
+    first.  ``jobs`` bounds the worker processes (``1`` runs the chains
+    in order in-process, the schedule the equivalence tests use);
     ``validate`` is the usual ``model_bits -> bool`` hook — SAT claims
     from a cube are demoted unless the model validates, exactly like the
     portfolio engine.
@@ -165,16 +177,29 @@ class CubeConqueror:
                 outcome.wall_seconds = time.monotonic() - start
                 return outcome
 
+            if not cubeset.cubes and cubeset.refuted:
+                # The split closed every branch: the partition is
+                # exhausted without a solver call.
+                outcome.verdict = UNSAT
+                outcome.wall_seconds = time.monotonic() - start
+                return outcome
             backends = [b for b in self.backends if b.available()]
             if not backends:
                 outcome.wall_seconds = time.monotonic() - start
                 return outcome
-            legs = [
-                Leg(i, backends[i % len(backends)], formula, deadline,
-                    conflict_budget, cube=cube, span="cube.solve",
+            cubes = cubeset.cubes
+            jobs = self.jobs if self.jobs is not None else default_jobs()
+            n = min(max(jobs, len(backends)), len(cubes))
+            chains = [
+                Leg(backends[k % len(backends)], formula, deadline,
+                    conflict_budget, tuple(range(k, len(cubes), n)),
+                    cubes=tuple(cubes[k::n]), span="cube.solve",
                     prefix="cube", trace=self.tracer.enabled)
-                for i, cube in enumerate(cubeset.cubes)
+                for k in range(n)
             ]
+            names = [backends[i % n % len(backends)].name
+                     for i in range(len(cubes))]
+            ran: List = [None] * len(cubes)
 
             def stop(res) -> bool:
                 # A validated SAT, or the whole-formula shortcut
@@ -184,23 +209,41 @@ class CubeConqueror:
                     res.status is UNSAT and not res.assumption_failure
                 )
 
-            ran = run_legs(
-                legs, self.jobs, self.validate, stop, self.tracer,
-                self.metrics, conquer_span.id,
-            )
-            self._aggregate(outcome, cubeset, legs, ran)
+            while chains:
+                rows = run_legs(
+                    chains, self.jobs, self.validate, stop, self.tracer,
+                    self.metrics, conquer_span.id,
+                )
+                again = []
+                for leg, entries in zip(chains, rows):
+                    for index, entry in zip(leg.indices, entries):
+                        ran[index] = entry
+                    reached = sum(1 for e in entries if e is not None)
+                    if 0 < reached < len(entries) and \
+                            entries[reached - 1][0].demoted:
+                        # The chain stopped at a SAT claim the validator
+                        # rejected: its untried cubes go out again.
+                        again.append(replace(
+                            leg, indices=leg.indices[reached:],
+                            cubes=leg.cubes[reached:],
+                        ))
+                if any(e is not None and stop(e[0])
+                       for entries in rows for e in entries):
+                    break
+                chains = again
+            self._aggregate(outcome, cubes, names, ran)
             outcome.wall_seconds = time.monotonic() - start
             return outcome
 
     # -- aggregation --------------------------------------------------------
 
-    def _aggregate(self, outcome, cubeset, legs, ran) -> None:
-        results: List[Optional[BackendResult]] = [None] * len(legs)
-        for leg, (res, seconds, span_id) in zip(legs, ran):
-            results[leg.index] = res
-            row = CubeStats(leg.index, leg.cube, leg.backend.name,
-                            CUBE_CANCELLED)
-            if res is not None:
+    def _aggregate(self, outcome, cubes, names, ran) -> None:
+        results: List[Optional[BackendResult]] = [None] * len(cubes)
+        for index, entry in enumerate(ran):
+            row = CubeStats(index, cubes[index], names[index], CUBE_CANCELLED)
+            if entry is not None:
+                res, seconds, span_id = entry
+                results[index] = res
                 row.status = leg_status(res, unsat=CUBE_REFUTED)
                 row.seconds = seconds
                 row.conflicts = res.conflicts
@@ -225,12 +268,12 @@ class CubeConqueror:
             win = min(sat_idx)
             outcome.verdict = SAT
             outcome.model = results[win].model
-            outcome.sat_cube = cubeset.cubes[win]
-            outcome.winner = legs[win].backend.name
+            outcome.sat_cube = cubes[win]
+            outcome.winner = names[win]
         elif global_idx:
             outcome.verdict = UNSAT
             outcome.global_unsat = True
-            outcome.winner = legs[min(global_idx)].backend.name
+            outcome.winner = names[min(global_idx)]
         elif results and all(
             r is not None and r.status is UNSAT for r in results
         ):

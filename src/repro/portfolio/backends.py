@@ -36,7 +36,13 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sat import cms_config, lingeling_config, minisat_config, solver_counters
+from ..sat import (
+    SOLVER_COUNTERS,
+    cms_config,
+    lingeling_config,
+    minisat_config,
+    solver_counters,
+)
 from ..sat.dimacs import CnfFormula, expand_xors, write_dimacs
 from ..sat.preprocess import Preprocessor
 from ..sat.solver import SAT, UNSAT, Solver, SolverConfig
@@ -170,6 +176,26 @@ class SolverBackend:
     ) -> BackendResult:
         raise NotImplementedError
 
+    def cube_solver(
+        self, formula: CnfFormula, cubes: Sequence[Sequence[int]]
+    ) -> Callable[..., BackendResult]:
+        """A function solving ``formula`` under one cube of ``cubes`` per
+        call, in order: ``fn(cube, deadline=, conflict_budget=,
+        cancel=)``.  This default solves every cube from scratch through
+        :meth:`solve` (the empty cube passes no ``assumptions``); an
+        in-process backend loads the formula once and keeps its solver
+        warm across the chain."""
+
+        def solve_cube(cube, deadline=None, conflict_budget=None,
+                       cancel=None) -> BackendResult:
+            kwargs = {"assumptions": list(cube)} if cube else {}
+            return self.solve(
+                formula, deadline=deadline, conflict_budget=conflict_budget,
+                cancel=cancel, **kwargs,
+            )
+
+        return solve_cube
+
 
 @dataclass
 class CdclBackend(SolverBackend):
@@ -180,13 +206,16 @@ class CdclBackend(SolverBackend):
     delegates here:
 
     * ``lingeling`` runs the SatELite-style :class:`Preprocessor` first
-      (skipped under assumptions: BVE could eliminate an assumed
-      variable);
+      (skipped when a cube assumes anything: BVE could eliminate an
+      assumed variable);
     * ``cms`` recovers Tseitin-encoded XORs from plain CNF and attaches
       the native :class:`XorEngine`;
     * other personalities get XOR constraints *expanded* to plain
       clauses (:func:`repro.sat.dimacs.expand_xors`), so a formula with
       ``x`` lines is solved correctly by every member of a portfolio.
+
+    :meth:`solve` is the one-cube case of :class:`CdclChain`, the warm
+    chain :meth:`cube_solver` returns.
     """
 
     personality: str = "minisat"
@@ -220,7 +249,90 @@ class CdclBackend(SolverBackend):
         cancel=None,
         assumptions: Sequence[int] = (),
     ) -> BackendResult:
-        deadline = _deadline_of(timeout_s, deadline)
+        # The one-cube chain: there is no second solving path.
+        return self.cube_solver(formula, [assumptions])(
+            assumptions,
+            deadline=_deadline_of(timeout_s, deadline),
+            conflict_budget=conflict_budget,
+            cancel=cancel,
+        )
+
+    def cube_solver(
+        self, formula: CnfFormula, cubes: Sequence[Sequence[int]]
+    ) -> "CdclChain":
+        return CdclChain(self, formula, cubes)
+
+
+class CdclChain:
+    """One formula loaded into one warm :class:`Solver`, solved cube by
+    cube — :meth:`CdclBackend.cube_solver`.
+
+    The load (XOR recovery or expansion, SatELite preprocessing, clause
+    loading, the engine attach) happens once, on the first cube that
+    reaches the solver.  Each cube then runs through
+    :func:`sliced_solve` with its literals as assumptions.  Assumptions
+    are decisions, so every clause the solver learns is a consequence
+    of the formula alone; learnt clauses and activities carry from cube
+    to cube.  A cube must never be added to the solver as a clause.
+
+    A result's ``conflicts`` and ``counters`` are that cube's share of
+    the solver's totals (the first cube pays the load's propagations),
+    except ``learnts``, the learnt-DB size when the cube ends.  A cube
+    that raises discards the solver: the next cube loads a fresh one.
+    """
+
+    def __init__(self, backend: CdclBackend, formula: CnfFormula,
+                 cubes: Sequence[Sequence[int]]):
+        self.backend = backend
+        self.formula = formula
+        # BVE may eliminate an assumed variable, silently dropping the
+        # cube constraint: a chain that assumes anything runs
+        # unpreprocessed.
+        self.preprocess = backend.personality == "lingeling" and not any(cubes)
+        self.n_assumed = 1 + max(
+            (a >> 1 for cube in cubes for a in cube), default=-1
+        )
+        self.solver: Optional[Solver] = None
+        self.preprocessor = None
+        self.n_vars = 0
+        self.refuted = False  # preprocessing refuted the formula
+        self._spent = dict.fromkeys(SOLVER_COUNTERS, 0)
+
+    def _load(self) -> None:
+        formula = self.formula
+        cms = self.backend.personality == "cms"
+        if cms and not formula.xors:
+            from ..sat.xorrecovery import formula_with_recovered_xors
+
+            formula = formula_with_recovered_xors(formula)
+        use_engine = cms and bool(formula.xors)
+        if formula.xors and not use_engine:
+            formula = expand_xors(formula)
+        clauses = [list(c) for c in formula.clauses]
+        self.n_vars = formula.n_vars
+        if self.preprocess:
+            self.preprocessor = Preprocessor(self.n_vars, clauses)
+            pre = self.preprocessor.run()
+            if not pre.status:
+                self.refuted = True
+                return
+            clauses = pre.clauses
+        solver = Solver(self.backend._config())
+        solver.ensure_vars(max(self.n_vars, self.n_assumed))
+        self.solver = solver
+        if solver.add_clauses(clauses) and use_engine:
+            engine = XorEngine()
+            for variables, rhs in formula.xors:
+                engine.add_xor(variables, rhs)
+            solver.attach_xor_engine(engine)
+
+    def __call__(
+        self,
+        cube: Sequence[int],
+        deadline: Optional[float] = None,
+        conflict_budget: Optional[int] = None,
+        cancel=None,
+    ) -> BackendResult:
         # Cancellation/deadline checked before the heavy setup too: a
         # loser that starts after the race is decided must not burn CPU
         # on clause loading or SatELite preprocessing.
@@ -228,74 +340,51 @@ class CdclBackend(SolverBackend):
             deadline is not None and time.monotonic() >= deadline
         ):
             return BackendResult(None, cancelled=_cancelled(cancel))
-        n_report = formula.n_vars
+        try:
+            return self._solve(cube, deadline, conflict_budget, cancel)
+        except Exception:
+            self.solver = None
+            self._spent = dict.fromkeys(SOLVER_COUNTERS, 0)
+            raise
 
-        if self.personality == "cms" and not formula.xors:
-            from ..sat.xorrecovery import formula_with_recovered_xors
-
-            formula = formula_with_recovered_xors(formula)
-        use_engine = self.personality == "cms" and bool(formula.xors)
-        if formula.xors and not use_engine:
-            formula = expand_xors(formula)
-
-        clauses = [list(c) for c in formula.clauses]
-        n_vars = formula.n_vars
-        preprocessor = None
-        if self.personality == "lingeling" and not assumptions:
-            # BVE may eliminate an assumed variable, silently dropping
-            # the cube constraint — under assumptions the personality
-            # runs unpreprocessed.
-            preprocessor = Preprocessor(n_vars, clauses)
-            pre = preprocessor.run()
-            if not pre.status:
-                return BackendResult(UNSAT)
-            clauses = pre.clauses
-
-        solver = Solver(self._config())
-        solver.ensure_vars(n_vars)
-        if assumptions:
-            solver.ensure_vars(1 + max(a >> 1 for a in assumptions))
-        if not solver.add_clauses(clauses):
-            return self._harvest(BackendResult(UNSAT), solver)
-        if use_engine:
-            engine = XorEngine()
-            for variables, rhs in formula.xors:
-                engine.add_xor(variables, rhs)
-            solver.attach_xor_engine(engine)
-            if not solver.ok:
-                return self._harvest(BackendResult(UNSAT), solver)
-
-        verdict = sliced_solve(
+    def _solve(self, cube, deadline, conflict_budget, cancel) -> BackendResult:
+        if self.solver is None and not self.refuted:
+            self._load()
+        solver = self.solver
+        if solver is None:
+            return BackendResult(UNSAT)
+        verdict = UNSAT if not solver.ok else sliced_solve(
             solver,
             deadline=deadline,
             conflict_budget=conflict_budget,
             cancel=cancel,
-            assumptions=assumptions,
+            assumptions=cube,
         )
-
         result = BackendResult(
             verdict,
             cancelled=verdict is None and _cancelled(cancel),
             # UNSAT with the flag still False is a *global* refutation
             # even though a cube was assumed — the search never needed
             # the assumptions to close the proof.
-            assumption_failure=verdict is UNSAT and solver.assumptions_failed,
+            assumption_failure=verdict is UNSAT and solver.ok
+            and solver.assumptions_failed,
         )
         if verdict is SAT:
             raw = [
                 solver.model[v] if v < len(solver.model) else UNDEF
-                for v in range(n_vars)
+                for v in range(self.n_vars)
             ]
-            if preprocessor is not None:
-                raw = preprocessor.extend_model(raw)
-            result.model = [1 if x == TRUE else 0 for x in raw[:n_report]]
-        return self._harvest(result, solver)
-
-    @staticmethod
-    def _harvest(result: BackendResult, solver: Solver) -> BackendResult:
-        """Record the solver's conflicts and work counters on ``result``."""
-        result.conflicts = solver.num_conflicts
-        result.counters = solver_counters(solver)
+            if self.preprocessor is not None:
+                raw = self.preprocessor.extend_model(raw)
+            result.model = [
+                1 if x == TRUE else 0 for x in raw[:self.formula.n_vars]
+            ]
+        totals = solver_counters(solver)
+        result.counters = dict(totals, **{
+            name: totals[name] - self._spent[name] for name in SOLVER_COUNTERS
+        })
+        result.conflicts = result.counters["conflicts"]
+        self._spent = totals
         return result
 
 

@@ -111,68 +111,89 @@ def arbitrate(
 
 @dataclass
 class Leg:
-    """One backend solve: the unit a portfolio race or a cube conquest
-    maps over the worker pool.  ``cube`` (cube legs only) is passed as
-    assumptions; ``span`` and ``prefix`` name the leg's trace span and
-    metric counters."""
+    """A chain of solves on one backend: the unit a portfolio race or a
+    cube conquest maps over the worker pool.
 
-    index: int
+    ``cubes`` are solved in order, each as assumptions, by one
+    :meth:`~repro.portfolio.backends.SolverBackend.cube_solver` — an
+    in-process backend loads the formula once per leg and keeps its
+    solver warm from cube to cube.  A portfolio leg is the single empty
+    cube.  ``indices`` name the cubes in spans and results (the backend
+    index in a race, the cube index in a conquest); ``span`` and
+    ``prefix`` name the per-cube trace span and metric counters."""
+
     backend: SolverBackend
     formula: object
     deadline: Optional[float]
     conflict_budget: Optional[int]
-    cube: Optional[Tuple[int, ...]] = None
+    indices: Tuple[int, ...]
+    cubes: Tuple[Tuple[int, ...], ...] = ((),)
     span: str = "portfolio.backend"
     prefix: str = "backend"
     trace: bool = False
 
 
-def run_leg(leg: Leg) -> Tuple[BackendResult, float]:
-    """Solve one leg where the pool runs it; returns ``(result, seconds)``.
+def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
+    """Solve one leg's cubes where the pool runs it; returns
+    ``(result, seconds)`` per cube reached, in order.
 
-    A raising backend loses the leg, not the run: the exception becomes
-    an error result.  With ``leg.trace`` the leg is instrumented
-    post-fork (FORK-SAFETY): a tracer and a registry are created *here*,
-    in the process that did the solving, and ride the result back for
-    parent-side merging.  The span brackets work that already happened,
-    so its window is rewritten to the measured solve interval
-    (``time.monotonic()`` is system-wide, so the parent's stitched
-    timeline stays aligned).
+    The leg stops after a SAT answer, a refutation that never needed
+    its cube (the formula itself is UNSAT), or a cancel.  A raising cube
+    loses that cube only: the exception becomes its error result and the
+    next cube still runs.
     """
-    kwargs = {} if leg.cube is None else {"assumptions": list(leg.cube)}
-    t0 = time.monotonic()
-    try:
-        result = leg.backend.solve(
-            leg.formula,
-            deadline=leg.deadline,
-            conflict_budget=leg.conflict_budget,
-            cancel=batch_cancel(),
-            **kwargs,
-        )
-    except Exception as exc:
-        result = BackendResult(
-            None, error="{}: {}".format(type(exc).__name__, exc)
-        )
-    elapsed = time.monotonic() - t0
-    if leg.trace:
-        registry = MetricsRegistry()
-        registry.inc(leg.prefix + "_solves")
-        registry.inc(leg.prefix + "_conflicts", result.conflicts)
-        registry.observe(leg.prefix + "_solve_s", elapsed)
-        result.metrics = registry.snapshot()
-        attrs = {"backend": leg.backend.name, "index": leg.index}
-        if leg.cube is not None:
-            attrs["cube"] = list(leg.cube)
-        tracer = Tracer()
-        with tracer.span(leg.span, **attrs) as span:
-            span.set("conflicts", result.conflicts)
-            span.set("cancelled", result.cancelled)
-            if result.error:
-                span.set("error", result.error)
-        span.data["t0"] = t0
-        span.data["dur"] = elapsed
-        result.spans = tracer.spans()
-    return result, elapsed
+    cancel = batch_cancel()
+    solve_cube = leg.backend.cube_solver(leg.formula, leg.cubes)
+    out = []
+    for index, cube in zip(leg.indices, leg.cubes):
+        t0 = time.monotonic()
+        try:
+            result = solve_cube(
+                cube, deadline=leg.deadline,
+                conflict_budget=leg.conflict_budget, cancel=cancel,
+            )
+        except Exception as exc:
+            result = BackendResult(
+                None, error="{}: {}".format(type(exc).__name__, exc)
+            )
+        elapsed = time.monotonic() - t0
+        if leg.trace:
+            _observe(leg, index, cube, result, t0, elapsed)
+        out.append((result, elapsed))
+        if result.status is SAT or result.cancelled or (
+            result.status is UNSAT and not result.assumption_failure
+        ) or (cancel is not None and cancel.is_set()):
+            break
+    return out
+
+
+def _observe(leg: Leg, index: int, cube, result: BackendResult,
+             t0: float, elapsed: float) -> None:
+    """Instrument one cube post-fork (FORK-SAFETY): a tracer and a
+    registry are created *here*, in the process that did the solving,
+    and ride the result back for parent-side merging.  The span brackets
+    work that already happened, so its window is rewritten to the
+    measured solve interval (``time.monotonic()`` is system-wide, so the
+    parent's stitched timeline stays aligned)."""
+    registry = MetricsRegistry()
+    registry.inc(leg.prefix + "_solves")
+    registry.inc(leg.prefix + "_conflicts", result.conflicts)
+    registry.observe(leg.prefix + "_solve_s", elapsed)
+    result.metrics = registry.snapshot()
+    attrs = {"backend": leg.backend.name, "index": index}
+    if cube:
+        attrs["cube"] = list(cube)
+    tracer = Tracer()
+    with tracer.span(leg.span, **attrs) as span:
+        span.set("conflicts", result.conflicts)
+        span.set("cancelled", result.cancelled)
+        for name, value in (result.counters or {}).items():
+            span.set(name, value)
+        if result.error:
+            span.set("error", result.error)
+    span.data["t0"] = t0
+    span.data["dur"] = elapsed
+    result.spans = tracer.spans()
 
 
 def validated(result: BackendResult, validate) -> BackendResult:
@@ -206,7 +227,7 @@ def absorb_observability(
     tracer, metrics, result: Optional[BackendResult],
     parent_id: Optional[str],
 ) -> Optional[str]:
-    """Merge one leg result's spans and metrics at the result boundary.
+    """Merge one cube result's spans and metrics at the result boundary.
 
     Adoption reparents the worker's root span under ``parent_id`` and
     deduplicates by span id, so a duplicate delivery can never
@@ -226,29 +247,32 @@ def absorb_observability(
 
 def run_legs(legs, jobs, validate, stop, tracer, metrics, parent_id):
     """Map :func:`run_leg` over ``legs`` on the worker pool; the first
-    validated result for which ``stop`` holds ends the map.
+    leg with a validated result for which ``stop`` holds ends the map.
 
-    Returns ``(result, seconds, span_id)`` per leg, in leg order, with
-    every result validated and its observability absorbed under
-    ``parent_id``; ``result`` is None for a leg that never started, and
-    an error result for one whose worker died.
+    Returns, per leg, one ``(result, seconds, span_id)`` per cube, in
+    cube order, with every result validated and its observability
+    absorbed under ``parent_id``.  A cube the leg never reached (it
+    stopped earlier, never started, or was cancelled) is ``None``.
+    Results travel when the leg ends, so a leg whose worker died gives
+    every cube an error result.
     """
-    raw = BatchScheduler(jobs).map(
-        run_leg, legs,
-        stop_when=lambda entry: stop(validated(entry[0], validate)),
-    )
+
+    def stops(entry) -> bool:
+        return any([stop(validated(res, validate)) for res, _ in entry])
+
+    raw = BatchScheduler(jobs).map(run_leg, legs, stop_when=stops)
     out = []
-    for entry in raw:
-        if entry is None:
-            out.append((None, 0.0, None))
-        elif isinstance(entry, BatchItemError):
+    for leg, entry in zip(legs, raw):
+        rows = [None] * len(leg.cubes)
+        if isinstance(entry, BatchItemError):
             error = "worker failed: {}: {}".format(entry.kind, entry.error)
-            out.append((BackendResult(None, error=error), entry.seconds,
-                        None))
-        else:
-            result, seconds = entry
-            out.append((result, seconds, absorb_observability(
-                tracer, metrics, result, parent_id)))
+            rows = [(BackendResult(None, error=error), entry.seconds, None)
+                    for _ in leg.cubes]
+        elif entry is not None:
+            for k, (result, seconds) in enumerate(entry):
+                rows[k] = (result, seconds, absorb_observability(
+                    tracer, metrics, result, parent_id))
+        out.append(rows)
     return out
 
 
@@ -303,7 +327,7 @@ class PortfolioRunner:
             backends=[b.name for b in self.backends],
         ) as race_span:
             legs = [
-                Leg(i, backend, formula, deadline, conflict_budget,
+                Leg(backend, formula, deadline, conflict_budget, (i,),
                     trace=self.tracer.enabled)
                 for i, backend in enumerate(self.backends)
                 if backend.available()
@@ -318,14 +342,16 @@ class PortfolioRunner:
                 legs, jobs, self.validate, lambda r: r.status is not None,
                 self.tracer, self.metrics, race_span.id,
             )
-            for leg, (res, seconds, span_id) in zip(legs, ran):
-                results[leg.index] = res
-                if res is None:  # never started: the race was over
-                    stats[leg.index] = PortfolioStats(
+            for leg, [entry] in zip(legs, ran):
+                (index,) = leg.indices
+                if entry is None:  # never started: the race was over
+                    stats[index] = PortfolioStats(
                         leg.backend.name, STATUS_CANCELLED, cancelled=True
                     )
                     continue
-                stats[leg.index] = PortfolioStats(
+                res, seconds, span_id = entry
+                results[index] = res
+                stats[index] = PortfolioStats(
                     leg.backend.name, leg_status(res), seconds=seconds,
                     conflicts=res.conflicts, cancelled=res.cancelled,
                     demoted=res.demoted, error=res.error, span_id=span_id,

@@ -196,6 +196,32 @@ def test_cube_flag_sequential(anf_file, capsys):
     assert {"2", "3", "4", "5", "-6"} <= lits
 
 
+def test_cube_listing_tags_only_the_winning_cube(anf_file, capsys,
+                                                monkeypatch):
+    from repro.cube import CubeConqueror, CubeStats
+
+    real_run = CubeConqueror.run
+
+    def run_with_two_sat_rows(self, formula, **kwargs):
+        # Two workers may both answer SAT before the cancel lands; only
+        # the arbitrated cube wins.
+        outcome = real_run(self, formula, **kwargs)
+        outcome.stats.append(CubeStats(len(outcome.stats), (1,), "minisat",
+                                       "sat"))
+        return outcome
+
+    monkeypatch.setattr(CubeConqueror, "run", run_with_two_sat_rows)
+    code = main(["--anfread", anf_file, "--solve", "--cube",
+                 "--cube-depth", "2", "--jobs", "1", "--verb", "2"]
+                + NO_LEARN)
+    out = capsys.readouterr().out
+    assert code == 10
+    rows = [l for l in out.splitlines() if l.startswith("c cube: #")]
+    assert sum(" sat " in l for l in rows) == 2
+    (winner,) = [l for l in rows if l.endswith("[winner]")]
+    assert winner.startswith("c cube: #0 ")
+
+
 def test_cube_flag_unsat(tmp_path, capsys):
     path = tmp_path / "unsat.anf"
     path.write_text("x1*x2 + 1\nx1*x2\n")

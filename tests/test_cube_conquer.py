@@ -153,6 +153,17 @@ def test_unsat_when_all_cubes_refuted():
     assert all(s.assumption_failure for s in outcome.stats)
 
 
+def test_split_that_closes_every_branch_answers_unsat():
+    # (x|y)(x|-y)(-x|z)(-x|-z): lookahead closes both branches of x at
+    # split time, so no cube is left and the partition is exhausted.
+    f = parse_dimacs("p cnf 3 4\n1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n")
+    outcome = CubeConqueror(["minisat"], jobs=1, depth=2).run(f)
+    assert outcome.n_cubes == 0 and outcome.n_refuted_at_split == 2
+    assert outcome.verdict is False
+    assert not outcome.global_unsat
+    assert outcome.stats == []
+
+
 def test_global_refutation_shortcut_skips_remaining_cubes():
     # Cube 0 refutes the formula *globally* (assumption_failure False):
     # the run stops, siblings are cancelled, verdict is UNSAT even
