@@ -66,13 +66,15 @@ bench-portfolio:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_portfolio.py \
 		-q --benchmark-only
 
-# The cube-and-conquer claim: splitter/scheduler correctness tests, then
-# the cubed UNSAT Simon refutation beating the uncubed solver on
-# wall-clock (speedup assertion armed on >=2 CPUs with
-# REPRO_BENCH_COUNT>=2; verdict soundness always checked).
+# The cube-and-conquer claim: splitter/scheduler correctness tests and
+# the fan-out engine's tests (the conquest's verdict rule, `arbitrate`,
+# lives in portfolio/engine.py), then the cubed UNSAT Simon refutation
+# beating the uncubed solver on wall-clock (speedup assertion armed on
+# >=2 CPUs with REPRO_BENCH_COUNT>=2; verdict soundness always checked).
 bench-cube:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/test_cube_splitter.py \
-		tests/test_cube_conquer.py tests/test_cube_chains.py -q
+		tests/test_cube_conquer.py tests/test_cube_chains.py \
+		tests/test_portfolio_engine.py -q
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_cube.py \
 		-q --benchmark-only
 

@@ -138,8 +138,9 @@ def config_from_args(args: argparse.Namespace) -> Config:
 
 
 def _model_validator(result):
-    """Portfolio SAT claims are only trusted after reconstruction through
-    the conversion auxiliaries and evaluation on the processed ANF."""
+    """Final-solve SAT claims are only trusted after reconstruction
+    through the conversion auxiliaries and evaluation on the processed
+    ANF."""
     if result.conversion is None or not result.processed_anf:
         return None
     from .core.solution import make_model_validator
@@ -149,65 +150,53 @@ def _model_validator(result):
 
 def _final_solve(args, result, tracer=NULL_TRACER):
     """Solve the processed CNF per --cube / --portfolio / --backend / --solver."""
+    from .portfolio import create_backend, default_portfolio
+    from .portfolio.engine import validated
+
+    validate = _model_validator(result)
+    if args.portfolio:
+        backends = default_portfolio(seed=args.seed)
+    else:
+        backend = create_backend(args.backend or args.solver)
+        if not backend.available():
+            print("c backend unavailable: {}".format(backend.name))
+            return None, None
+        backends = [backend]
     if args.cube:
         from .cube import CubeConqueror
 
-        if args.portfolio:
-            from .portfolio import default_portfolio
-
-            backends = default_portfolio(seed=args.seed)
-        else:
-            from .portfolio import create_backend
-
-            backend = create_backend(args.backend or args.solver)
-            if not backend.available():
-                print("c backend unavailable: {}".format(backend.name))
-                return None, None
-            backends = [backend]
-        conqueror = CubeConqueror(
+        tag = "cube"
+        outcome = CubeConqueror(
             backends, jobs=args.jobs, depth=args.cube_depth,
-            validate=_model_validator(result),
-            tracer=tracer,
-        )
-        outcome = conqueror.run(result.cnf, timeout_s=args.timeout)
+            validate=validate, tracer=tracer,
+        ).run(result.cnf, timeout_s=args.timeout)
         if args.verb >= 2:
             print("c cube: {} cubes ({} closed at split) over {}".format(
                 outcome.n_cubes, outcome.n_refuted_at_split,
                 "+".join(b.name for b in backends)))
-            for row in outcome.stats:
-                print("c cube: #{:<4} {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
-                    row.index, row.backend, row.status, row.seconds,
-                    row.conflicts,
-                    "  [winner]" if row.cube == outcome.sat_cube else ""))
-            if outcome.global_unsat:
-                print("c cube: refutation was global (whole-formula shortcut)")
-        return outcome.verdict, outcome.model
-    if args.portfolio:
-        from .portfolio import PortfolioRunner, default_portfolio
+    elif args.portfolio:
+        from .portfolio import PortfolioRunner
 
-        runner = PortfolioRunner(
-            default_portfolio(seed=args.seed),
-            jobs=args.jobs,
-            validate=_model_validator(result),
-            tracer=tracer,
-        )
-        outcome = runner.run(result.cnf, timeout_s=args.timeout)
-        if args.verb >= 2:
-            for row in outcome.stats:
-                print("c portfolio: {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
-                    row.backend, row.status, row.seconds, row.conflicts,
-                    "  [winner]" if row.won else ""))
-        return outcome.verdict, outcome.model
-    from .portfolio import create_backend
-
-    backend = create_backend(args.backend or args.solver)
-    if not backend.available():
-        print("c backend unavailable: {}".format(backend.name))
-        return None, None
-    with tracer.span("final.solve", backend=backend.name) as span:
-        res = backend.solve(result.cnf, timeout_s=args.timeout)
-        span.set("conflicts", res.conflicts)
-    return res.status, res.model
+        tag = "portfolio"
+        outcome = PortfolioRunner(
+            backends, jobs=args.jobs, validate=validate, tracer=tracer,
+        ).run(result.cnf, timeout_s=args.timeout)
+    else:
+        with tracer.span("final.solve", backend=backend.name) as span:
+            res = validated(
+                backend.solve(result.cnf, timeout_s=args.timeout), validate)
+            span.set("conflicts", res.conflicts)
+        if res.demoted:
+            print("c model failed validation")
+        return res.status, res.model
+    if args.verb >= 2:
+        for row in outcome.stats:
+            print("c {}: #{:<4} {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
+                tag, row.index, row.backend, row.status, row.seconds,
+                row.conflicts, "  [winner]" if row.won else ""))
+        if tag == "cube" and outcome.global_unsat:
+            print("c cube: refutation was global (whole-formula shortcut)")
+    return outcome.verdict, outcome.model
 
 
 def build_serve_parser() -> argparse.ArgumentParser:

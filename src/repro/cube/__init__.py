@@ -5,25 +5,16 @@ The classic split (Heule/Kullmann/Biere): a *splitter* partitions the
 CNF's search space into assumption cubes
 (:mod:`repro.cube.splitter`), a *conqueror* deals the cubes into
 chains, each solved on one warm solver, and fans the chains over the
-bounded :class:`repro.portfolio.BatchScheduler` pool with first-SAT
-early exit and all-cubes-refuted UNSAT aggregation
-(:mod:`repro.cube.conquer`).  Soundness leans on the backend assumption
-plumbing: backends report ``assumption_failure`` so a refuted cube is
-never conflated with a refuted formula.
+bounded :class:`repro.portfolio.BatchScheduler` pool through the
+portfolio's one fan-out engine (:func:`repro.portfolio.engine.conquer`:
+first validated verdict wins), adding only the all-cubes-refuted UNSAT
+rule (:mod:`repro.cube.conquer`).  Per-cube rows are the engine's
+:class:`~repro.portfolio.PortfolioStats`.  Soundness leans on the
+backend assumption plumbing: backends report ``assumption_failure`` so
+a refuted cube is never conflated with a refuted formula.
 """
 
-from .conquer import (
-    CUBE_CANCELLED,
-    CUBE_ERROR,
-    CUBE_INVALID_MODEL,
-    CUBE_REFUTED,
-    CUBE_SAT,
-    CUBE_UNKNOWN,
-    CubeConqueror,
-    CubeDisagreement,
-    CubeOutcome,
-    CubeStats,
-)
+from .conquer import CubeConqueror, CubeOutcome
 from .splitter import (
     DEFAULT_MAX_CUBES,
     CubeSet,
@@ -32,16 +23,8 @@ from .splitter import (
 )
 
 __all__ = [
-    "CUBE_CANCELLED",
-    "CUBE_ERROR",
-    "CUBE_INVALID_MODEL",
-    "CUBE_REFUTED",
-    "CUBE_SAT",
-    "CUBE_UNKNOWN",
     "CubeConqueror",
-    "CubeDisagreement",
     "CubeOutcome",
-    "CubeStats",
     "DEFAULT_MAX_CUBES",
     "CubeSet",
     "occurrence_scores",

@@ -6,7 +6,6 @@ from .runner import (
     Problem,
     RunResult,
     run_family,
-    run_final_solver,
     run_instance,
 )
 from .report import cactus_points, markdown_table, render_cactus, solved_counts
@@ -29,7 +28,6 @@ __all__ = [
     "PERSONALITIES",
     "run_instance",
     "run_family",
-    "run_final_solver",
     "TableBlock",
     "run_block",
     "format_blocks",

@@ -74,28 +74,6 @@ class RunResult:
     decided_by_bosphorus: bool = False
 
 
-def run_final_solver(
-    formula: CnfFormula,
-    personality: str,
-    timeout_s: float,
-    deadline: Optional[float] = None,
-) -> Tuple[Optional[bool], Optional[List[int]], int]:
-    """Solve a CNF with one of the three personalities.
-
-    Returns ``(verdict, model, conflicts)``; the model covers the
-    formula's variables when SAT.  This is a thin wrapper over the
-    portfolio backend adapter (:class:`repro.portfolio.CdclBackend`), so
-    the harness, the portfolio engine and the CLI share one solving path.
-    A ``deadline`` already in the past returns ``(None, None, 0)``
-    immediately.
-    """
-    deadline = deadline if deadline is not None else time.monotonic() + timeout_s
-    if time.monotonic() >= deadline:
-        return None, None, 0
-    result = CdclBackend(personality).solve(formula, deadline=deadline)
-    return result.status, result.model, result.conflicts
-
-
 def _convert_anf(problem: Problem, config: Config, personality: str) -> CnfFormula:
     cfg = config.with_(emit_xor_clauses=(personality == "cms"))
     system = AnfSystem(problem.ring.clone(), problem.polynomials)
@@ -124,12 +102,10 @@ def run_instance(
                 return RunResult(False, time.monotonic() - start)
         else:
             formula = problem.formula
-        verdict, model, conflicts = run_final_solver(
-            formula, personality, timeout_s, deadline
-        )
+        res = CdclBackend(personality).solve(formula, deadline=deadline)
         seconds = time.monotonic() - start
-        checked = _check_model(problem, model) if verdict is True else None
-        return RunResult(verdict, seconds, 0.0, conflicts, checked)
+        checked = _check_model(problem, res.model) if res.status is True else None
+        return RunResult(res.status, seconds, 0.0, res.conflicts, checked)
 
     # With Bosphorus: learn facts first.
     b_start = time.monotonic()
@@ -155,12 +131,11 @@ def run_instance(
         formula = AnfToCnf(config.with_(emit_xor_clauses=True)).convert(result.system).formula
     else:
         formula = result.cnf
-    verdict, model, conflicts = run_final_solver(
-        formula, personality, timeout_s, deadline
-    )
+    res = CdclBackend(personality).solve(formula, deadline=deadline)
     seconds = time.monotonic() - start
-    checked = _check_model(problem, model) if verdict is True else None
-    return RunResult(verdict, seconds, bosphorus_seconds, conflicts, checked)
+    checked = _check_model(problem, res.model) if res.status is True else None
+    return RunResult(res.status, seconds, bosphorus_seconds, res.conflicts,
+                     checked)
 
 
 def _check_model(problem: Problem, model: Optional[List[int]]) -> Optional[bool]:

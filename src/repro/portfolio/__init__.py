@@ -7,9 +7,12 @@ counterpart:
 * :mod:`repro.portfolio.backends` — the :class:`SolverBackend` protocol,
   the in-process CDCL personalities (plus seed-diversified copies), the
   external-binary DIMACS backend, and the name registry;
-* :mod:`repro.portfolio.engine` — :class:`PortfolioRunner`: one instance
-  fanned out to N backends, first validated verdict wins, losers are
-  cancelled cooperatively, per-backend :class:`PortfolioStats` reported;
+* :mod:`repro.portfolio.engine` — the one fan-out engine: cubes dealt
+  into chains over backends, first validated verdict wins, losers are
+  cancelled cooperatively, one :class:`PortfolioStats` row per cube, one
+  verdict rule (:func:`arbitrate`).  :class:`PortfolioRunner` races N
+  backends as the conquest of one empty cube each; cube-and-conquer
+  (:mod:`repro.cube`) splits first;
 * :mod:`repro.portfolio.batch` — the one worker pool every fan-out runs
   on, and :class:`BatchScheduler`, a map over it with per-item isolation
   (parallel Table II via ``run_family(jobs=...)``, portfolio legs,

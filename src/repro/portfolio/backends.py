@@ -201,9 +201,7 @@ class SolverBackend:
 class CdclBackend(SolverBackend):
     """An in-process CDCL personality, optionally seed-diversified.
 
-    This is the one code path for all three personalities — the
-    final-solver harness (:func:`repro.experiments.runner.run_final_solver`)
-    delegates here:
+    This is the one code path for all three personalities:
 
     * ``lingeling`` runs the SatELite-style :class:`Preprocessor` first
       (skipped when a cube assumes anything: BVE could eliminate an

@@ -1,34 +1,51 @@
-"""Parallel portfolio solving with first-win cancellation.
+"""The one fan-out engine: cubes over backends, first validated verdict
+wins.
 
-One instance fans out to N :class:`~repro.portfolio.backends.SolverBackend`
-legs as a :meth:`~repro.portfolio.batch.BatchScheduler.map` over the
-shared worker pool; the first validated definitive verdict stops the
-map — running losers are cancelled through their slot flag and stand
-down at their next conflict slice, legs not yet started never run — and
-every backend's fate is reported as a per-backend :class:`PortfolioStats`
-row.  A leg whose worker dies gets an error row; its siblings are
-untouched.
+:func:`conquer` deals a list of assumption cubes round-robin into
+chains over a list of backends
+(:class:`~repro.portfolio.backends.SolverBackend`) and maps the chains
+(:class:`Leg`) over the shared worker pool
+(:meth:`~repro.portfolio.batch.BatchScheduler.map`).  The first
+*decisive* answer stops the map — running chains are cancelled through
+their slot flag and stand down at their next conflict slice, chains not
+yet started never run — and every cube's fate is reported as one
+:class:`PortfolioStats` row.  A chain whose worker dies gives its cubes
+error rows; its siblings are untouched.
+
+Both final-solve modes are this one engine:
+
+* a **portfolio race** (:class:`PortfolioRunner`) is the conquest in
+  which every available backend gets the empty cube ``()`` — with
+  ``len(backends)`` empty cubes, chain ``k`` is cube ``k`` on
+  ``backends[k]``;
+* **cube-and-conquer** (:class:`repro.cube.CubeConqueror`) splits the
+  formula into cubes first, and adds only the partition rule: UNSAT
+  when every cube is refuted.
 
 Soundness and determinism:
 
 * a SAT claim is only *accepted* after the caller-supplied validator
   confirms the model (the Bosphorus wiring validates through
   ``core.solution.reconstruct_model`` + evaluate-on-the-original-ANF); an
-  invalid or missing model **demotes** that backend's answer to no-verdict
-  and the race continues;
+  invalid or missing model **demotes** that answer to no verdict and the
+  run continues;
+* an answer is decisive when it is a validated SAT or an *unconditional*
+  UNSAT (``assumption_failure`` False: the proof never needed the cube).
+  On the empty cube every UNSAT is unconditional, so the race's stop
+  rule is the conquest's;
 * the reported verdict is chosen by :func:`arbitrate`, a pure function of
-  the collected results that prefers the lowest backend index among the
-  definitive answers — so the same inputs yield the same arbitrated
-  verdict regardless of worker finish order (the wall-clock race only
-  decides *when* losers are cancelled, never *what* is answered);
-* definitive verdicts must agree; a SAT/UNSAT split raises
-  :class:`PortfolioDisagreement` instead of silently picking one.
+  the collected results (lowest-index SAT, else lowest-index
+  unconditional UNSAT) — the same inputs yield the same verdict
+  regardless of worker finish order (the wall-clock race only decides
+  *when* losers are cancelled, never *what* is answered);
+* a validated SAT beside an unconditional UNSAT is a soundness bug and
+  raises :class:`PortfolioDisagreement` instead of silently picking one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -47,29 +64,40 @@ STATUS_INVALID_MODEL = "invalid-model"
 
 
 class PortfolioDisagreement(RuntimeError):
-    """Two backends returned contradictory definitive verdicts."""
+    """A validated SAT and an unconditional UNSAT in one fan-out."""
 
 
 @dataclass
 class PortfolioStats:
-    """What happened to one backend during a portfolio run."""
+    """What happened to one cube of a fan-out — in a race, to one
+    backend's empty cube."""
 
     backend: str
     status: str
     seconds: float = 0.0
     conflicts: int = 0
     won: bool = False
-    cancelled: bool = False
-    demoted: bool = False
     error: Optional[str] = None
-    #: Trace span id of this backend's solving leg (tracing runs only),
-    #: so the stats row links into the stitched cross-process timeline.
+    #: Trace span id of this cube's solve (tracing runs only), so the
+    #: stats row links into the stitched cross-process timeline.
     span_id: Optional[str] = None
+    #: The backend's index in a race, the cube's in a conquest.
+    index: int = 0
+    cube: Tuple[int, ...] = ()
+    assumption_failure: bool = False
+
+    @property
+    def cancelled(self) -> bool:
+        return self.status == STATUS_CANCELLED
+
+    @property
+    def demoted(self) -> bool:
+        return self.status == STATUS_INVALID_MODEL
 
 
 @dataclass
 class PortfolioResult:
-    """The arbitrated outcome of one portfolio run."""
+    """The arbitrated outcome of one fan-out."""
 
     verdict: Optional[bool]
     model: Optional[List[int]] = None
@@ -83,43 +111,47 @@ class PortfolioResult:
         return sum(1 for s in self.stats if s.cancelled)
 
 
+def _decisive(result: BackendResult) -> bool:
+    """SAT, or an UNSAT that never needed its cube."""
+    return result.status is SAT or (
+        result.status is UNSAT and not result.assumption_failure
+    )
+
+
 def arbitrate(
     entries: Sequence[Tuple[int, Optional[BackendResult]]]
 ) -> Optional[int]:
-    """Pick the winning entry: lowest backend index with a definitive verdict.
+    """Pick the winning entry: the lowest-index SAT, else the
+    lowest-index unconditional UNSAT.
 
-    ``entries`` pairs each backend's index with its (possibly absent)
-    result; demoted results must already carry ``status=None``.  Returns
-    the winning backend index, or ``None`` when nothing was decided.
-    Raises :class:`PortfolioDisagreement` when definitive verdicts
-    conflict — arbitration never papers over an unsound backend.
+    ``entries`` pairs each index with its (possibly absent) result;
+    demoted results must already carry ``status=None``.  Returns the
+    winning index, or ``None`` when nothing was decided.  Raises
+    :class:`PortfolioDisagreement` on a SAT beside an unconditional
+    UNSAT — arbitration never papers over an unsound backend.
     """
-    verdicts = set()
-    best: Optional[int] = None
+    sat, unsat = [], []
     for index, result in entries:
-        if result is None or result.status is None:
-            continue
-        verdicts.add(bool(result.status))
-        if best is None or index < best:
-            best = index
-    if len(verdicts) > 1:
+        if result is not None and _decisive(result):
+            (sat if result.status is SAT else unsat).append(index)
+    if sat and unsat:
         raise PortfolioDisagreement(
-            "backends disagree: both SAT and UNSAT were claimed"
+            "entry {} claims a validated model but entry {} refuted the "
+            "formula unconditionally".format(min(sat), min(unsat))
         )
-    return best
+    return min(sat or unsat, default=None)
 
 
 @dataclass
 class Leg:
-    """A chain of solves on one backend: the unit a portfolio race or a
-    cube conquest maps over the worker pool.
+    """A chain of solves on one backend: the unit a fan-out maps over
+    the worker pool.
 
     ``cubes`` are solved in order, each as assumptions, by one
     :meth:`~repro.portfolio.backends.SolverBackend.cube_solver` — an
     in-process backend loads the formula once per leg and keeps its
-    solver warm from cube to cube.  A portfolio leg is the single empty
-    cube.  ``indices`` name the cubes in spans and results (the backend
-    index in a race, the cube index in a conquest); ``span`` and
+    solver warm from cube to cube.  A race leg is the single empty cube.
+    ``indices`` name the cubes in spans and results; ``span`` and
     ``prefix`` name the per-cube trace span and metric counters."""
 
     backend: SolverBackend
@@ -160,9 +192,9 @@ def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
         if leg.trace:
             _observe(leg, index, cube, result, t0, elapsed)
         out.append((result, elapsed))
-        if result.status is SAT or result.cancelled or (
-            result.status is UNSAT and not result.assumption_failure
-        ) or (cancel is not None and cancel.is_set()):
+        if _decisive(result) or result.cancelled or (
+            cancel is not None and cancel.is_set()
+        ):
             break
     return out
 
@@ -207,15 +239,14 @@ def validated(result: BackendResult, validate) -> BackendResult:
     return result
 
 
-def leg_status(result: BackendResult, unsat: str = STATUS_UNSAT) -> str:
-    """The stats-row status of one leg result (cube rows name UNSAT
-    ``refuted``)."""
+def leg_status(result: BackendResult) -> str:
+    """The stats-row status of one cube's result."""
     if result.demoted:
         return STATUS_INVALID_MODEL
     if result.status is SAT:
         return STATUS_SAT
     if result.status is UNSAT:
-        return unsat
+        return STATUS_UNSAT
     if result.cancelled:
         return STATUS_CANCELLED
     if result.error:
@@ -231,7 +262,7 @@ def absorb_observability(
 
     Adoption reparents the worker's root span under ``parent_id`` and
     deduplicates by span id, so a duplicate delivery can never
-    double-count.  Returns the leg's span id, if any.
+    double-count.  Returns the cube's span id, if any.
     """
     if result is None:
         return None
@@ -245,39 +276,100 @@ def absorb_observability(
     return None
 
 
-def run_legs(legs, jobs, validate, stop, tracer, metrics, parent_id):
-    """Map :func:`run_leg` over ``legs`` on the worker pool; the first
-    leg with a validated result for which ``stop`` holds ends the map.
+def conquer(
+    outcome: PortfolioResult,
+    formula,
+    cubes: Sequence[Tuple[int, ...]],
+    backends: Sequence[SolverBackend],
+    jobs: Optional[int],
+    validate,
+    deadline: Optional[float],
+    conflict_budget: Optional[int],
+    tracer,
+    metrics,
+    parent_id: Optional[str],
+    span: str = "portfolio.backend",
+    prefix: str = "backend",
+) -> Optional[int]:
+    """Solve ``formula`` under each of ``cubes`` on ``backends`` (all
+    available) and fill ``outcome``; returns the winning cube's index.
 
-    Returns, per leg, one ``(result, seconds, span_id)`` per cube, in
-    cube order, with every result validated and its observability
-    absorbed under ``parent_id``.  A cube the leg never reached (it
-    stopped earlier, never started, or was cancelled) is ``None``.
-    Results travel when the leg ends, so a leg whose worker died gives
-    every cube an error result.
+    The cubes are dealt round-robin into ``n = min(max(jobs,
+    len(backends)), len(cubes))`` chains: chain ``k`` holds cubes ``k,
+    k+n, ...`` in order and runs on ``backends[k % len(backends)]``.
+    The chains are mapped over the pool until a validated decisive
+    answer; a chain that stopped at a SAT claim the validator rejected
+    has its untried cubes dispatched again as a new chain.
+    ``outcome.stats`` gets one row per cube (a cube never reached is
+    ``cancelled``), ``outcome.results`` one validated result or
+    ``None``, and the verdict, model and winner come from
+    :func:`arbitrate`.
     """
+    if not cubes or not backends:
+        return None
+    jobs = jobs if jobs is not None else default_jobs()
+    n = min(max(jobs, len(backends)), len(cubes))
+    chains = [
+        Leg(backends[k % len(backends)], formula, deadline, conflict_budget,
+            tuple(range(k, len(cubes), n)), tuple(cubes[k::n]), span=span,
+            prefix=prefix, trace=tracer.enabled)
+        for k in range(n)
+    ]
+    names = [chains[i % n].backend.name for i in range(len(cubes))]
+    ran: List = [None] * len(cubes)
 
     def stops(entry) -> bool:
-        return any([stop(validated(res, validate)) for res, _ in entry])
+        return any([_decisive(validated(res, validate)) for res, _ in entry])
 
-    raw = BatchScheduler(jobs).map(run_leg, legs, stop_when=stops)
-    out = []
-    for leg, entry in zip(legs, raw):
-        rows = [None] * len(leg.cubes)
-        if isinstance(entry, BatchItemError):
-            error = "worker failed: {}: {}".format(entry.kind, entry.error)
-            rows = [(BackendResult(None, error=error), entry.seconds, None)
-                    for _ in leg.cubes]
-        elif entry is not None:
-            for k, (result, seconds) in enumerate(entry):
-                rows[k] = (result, seconds, absorb_observability(
+    while chains:
+        raw = BatchScheduler(jobs).map(run_leg, chains, stop_when=stops)
+        again = []
+        for leg, entry in zip(chains, raw):
+            if isinstance(entry, BatchItemError):
+                # Results travel when the chain ends: a dead worker
+                # loses every cube of its chain.
+                error = "worker failed: {}: {}".format(entry.kind, entry.error)
+                for index in leg.indices:
+                    ran[index] = (BackendResult(None, error=error),
+                                  entry.seconds, None)
+                continue
+            entry = entry or []
+            for index, (result, seconds) in zip(leg.indices, entry):
+                ran[index] = (result, seconds, absorb_observability(
                     tracer, metrics, result, parent_id))
-        out.append(rows)
-    return out
+            if 0 < len(entry) < len(leg.cubes) and entry[-1][0].demoted:
+                again.append(replace(
+                    leg, indices=leg.indices[len(entry):],
+                    cubes=leg.cubes[len(entry):],
+                ))
+        if any(e is not None and _decisive(e[0]) for e in ran):
+            break
+        chains = again
+
+    for index, entry in enumerate(ran):
+        row = PortfolioStats(names[index], STATUS_CANCELLED, index=index,
+                             cube=cubes[index])
+        result = None
+        if entry is not None:
+            result, row.seconds, row.span_id = entry
+            row.status = leg_status(result)
+            row.conflicts = result.conflicts
+            row.assumption_failure = result.assumption_failure
+            row.error = result.error
+        outcome.stats.append(row)
+        outcome.results.append(result)
+    win = arbitrate(list(enumerate(outcome.results)))
+    if win is not None:
+        outcome.verdict = bool(outcome.results[win].status)
+        outcome.model = outcome.results[win].model
+        outcome.winner = names[win]
+        outcome.stats[win].won = True
+    return win
 
 
 class PortfolioRunner:
-    """Race a fixed set of backends on single instances.
+    """Race a fixed set of backends on single instances: the conquest
+    in which every available backend gets the empty cube.
 
     ``jobs`` bounds the worker processes (``None`` — one per backend,
     capped by the CPUs this process may run on, see
@@ -286,7 +378,8 @@ class PortfolioRunner:
     backends run in order and everything after the first definitive
     verdict is cancelled without running).  ``validate`` is an optional
     ``model_bits -> bool`` callback; when present, SAT answers without a
-    validated model are demoted.
+    validated model are demoted.  ``stats[i]`` describes
+    ``backends[i]``; an unavailable backend gets a ``skipped`` row.
     """
 
     def __init__(
@@ -326,52 +419,26 @@ class PortfolioRunner:
             "portfolio.race",
             backends=[b.name for b in self.backends],
         ) as race_span:
-            legs = [
-                Leg(backend, formula, deadline, conflict_budget, (i,),
-                    trace=self.tracer.enabled)
-                for i, backend in enumerate(self.backends)
-                if backend.available()
-            ]
+            ready = [i for i, b in enumerate(self.backends) if b.available()]
             jobs = self.jobs if self.jobs is not None else default_jobs()
-            jobs = max(1, min(jobs, len(legs)))
+            jobs = max(1, min(jobs, len(ready)))
             race_span.set("jobs", jobs)
-
-            results: List[Optional[BackendResult]] = [None] * len(self.backends)
-            stats = [PortfolioStats(b.name, STATUS_SKIPPED) for b in self.backends]
-            ran = run_legs(
-                legs, jobs, self.validate, lambda r: r.status is not None,
-                self.tracer, self.metrics, race_span.id,
+            outcome = PortfolioResult(None)
+            conquer(
+                outcome, formula, [()] * len(ready),
+                [self.backends[i] for i in ready], jobs, self.validate,
+                deadline, conflict_budget, self.tracer, self.metrics,
+                race_span.id,
             )
-            for leg, [entry] in zip(legs, ran):
-                (index,) = leg.indices
-                if entry is None:  # never started: the race was over
-                    stats[index] = PortfolioStats(
-                        leg.backend.name, STATUS_CANCELLED, cancelled=True
-                    )
-                    continue
-                res, seconds, span_id = entry
-                results[index] = res
-                stats[index] = PortfolioStats(
-                    leg.backend.name, leg_status(res), seconds=seconds,
-                    conflicts=res.conflicts, cancelled=res.cancelled,
-                    demoted=res.demoted, error=res.error, span_id=span_id,
-                )
-            winner = arbitrate(list(enumerate(results)))
-            verdict = None
-            model = None
-            winner_name = None
-            if winner is not None:
-                win_result = results[winner]
-                verdict = bool(win_result.status)
-                model = win_result.model
-                winner_name = self.backends[winner].name
-                stats[winner].won = True
-                race_span.set("winner", winner_name)
-            return PortfolioResult(
-                verdict,
-                model=model,
-                winner=winner_name,
-                stats=stats,
-                wall_seconds=time.monotonic() - start,
-                results=results,
-            )
+            # Back to one row per backend, skipped ones included.
+            stats = [PortfolioStats(b.name, STATUS_SKIPPED, index=i)
+                     for i, b in enumerate(self.backends)]
+            results: List[Optional[BackendResult]] = [None] * len(stats)
+            for i, row, result in zip(ready, outcome.stats, outcome.results):
+                row.index = i
+                stats[i], results[i] = row, result
+            outcome.stats, outcome.results = stats, results
+            if outcome.winner is not None:
+                race_span.set("winner", outcome.winner)
+            outcome.wall_seconds = time.monotonic() - start
+            return outcome

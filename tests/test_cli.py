@@ -198,7 +198,8 @@ def test_cube_flag_sequential(anf_file, capsys):
 
 def test_cube_listing_tags_only_the_winning_cube(anf_file, capsys,
                                                 monkeypatch):
-    from repro.cube import CubeConqueror, CubeStats
+    from repro.cube import CubeConqueror
+    from repro.portfolio import PortfolioStats
 
     real_run = CubeConqueror.run
 
@@ -206,8 +207,9 @@ def test_cube_listing_tags_only_the_winning_cube(anf_file, capsys,
         # Two workers may both answer SAT before the cancel lands; only
         # the arbitrated cube wins.
         outcome = real_run(self, formula, **kwargs)
-        outcome.stats.append(CubeStats(len(outcome.stats), (1,), "minisat",
-                                       "sat"))
+        outcome.stats.append(PortfolioStats("minisat", "sat",
+                                            index=len(outcome.stats),
+                                            cube=(1,)))
         return outcome
 
     monkeypatch.setattr(CubeConqueror, "run", run_with_two_sat_rows)
@@ -220,6 +222,23 @@ def test_cube_listing_tags_only_the_winning_cube(anf_file, capsys,
     assert sum(" sat " in l for l in rows) == 2
     (winner,) = [l for l in rows if l.endswith("[winner]")]
     assert winner.startswith("c cube: #0 ")
+
+
+def test_single_backend_model_is_validated(anf_file, tmp_path, capsys):
+    # An external solver claiming SAT with a model that violates
+    # x1*x2 + x3 + x4 + 1: the single-backend final solve demotes it,
+    # as --cube and --portfolio do, instead of printing it.
+    liar = tmp_path / "liar.sh"
+    liar.write_text("#!/bin/sh\necho 's SATISFIABLE'\n"
+                    "echo 'v -1 -2 -3 -4 -5 -6 0'\nexit 10\n")
+    liar.chmod(0o755)
+    code = main(["--anfread", anf_file, "--solve",
+                 "--backend", "dimacs:" + str(liar)] + NO_LEARN)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "c model failed validation" in out
+    assert "s UNKNOWN" in out
+    assert not any(l.startswith("v ") for l in out.splitlines())
 
 
 def test_cube_flag_unsat(tmp_path, capsys):

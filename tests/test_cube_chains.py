@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.cube import CUBE_ERROR, CUBE_REFUTED, CubeConqueror, split_formula
+from repro.cube import CubeConqueror, split_formula
 from repro.obs import Tracer
 import repro.portfolio.backends as backends_module
 from repro.portfolio import (
@@ -25,7 +25,9 @@ from repro.portfolio import (
     CdclBackend,
     PortfolioRunner,
     SolverBackend,
+    create_backend,
 )
+from repro.portfolio.engine import STATUS_ERROR, STATUS_UNSAT
 from repro.sat import CnfFormula
 from repro.sat.types import mk_lit
 from repro.satcomp.generators import pigeonhole
@@ -125,10 +127,17 @@ def test_differential_corpus_has_both_verdicts_with_and_without_xors():
 )
 def test_chained_verdicts_match_brute_force(backends, jobs):
     for formula, expected in zip(INSTANCES, EXPECTED):
+        # The race is the conquest of one empty cube per backend.
+        race = PortfolioRunner([create_backend(b) for b in backends],
+                               jobs=jobs).run(formula, timeout_s=30)
+        assert race.verdict is expected, formula.clauses
+        if expected:
+            assert _satisfies(formula, race.model)
         for depth in (1, 2, 3):
             outcome = CubeConqueror(backends, jobs=jobs, depth=depth).run(
                 formula, timeout_s=30)
             assert outcome.verdict is expected, (depth, formula.clauses)
+            assert outcome.verdict is race.verdict
             if expected:
                 assert _satisfies(formula, outcome.model)
 
@@ -153,10 +162,10 @@ def test_raising_cube_mid_chain_fails_only_that_cube(monkeypatch):
     outcome = CubeConqueror(["minisat", "minisat"], jobs=1, depth=3).run(
         formula)
     assert [s.cube for s in outcome.stats] == cubes
-    assert outcome.stats[2].status == CUBE_ERROR
+    assert outcome.stats[2].status == STATUS_ERROR
     assert "injected cube failure" in outcome.stats[2].error
     others = outcome.stats[:2] + outcome.stats[3:]
-    assert all(s.status == CUBE_REFUTED for s in others)
+    assert all(s.status == STATUS_UNSAT for s in others)
     assert outcome.stats[4].conflicts > 0  # the chain reloaded and went on
     assert outcome.verdict is None  # an errored cube blocks UNSAT
     assert not outcome.global_unsat
@@ -195,10 +204,10 @@ def test_sigkill_mid_chain_fails_the_chain_and_blocks_unsat():
     ).run(formula, timeout_s=60)
     dead, healthy = _chains(len(cubes), 2)
     for i in dead:
-        assert outcome.stats[i].status == CUBE_ERROR
+        assert outcome.stats[i].status == STATUS_ERROR
         assert "worker-died" in outcome.stats[i].error
     for i in healthy:
-        assert outcome.stats[i].status == CUBE_REFUTED
+        assert outcome.stats[i].status == STATUS_UNSAT
     assert outcome.verdict is None
 
 

@@ -4,15 +4,20 @@ global-refutation shortcut, and fact merging."""
 
 import pytest
 
-from repro.cube import (
-    CUBE_CANCELLED,
-    CUBE_ERROR,
-    CUBE_INVALID_MODEL,
-    CUBE_REFUTED,
-    CubeConqueror,
-    CubeDisagreement,
+from repro.cube import CubeConqueror
+from repro.portfolio import (
+    BackendResult,
+    CdclBackend,
+    DimacsBackend,
+    PortfolioDisagreement,
+    SolverBackend,
 )
-from repro.portfolio import BackendResult, CdclBackend, DimacsBackend, SolverBackend
+from repro.portfolio.engine import (
+    STATUS_CANCELLED,
+    STATUS_ERROR,
+    STATUS_INVALID_MODEL,
+    STATUS_UNSAT,
+)
 from repro.sat import CnfFormula, parse_dimacs
 from repro.sat.types import mk_lit
 from repro.satcomp.generators import pigeonhole, random_ksat
@@ -119,7 +124,7 @@ def test_first_sat_cancels_sibling_cubes():
     assert outcome.verdict is True
     assert outcome.sat_cube == outcome.stats[0].cube
     assert outcome.stats[0].status == "sat"
-    assert [s.status for s in outcome.stats[1:]] == [CUBE_CANCELLED] * 3
+    assert [s.status for s in outcome.stats[1:]] == [STATUS_CANCELLED] * 3
     assert outcome.n_cancelled == 3
 
 
@@ -141,7 +146,8 @@ def test_unsat_needs_every_cube_refuted():
     script = ScriptedBackend({mk_lit(0): (("status", None),)}, REFUTED)
     outcome = _run_scripted(script, depth=1)
     assert outcome.verdict is None
-    assert sorted(s.status for s in outcome.stats) == [CUBE_REFUTED, "unknown"]
+    assert sorted(s.status for s in outcome.stats) == sorted(
+        [STATUS_UNSAT, "unknown"])
 
 
 def test_unsat_when_all_cubes_refuted():
@@ -149,7 +155,7 @@ def test_unsat_when_all_cubes_refuted():
     assert outcome.verdict is False
     assert not outcome.global_unsat
     assert len(outcome.stats) == 4
-    assert all(s.status == CUBE_REFUTED for s in outcome.stats)
+    assert all(s.status == STATUS_UNSAT for s in outcome.stats)
     assert all(s.assumption_failure for s in outcome.stats)
 
 
@@ -172,18 +178,18 @@ def test_global_refutation_shortcut_skips_remaining_cubes():
     outcome = _run_scripted(script, depth=2)
     assert outcome.verdict is False
     assert outcome.global_unsat
-    assert outcome.stats[0].status == CUBE_REFUTED
+    assert outcome.stats[0].status == STATUS_UNSAT
     assert not outcome.stats[0].assumption_failure
-    assert all(s.status == CUBE_CANCELLED for s in outcome.stats[1:])
+    assert all(s.status == STATUS_CANCELLED for s in outcome.stats[1:])
 
 
 def test_error_cube_blocks_unsat_but_not_the_run():
     script = ScriptedBackend({mk_lit(0): "raise"}, REFUTED)
     outcome = _run_scripted(script, depth=1)
     assert outcome.verdict is None
-    assert outcome.stats[0].status == CUBE_ERROR
+    assert outcome.stats[0].status == STATUS_ERROR
     assert "scripted failure" in outcome.stats[0].error
-    assert outcome.stats[1].status == CUBE_REFUTED
+    assert outcome.stats[1].status == STATUS_UNSAT
 
 
 def test_sat_and_global_unsat_raise_disagreement():
@@ -198,7 +204,7 @@ def test_sat_and_global_unsat_raise_disagreement():
     # Two slots start both cubes before either answer is read, and
     # neither honours the cancel: both definitive answers reach
     # aggregation.
-    with pytest.raises(CubeDisagreement):
+    with pytest.raises(PortfolioDisagreement):
         _run_scripted(script, depth=1, jobs=2)
 
 
@@ -226,7 +232,7 @@ def test_invalid_model_is_demoted_and_the_race_continues():
     outcome = conq.run(f, timeout_s=10)
     assert outcome.verdict is True
     assert outcome.winner == "minisat"
-    assert outcome.stats[0].status == CUBE_INVALID_MODEL
+    assert outcome.stats[0].status == STATUS_INVALID_MODEL
     assert validate(outcome.model)
 
 
@@ -237,7 +243,7 @@ def test_lying_backend_alone_yields_no_verdict():
                          validate=lambda bits: any(bits))
     outcome = conq.run(f, timeout_s=10)
     assert outcome.verdict is None
-    assert all(s.status == CUBE_INVALID_MODEL for s in outcome.stats)
+    assert all(s.status == STATUS_INVALID_MODEL for s in outcome.stats)
 
 
 # -- external backends ------------------------------------------------------
@@ -258,7 +264,7 @@ def test_dimacs_backend_cubes_ride_as_unit_clauses(tmp_path):
     outcome = conq.run(pigeonhole(3), timeout_s=10)
     assert outcome.verdict is False
     assert not outcome.global_unsat  # every cube individually refuted
-    assert all(s.status == CUBE_REFUTED for s in outcome.stats)
+    assert all(s.status == STATUS_UNSAT for s in outcome.stats)
     assert all(s.assumption_failure for s in outcome.stats)
     lines = [l for l in captured.read_text().splitlines()
              if l and not l.startswith(("c", "p"))]

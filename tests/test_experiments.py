@@ -10,11 +10,11 @@ from repro.experiments import (
     format_blocks,
     par2_score,
     run_block,
-    run_final_solver,
     run_instance,
     simon_problems,
     sr_problems,
 )
+from repro.portfolio import CdclBackend
 from repro.satcomp import generators
 
 FAST = Config(
@@ -78,11 +78,12 @@ def test_score_format_matches_paper_style():
 def test_final_solver_personalities_agree(personality):
     sat = generators.planted_ksat(12, 40, 3, seed=3)[0]
     unsat = generators.pigeonhole(4)
-    v1, model, _ = run_final_solver(sat, personality, timeout_s=20)
+    res = CdclBackend(personality).solve(sat, timeout_s=20)
+    v1, model = res.status, res.model
     assert v1 is True
     for clause in sat.clauses:
         assert any(model[l >> 1] ^ (l & 1) for l in clause)
-    v2, _, _ = run_final_solver(unsat, personality, timeout_s=20)
+    v2 = CdclBackend(personality).solve(unsat, timeout_s=20).status
     assert v2 is False
 
 
@@ -93,7 +94,8 @@ def test_cms_personality_uses_xors():
     f.add_xor([0, 1], 1)
     f.add_xor([1, 2], 1)
     f.add_xor([0, 2], 1)  # odd cycle: UNSAT by GJE alone
-    verdict, _, conflicts = run_final_solver(f, "cms", timeout_s=10)
+    res = CdclBackend("cms").solve(f, timeout_s=10)
+    verdict, conflicts = res.status, res.conflicts
     assert verdict is False
     assert conflicts == 0  # decided by the XOR engine's GJE, not search
 

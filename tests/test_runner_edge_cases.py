@@ -4,7 +4,8 @@ import pytest
 
 from repro.anf import Poly, Ring, parse_system
 from repro.core.config import Config
-from repro.experiments import Problem, run_instance, run_final_solver
+from repro.experiments import Problem, run_instance
+from repro.portfolio import CdclBackend
 from repro.sat import CnfFormula, mk_lit
 
 FAST = Config(xl_sample_bits=8, elimlin_sample_bits=8,
@@ -40,7 +41,8 @@ def test_timeout_returns_none_verdict():
 
 def test_empty_formula_is_sat():
     formula = CnfFormula(3)
-    verdict, model, _ = run_final_solver(formula, "minisat", timeout_s=5)
+    res = CdclBackend("minisat").solve(formula, timeout_s=5)
+    verdict, model = res.status, res.model
     assert verdict is True
     assert len(model) == 3
 
@@ -51,7 +53,8 @@ def test_lingeling_model_extends_over_eliminated_vars():
     formula = CnfFormula(3)
     formula.add_clause([mk_lit(0), mk_lit(1)])
     formula.add_clause([mk_lit(1, True), mk_lit(2)])
-    verdict, model, _ = run_final_solver(formula, "lingeling", timeout_s=5)
+    res = CdclBackend("lingeling").solve(formula, timeout_s=5)
+    verdict, model = res.status, res.model
     assert verdict is True
     for clause in formula.clauses:
         assert any(model[l >> 1] ^ (l & 1) for l in clause)
@@ -74,7 +77,8 @@ def test_cms_gets_recovered_xors_on_cnf():
     xor_clauses(formula, [0, 1], 1)
     xor_clauses(formula, [1, 2], 1)
     xor_clauses(formula, [0, 2], 1)
-    verdict, _, conflicts = run_final_solver(formula, "cms", timeout_s=5)
+    res = CdclBackend("cms").solve(formula, timeout_s=5)
+    verdict, conflicts = res.status, res.conflicts
     assert verdict is False
     assert conflicts == 0
 
@@ -88,9 +92,10 @@ def test_past_deadline_returns_unsolved_immediately():
 
     formula = pigeonhole(9)
     start = time.monotonic()
-    verdict, model, conflicts = run_final_solver(
-        formula, "minisat", timeout_s=10.0, deadline=time.monotonic()
+    res = CdclBackend("minisat").solve(
+        formula, timeout_s=10.0, deadline=time.monotonic()
     )
+    verdict, model, conflicts = res.status, res.model, res.conflicts
     assert verdict is None
     assert model is None
     assert conflicts == 0
