@@ -56,13 +56,14 @@ bench-cnf:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_anf_to_cnf.py \
 		-q --benchmark-only
 
-# The portfolio claim: the backend conformance suite, then batch-mode
-# run_family on the satcomp smoke suite beating the sequential path on
-# wall-clock (speedup assertion armed on >=2 CPUs with
+# The portfolio claim: the backend conformance suite and the cancel-latency
+# tests, then batch-mode run_family on the satcomp smoke suite beating the
+# sequential path on wall-clock (speedup assertion armed on >=2 CPUs with
 # REPRO_BENCH_COUNT>=2; verdict soundness always checked).  The engine/
 # batch test files are covered by `make test` and not repeated here.
 bench-portfolio:
-	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/test_portfolio_backends.py -q
+	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/test_portfolio_backends.py \
+		tests/test_cancel_latency.py -q
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/bench_portfolio.py \
 		-q --benchmark-only
 

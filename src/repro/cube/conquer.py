@@ -13,7 +13,7 @@ conquer of Heule, Kullmann, Wieringa and Biere, HVC 2011).  The engine
 stops at the first validated decisive answer:
 
 * a **validated SAT** cube stops the run — running chains are cancelled
-  through their slot flag and stand down at their next conflict slice,
+  through their slot flag and stand down within one conflict,
   chains not yet started never run, and every cube left without a
   result gets a ``cancelled`` row;
 * an **UNSAT with** ``assumption_failure=False`` from an in-process

@@ -13,11 +13,11 @@ Three solver personalities stand in for MiniSat / Lingeling /
 CryptoMiniSat5 (DESIGN.md §4, substitution 5); they are the in-process
 :class:`repro.portfolio.CdclBackend` adapters, so the same code path
 serves this harness, the parallel portfolio engine and the CLI.  Time
-budgets are enforced by running the CDCL search in conflict-sized slices
-and checking the wall clock between slices, so a slow instance cannot
-wedge the harness.  ``run_family(jobs=N)`` distributes the Table II grid
-over a bounded worker pool (:class:`repro.portfolio.BatchScheduler`) with
-per-instance wall-clock isolation; the PAR-2 math is unchanged.
+budgets are enforced by checking the wall clock after every conflict of
+the CDCL search, so a slow instance cannot wedge the harness.
+``run_family(jobs=N)`` distributes the Table II grid over a bounded
+worker pool (:class:`repro.portfolio.BatchScheduler`) with per-instance
+wall-clock isolation; the PAR-2 math is unchanged.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sat import (
     SOLVER_COUNTERS,
-    cms_config,
     lingeling_config,
     minisat_config,
     solver_counters,
@@ -49,8 +48,9 @@ from ..sat.solver import SAT, UNSAT, Solver, SolverConfig
 from ..sat.types import TRUE, UNDEF
 from ..sat.xorengine import XorEngine
 
-#: Conflicts per slice of the interruptible solve loop: deadline and
-#: cancellation are re-checked this often.
+#: Conflicts per slice of the interruptible solve loop.  A slice
+#: boundary restarts the Luby sequence, so this is part of the search;
+#: deadline and cancellation are checked after every conflict.
 SLICE_CONFLICTS = 500
 
 
@@ -117,16 +117,22 @@ def sliced_solve(
 
     The one interruptible-solve policy, shared by every in-process
     backend: a deadline already in the past never buys a conflict
-    slice.  ``assumptions`` are re-applied on every
-    slice; after an UNSAT verdict the caller reads
+    slice, and inside a slice the solver asks after every conflict
+    whether the deadline passed or ``cancel`` was set, so either stops
+    the search within one conflict.  ``assumptions`` are re-applied on
+    every slice; after an UNSAT verdict the caller reads
     ``solver.assumptions_failed`` to tell a cube-relative refutation from
     a global one.
     """
+    stop = None
+    if cancel is not None or deadline is not None:
+        def stop() -> bool:
+            return _cancelled(cancel) or (
+                deadline is not None and time.monotonic() >= deadline
+            )
     budget_left = conflict_budget
     while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            return None
-        if _cancelled(cancel):
+        if stop is not None and stop():
             return None
         slice_budget = slice_conflicts
         if budget_left is not None:
@@ -135,7 +141,7 @@ def sliced_solve(
             slice_budget = min(slice_budget, budget_left)
         before = solver.num_conflicts
         verdict = solver.solve(
-            assumptions=assumptions, conflict_budget=slice_budget
+            assumptions=assumptions, conflict_budget=slice_budget, stop=stop
         )
         if budget_left is not None:
             budget_left -= solver.num_conflicts - before
@@ -229,7 +235,8 @@ class CdclBackend(SolverBackend):
         factories = {
             "minisat": minisat_config,
             "lingeling": lingeling_config,
-            "cms": cms_config,
+            # cms is minisat's CDCL plus XOR recovery and the engine.
+            "cms": minisat_config,
         }
         if self.personality not in factories:
             raise ValueError("unknown personality: " + self.personality)

@@ -5,7 +5,12 @@ race, cube conquest, ``run_family`` and the job server.  Each *slot* is
 one worker process with its own duplex ``Pipe`` (work in, events out):
 there is no shared queue, lock or feeder thread in either direction, so
 a worker killed in the middle of a read or a write takes only its own
-pipe with it.  Two shared flags per slot carry the rest:
+pipe with it.  A worker's first act is ``gc.freeze()``: everything it
+inherited from the parent (under ``fork``, the parent's whole heap) is
+then out of its collector's reach, so a collection walks only the
+worker's own objects instead of touching, and copy-on-write faulting,
+every inherited page.  The parent's collector is untouched.  Two shared
+flags per slot carry the rest:
 
 * the **started flag** — the id of the unit the slot is executing,
   written by the worker before the unit runs;
@@ -31,6 +36,7 @@ slot; every sibling still runs and reports.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -106,7 +112,7 @@ class CancelToken:
     parent wrote this unit's id into its slot's cancel flag.  Any object
     with ``is_set()`` satisfies the cooperative cancel protocol of
     :func:`repro.portfolio.backends.sliced_solve`, so a cancel lands
-    within one conflict slice."""
+    within one conflict."""
 
     __slots__ = ("_flags", "_slot", "_unit_id")
 
@@ -131,7 +137,9 @@ def _outcome(run, payload, cancel=None, progress=None):
 
 def _slot_main(slot, conn, started, cancel_flags, run):
     """Worker loop: receive ``(unit_id, payload)``, raise the started
-    flag, run, send the outcome; ``None`` (or a closed pipe) stops it."""
+    flag, run, send the outcome; ``None`` (or a closed pipe) stops it.
+    The inherited heap is frozen first (see the module docstring)."""
+    gc.freeze()
     while True:
         try:
             message = conn.recv()

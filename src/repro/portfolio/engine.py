@@ -7,7 +7,7 @@ chains over a list of backends
 (:class:`Leg`) over the shared worker pool
 (:meth:`~repro.portfolio.batch.BatchScheduler.map`).  The first
 *decisive* answer stops the map — running chains are cancelled through
-their slot flag and stand down at their next conflict slice, chains not
+their slot flag and stand down within one conflict, chains not
 yet started never run — and every cube's fate is reported as one
 :class:`PortfolioStats` row.  A chain whose worker dies gives its cubes
 error rows; its siblings are untouched.

@@ -4,7 +4,9 @@ Three *personalities* reproduce the paper's three back-end solvers:
 
 * :func:`minisat_config` — plain CDCL (MiniSat 2.2 role),
 * :func:`lingeling_config` — CDCL + SatELite preprocessing (Lingeling role),
-* :func:`cms_config` — CDCL + native XOR/GJE engine (CryptoMiniSat5 role).
+* ``cms`` — :func:`minisat_config` CDCL + native XOR/GJE engine
+  (CryptoMiniSat5 role; the engine is attached by
+  :class:`repro.portfolio.CdclBackend`).
 """
 
 from .clause import Clause
@@ -54,11 +56,6 @@ def minisat_config() -> SolverConfig:
 def lingeling_config() -> SolverConfig:
     """More aggressive restarts; pair with the SatELite preprocessor."""
     return SolverConfig(var_decay=0.85, restart_base=50, use_luby=True)
-
-
-def cms_config() -> SolverConfig:
-    """CDCL settings used with the XOR engine (CryptoMiniSat role)."""
-    return SolverConfig(var_decay=0.95, restart_base=100, use_luby=True)
 
 
 __all__ = [

@@ -8,7 +8,7 @@ literal flips the right-hand side, CMS-style).
 
 from __future__ import annotations
 
-from typing import List, TextIO, Tuple
+from typing import List, Sequence, TextIO, Tuple
 
 from .types import lit_from_dimacs, lit_to_dimacs
 
@@ -43,6 +43,21 @@ class CnfFormula:
         for v in variables:
             self.n_vars = max(self.n_vars, v + 1)
         self.xors.append((variables, rhs & 1))
+
+    def satisfied_by(self, model: Sequence[int]) -> bool:
+        """Whether the 0/1 ``model`` (indexed by variable; a variable
+        beyond its end reads 0) satisfies every clause and XOR."""
+
+        def bit(v: int) -> int:
+            return model[v] if v < len(model) else 0
+
+        return all(
+            any(bit(l >> 1) ^ (l & 1) for l in clause)
+            for clause in self.clauses
+        ) and all(
+            sum(bit(v) for v in variables) & 1 == rhs
+            for variables, rhs in self.xors
+        )
 
 
 def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:

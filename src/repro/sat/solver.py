@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clause import Clause
 from .types import FALSE, TRUE, UNDEF
@@ -557,14 +557,17 @@ class Solver:
         self,
         assumptions: Sequence[int] = (),
         conflict_budget: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> Optional[bool]:
         """Run CDCL search.
 
         Returns ``True`` (SAT, with :attr:`model` filled), ``False``
         (UNSAT) or ``None`` when the conflict budget ran out (the paper's
-        "undecidable within the limit" case).  The solver always returns
-        backtracked to level 0, so level-0 trail literals are valid learnt
-        facts afterwards.
+        "undecidable within the limit" case) or ``stop()``, asked once
+        after each conflict, returned True.  ``stop`` only reads, so a
+        search it never stops is the search without it.  The solver
+        always returns backtracked to level 0, so level-0 trail literals
+        are valid learnt facts afterwards.
 
         An UNSAT answer under non-empty ``assumptions`` is ambiguous: the
         formula may be globally UNSAT, or merely UNSAT *under this cube*.
@@ -611,7 +614,7 @@ class Solver:
                 if (
                     conflict_budget is not None
                     and self.num_conflicts - budget_start >= conflict_budget
-                ):
+                ) or (stop is not None and stop()):
                     self.cancel_until(0)
                     return UNKNOWN
                 continue

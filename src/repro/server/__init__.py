@@ -6,8 +6,8 @@ The package splits into four pieces:
   store backing the conversion layer (Karnaugh covers + whole
   conversions survive restarts);
 * :mod:`repro.server.pool` — the long-lived daemon worker pool (job
-  submission by message, per-job deadlines, cooperative conflict-slice
-  cancellation, dead-worker respawn);
+  submission by message, per-job deadlines, cooperative cancellation
+  within one conflict, dead-worker respawn);
 * :mod:`repro.server.jobs` — what one job *is*: parse → preprocess →
   solve, riding the existing Bosphorus/backend machinery (workers are
   backends-only — there is ONE solving path);

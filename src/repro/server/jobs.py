@@ -10,10 +10,10 @@ final solve goes through :func:`repro.portfolio.create_backend`.  Server
 workers are backends-only: there is ONE solving path, and the service
 merely schedules it.
 
-Cancellation and deadlines ride the cooperative conflict-slice cancel:
-``cancel`` is any object with ``is_set()`` (the pool passes its
-shared-flag token), checked between pipeline stages here and every
-``SLICE_CONFLICTS`` conflicts inside the backend solve.
+Cancellation and deadlines ride the cooperative cancel of the backend
+solve: ``cancel`` is any object with ``is_set()`` (the pool passes its
+shared-flag token), checked between pipeline stages here and after
+every conflict inside an in-process backend solve.
 """
 
 from __future__ import annotations
@@ -119,7 +119,11 @@ def execute_job(
     with stages ``"parsed"``, ``"preprocessed"`` and ``"solving"``;
     payloads are small JSON-safe dicts.  ``cancel`` is polled between
     stages and threaded into the backend solve, so a cancelled job stops
-    within one conflict slice of the signal.
+    within one conflict of the signal.  A backend's SAT answer is
+    reported only when its model satisfies the job's input (the clauses
+    and XORs of a ``dimacs`` job, the polynomials of an ``anf`` one);
+    otherwise the verdict is ``unknown`` and the result's ``error`` says
+    ``"model failed validation"``.
 
     The result dict always carries ``job_id``, ``verdict`` (one of
     ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``, the
@@ -254,6 +258,17 @@ def execute_job(
 
     # -- solve ---------------------------------------------------------------
     from ..portfolio import create_backend
+    from ..portfolio.engine import validated
+
+    # A SAT answer is checked against the job's input, not the processed
+    # CNF: the backend may be an external binary.
+    if spec.fmt == "anf":
+        from ..core.solution import Solution
+
+        def satisfies_input(model) -> bool:
+            return Solution(list(model)).satisfies(polynomials)
+    else:
+        satisfies_input = formula.satisfied_by
 
     backend = create_backend(spec.backend)
     if not backend.available():
@@ -268,12 +283,12 @@ def execute_job(
     with tracer.span(
         "job.solve", backend=backend.name, n_clauses=len(cnf.clauses)
     ) as span, metrics.timer("solve_s"):
-        res = backend.solve(
+        res = validated(backend.solve(
             cnf,
             timeout_s=remaining,
             conflict_budget=spec.conflict_budget,
             cancel=cancel,
-        )
+        ), satisfies_input)
         verdict = _status_to_verdict(res.status, cancel)
         if res.cancelled:
             verdict = VERDICT_CANCELLED
@@ -296,7 +311,8 @@ def execute_job(
     stats["backend"] = backend.name
     # The backend model covers the whole final CNF; a job answers over
     # its input's variables only, as a preprocessing-found model does.
-    model = res.model
+    model = None if res.demoted else res.model
     if model is not None:
         model = model[: ring.n_vars if spec.fmt == "anf" else formula.n_vars]
-    return finish(verdict, model=model, stats=stats, formula=cnf)
+    return finish(verdict, model=model, stats=stats, formula=cnf,
+                  extra={"error": res.error} if res.demoted else None)

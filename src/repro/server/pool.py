@@ -11,7 +11,8 @@ cancel flag — and adds what a service needs on top:
 * **per-job cooperative cancellation** — :meth:`WorkerPool.cancel`
   writes the job's id into its slot's cancel flag; the worker-side
   :class:`~repro.portfolio.batch.CancelToken` plugs into the
-  conflict-slice cancel checks, so a cancel lands within one slice;
+  solver's per-conflict cancel check, so a cancel lands within one
+  conflict;
 * **per-job deadlines** — measured from job *start*; a job that outlives
   ``timeout_s`` is cancelled the same way and reported as ``timeout``;
 * **the one death rule** of the slots — a job whose worker dies mid-run
@@ -169,7 +170,7 @@ class WorkerPool:
         """Request cooperative cancellation of a job.
 
         Running jobs get their slot's cancel flag set and stop within one
-        conflict slice; jobs still waiting for a worker resolve to a
+        conflict; jobs still waiting for a worker resolve to a
         ``cancelled`` verdict immediately.  Returns False for
         unknown/finished jobs.
         """

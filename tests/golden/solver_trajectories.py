@@ -32,8 +32,8 @@ from repro.sat import (
     Solver,
     SolverConfig,
     XorEngine,
-    cms_config,
     lingeling_config,
+    minisat_config,
 )
 from repro.sat.types import mk_lit
 from repro.satcomp.generators import pigeonhole, random_ksat
@@ -99,7 +99,7 @@ def _simon_xor(plaintexts, rounds):
 
 
 def _solve_with_xors(formula, **kwargs):
-    solver = _load(formula, cms_config(), proof=False)
+    solver = _load(formula, minisat_config(), proof=False)
     engine = XorEngine()
     for variables, rhs in formula.xors:
         engine.add_xor(variables, rhs)

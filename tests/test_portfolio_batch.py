@@ -4,6 +4,7 @@ run (scored under the deterministic unit-time proxy, since wall-clock
 seconds are the one thing parallelism legitimately changes).
 """
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -20,7 +21,7 @@ from repro.portfolio import (
     batch_cancel,
     default_jobs,
 )
-from repro.portfolio.batch import mp_context
+from repro.portfolio.batch import WorkerSlots, mp_context
 
 FAST = Config(
     xl_sample_bits=8,
@@ -208,6 +209,38 @@ def test_map_sequential_path_unaffected_by_death_machinery():
     assert BatchScheduler(1).map(_square, range(5)) == [
         x * x for x in range(5)
     ]
+
+
+# -- the frozen inherited heap ----------------------------------------------
+
+
+def _freeze_count_or_exit(payload, cancel=None, progress=None):
+    if payload == "exit":
+        os._exit(1)
+    return gc.get_freeze_count()
+
+
+def test_workers_freeze_their_inherited_heap_and_the_parent_does_not():
+    # A worker's collector must never walk the heap it inherited, in a
+    # first worker and in a respawned one; the parent's collector keeps
+    # everything it had.
+    assert gc.get_freeze_count() == 0
+    slots = WorkerSlots(1, _freeze_count_or_exit)
+    counts = []
+    try:
+        assert gc.get_freeze_count() == 0
+        for unit_id, payload in enumerate(["count", "exit", "count"], 1):
+            slots.dispatch(0, unit_id, payload)
+            while slots.running():
+                for kind, _, value in slots.events(timeout=30):
+                    if kind == "result":
+                        counts.append(value)
+    finally:
+        slots.close()
+    assert slots.respawns == 1
+    assert len(counts) == 2
+    assert all(count > 0 for count in counts)
+    assert gc.get_freeze_count() == 0
 
 
 # -- default_jobs / mp_context ----------------------------------------------

@@ -3,7 +3,7 @@ asyncio server, against real worker processes.
 
 The acceptance path: a client submits a mix of ANF and DIMACS jobs over
 the socket and the verdicts match in-process solving; a mid-flight
-cancel stops the worker within one conflict slice; a second server
+cancel stops the worker within one conflict; a second server
 started on the same cache directory reports disk hits and reproduces
 the CNF bit-for-bit.
 """

@@ -3,8 +3,8 @@ death isolation.
 
 The pool runs on the same worker slots as the batch scheduler, so the
 invariants under test mirror the batch layer's: a worker dying mid-job fails *that job only* and the slot
-respawns; cancellation is cooperative and lands within one conflict
-slice; deadlines are per-job and start when the job does.
+respawns; cancellation is cooperative and lands within one conflict;
+deadlines are per-job and start when the job does.
 """
 
 import os
@@ -82,7 +82,7 @@ def test_running_job_cancel_lands_within_a_slice():
         result = pool.wait(job, timeout=30)
         elapsed = time.monotonic() - t0
     assert result["verdict"] == "cancelled"
-    # One conflict slice is 500 conflicts — far under a second on this
+    # A cancel lands within one conflict — far under a second on this
     # instance; 5s is a generous bound that still proves cooperativity.
     assert elapsed < 5.0
 
@@ -194,6 +194,26 @@ def test_backend_models_cover_only_the_input_variables():
     assert len(model) == 11  # the ring numbers x0..x10
     pairs = sum(model[v] & model[v + 1] for v in range(1, 11, 2))
     assert pairs % 2 == 1
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("dimacs", "p cnf 3 2\n1 2 0\n-1 3 0\n"),
+    ("dimacs", "p cnf 3 1\nx1 2 3 0\n"),
+    ("anf", "x1*x2 + x3 + 1"),
+], ids=["dimacs-clauses", "dimacs-xor", "anf"])
+def test_backend_model_is_validated_against_the_input(fmt, text, tmp_path):
+    # An external solver claiming SAT with the all-false model, which
+    # violates every input above: the job answers unknown, says why,
+    # and reports no model.
+    liar = tmp_path / "liar.sh"
+    liar.write_text("#!/bin/sh\necho 's SATISFIABLE'\n"
+                    "echo 'v -1 -2 -3 -4 0'\nexit 10\n")
+    liar.chmod(0o755)
+    result = execute_job(JobSpec(
+        fmt=fmt, text=text, preprocess=False, backend="dimacs:" + str(liar)))
+    assert result["verdict"] == "unknown"
+    assert result["error"] == "model failed validation"
+    assert result["model"] is None
 
 
 # -- death isolation ---------------------------------------------------------
