@@ -22,12 +22,15 @@ import json
 import os
 from typing import Callable, Dict, List
 
+from repro.anf import AnfSystem
+from repro.anf.polynomial import Poly
 from repro.core.anf_to_cnf import AnfToCnf
 from repro.core.config import Config
 from repro.ciphers import simon
 from repro.cube.splitter import split_formula
 from repro.portfolio.backends import sliced_solve
 from repro.sat import (
+    CnfFormula,
     DratProof,
     Solver,
     SolverConfig,
@@ -162,6 +165,44 @@ def cms_xor_simon5_budget():
     return _solve_with_xors(_simon_xor(2, 5), conflict_budget=1000)
 
 
+def _simon_flipped(rounds, free_key_bits, seed):
+    # As perfbench's fanout-unsat builds it: one ciphertext bit flipped,
+    # all but ``free_key_bits`` key bits pinned.  The pins convert to
+    # unit clauses after every long clause.
+    inst = simon.generate_instance(1, rounds, seed)
+    polys = list(inst.polynomials)
+    polys[-1] = polys[-1] + Poly.one()
+    for v in inst.key_vars[free_key_bits:]:
+        polys.append(Poly.variable(v) + Poly.constant(inst.witness[v]))
+    return AnfToCnf(Config()).convert(AnfSystem(inst.ring, polys)).formula
+
+
+def simon_flipped_trailing_units():
+    return _solve(_simon_flipped(6, 16, 11000), minisat_config())
+
+
+def pigeonhole6_trailing_units():
+    # Pigeon 0 in hole 0 and pigeon 1 not in hole 5, given last.
+    formula = pigeonhole(6)
+    formula.add_clause([mk_lit(0)])
+    formula.add_clause([mk_lit(1 * 6 + 5, True)])
+    return _solve(formula)
+
+
+def incremental_trailing_units():
+    # The warm-solver pattern of the SAT learner: a budgeted solve on
+    # the long clauses, then the key pins added at level 0, then the
+    # search resumed.
+    formula = _simon_flipped(6, 16, 11001)
+    k = next(i for i, c in enumerate(formula.clauses) if len(c) == 1)
+    head = CnfFormula(formula.n_vars)
+    head.clauses = formula.clauses[:k]
+    solver = _load(head, minisat_config())
+    first = solver.solve(conflict_budget=100)
+    solver.add_clauses(formula.clauses[k:])
+    return _record(solver, [first, solver.solve()])
+
+
 def lookahead_split():
     # Depth 7 on this instance closes 26 branches by propagation alone.
     cubes = split_formula(random_ksat(100, 426, seed=0), depth=7)
@@ -188,6 +229,9 @@ CORPUS: Dict[str, Callable[[], Dict[str, object]]] = {
         cms_xor_simon4,
         cms_xor_simon5_budget,
         lookahead_split,
+        simon_flipped_trailing_units,
+        pigeonhole6_trailing_units,
+        incremental_trailing_units,
     )
 }
 
