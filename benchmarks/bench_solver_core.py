@@ -25,11 +25,12 @@ from repro.anf import AnfSystem
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
 from repro.ciphers import simon, speck
+from repro.core.anf_to_cnf import AnfToCnf
 from repro.core.config import Config
 from repro.core.probing import run_probing
 from repro.core.propagation import propagate
 from repro.gf2 import GF2Matrix
-from repro.sat import Solver, mk_lit
+from repro.sat import Solver, minisat_config, mk_lit
 from repro.satcomp import generators
 from tests.oracles.gf2 import rref_gj
 from tests.oracles.linearize import rows_to_polys_scalar, to_matrix_scalar
@@ -84,6 +85,31 @@ def test_cdcl_pigeonhole_unsat(benchmark):
 
     verdict = benchmark.pedantic(solve, rounds=1, iterations=1)
     assert verdict is False
+
+
+def test_cdcl_simon_refutation_trailing_units(benchmark):
+    """A Simon32/64 7-round refutation built as perfbench's fanout-unsat
+    builds it: the pinned key bits are unit clauses after every long
+    clause, so level-0 simplification removes most of the formula."""
+    inst = simon.generate_instance(1, 7, seed=11000)
+    polys = list(inst.polynomials)
+    polys[-1] = polys[-1] + Poly.one()  # flip one ciphertext bit
+    for v in inst.key_vars[14:]:
+        polys.append(Poly.variable(v) + Poly.constant(inst.witness[v]))
+    formula = AnfToCnf(Config()).convert(AnfSystem(inst.ring, polys)).formula
+
+    def solve():
+        solver = Solver(minisat_config())
+        solver.ensure_vars(formula.n_vars)
+        solver.add_clauses(formula.clauses)
+        loaded = len(solver.clauses)
+        return solver, loaded, solver.solve()
+
+    solver, loaded, verdict = benchmark.pedantic(solve, rounds=1, iterations=1)
+    benchmark.extra_info["conflicts"] = solver.num_conflicts
+    benchmark.extra_info["simplified"] = solver.num_simplified
+    assert verdict is False
+    assert solver.num_simplified > loaded / 2
 
 
 def test_anf_propagation_absorb_batches(benchmark):

@@ -37,8 +37,13 @@ from .xorrecovery import formula_with_recovered_xors, recover_xors
 
 
 #: The CDCL work counters a span records at exit, read from
-#: ``Solver.num_<name>``; :func:`solver_counters` adds the learnt-DB size.
-SOLVER_COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
+#: ``Solver.num_<name>`` (``simplified``: problem clauses removed by
+#: level-0 simplification); :func:`solver_counters` adds the learnt-DB
+#: size.
+SOLVER_COUNTERS = (
+    "conflicts", "decisions", "propagations", "restarts", "reductions",
+    "simplified",
+)
 
 
 def solver_counters(solver: Solver) -> dict:

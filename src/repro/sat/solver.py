@@ -8,6 +8,7 @@ relies on:
 * VSIDS variable activities with phase saving,
 * first-UIP conflict analysis with clause minimisation,
 * Luby restarts and activity-based learnt-database reduction,
+* MiniSat's level-0 simplification of the problem clauses,
 * **conflict budgets** (the paper bounds the solver by conflicts, not time,
   for replicability — section II-D), and
 * an API to harvest learnt facts: level-0 units and learnt binary clauses,
@@ -122,6 +123,10 @@ class Solver:
         self.num_propagations = 0
         self.num_restarts = 0
         self.num_reductions = 0
+        self.num_simplified = 0  # problem clauses dropped by _simplify
+        # _simplify's throttle (MiniSat's simpDB_assigns / simpDB_props).
+        self._simp_assigns = 0
+        self._simp_props = 0
         # Assumption-failure signal: set by solve() when UNSAT was only
         # proven *under the given assumptions* (a cube), not globally.
         self.assumptions_failed = False
@@ -219,9 +224,53 @@ class Solver:
         self.watches[c.lits[0] ^ 1].append(c)
         self.watches[c.lits[1] ^ 1].append(c)
 
-    def _detach(self, c: Clause) -> None:
-        self.watches[c.lits[0] ^ 1].remove(c)
-        self.watches[c.lits[1] ^ 1].remove(c)
+    def _purge(self, dead: List[Clause]) -> None:
+        """Remove ``dead`` clauses from the watch lists they sit in, in
+        one pass that keeps each list's order."""
+        dead_ids = {id(c) for c in dead}
+        watches = self.watches
+        for w in {c.lits[i] ^ 1 for c in dead for i in (0, 1)}:
+            watches[w] = [c for c in watches[w] if id(c) not in dead_ids]
+
+    def _simplify(self) -> None:
+        """MiniSat's ``simplify``: drop the problem clauses satisfied at
+        level 0 and strip level-0-false literals from the rest.
+
+        Called at level 0 after a conflict-free propagation, when no
+        unsatisfied clause watches a false literal, so only positions
+        >= 2 lose literals.  The search is unchanged: a satisfied clause
+        never propagates again, every watch list keeps its order, and
+        conflict analysis skips level-0 literals anyway.  Learnts are
+        never touched and no DRAT line is logged (a stripped clause is
+        RUP from the level-0 units).  Throttled as in MiniSat: the trail
+        must have grown, and as many literals been propagated as the
+        problem clauses held at the last run.
+        """
+        if (
+            len(self.trail) == self._simp_assigns
+            or self.num_propagations < self._simp_props
+        ):
+            return
+        val = self.val
+        kept: List[Clause] = []
+        dead: List[Clause] = []
+        n_lits = 0
+        for c in self.clauses:
+            lits = c.lits
+            values = [val[l] for l in lits]
+            if TRUE in values:
+                dead.append(c)
+                continue
+            if FALSE in values:
+                lits[2:] = [l for l in lits[2:] if val[l]]
+            kept.append(c)
+            n_lits += len(lits)
+        if dead:
+            self._purge(dead)
+            self.clauses = kept
+            self.num_simplified += len(dead)
+        self._simp_assigns = len(self.trail)
+        self._simp_props = self.num_propagations + n_lits
 
     def attach_xor_engine(self, engine) -> None:
         """Install an XOR reasoning engine (see :mod:`repro.sat.xorengine`)."""
@@ -513,13 +562,15 @@ class Solver:
         self.learnts.sort(key=lambda c: (len(c.lits) <= 2, c.activity))
         keep_from = len(self.learnts) // 2
         kept: List[Clause] = []
+        dead: List[Clause] = []
         for i, c in enumerate(self.learnts):
             if i >= keep_from or len(c.lits) <= 2 or id(c) in locked:
                 kept.append(c)
             else:
-                self._detach(c)
+                dead.append(c)
                 if self.proof is not None:
                     self.proof.delete(c.lits)
+        self._purge(dead)
         self.learnts = kept
 
     # -- decisions ----------------------------------------------------------------
@@ -588,6 +639,7 @@ class Solver:
             if self.proof is not None:
                 self.proof.add_empty()
             return False
+        self._simplify()
         config = self.config
         val = self.val
         budget_start = self.num_conflicts
@@ -618,6 +670,8 @@ class Solver:
                     self.cancel_until(0)
                     return UNKNOWN
                 continue
+            if not self.trail_lim:
+                self._simplify()
 
             if conflicts_this_restart >= restart_limit:
                 self.num_restarts += 1

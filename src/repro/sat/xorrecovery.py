@@ -14,10 +14,9 @@ an XOR of right-hand side r iff all ``2**(l-1)`` clauses with sign-parity
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .dimacs import CnfFormula
-from .types import lit_sign, lit_var
 
 
 def recover_xors(
@@ -29,21 +28,22 @@ def recover_xors(
     ``(variables, rhs)``.  Only supports of at most ``max_width``
     variables are examined (the clause count doubles per variable).
     """
-    groups: Dict[Tuple[int, ...], List[int]] = {}
+    groups: Dict[FrozenSet[int], List[int]] = {}
     for idx, clause in enumerate(clauses):
-        variables = tuple(sorted({lit_var(l) for l in clause}))
-        if len(variables) != len(clause):
-            continue  # duplicate variables: not an XOR shard
-        if 2 <= len(variables) <= max_width:
-            groups.setdefault(variables, []).append(idx)
+        if not 2 <= len(clause) <= max_width:
+            continue
+        support = frozenset([l >> 1 for l in clause])
+        if len(support) == len(clause):  # else not an XOR shard
+            groups.setdefault(support, []).append(idx)
 
     xors: List[Tuple[List[int], int]] = []
     used: List[int] = []
-    for variables, idxs in groups.items():
-        width = len(variables)
+    for support, idxs in groups.items():
+        width = len(support)
         need = 1 << (width - 1)
         if len(idxs) < need:
             continue
+        variables = sorted(support)
         var_pos = {v: i for i, v in enumerate(variables)}
         # Bucket the clauses by their sign-parity.
         by_parity: Dict[int, Set[int]] = {0: set(), 1: set()}
@@ -51,8 +51,8 @@ def recover_xors(
         for idx in idxs:
             pattern = 0
             for l in clauses[idx]:
-                if lit_sign(l):
-                    pattern |= 1 << var_pos[lit_var(l)]
+                if l & 1:
+                    pattern |= 1 << var_pos[l >> 1]
             parity = bin(pattern).count("1") & 1
             by_parity[parity].add(pattern)
             idx_by_pattern[pattern] = idx
@@ -62,7 +62,7 @@ def recover_xors(
                 # value-parity p, so the surviving assignments have
                 # parity 1 - p: the XOR's right-hand side.
                 rhs = parity ^ 1
-                xors.append((list(variables), rhs))
+                xors.append((variables, rhs))
                 used.extend(
                     idx_by_pattern[pat] for pat in by_parity[parity]
                 )
@@ -73,17 +73,22 @@ def recover_xors(
 def formula_with_recovered_xors(
     formula: CnfFormula, max_width: int = 6, drop_used: bool = False
 ) -> CnfFormula:
-    """A copy of the formula with detected XORs attached natively.
+    """The formula with detected XORs attached natively: a new formula
+    sharing the input's clause lists, or the input itself when none is
+    detected.
 
     With ``drop_used`` the clause shards that formed each recovered XOR
     are removed (they are implied by the native constraint).
     """
     xors, used = recover_xors(formula.clauses, max_width)
+    if not xors:
+        return formula
     out = CnfFormula(formula.n_vars)
     used_set = set(used) if drop_used else set()
-    for idx, clause in enumerate(formula.clauses):
-        if idx not in used_set:
-            out.add_clause(list(clause))
+    out.clauses = [
+        clause for idx, clause in enumerate(formula.clauses)
+        if idx not in used_set
+    ]
     for variables, rhs in formula.xors:
         out.add_xor(list(variables), rhs)
     for variables, rhs in xors:

@@ -164,3 +164,101 @@ def test_model_snapshot_survives_backtrack():
     assert solver.decision_level == 0
     assert model[0] in (TRUE, FALSE)
     assert any(v == TRUE for v in model)
+
+
+# -- level-0 simplification ----------------------------------------------------
+
+
+def _php_with_trailing_units():
+    # Pigeon 0 in hole 0 and pigeon 1 not in hole 5, given last: most
+    # clauses are settled only after every long clause is watched.
+    from repro.satcomp.generators import pigeonhole
+
+    formula = pigeonhole(6)
+    units = [[mk_lit(0)], [mk_lit(1 * 6 + 5, True)]]
+    return formula.clauses, units
+
+
+@pytest.fixture
+def simplify_runs(monkeypatch):
+    """Check the solver right after every ``_simplify`` pass that ran:
+    it is at level 0, every problem-clause literal is unassigned (none
+    satisfied, none false at level 0), and the watches are intact.
+    Yields the running ``num_simplified`` after each such pass."""
+    runs = []
+    simplify = Solver._simplify
+
+    def checked(solver):
+        mark = (solver._simp_assigns, solver._simp_props)
+        simplify(solver)
+        if (solver._simp_assigns, solver._simp_props) == mark:
+            return  # throttled
+        assert solver.decision_level == 0
+        val = solver.val
+        assert all(val[l] == UNDEF for c in solver.clauses for l in c.lits)
+        check_watch_invariants(solver)
+        runs.append(solver.num_simplified)
+
+    monkeypatch.setattr(Solver, "_simplify", checked)
+    return runs
+
+
+def _solve_in_two_steps(config=None):
+    """Budgeted solve on the long clauses, the units added at level 0,
+    then the solve resumed; returns the solver, its proof and the
+    verdicts."""
+    from repro.sat import DratProof
+
+    long_clauses, units = _php_with_trailing_units()
+    solver = Solver(config)
+    solver.proof = DratProof()
+    assert solver.add_clauses(long_clauses)
+    first = solver.solve(conflict_budget=20)
+    assert solver.add_clauses(units)
+    return solver, [first, solver.solve()]
+
+
+def test_simplified_clauses_hold_only_unassigned_literals(simplify_runs):
+    from repro.sat import DratProof
+
+    long_clauses, units = _php_with_trailing_units()
+    solver = Solver()
+    solver.proof = DratProof()
+    assert solver.add_clauses(long_clauses + units)
+    loaded = len(solver.clauses)
+    assert solver.solve() is False
+    # The pass at the start of solve() ran and removed clauses.
+    assert simplify_runs and simplify_runs[0] > 0
+    assert solver.num_simplified == simplify_runs[-1]
+    assert len(solver.clauses) == loaded - solver.num_simplified
+    check_all(solver)
+
+
+def test_simplification_leaves_learnts_and_search_untouched(
+    simplify_runs, monkeypatch
+):
+    from repro.sat import SolverConfig, check_rup
+
+    # A small learnt budget so reduce_db runs between the passes too.
+    config = SolverConfig(learnt_keep_base=20, learnt_keep_step=5)
+    solver, verdicts = _solve_in_two_steps(config)
+    assert verdicts == [None, False]
+    assert len(simplify_runs) >= 2 and solver.num_simplified > 0
+    assert solver.num_reductions > 0
+    check_watch_invariants(solver)
+
+    monkeypatch.setattr(Solver, "_simplify", lambda solver: None)
+    plain, plain_verdicts = _solve_in_two_steps(config)
+    assert plain.num_simplified == 0
+    assert plain_verdicts == verdicts
+    assert [c.lits for c in solver.learnts] == [c.lits for c in plain.learnts]
+    assert solver.proof.steps == plain.proof.steps
+    for name in ("conflicts", "decisions", "propagations", "restarts",
+                 "reductions"):
+        assert getattr(solver, "num_" + name) == getattr(plain, "num_" + name)
+    assert solver.level0_literals() == plain.level0_literals()
+
+    # The proof logs no line for the removed or stripped clauses and
+    # still checks against the original formula.
+    long_clauses, units = _php_with_trailing_units()
+    assert check_rup(solver.n_vars, long_clauses + units, solver.proof)
