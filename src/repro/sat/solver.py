@@ -670,6 +670,7 @@ class Solver:
                     self.cancel_until(0)
                     return UNKNOWN
                 continue
+
             if not self.trail_lim:
                 self._simplify()
 
