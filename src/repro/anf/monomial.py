@@ -325,6 +325,19 @@ def evaluate_mask(mask: int, amask: int) -> int:
     return 1 if mask & amask == mask else 0
 
 
+def deglex_desc_key(mask: int):
+    """Mask-native sort key for *descending* degree-lexicographic order.
+
+    Sorting masks ascending by this key lists them exactly as sorting
+    their variable tuples by :func:`deglex_key` with ``reverse=True``;
+    ``reverse=True`` here gives ascending deglex.  Higher degree sorts
+    first (the negated popcount); within one degree the bits are read
+    from variable 0 upwards, so the tuple with the larger first
+    differing variable sorts first.  No tuple is decoded.
+    """
+    return (-mask.bit_count(), bin(mask)[:1:-1])
+
+
 def deglex_key(m: Monomial):
     """Sort key for degree-lexicographic monomial order (used by Buchberger).
 

@@ -100,6 +100,35 @@ def test_deglex_key_matches_oracle(pair):
     )
 
 
+@st.composite
+def mask_list(draw):
+    """Distinct masks over one sampled width, many of equal degree."""
+    width = draw(st.sampled_from((63, 64, 65, 128, 257)))
+    var = st.integers(0, width - 1)
+    sets = draw(
+        st.lists(st.frozensets(var, max_size=6), max_size=24, unique=True)
+    )
+    return [sum(1 << v for v in s) for s in sets]
+
+
+def _tuple_of_mask(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+@given(mask_list())
+def test_mask_deglex_key_equals_tuple_order(masks):
+    """The mask-native key sorts exactly like the frozen tuple order, in
+    both directions; it fixes the ``Linearization`` column order and the
+    converter's in-chunk term order (and so the CNF numbering)."""
+    tuple_key = lambda mk: oracle.deglex_key(_tuple_of_mask(mk))
+    assert sorted(masks, key=mono.deglex_desc_key) == sorted(
+        masks, key=tuple_key, reverse=True
+    )
+    assert sorted(masks, key=mono.deglex_desc_key, reverse=True) == sorted(
+        masks, key=tuple_key
+    )
+
+
 @settings(max_examples=25)
 @given(st.sampled_from(WIDTHS), st.integers(0, 2**32 - 1))
 def test_poly_product_matches_oracle_at_width(width, seed):
