@@ -50,9 +50,10 @@ def _ab_best_pair(fn_new, fn_seed, rounds):
 
 def _karnaugh_chunks(polys, n_vars, config):
     """The Karnaugh-path chunk stream of a conversion: XOR-cut pieces
-    whose support fits the parameter K, as (terms, rhs, support)
-    triples.  Replicates the converter's cutting so the truth-table
-    bench times exactly the per-chunk minimisation workload."""
+    whose support fits the parameter K, as (term masks, rhs, support,
+    chunk polynomial) quadruples.  Replicates the converter's cutting so
+    the truth-table bench times exactly the per-chunk minimisation
+    workload; the polynomial (terms plus rhs) is the seed leg's input."""
     cut_len = max(config.xor_cut_len, 3)
     next_var = n_vars
     chunks = []
@@ -60,21 +61,34 @@ def _karnaugh_chunks(polys, n_vars, config):
         if p.is_zero() or p.is_one():
             continue
         rhs = 1 if p.has_constant_term() else 0
-        terms = sorted((m for m in p.monomials if m), key=mono.deglex_key)
+        # Ascending deglex, as the converter orders a polynomial's terms.
+        terms = sorted(
+            (m for m in p if m), key=mono.deglex_desc_key, reverse=True
+        )
         if not terms:
             continue
         pieces = []
         while len(terms) > cut_len:
             head, tail = terms[: cut_len - 1], terms[cut_len - 1:]
-            aux = next_var
+            aux = 1 << next_var
             next_var += 1
-            pieces.append((head + [(aux,)], 0))
-            terms = [(aux,)] + tail
+            pieces.append((head + [aux], 0))
+            terms = [aux] + tail
         pieces.append((terms, rhs))
         for chunk_terms, chunk_rhs in pieces:
-            support = sorted({v for m in chunk_terms for v in m})
-            if len(support) <= config.karnaugh_limit:
-                chunks.append((chunk_terms, chunk_rhs, support))
+            support = 0
+            for mk in chunk_terms:
+                support |= mk
+            if support.bit_count() <= config.karnaugh_limit:
+                poly = Poly([mono.as_tuple(mk) for mk in chunk_terms])
+                chunks.append(
+                    (
+                        chunk_terms,
+                        chunk_rhs,
+                        mono.bits_of(support),
+                        poly.add_constant(chunk_rhs),
+                    )
+                )
     return chunks
 
 
@@ -102,12 +116,9 @@ def test_cnf_wide_truthtable_isolated_batch_vs_python(benchmark):
     def batch_cached():
         cache = {}
         out = []
-        for terms, rhs, _support in chunks:
+        for masks, rhs, _support, _poly in chunks:
             smask = 0
-            masks = []
-            for m in terms:
-                mk = mono.mask_of(m)
-                masks.append(mk)
+            for mk in masks:
                 smask |= mk
             key = mono.shape_key(masks, smask, rhs)
             cubes = cache.get(key)
@@ -119,8 +130,7 @@ def test_cnf_wide_truthtable_isolated_batch_vs_python(benchmark):
 
     def python_per_chunk():
         out = []
-        for terms, rhs, support in chunks:
-            poly = Poly(terms).add_constant(rhs)
+        for _masks, _rhs, support, poly in chunks:
             out.append(minimize(truth_table(poly, support), len(support)))
         return out
 
@@ -136,8 +146,7 @@ def test_cnf_wide_truthtable_isolated_batch_vs_python(benchmark):
     benchmark.extra_info["n_vars"] = inst.n_vars
     benchmark.extra_info["chunks"] = len(chunks)
     shapes = set()
-    for terms, rhs, _support in chunks:
-        masks = [mono.mask_of(m) for m in terms]
+    for masks, rhs, _support, _poly in chunks:
         smask = 0
         for mk in masks:
             smask |= mk

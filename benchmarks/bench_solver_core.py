@@ -18,6 +18,7 @@ same package.
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,15 +267,27 @@ def test_anf_wide_probing_sweep_speck(benchmark):
 # ---------------------------------------------------------------------------
 
 
+def _tuple_view(lin):
+    """``lin`` with tuple columns and a tuple-keyed column map: the
+    linearisation the seed per-cell/per-row codecs read."""
+    columns = [mono.as_tuple(m) for m in lin.columns]
+    return SimpleNamespace(
+        n_cols=lin.n_cols,
+        columns=columns,
+        column_of={m: i for i, m in enumerate(columns)},
+    )
+
+
 def _seed_gauss_jordan(polynomials):
     """The seed GJE data path: per-cell encode, column-at-a-time
-    Gauss-Jordan (`rref_gj`, the pre-M4RI eliminator), per-row decode."""
+    Gauss-Jordan (`rref_gj`, the pre-M4RI eliminator), per-row decode,
+    all through a tuple-keyed column map."""
     from repro.core.linearize import Linearization
 
     polys = [p for p in polynomials if not p.is_zero()]
     if not polys:
         return []
-    lin = Linearization(polys)
+    lin = _tuple_view(Linearization(polys))
     matrix = to_matrix_scalar(lin, polys)
     rref_gj(matrix)
     return rows_to_polys_scalar(lin, matrix)
@@ -384,7 +397,7 @@ def _seed_run_xl(polynomials, config, rng):
 
     def push(p):
         expanded.append(p)
-        monomials.update(p.monomials)
+        monomials.update(p.masks)
 
     for p in sorted(sample, key=lambda q: q.degree()):
         push(p)
@@ -401,7 +414,7 @@ def _seed_run_xl(polynomials, config, rng):
             if not size_ok():
                 break
     result.expanded_rows = len(expanded)
-    lin = Linearization(expanded)
+    lin = _tuple_view(Linearization(expanded))
     result.columns = lin.n_cols
     matrix = to_matrix_scalar(lin, expanded)
     rref_gj(matrix)
@@ -446,7 +459,7 @@ def test_xl_wide_linearize_packed_vs_scalar(benchmark):
         support |= p.support_mask()
     for p in inst.polynomials:
         for v in mono.bits_of(support):
-            q = p.mul_monomial((v,))
+            q = p.mul_monomial(1 << v)
             if not q.is_zero():
                 rows.append(q)
             if len(rows) >= 4000:
@@ -454,6 +467,7 @@ def test_xl_wide_linearize_packed_vs_scalar(benchmark):
         if len(rows) >= 4000:
             break
     lin = Linearization(rows)
+    view = _tuple_view(lin)
     reduced = lin.to_matrix(rows)
     reduced.rref()
 
@@ -461,7 +475,7 @@ def test_xl_wide_linearize_packed_vs_scalar(benchmark):
         return lin.to_matrix(rows), lin.rows_to_polys(reduced)
 
     def scalar():
-        return to_matrix_scalar(lin, rows), rows_to_polys_scalar(lin, reduced)
+        return to_matrix_scalar(view, rows), rows_to_polys_scalar(view, reduced)
 
     full = bench_count() >= 2
     new_s, seed_s, (m_new, d_new), (m_seed, d_seed) = _ab_best_pair(
@@ -647,7 +661,7 @@ def _simon32_xl_matrix():
         support |= p.support_mask()
     for p in inst.polynomials:
         for v in mono.bits_of(support):
-            q = p.mul_monomial((v,))
+            q = p.mul_monomial(1 << v)
             if not q.is_zero():
                 rows.append(q)
             if len(rows) >= 4000:

@@ -7,27 +7,33 @@ hashable, with ring arithmetic in the Boolean quotient ring where
 
 Design notes
 ------------
-* The internal representation is a ``frozenset`` of monomials (sorted int
-  tuples, see :mod:`repro.anf.monomial`).  XOR of polynomials is then the
-  symmetric difference of sets, which Python does natively and fast.  The
-  monomials themselves are interned tuples shadowed by width-adaptive int
-  bitmasks, so the monomial products inside :meth:`Poly.__mul__` and the
-  substitution methods are single bitwise ops at any variable count —
-  cipher-scale systems (hundreds to thousands of variables) included.
-* ``Poly`` memoises its hash, total degree, variable support and the
-  *support mask* (the OR of its monomials' bitmasks).  Degree and support
-  are asked for constantly by the propagation engine, the occurrence-list
+* The internal representation is a ``frozenset`` of monomial *masks*
+  (int bitmasks, bit ``v`` set iff ``x_v`` divides the monomial; see
+  :mod:`repro.anf.monomial`).  XOR of polynomials is the symmetric
+  difference of sets, which Python does natively and fast; products and
+  substitutions are mask ORs; the degree is a popcount.  Every kernel
+  works on the masks directly, at any variable count — cipher-scale
+  systems (hundreds to thousands of variables) included.  Iterating a
+  ``Poly`` yields its masks.
+* Sorted variable tuples appear only at the I/O boundary: the
+  constructor accepts them (canonicalising, see :meth:`Poly.__init__`),
+  and the cold accessors :attr:`Poly.monomials`,
+  :meth:`Poly.leading_monomial` and :meth:`Poly.sorted_monomials`
+  decode on call.  No hot path calls them.
+* ``Poly`` memoises its total degree, variable support and the *support
+  mask* (the OR of its monomial masks).  Degree and support are asked
+  for constantly by the propagation engine, the occurrence-list
   bookkeeping in :class:`~repro.anf.system.AnfSystem` and the fact
-  classifiers, so they are computed once per value object rather than per
-  call; :meth:`Poly.support_mask` is what lets ``AnfSystem.normalize``
-  test "does any touched variable occur here" with one bitwise AND.
-  ``variables()`` returns the cached frozenset — callers must treat it as
-  read-only.
+  classifiers, so they are computed once per value object rather than
+  per call; :meth:`Poly.support_mask` is what lets
+  ``AnfSystem.normalize`` test "does any touched variable occur here"
+  with one bitwise AND.  ``variables()`` returns the cached frozenset —
+  callers must treat it as read-only.
 * Polynomials are value objects.  All "mutation" in the rest of the code
   base (propagation, substitution, ElimLin) builds new polynomials, which
   mirrors the paper's design where only ANF propagation replaces the
   master system.  Hot loops that accumulate many XORs should use
-  :class:`PolyBuilder`, which toggles monomials in one mutable set and
+  :class:`PolyBuilder`, which toggles masks in one mutable set and
   materialises a single ``Poly`` at the end instead of allocating one
   intermediate ``Poly`` per step.
 * Throughout the code base a polynomial always means the *equation*
@@ -37,6 +43,8 @@ Design notes
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from . import monomial as mono
@@ -46,37 +54,41 @@ from .monomial import Monomial
 class Poly:
     """An immutable Boolean polynomial (XOR of monomials) over GF(2)."""
 
-    __slots__ = ("_monomials", "_hash", "_degree", "_vars", "_smask", "_mmasks")
+    __slots__ = ("_masks", "_degree", "_vars", "_smask")
 
     def __init__(self, monomials: Iterable[Monomial] = ()):
-        """Build a polynomial from monomials, cancelling pairs mod 2.
+        """Build a polynomial from monomials given as variable tuples.
 
-        Accepts any iterable of monomials.  Repeated monomials cancel in
-        pairs, so ``Poly([(1,), (1,)])`` is the zero polynomial.
+        Each monomial is canonicalised to its mask — order and repeats
+        inside a monomial do not matter (``x1*x1 = x1``) — and a negative
+        variable index raises ``ValueError``.  Repeated monomials then
+        cancel in pairs, so ``Poly([(1,), (1,)])`` is the zero
+        polynomial.
         """
-        seen: Set[Monomial] = set()
+        acc: Set[int] = set()
         for m in monomials:
-            if m in seen:
-                seen.discard(m)
+            mk = 0
+            for v in m:
+                if v < 0:
+                    raise ValueError("negative variable index: {}".format(v))
+                mk |= 1 << v
+            if mk in acc:
+                acc.discard(mk)
             else:
-                seen.add(m)
-        self._monomials: FrozenSet[Monomial] = frozenset(seen)
-        self._hash: Optional[int] = None
+                acc.add(mk)
+        self._masks: FrozenSet[int] = frozenset(acc)
         self._degree: Optional[int] = None
         self._vars: Optional[FrozenSet[int]] = None
         self._smask: Optional[int] = None
-        self._mmasks: Optional[list] = None
 
     @staticmethod
-    def _from_frozenset(monomials: FrozenSet[Monomial]) -> "Poly":
-        """Internal fast constructor: monomials are already cancelled."""
+    def _from_frozenset(masks: FrozenSet[int]) -> "Poly":
+        """Internal fast constructor: distinct masks, already cancelled."""
         p = Poly.__new__(Poly)
-        p._monomials = monomials
-        p._hash = None
+        p._masks = masks
         p._degree = None
         p._vars = None
         p._smask = None
-        p._mmasks = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -93,8 +105,13 @@ class Poly:
 
     @staticmethod
     def variable(index: int) -> "Poly":
-        """The polynomial consisting of the single variable ``x_index``."""
-        return Poly([(index,)])
+        """The polynomial consisting of the single variable ``x_index``.
+
+        A negative index raises ``ValueError``.
+        """
+        if index < 0:
+            raise ValueError("negative variable index: {}".format(index))
+        return Poly._from_frozenset(frozenset((1 << index,)))
 
     @staticmethod
     def constant(value: int) -> "Poly":
@@ -102,52 +119,61 @@ class Poly:
         return _ONE if value & 1 else _ZERO
 
     @staticmethod
-    def from_monomial(m: Monomial) -> "Poly":
-        """A polynomial with exactly one monomial."""
-        return Poly([m])
+    def from_monomial(mask: int) -> "Poly":
+        """A polynomial with exactly one monomial, given as its mask."""
+        return Poly._from_frozenset(frozenset((mask,)))
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def masks(self) -> FrozenSet[int]:
+        """The monomial masks with coefficient 1 (the representation)."""
+        return self._masks
+
+    @property
     def monomials(self) -> FrozenSet[Monomial]:
-        """The set of monomials with coefficient 1."""
-        return self._monomials
+        """The monomials with coefficient 1, as variable tuples.
+
+        Decoded on every call; kernels iterate :attr:`masks` instead.
+        """
+        as_tuple = mono.as_tuple
+        return frozenset(as_tuple(m) for m in self._masks)
 
     def __len__(self) -> int:
-        return len(self._monomials)
+        return len(self._masks)
 
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self._monomials)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._masks)
 
     def __bool__(self) -> bool:
-        return bool(self._monomials)
+        return bool(self._masks)
 
     def is_zero(self) -> bool:
         """True for the zero polynomial."""
-        return not self._monomials
+        return not self._masks
 
     def is_one(self) -> bool:
         """True for the constant-1 polynomial (the equation ``1 = 0``)."""
-        return self._monomials == _ONE_SET
+        return self._masks == _ONE_SET
 
     def is_constant(self) -> bool:
         """True for 0 or 1."""
-        return not self._monomials or self._monomials == _ONE_SET
+        return not self._masks or self._masks == _ONE_SET
 
     def has_constant_term(self) -> bool:
         """True if the constant monomial ``1`` appears in the sum."""
-        return mono.ONE in self._monomials
+        return 0 in self._masks
 
     def degree(self) -> int:
-        """Total degree: the largest monomial degree (0 for constants).
+        """Total degree: the largest monomial popcount (0 for constants).
 
         Cached on first call; ``Poly`` is immutable so the value never
         goes stale.
         """
         d = self._degree
         if d is None:
-            ms = self._monomials
-            d = max(map(len, ms)) if ms else 0
+            ms = self._masks
+            d = max(map(int.bit_count, ms)) if ms else 0
             self._degree = d
         return d
 
@@ -173,48 +199,21 @@ class Poly:
         """
         sm = self._smask
         if sm is None:
-            pairs = self._mmasks
-            if pairs is not None:
-                sm = 0
-                for mk, _ in pairs:
-                    sm |= mk
-            else:
-                # Don't force the (mask, monomial) pair list into
-                # existence: most polys only ever need the support OR.
-                sm = 0
-                mask_of = mono.mask_of
-                for m in self._monomials:
-                    sm |= mask_of(m)
-            self._smask = sm
+            sm = self._smask = reduce(or_, self._masks, 0)
         return sm
-
-    def monomial_masks(self) -> list:
-        """Cached ``(mask, monomial)`` pairs, one per monomial.
-
-        Looking a mask up through the interning table costs a tuple hash
-        per call; the hot kernels (literal substitution, monomial
-        products, mask evaluation) instead iterate this list and pay the
-        hash once per ``Poly`` lifetime.  Treat as read-only.
-        """
-        pairs = self._mmasks
-        if pairs is None:
-            mask_of = mono.mask_of
-            pairs = [(mask_of(m), m) for m in self._monomials]
-            self._mmasks = pairs
-        return pairs
 
     def is_linear(self) -> bool:
         """True if every monomial has degree at most one."""
         return self.degree() <= 1
 
     def leading_monomial(self) -> Monomial:
-        """Largest monomial in degree-lexicographic order.
+        """Largest monomial in degree-lexicographic order, as a tuple.
 
         Raises ``ValueError`` on the zero polynomial.
         """
-        if not self._monomials:
+        if not self._masks:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._monomials, key=mono.deglex_key)
+        return mono.as_tuple(min(self._masks, key=mono.deglex_desc_key))
 
     # -- classification of the paper's fact shapes --------------------------
 
@@ -224,16 +223,17 @@ class Poly:
         Returns ``(variable, value)`` where value is the forced assignment
         (``x`` forces 0, ``x + 1`` forces 1), or None if not a unit.
         """
-        ms = self._monomials
-        if len(ms) == 1:
+        ms = self._masks
+        n = len(ms)
+        if n == 1:
             (m,) = ms
-            if len(m) == 1:
-                return (m[0], 0)
+            if m and not m & (m - 1):
+                return (m.bit_length() - 1, 0)
             return None
-        if len(ms) == 2 and mono.ONE in ms:
-            other = next(m for m in ms if m)
-            if len(other) == 1:
-                return (other[0], 1)
+        if n == 2 and 0 in ms:
+            for m in ms:
+                if m and not m & (m - 1):
+                    return (m.bit_length() - 1, 1)
         return None
 
     def as_equivalence(self) -> Optional[Tuple[int, int, int]]:
@@ -241,14 +241,15 @@ class Poly:
 
         Returns ``(x, y, c)`` meaning ``x = y ⊕ c`` with x > y, or None.
         """
-        ms = self._monomials
-        c = 1 if mono.ONE in ms else 0
+        ms = self._masks
+        c = 1 if 0 in ms else 0
+        if len(ms) != 2 + c:
+            return None
         vs = [m for m in ms if m]
-        if len(vs) != 2 or len(ms) != 2 + c:
+        a, b = vs
+        if a & (a - 1) or b & (b - 1):
             return None
-        if any(len(m) != 1 for m in vs):
-            return None
-        a, b = vs[0][0], vs[1][0]
+        a, b = a.bit_length() - 1, b.bit_length() - 1
         if a < b:
             a, b = b, a
         return (a, b, c)
@@ -257,12 +258,13 @@ class Poly:
         """Recognise the facts ``x_{i1}..x_{ip} + 1`` with p >= 1.
 
         These force every participating variable to 1 (paper fact type 2).
-        Returns the monomial, or None.
+        Returns the monomial as a variable tuple, or None.
         """
-        ms = self._monomials
-        if len(ms) == 2 and mono.ONE in ms:
-            other = next(m for m in ms if m)
-            return other
+        ms = self._masks
+        if len(ms) == 2 and 0 in ms:
+            for m in ms:
+                if m:
+                    return mono.as_tuple(m)
         return None
 
     def as_linear_equation(self) -> Optional[Tuple[Tuple[int, ...], int]]:
@@ -273,15 +275,16 @@ class Poly:
         """
         if not self.is_linear():
             return None
-        const = 1 if mono.ONE in self._monomials else 0
-        vs = tuple(sorted(m[0] for m in self._monomials if m))
+        ms = self._masks
+        const = 1 if 0 in ms else 0
+        vs = tuple(sorted(m.bit_length() - 1 for m in ms if m))
         return (vs, const)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         """GF(2) addition (XOR): symmetric difference of monomial sets."""
-        return Poly._from_frozenset(self._monomials ^ other._monomials)
+        return Poly._from_frozenset(self._masks ^ other._masks)
 
     __xor__ = __add__
     __sub__ = __add__
@@ -289,40 +292,36 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         """Boolean-ring product; distributes and cancels mod 2.
 
-        On the mask path each term is one OR of two cached monomial
-        masks plus an interning lookup, at any variable width.
+        Each term is one OR of two monomial masks, at any variable width.
         """
-        if not self._monomials or not other._monomials:
+        if not self._masks or not other._masks:
             return _ZERO
-        acc: Set[Monomial] = set()
+        acc: Set[int] = set()
         toggle_in, toggle_out = acc.add, acc.discard
-        from_mask = mono.from_mask
-        b_pairs = other.monomial_masks()
-        for ma, _ in self.monomial_masks():
-            for mb, _ in b_pairs:
-                m = from_mask(ma | mb)
+        b_masks = other._masks
+        for ma in self._masks:
+            for mb in b_masks:
+                m = ma | mb
                 if m in acc:
                     toggle_out(m)
                 else:
                     toggle_in(m)
         return Poly._from_frozenset(frozenset(acc))
 
-    def mul_monomial(self, m: Monomial) -> "Poly":
-        """``self * m`` for a single monomial — one pass, no nested loop.
+    def mul_monomial(self, mask: int) -> "Poly":
+        """``self * m`` for a single monomial mask — one pass, no nested
+        loop.
 
         The workhorse of XL expansion and Buchberger reduction, where one
-        operand is always a monomial; with cached bitmask monomials each
-        term is a single OR plus an interning lookup.
+        operand is always a monomial; each term is a single OR.
         """
-        if not self._monomials:
+        if not self._masks:
             return _ZERO
-        if not m:
+        if not mask:
             return self
-        acc: Set[Monomial] = set()
-        mmask = mono.mask_of(m)
-        from_mask = mono.from_mask
-        for mk, _ in self.monomial_masks():
-            prod = from_mask(mk | mmask)
+        acc: Set[int] = set()
+        for mk in self._masks:
+            prod = mk | mask
             if prod in acc:
                 acc.discard(prod)
             else:
@@ -343,27 +342,25 @@ class Poly:
 
         Mask-native: one AND against the cached support mask screens the
         whole polynomial, one AND per monomial screens the term, and
-        each product is a single mask OR plus an interning lookup — no
-        tuple merges at any variable width.
+        each product is a single mask OR at any variable width.
         """
         if var < 0:
             raise ValueError("negative variable index: {}".format(var))
         bit = 1 << var
         if not self.support_mask() & bit:
             return self
-        acc: Set[Monomial] = set()
-        from_mask = mono.from_mask
-        rep_pairs = replacement.monomial_masks()
-        for mk, m in self.monomial_masks():
+        acc: Set[int] = set()
+        rep_masks = replacement._masks
+        for mk in self._masks:
             if not mk & bit:
-                if m in acc:
-                    acc.discard(m)
+                if mk in acc:
+                    acc.discard(mk)
                 else:
-                    acc.add(m)
+                    acc.add(mk)
                 continue
             rest = mk & ~bit
-            for rk, _ in rep_pairs:
-                prod = from_mask(rest | rk)
+            for rk in rep_masks:
+                prod = rest | rk
                 if prod in acc:
                     acc.discard(prod)
                 else:
@@ -384,7 +381,7 @@ class Poly:
         width-adaptive AND screens each monomial (most monomials of a
         dirtied equation do not mention a substituted variable), dead
         monomials die on a second AND, and the rewritten base monomial is
-        assembled by mask OR instead of list-sort.
+        assembled by mask OR.
 
         ``AnfSystem.normalize`` pre-splits the masks itself and calls
         :meth:`substitute_masks` directly.
@@ -421,15 +418,14 @@ class Poly:
         ``y`` / ``y + 1`` (with ``alias[v] = (y, parity)``); bits in
         ``sub_mask`` only are replaced by constant 1 and simply drop out.
         """
-        acc: Set[Monomial] = set()
-        from_mask = mono.from_mask
-        for mk, m in self.monomial_masks():
+        acc: Set[int] = set()
+        for mk in self._masks:
             hit = mk & sub_mask
             if not hit:
-                if m in acc:
-                    acc.discard(m)
+                if mk in acc:
+                    acc.discard(mk)
                 else:
-                    acc.add(m)
+                    acc.add(mk)
                 continue
             if hit & dead_mask:
                 continue
@@ -447,60 +443,69 @@ class Poly:
                         negated = []
                     negated.append(y)
             if not negated:
-                bm = from_mask(base_mask)
-                if bm in acc:
-                    acc.discard(bm)
+                if base_mask in acc:
+                    acc.discard(base_mask)
                 else:
-                    acc.add(bm)
+                    acc.add(base_mask)
                 continue
             # Π (y_i + 1) = Σ over subsets; empty when the product dies.
             for pmask in mono.expand_negated_mask(base_mask, negated):
-                pm = from_mask(pmask)
-                if pm in acc:
-                    acc.discard(pm)
+                if pmask in acc:
+                    acc.discard(pmask)
                 else:
-                    acc.add(pm)
+                    acc.add(pmask)
         return Poly._from_frozenset(frozenset(acc))
 
     def evaluate(self, assignment) -> int:
         """Evaluate under a full assignment (mapping or sequence); 0 or 1."""
         acc = 0
-        for m in self._monomials:
-            acc ^= mono.evaluate(m, assignment)
+        for mk in self._masks:
+            while mk:
+                low = mk & -mk
+                if not assignment[low.bit_length() - 1]:
+                    break
+                mk ^= low
+            else:
+                acc ^= 1
         return acc
 
     def evaluate_mask(self, amask: int) -> int:
         """Evaluate under a packed assignment mask (see
         :func:`repro.anf.monomial.assignment_mask`); 0 or 1.
 
-        One subset test per monomial on the interned masks — the fast
-        path for sweeping a whole system against one assignment.
+        One subset test per monomial mask — the fast path for sweeping a
+        whole system against one assignment.
         """
         acc = 0
-        for mk, _ in self.monomial_masks():
+        for mk in self._masks:
             if mk & amask == mk:
                 acc ^= 1
         return acc
 
     def remap(self, var_map: Dict[int, int]) -> "Poly":
         """Rename variables through ``var_map`` (must cover all variables)."""
-        return Poly(mono.make(var_map[v] for v in m) for m in self._monomials)
+        return Poly(
+            [var_map[v] for v in mono.bits_of(mk)] for mk in self._masks
+        )
 
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._monomials == other._monomials
+        return self._masks == other._masks
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._monomials)
-        return self._hash
+        # A frozenset caches its own hash.
+        return hash(self._masks)
 
     def sorted_monomials(self) -> list:
-        """Monomials in descending degree-lexicographic order (for display)."""
-        return sorted(self._monomials, key=mono.deglex_key, reverse=True)
+        """Monomial tuples in descending degree-lexicographic order (for
+        display)."""
+        return [
+            mono.as_tuple(m)
+            for m in sorted(self._masks, key=mono.deglex_desc_key)
+        ]
 
     def __repr__(self) -> str:
         return "Poly({})".format(self.to_string())
@@ -511,7 +516,7 @@ class Poly:
         ``names`` maps a variable index to a display name; the default is
         ``x<index>``.
         """
-        if not self._monomials:
+        if not self._masks:
             return "0"
         parts = []
         for m in self.sorted_monomials():
@@ -527,13 +532,13 @@ class Poly:
 class PolyBuilder:
     """Mutable GF(2) accumulator for hot loops.
 
-    Collects monomials with XOR semantics (a monomial added twice
+    Collects monomial masks with XOR semantics (a monomial added twice
     cancels) in one mutable set, then materialises a single :class:`Poly`.
     This avoids the per-step frozenset allocation of chained ``p + q``
     in accumulation-heavy code (see the CNF→ANF clause conversion).
 
     >>> b = PolyBuilder()
-    >>> b.add_monomial((1,)); b.add_monomial((1,)); b.add_monomial((2,))
+    >>> b.add_monomial(0b10); b.add_monomial(0b10); b.add_monomial(0b100)
     >>> b.build().to_string()
     'x2'
     """
@@ -541,24 +546,24 @@ class PolyBuilder:
     __slots__ = ("_acc",)
 
     def __init__(self, start: Optional[Poly] = None):
-        self._acc: Set[Monomial] = set(start._monomials) if start else set()
+        self._acc: Set[int] = set(start._masks) if start else set()
 
-    def add_monomial(self, m: Monomial) -> None:
-        """XOR a single monomial into the accumulator."""
+    def add_monomial(self, mask: int) -> None:
+        """XOR a single monomial mask into the accumulator."""
         acc = self._acc
-        if m in acc:
-            acc.discard(m)
+        if mask in acc:
+            acc.discard(mask)
         else:
-            acc.add(m)
+            acc.add(mask)
 
     def add_poly(self, p: Poly) -> None:
         """XOR a whole polynomial into the accumulator."""
-        self._acc ^= p._monomials
+        self._acc ^= p._masks
 
-    def add_monomials(self, monomials: Iterable[Monomial]) -> None:
-        """XOR an iterable of monomials into the accumulator."""
+    def add_monomials(self, masks: Iterable[int]) -> None:
+        """XOR an iterable of monomial masks into the accumulator."""
         add = self.add_monomial
-        for m in monomials:
+        for m in masks:
             add(m)
 
     def __len__(self) -> int:
@@ -579,5 +584,5 @@ class PolyBuilder:
 
 
 _ZERO = Poly()
-_ONE = Poly([mono.ONE])
 _ONE_SET = frozenset([mono.ONE])
+_ONE = Poly._from_frozenset(_ONE_SET)

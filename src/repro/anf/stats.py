@@ -66,7 +66,7 @@ def describe_system(polynomials: Sequence[Poly]) -> SystemStats:
         total_terms += size
         stats.max_equation_size = max(stats.max_equation_size, size)
         variables.update(p.variables())
-        distinct.update(p.monomials)
+        distinct.update(p.masks)
     stats.n_variables = len(variables)
     stats.n_monomials = total_terms
     stats.n_distinct_monomials = len(distinct)

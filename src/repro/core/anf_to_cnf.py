@@ -34,14 +34,14 @@ delta is the whole formula.
 
 Mask-native conversion path
 ---------------------------
-The production converter rides the packed monomial masks end to end
-(ROADMAP "Standing invariants"): the monomial→CNF-variable map is
-interned by monomial *mask* (int hash, exactly as
-:class:`~repro.core.linearize.Linearization` interns its column map),
-chunk supports and Tseitin AND definitions come from the cached
-``Poly.monomial_masks()`` pairs instead of ``for v in m`` tuple loops,
-and the Karnaugh truth table is one numpy broadcast over
-support-compressed term masks
+The production converter rides the monomial masks a ``Poly`` is made of
+end to end (ROADMAP "Standing invariants"): the monomial→CNF-variable
+map is keyed by monomial *mask* (int hash, exactly as
+:class:`~repro.core.linearize.Linearization` keys its column map), a
+polynomial's terms are put in ascending deglex order by the mask-native
+:func:`~repro.anf.monomial.deglex_desc_key` without decoding a tuple,
+chunk supports are mask ORs, and the Karnaugh truth table is one numpy
+broadcast over support-compressed term masks
 (:func:`~repro.minimize.truthtable.truth_table_masks`).  On top sits a
 structure-keyed *Karnaugh cache*: chunks whose
 :func:`~repro.anf.monomial.shape_key` agree are the same Boolean
@@ -58,6 +58,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..anf import monomial as mono
@@ -70,10 +72,6 @@ from ..obs import NULL_TRACER, MetricsRegistry
 from ..sat.dimacs import CnfFormula
 from ..sat.types import mk_lit
 from .config import Config
-
-#: A chunk term on the mask path: (monomial mask, monomial tuple).
-_TermPair = Tuple[int, Monomial]
-
 
 @dataclass
 class ConversionStats:
@@ -118,9 +116,12 @@ class ConversionResult:
       only in :attr:`cut_vars` (it stands for no monomial, so it never
       appears in :attr:`monomial_of_var`).
 
-    The maps are the session's: they cover every auxiliary the session
-    has numbered so far, so a model or a learnt literal of an
-    incremental solver fed by earlier conversions translates too.
+    The maps hold variable tuples.  The encoding never reads them (it
+    looks monomials up by mask); it writes a tuple once, when it numbers
+    the variable.  They are the session's maps: they cover every
+    auxiliary the session has numbered so far, so a model or a learnt
+    literal of an incremental solver fed by earlier conversions
+    translates too.
     ``delta`` holds the clauses and XORs this conversion emitted that
     its session had never emitted before.
     """
@@ -234,10 +235,7 @@ def _fingerprint(n_vars, poly_keys, state_clauses, config: Config) -> tuple:
 
 def _poly_key(p: Poly) -> tuple:
     """A polynomial's sorted monomial masks plus its constant term."""
-    return (
-        tuple(sorted(mk for mk, _ in p.monomial_masks())),
-        1 if p.has_constant_term() else 0,
-    )
+    return (tuple(sorted(p)), 1 if p.has_constant_term() else 0)
 
 
 def _state_clauses(state) -> List[List[int]]:
@@ -278,10 +276,10 @@ def _infer_n_vars(polynomials: Sequence[Poly]) -> int:
 class ConversionSession:
     """Run-wide conversion state: one CNF numbering, a clause memo.
 
-    The mask-native production path: chunk terms are (mask, monomial)
-    pairs straight off ``Poly.monomial_masks()``, the monomial→variable
-    map is keyed by mask on the hot path, supports are mask ORs, and
-    Karnaugh covers come from the converter's structure-keyed cache.
+    The mask-native production path: chunk terms are a polynomial's
+    monomial masks, the monomial→variable map is keyed by mask, supports
+    are mask ORs, and Karnaugh covers come from the converter's
+    structure-keyed cache.
 
     A fresh polynomial's encoding is recorded as a list of *items*: a
     clause (list), an XOR ``(variables, rhs)`` (tuple) or a monomial
@@ -306,7 +304,7 @@ class ConversionSession:
         # Auxiliary-variable lookup by monomial mask.  Single-variable
         # terms never route through here (``_emit_tseitin`` resolves a
         # single-bit mask to its variable inline), so only degree >= 2
-        # monomials are interned.
+        # monomials get an entry.
         self._var_of_mask: Dict[int, int] = {}
         self._definitions: Dict[int, List[List[int]]] = {}
         # Monomial variables whose definition some delta has carried.
@@ -453,7 +451,7 @@ class ConversionSession:
         self.cut_vars = result.cut_vars
         self.next_var = result.formula.n_vars
         self._var_of_mask = {
-            mono.mask_of(m): y
+            mono.make(m): y
             for y, m in self.monomial_of_var.items()
             if y >= self.n_vars
         }
@@ -496,19 +494,20 @@ class ConversionSession:
         """A fresh polynomial's items (see the class docstring)."""
         self._items = items = []
         rhs = 1 if p.has_constant_term() else 0
-        pairs = [(mk, m) for mk, m in p.monomial_masks() if mk]
-        if not pairs:
+        terms = [mk for mk in p if mk]
+        if not terms:
             if rhs:
                 items.append([])  # 1 = 0: the empty clause
             return items
-        pairs.sort(key=_pair_deglex_key)
-        for chunk, chunk_rhs in self._cut(pairs, rhs):
+        # Ascending deglex.
+        terms.sort(key=mono.deglex_desc_key, reverse=True)
+        for chunk, chunk_rhs in self._cut(terms, rhs):
             self._emit_short(chunk, chunk_rhs)
         return items
 
     def _cut(
-        self, pairs: List[_TermPair], rhs: int
-    ) -> Iterator[Tuple[List[_TermPair], int]]:
+        self, terms: List[int], rhs: int
+    ) -> Iterator[Tuple[List[int], int]]:
         """XOR-cutting: split into chunks of at most L terms.
 
         The effective cut length is clamped to 3: a chunk of 2 would be
@@ -517,33 +516,31 @@ class ConversionSession:
         ``xor_cut_len <= 2``).
         """
         cut_len = max(self.config.xor_cut_len, 3)
-        while len(pairs) > cut_len:
-            head, tail = pairs[: cut_len - 1], pairs[cut_len - 1:]
+        while len(terms) > cut_len:
+            head, tail = terms[: cut_len - 1], terms[cut_len - 1:]
             aux = self.fresh_var()
             self.cut_vars.add(aux)
             self.stats.cut_vars += 1
-            aux_pair = (1 << aux, (aux,))
+            aux_mask = 1 << aux
             # aux = head_1 ⊕ ... (definition: head ⊕ aux = 0).
-            yield (head + [aux_pair], 0)
-            pairs = [aux_pair] + tail
-        yield (pairs, rhs)
+            yield (head + [aux_mask], 0)
+            terms = [aux_mask] + tail
+        yield (terms, rhs)
 
-    def _emit_short(self, pairs: List[_TermPair], rhs: int) -> None:
-        support_mask = 0
-        for mk, _ in pairs:
-            support_mask |= mk
+    def _emit_short(self, terms: List[int], rhs: int) -> None:
+        support_mask = reduce(or_, terms)
         if support_mask.bit_count() <= self.config.karnaugh_limit:
-            self._emit_karnaugh(pairs, rhs, support_mask)
+            self._emit_karnaugh(terms, rhs, support_mask)
         else:
-            self._emit_tseitin(pairs, rhs)
+            self._emit_tseitin(terms, rhs)
 
     # -- approach 1: Karnaugh map + minimisation ------------------------------
 
     def _emit_karnaugh(
-        self, pairs: List[_TermPair], rhs: int, support_mask: int
+        self, terms: List[int], rhs: int, support_mask: int
     ) -> None:
         self.stats.karnaugh_polys += 1
-        key = mono.shape_key((mk for mk, _ in pairs), support_mask, rhs)
+        key = mono.shape_key(terms, support_mask, rhs)
         n = key[0]
         karnaugh_cache = self.converter._karnaugh_cache
         store = self.converter.store
@@ -564,9 +561,10 @@ class ConversionSession:
                 on_set = truth_table_masks(local_masks, n, rhs)
             else:
                 # Absurdly large K: fall back to the per-row evaluation
-                # on the local problem (still cached by shape).
-                local_poly = Poly(
-                    [mono.from_mask(lm) for lm in local_masks]
+                # on the local problem (still cached by shape).  Local
+                # masks of distinct terms are distinct.
+                local_poly = Poly._from_frozenset(
+                    frozenset(local_masks)
                 ).add_constant(rhs)
                 on_set = truth_table(local_poly, list(range(n)))
             cubes = minimize(on_set, n)
@@ -586,28 +584,29 @@ class ConversionSession:
 
     # -- approach 2: Tseitin-style monomial vars + XOR enumeration -----------
 
-    def _monomial_var(self, mk: int, m: Monomial) -> int:
+    def _monomial_var(self, mk: int) -> int:
         """CNF variable standing for the monomial, numbered on first use."""
         existing = self._var_of_mask.get(mk)
         if existing is not None:
             return existing
         y = self.fresh_var()
         self._var_of_mask[mk] = y
+        m = mono.as_tuple(mk)
         self.var_of_monomial[m] = y
         self.monomial_of_var[y] = m
         self.stats.monomial_vars += 1
         self.stats.and_clauses += len(m) + 1
         return y
 
-    def _emit_tseitin(self, pairs: List[_TermPair], rhs: int) -> None:
+    def _emit_tseitin(self, terms: List[int], rhs: int) -> None:
         self.stats.tseitin_polys += 1
         items = self._items
         term_vars = []
-        for mk, m in pairs:
+        for mk in terms:
             if mk & (mk - 1) == 0:  # single-bit mask: the variable itself
                 term_vars.append(mk.bit_length() - 1)
             else:
-                y = self._monomial_var(mk, m)
+                y = self._monomial_var(mk)
                 items.append(y)
                 term_vars.append(y)
         if self.config.emit_xor_clauses:
@@ -626,8 +625,3 @@ class ConversionSession:
             ]
             items.append(clause)
             self.stats.tseitin_clauses += 1
-
-
-def _pair_deglex_key(pair: _TermPair):
-    m = pair[1]
-    return (len(m), m)

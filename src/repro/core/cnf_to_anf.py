@@ -67,7 +67,7 @@ def clause_to_poly(lits: Sequence[int]) -> Poly:
     if not masks:
         return Poly.zero()  # v * (v + 1) = 0: tautological clause
     builder = PolyBuilder()
-    builder.add_monomials(mono.from_mask(mk) for mk in masks)
+    builder.add_monomials(masks)
     return builder.build()
 
 

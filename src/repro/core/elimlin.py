@@ -88,7 +88,9 @@ def _substitution_fn(target: int, others: Sequence[int], const: int):
         # target := y (+ 1) — an alias literal.
         alias = {target: (others[0], const)}
         return lambda p: p.substitute_masks(bit, 0, bit, alias)
-    replacement = Poly([(v,) for v in others]).add_constant(const)
+    replacement = Poly._from_frozenset(
+        frozenset([1 << v for v in others])
+    ).add_constant(const)
     return lambda p: p.substitute(target, replacement)
 
 

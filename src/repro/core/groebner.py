@@ -7,9 +7,12 @@ Gröbner engine: a budgeted Buchberger over the Boolean quotient ring
 GF(2)[x]/(x²+x), in degree-lexicographic order.
 
 Because our polynomial arithmetic works in the quotient ring directly
-(monomials are variable *sets*), the field equations ``x² + x`` are
-implicit.  Reduction therefore guards against the Boolean-ring quirk where
-multiplying a reducer up can cancel its own leading term.
+(monomials are variable *sets*, held as int masks), the field equations
+``x² + x`` are implicit.  Reduction therefore guards against the
+Boolean-ring quirk where multiplying a reducer up can cancel its own
+leading term.  Divisibility is a mask subset test, the lcm a mask OR,
+and the leading monomial the minimum under
+:func:`~repro.anf.monomial.deglex_desc_key`.
 """
 
 from __future__ import annotations
@@ -43,17 +46,16 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     remainder = Poly.zero()
     work = p
     while not work.is_zero():
-        lm = work.leading_monomial()
+        lm = _lead(work)
         reduced = False
         for g in basis:
             if g.is_zero():
                 continue
-            glm = g.leading_monomial()
-            if not mono.divides(glm, lm):
-                continue
-            multiplier = tuple(v for v in lm if v not in glm)
-            lifted = g.mul_monomial(multiplier)
-            if lifted.is_zero() or lifted.leading_monomial() != lm:
+            glm = _lead(g)
+            if glm & lm != glm:
+                continue  # glm does not divide lm
+            lifted = g.mul_monomial(lm & ~glm)
+            if lifted.is_zero() or _lead(lifted) != lm:
                 continue  # Boolean collapse: this reducer cannot fire
             work = work + lifted
             reduced = True
@@ -64,14 +66,16 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     return remainder
 
 
+def _lead(p: Poly) -> int:
+    """The leading (deglex-largest) monomial mask of a non-zero ``p``."""
+    return min(p, key=mono.deglex_desc_key)
+
+
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     """The S-polynomial of f and g under deglex order."""
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
-    l = mono.lcm(lf, lg)
-    uf = tuple(v for v in l if v not in lf)
-    ug = tuple(v for v in l if v not in lg)
-    return f.mul_monomial(uf) + g.mul_monomial(ug)
+    lf = _lead(f)
+    lg = _lead(g)
+    return f.mul_monomial(lg & ~lf) + g.mul_monomial(lf & ~lg)
 
 
 def buchberger(
@@ -105,21 +109,19 @@ def buchberger(
             result.facts = _facts_from(basis)
             result.complete = False
             return result
-        # Process the pair with the smallest lcm first (normal strategy).
+        # Process the pair with the smallest lcm first (normal strategy);
+        # the sort is stable, so equal lcms keep their queue order.
         pairs.sort(
-            key=lambda ij: mono.deglex_key(
-                mono.lcm(
-                    basis[ij[0]].leading_monomial(),
-                    basis[ij[1]].leading_monomial(),
-                )
-            )
+            key=lambda ij: mono.deglex_desc_key(
+                _lead(basis[ij[0]]) | _lead(basis[ij[1]])
+            ),
+            reverse=True,
         )
         i, j = pairs.pop(0)
         result.pairs_processed += 1
         f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
         # Product criterion: coprime leading monomials reduce to zero.
-        if mono.lcm(lf, lg) == mono.mul(lf, lg) and not set(lf) & set(lg):
+        if not _lead(f) & _lead(g):
             continue
         s = s_polynomial(f, g)
         r = normal_form(s, basis)

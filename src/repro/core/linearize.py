@@ -8,12 +8,13 @@ monomials first and the surviving low-degree rows are the learnable facts.
 
 Packed column layout
 --------------------
-The monomial→column map is interned by *monomial mask* (the width-adaptive
-int bitmasks every :class:`~repro.anf.polynomial.Poly` caches per
-monomial, see :mod:`repro.anf.monomial`), so the hot encode path hashes
-small ints instead of variable tuples.  Matrices are built in bulk: one
-flat (row, column) index pass over each polynomial's cached
-``monomial_masks()`` feeds :meth:`~repro.gf2.matrix.GF2Matrix.from_cells`,
+Columns are monomial *masks* (the width-adaptive int bitmasks a
+:class:`~repro.anf.polynomial.Poly` is made of, see
+:mod:`repro.anf.monomial`), sorted by the mask-native
+:func:`~repro.anf.monomial.deglex_desc_key` without decoding a tuple,
+and the column map is keyed by mask, so the hot encode path hashes ints.
+Matrices are built in bulk: one flat (row, column) index pass over each
+polynomial's masks feeds :meth:`~repro.gf2.matrix.GF2Matrix.from_cells`,
 which scatters all 1-cells into the packed 64-bit-limb rows (the
 ``from_masks`` / ``row_mask`` layout) with a single vectorised OR.
 Decoding is batch too: :meth:`~repro.gf2.matrix.GF2Matrix.rows_cols`
@@ -26,38 +27,31 @@ baseline leg of the ``bench_solver_core`` linearisation benches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..anf import monomial as mono
-from ..anf.monomial import Monomial
 from ..anf.polynomial import Poly
 from ..gf2.elimination import eliminate
 from ..gf2.matrix import GF2Matrix
 
 
 class Linearization:
-    """A monomial→column mapping shared by a set of polynomials."""
+    """A monomial→column mapping shared by a set of polynomials.
+
+    ``columns[j]`` is the mask of column ``j``'s monomial.
+    """
 
     def __init__(self, polynomials: Sequence[Poly]):
-        monomials = set()
+        masks: Set[int] = set()
         for p in polynomials:
-            monomials.update(p.monomials)
-        monomials.discard(mono.ONE)
+            masks.update(p.masks)
+        masks.discard(mono.ONE)
         # Descending deglex; constant column (if any polynomial has one)
         # goes last, as in Table I.
-        self.columns: List[Monomial] = sorted(
-            monomials, key=mono.deglex_key, reverse=True
-        )
+        self.columns: List[int] = sorted(masks, key=mono.deglex_desc_key)
         self.columns.append(mono.ONE)
-        self.column_of: Dict[Monomial, int] = {
-            m: i for i, m in enumerate(self.columns)
-        }
-        # Mask-keyed twin of ``column_of``: the encode hot path looks
-        # columns up by each Poly's cached per-monomial masks, paying an
-        # int hash instead of a tuple hash per term.
-        mask_of = mono.mask_of
         self._col_of_mask: Dict[int, int] = {
-            mask_of(m): i for i, m in enumerate(self.columns)
+            m: i for i, m in enumerate(self.columns)
         }
 
     @property
@@ -66,23 +60,21 @@ class Linearization:
 
     def contains(self, p: Poly) -> bool:
         """True if every monomial of ``p`` has a column."""
-        col_of_mask = self._col_of_mask
-        return all(mk in col_of_mask for mk, _ in p.monomial_masks())
+        return self._col_of_mask.keys() >= p.masks
 
     def to_matrix(self, polynomials: Sequence[Poly]) -> GF2Matrix:
         """Stack the polynomials as rows of a GF(2) matrix.
 
-        Bulk path: one flat (row, column) index pass over the cached
-        per-monomial masks, then a single vectorised scatter into the
-        packed rows.  Raises ``KeyError`` if a monomial has no column.
+        Bulk path: one flat (row, column) index pass over the monomial
+        masks, then a single vectorised scatter into the packed rows.
+        Raises ``KeyError`` if a monomial has no column.
         """
-        col_of_mask = self._col_of_mask
+        column = self._col_of_mask.__getitem__
         row_idx: List[int] = []
         col_idx: List[int] = []
         for i, p in enumerate(polynomials):
-            for mk, _ in p.monomial_masks():
-                row_idx.append(i)
-                col_idx.append(col_of_mask[mk])
+            col_idx.extend(map(column, p))
+            row_idx.extend([i] * len(p))
         return GF2Matrix.from_cells(
             row_idx, col_idx, len(polynomials), self.n_cols
         )
@@ -92,15 +84,15 @@ class Linearization:
 
         One vectorised pass finds the non-zero packed words; zero rows
         (most of an RREF'd matrix) are never touched.  Distinct columns
-        decode to distinct monomials, so each row builds its polynomial
-        without a cancellation pass.
+        hold distinct masks, so each row builds its polynomial without a
+        cancellation pass.
         """
         columns = self.columns
         out = []
         for cols in matrix.rows_cols():
             if cols:
                 out.append(
-                    Poly._from_frozenset(frozenset(columns[j] for j in cols))
+                    Poly._from_frozenset(frozenset([columns[j] for j in cols]))
                 )
         return out
 
@@ -137,11 +129,7 @@ def extract_facts(reduced: Iterable[Poly]) -> Tuple[List[Poly], List[Poly]]:
         if p.is_linear():
             linear.append(p)
             continue
-        # Identity against the interned constant, not truthiness: the
-        # constant monomial must stay pinned even if a future monomial
-        # representation made empty-tuple falsiness an accident (see
-        # test_monomial.py::test_constant_monomial_identity).
-        ms = [m for m in p.monomials if m is not mono.ONE]
-        if len(ms) == 1 and len(p.monomials) <= 2:
+        ms = [m for m in p if m != mono.ONE]
+        if len(ms) == 1 and len(p) <= 2:
             monomials.append(p)
     return linear, monomials

@@ -281,7 +281,7 @@ def _reduce_linear_groups(
         const_col = len(columns)
         matrix = GF2Matrix.from_rows(
             [
-                [col_of[m[0]] if m else const_col for m in p.monomials]
+                [col_of[m.bit_length() - 1] if m else const_col for m in p]
                 for p in group
             ],
             const_col + 1,
@@ -303,7 +303,11 @@ def _reduce_linear_groups(
             n_vars = len(cols) - (1 if cols[-1] == const_col else 0)
             if n_vars > 2:
                 continue
-            p = Poly([(columns[j],) if j < const_col else () for j in cols])
+            p = Poly._from_frozenset(
+                frozenset(
+                    [1 << columns[j] if j < const_col else 0 for j in cols]
+                )
+            )
             if system.add(p):
                 fresh.append(p)
         if len(fresh) == n_fresh_before:

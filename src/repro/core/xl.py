@@ -9,9 +9,9 @@ Subsampling follows the paper: polynomials are drawn uniformly until the
 linearised system size ``m' * n'`` reaches ``2**M``, and the expansion is
 stopped once the size is near ``2**(M + δM)``.
 
-The expansion loop is mask-native: distinct monomials are tracked as a
-set of interned int bitmasks (one int hash per term instead of a tuple
-hash), a multiplier×support AND screens each product — a multiplier
+The expansion loop is mask-native: multipliers and distinct monomials
+are int bitmasks (one int hash per term), a multiplier×support AND
+screens each product — a multiplier
 disjoint from the polynomial's support cannot cancel terms, so its
 product's monomial masks are one OR each, computed *before* any ``Poly``
 is built — and the row/column/size caps are enforced **before** a row is
@@ -56,28 +56,30 @@ def _subsample(
     rng.shuffle(order)
     target = 1 << target_bits
     chosen: List[Poly] = []
-    monomial_masks: Set[int] = set()
+    seen: Set[int] = set()
     for idx in order:
         p = polys[idx]
         chosen.append(p)
-        monomial_masks.update(mk for mk, _ in p.monomial_masks())
-        if len(chosen) * max(len(monomial_masks), 1) >= target:
+        seen.update(p.masks)
+        if len(chosen) * max(len(seen), 1) >= target:
             break
     return chosen
 
 
-def _multipliers(variables: Sequence[int], degree: int) -> List[mono.Monomial]:
-    """All monomials of degree 1..``degree`` over the given variables."""
-    out: List[mono.Monomial] = []
-    current: List[mono.Monomial] = [mono.ONE]
+def _multipliers(variables: Sequence[int], degree: int) -> List[int]:
+    """Masks of all monomials of degree 1..``degree`` over the given
+    variables."""
+    out: List[int] = []
+    current: List[int] = [mono.ONE]
     for _ in range(degree):
-        nxt: List[mono.Monomial] = []
+        nxt: List[int] = []
         seen = set()
         for m in current:
             for v in variables:
-                if v in m:
+                bit = 1 << v
+                if m & bit:
                     continue
-                nm = mono.mul(m, (v,))
+                nm = m | bit
                 if nm not in seen:
                     seen.add(nm)
                     nxt.append(nm)
@@ -117,13 +119,12 @@ def run_xl(
     max_rows = config.xl_max_rows
     max_cols = config.xl_max_cols
     expanded: List[Poly] = []
-    # Distinct monomials as interned masks.  Seeded with the constant's
+    # Distinct monomials as masks.  Seeded with the constant's
     # mask (0): the linearisation always appends the constant column, so
     # counting it from the start makes the cap check equal the reported
     # ``columns`` exactly.
     col_masks: Set[int] = {0}
     multipliers = _multipliers(variables, config.xl_degree)
-    mult_masks = [mono.mask_of(m) for m in multipliers]
 
     def fits(n_rows: int, term_masks) -> bool:
         """Would a row with these monomial masks stay within every cap?
@@ -152,7 +153,7 @@ def run_xl(
     stop = False
     ordered = sorted(sample, key=lambda q: q.degree())
     for p in ordered:
-        term_masks = [mk for mk, _ in p.monomial_masks()]
+        term_masks = list(p)
         if not fits(len(expanded) + 1, term_masks):
             stop = True
             break
@@ -160,32 +161,28 @@ def run_xl(
         col_masks.update(term_masks)
     if not stop:
         for p in ordered:
-            pairs = p.monomial_masks()
             pmask = p.support_mask()
-            for m, mmask in zip(multipliers, mult_masks):
+            for mmask in multipliers:
                 if mmask & pmask:
                     # Multiplier shares variables with p: products can
                     # collide and cancel — build the real product.
-                    q = p.mul_monomial(m)
+                    q = p.mul_monomial(mmask)
                     if q.is_zero():
                         continue
-                    term_masks = [mk for mk, _ in q.monomial_masks()]
+                    term_masks = list(q)
                 else:
                     # Disjoint multiplier: every product is one mask OR
                     # and no two terms collide; the cap check needs no
                     # Poly at all.
                     q = None
-                    term_masks = [mk | mmask for mk, _ in pairs]
+                    term_masks = [mk | mmask for mk in p]
                 if not fits(len(expanded) + 1, term_masks):
                     stop = True
                     break
                 if q is None:
                     # Materialise the collision-free product from the
                     # masks just computed — no second OR pass.
-                    from_mask = mono.from_mask
-                    q = Poly._from_frozenset(
-                        frozenset(from_mask(mk) for mk in term_masks)
-                    )
+                    q = Poly._from_frozenset(frozenset(term_masks))
                 expanded.append(q)
                 col_masks.update(term_masks)
             if stop:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..anf.monomial import assignment_mask
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 
@@ -114,5 +115,5 @@ class SystemBuilder:
 
     def check_witness(self) -> bool:
         """True if the witness satisfies every generated equation."""
-        assignment = self.witness_assignment()
-        return all(p.evaluate(assignment) == 0 for p in self.equations)
+        amask = assignment_mask(self.witness_assignment())
+        return all(p.evaluate_mask(amask) == 0 for p in self.equations)

@@ -52,8 +52,8 @@ class GF2Matrix:
         rows (the :meth:`from_masks` / :meth:`row_mask` layout) with one
         vectorised OR — no per-cell ``set`` calls, no per-row loop.  This
         is the linearisation layer's bulk entry point: callers that
-        already hold flat column indices (e.g. decoded from interned
-        monomial masks) skip the per-row flattening of
+        already hold flat column indices (e.g. looked up by monomial
+        mask) skip the per-row flattening of
         :meth:`from_rows`.  Duplicate cells collapse (OR semantics).
         """
         m = GF2Matrix(n_rows, n_cols)

@@ -28,7 +28,7 @@ The slot respawns.  A death never touches a sibling slot.
 :class:`BatchScheduler` maps a function over a work list on these
 slots, driving them synchronously in the calling thread.  The function
 and the work list reach the workers as ``Process`` arguments — inherited
-copy-on-write under ``fork``, so interned ANF state is never re-pickled
+copy-on-write under ``fork``, so large inputs are never re-pickled
 — and only item indices and results cross the pipes.  An item that
 raises (or whose worker dies) yields a :class:`BatchItemError` in its
 slot; every sibling still runs and reports.

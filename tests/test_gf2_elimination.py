@@ -105,7 +105,7 @@ def test_kernel_matches_oracle_at_simon32_xl_scale():
         support |= p.support_mask()
     for p in inst.polynomials:
         for v in mono.bits_of(support):
-            q = p.mul_monomial((v,))
+            q = p.mul_monomial(1 << v)
             if not q.is_zero():
                 rows.append(q)
             if len(rows) >= 4000:

@@ -1,7 +1,10 @@
 """Tests for linearisation and GJE fact extraction (Table I machinery)."""
 
+from types import SimpleNamespace
+
 from oracles.linearize import rows_to_polys_scalar, to_matrix_scalar
 from repro.anf import Poly, Ring, parse_system
+from repro.anf.monomial import as_tuple
 from repro.anf.parser import parse_polynomial
 from repro.core import Linearization, extract_facts, gauss_jordan
 
@@ -11,11 +14,21 @@ def polys_of(text):
     return polys
 
 
+def tuple_view(lin):
+    """The linearisation with tuple columns, as the seed codecs read it."""
+    columns = [as_tuple(m) for m in lin.columns]
+    return SimpleNamespace(
+        n_cols=lin.n_cols,
+        columns=columns,
+        column_of={m: i for i, m in enumerate(columns)},
+    )
+
+
 def test_columns_ordered_descending_deglex_constant_last():
     polys = polys_of("x1*x2 + x3 + 1")
     lin = Linearization(polys)
-    assert lin.columns[0] == (1, 2)
-    assert lin.columns[-1] == ()
+    assert as_tuple(lin.columns[0]) == (1, 2)
+    assert as_tuple(lin.columns[-1]) == ()
 
 
 def test_table1_column_order():
@@ -31,7 +44,8 @@ def test_table1_column_order():
                 expanded.append(q)
     lin = Linearization(expanded)
     names = [
-        "*".join("x{}".format(v) for v in m) if m else "1" for m in lin.columns
+        "*".join("x{}".format(v) for v in as_tuple(m)) if m else "1"
+        for m in lin.columns
     ]
     assert names == ["x1*x2*x3", "x2*x3", "x1*x3", "x1*x2", "x3", "x2", "x1", "1"]
 
@@ -96,10 +110,12 @@ def test_packed_matrix_matches_scalar_oracle():
     polys = [p for p in polys if not p.is_zero()]
     lin = Linearization(polys)
     packed = lin.to_matrix(polys)
-    scalar = to_matrix_scalar(lin, polys)
+    scalar = to_matrix_scalar(tuple_view(lin), polys)
     assert (packed.to_dense() == scalar.to_dense()).all()
     packed.rref()
-    assert lin.rows_to_polys(packed) == rows_to_polys_scalar(lin, packed)
+    assert lin.rows_to_polys(packed) == rows_to_polys_scalar(
+        tuple_view(lin), packed
+    )
 
 
 def test_to_matrix_unknown_monomial_raises():
@@ -112,7 +128,7 @@ def test_to_matrix_unknown_monomial_raises():
 
 
 def test_extract_facts_drops_interned_constant():
-    """The constant filter is identity against ``mono.ONE`` — a bare
+    """The constant filter drops the constant mask ``mono.ONE`` — a bare
     ``m ⊕ 1`` classifies as a monomial fact, a two-monomial nonlinear
     row without a constant does not."""
     _, monos = extract_facts(polys_of("x1*x2 + 1"))

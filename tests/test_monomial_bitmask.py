@@ -1,11 +1,11 @@
 """Differential harness: width-adaptive mask path vs the tuple oracle.
 
-The monomial layer shadows *every* monomial with a width-adaptive int
-bitmask and routes mul/divides/lcm/remove through bitwise ops; the
-historical sorted-tuple merges live in ``tests/oracles/monomial.py``.
-These property tests cross-check the two at widths straddling the
-64-bit limb boundaries (63, 64, 65, 127, 128, 1000 variables) and cover
-the mask <-> packed-word interop with ``gf2.matrix``.
+A monomial is a width-adaptive int bitmask and mul/divides/lcm/remove
+are bitwise ops on it; the historical sorted-tuple merges live in
+``tests/oracles/monomial.py``.  These property tests cross-check the two
+(decoding masks with ``as_tuple``) at widths straddling the 64-bit limb
+boundaries (63, 64, 65, 127, 128, 1000 variables) and cover the mask <->
+packed-word interop with ``gf2.matrix``.
 """
 
 import random
@@ -40,64 +40,72 @@ def tuple_mul(a, b):
     return tuple(sorted(set(a) | set(b)))
 
 
+T = mono.as_tuple
+
+
 # -- differential fuzz: mask path vs tuple oracle ------------------------------
 
 
 @given(monomial_pair())
 def test_make_matches_oracle(pair):
     a, _ = pair
-    assert mono.make(a) == oracle.make(a) == tuple(sorted(set(a)))
+    assert T(mono.make(a)) == oracle.make(a) == tuple(sorted(set(a)))
 
 
 @given(monomial_pair())
 def test_mul_matches_oracle_and_reference(pair):
     a, b = pair
-    ma, mb = mono.make(a), mono.make(b)
-    got = mono.mul(ma, mb)
-    assert got == oracle.mul(ma, mb) == tuple_mul(ma, mb)
+    ta, tb = oracle.make(a), oracle.make(b)
+    got = T(mono.make(a) | mono.make(b))
+    assert got == oracle.mul(ta, tb) == tuple_mul(ta, tb)
 
 
 @given(monomial_pair())
 def test_divides_matches_oracle(pair):
     a, b = pair
     ma, mb = mono.make(a), mono.make(b)
-    assert mono.divides(ma, mb) == oracle.divides(ma, mb)
-    assert mono.divides(ma, mb) == set(ma).issubset(set(mb))
+    ta, tb = oracle.make(a), oracle.make(b)
+    assert (ma & mb == ma) == oracle.divides(ta, tb)
+    assert (ma & mb == ma) == set(ta).issubset(set(tb))
 
 
 @given(monomial_pair())
 def test_lcm_matches_oracle(pair):
     a, b = pair
-    ma, mb = mono.make(a), mono.make(b)
-    assert mono.lcm(ma, mb) == oracle.lcm(ma, mb) == tuple_mul(ma, mb)
+    ta, tb = oracle.make(a), oracle.make(b)
+    got = T(mono.make(a) | mono.make(b))
+    assert got == oracle.lcm(ta, tb) == tuple_mul(ta, tb)
 
 
 @given(monomial_pair())
 def test_remove_matches_oracle(pair):
     a, _ = pair
     m = mono.make(a)
-    for v in m:
-        assert mono.remove(m, v) == oracle.remove(m, v)
-        assert mono.remove(m, v) == tuple(x for x in m if x != v)
+    t = oracle.make(a)
+    for v in mono.bits_of(m):
+        assert T(m & ~(1 << v)) == oracle.remove(t, v)
+        assert T(m & ~(1 << v)) == tuple(x for x in t if x != v)
 
 
 @given(monomial_pair())
 def test_intern_matches_oracle(pair):
+    """A sorted tuple survives the round trip through its mask, and every
+    ordering of its variables gives the same mask."""
     a, _ = pair
     m = tuple(sorted(set(a)))
-    assert mono.intern(m) == oracle.intern(m) == m
-    # Interning is identity-stable on the mask path at any width.
-    assert mono.intern(m) is mono.intern(tuple(m))
+    assert T(mono.make(m)) == oracle.intern(m) == m
+    assert mono.make(m) == mono.make(reversed(a)) == mono.make(a)
 
 
 @given(monomial_pair())
 def test_deglex_key_matches_oracle(pair):
     a, b = pair
+    key = mono.deglex_desc_key
     ma, mb = mono.make(a), mono.make(b)
-    assert mono.deglex_key(ma) == oracle.deglex_key(ma)
-    assert (mono.deglex_key(ma) < mono.deglex_key(mb)) == (
-        oracle.deglex_key(ma) < oracle.deglex_key(mb)
-    )
+    ta, tb = oracle.make(a), oracle.make(b)
+    want_a, want_b = oracle.deglex_key(ta), oracle.deglex_key(tb)
+    assert (key(ma) == key(mb)) == (want_a == want_b)
+    assert (key(ma) < key(mb)) == (want_a > want_b)
 
 
 @st.composite
@@ -137,7 +145,7 @@ def test_poly_product_matches_oracle_at_width(width, seed):
 
     def rand_poly():
         return Poly(
-            mono.make(rng.sample(range(width), rng.randint(0, 3)))
+            oracle.make(rng.sample(range(width), rng.randint(0, 3)))
             for _ in range(4)
         )
 
@@ -150,46 +158,47 @@ def test_poly_product_matches_oracle_at_width(width, seed):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_mask_round_trip_at_width(width):
-    m = mono.make([0, width - 1, width // 2])
-    mask = mono.mask_of(m)
+    vs = [0, width - 1, width // 2]
+    mask = mono.make(vs)
     assert mask > 0
-    assert mono.from_mask(mask) == m
-    assert mono.intern(m) is mono.from_mask(mask)
+    assert T(mask) == oracle.make(vs)
+    assert mono.make(T(mask)) == mask
 
 
 def test_wide_monomials_are_masked_and_interned():
     """Beyond one limb the mask keeps working — no sentinel, no fallback."""
     m = mono.make([1, mono.LIMB_BITS + 3])
-    assert mono.mask_of(m) == (1 << 1) | (1 << (mono.LIMB_BITS + 3))
-    assert mono.intern(m) is mono.make([mono.LIMB_BITS + 3, 1])
+    assert m == (1 << 1) | (1 << (mono.LIMB_BITS + 3))
+    assert m == mono.make([mono.LIMB_BITS + 3, 1])
 
 
 def test_from_mask_any_width():
-    assert mono.from_mask(1 << mono.LIMB_BITS) == (mono.LIMB_BITS,)
-    assert mono.from_mask(1 << 1000) == (1000,)
+    assert T(1 << mono.LIMB_BITS) == (mono.LIMB_BITS,)
+    assert T(1 << 1000) == (1000,)
     with pytest.raises(ValueError):
-        mono.from_mask(-1)
+        T(-1)
 
 
 def test_mul_across_limb_boundary():
     """Operands in different limbs still produce the sorted-tuple union."""
     ma = mono.make([2, 63])
     mb = mono.make([64, 65, 700])
-    assert mono.mask_of(ma).bit_length() == 64
-    assert mono.mask_of(mb).bit_length() == 701
-    assert mono.mul(ma, mb) == (2, 63, 64, 65, 700)
-    assert mono.mul(mb, ma) == (2, 63, 64, 65, 700)
-    assert mono.divides(ma, mono.mul(ma, mb))
-    assert not mono.divides(mb, ma)
+    assert ma.bit_length() == 64
+    assert mb.bit_length() == 701
+    assert T(ma | mb) == (2, 63, 64, 65, 700)
+    assert T(mb | ma) == (2, 63, 64, 65, 700)
+    assert ma & (ma | mb) == ma
+    assert mb & ma != mb
 
 
 def test_raw_tuples_interoperate_with_interned():
-    """Raw tuples built by callers compare and hash like interned ones."""
-    raw = (2, 5)
-    interned = mono.make([5, 2])
-    assert raw == interned
-    assert hash(raw) == hash(interned)
-    assert mono.mul(raw, (3,)) == (2, 3, 5)
+    """Tuples in any variable order build equal, equally hashed
+    polynomials; products of their masks decode to the sorted union."""
+    raw = Poly([(2, 5)])
+    shuffled = Poly([(5, 2)])
+    assert raw == shuffled
+    assert hash(raw) == hash(shuffled)
+    assert T(mono.make((2, 5)) | mono.make((3,))) == (2, 3, 5)
 
 
 # -- negative variable indices: uniform ValueError, mask path and oracle -----
@@ -205,16 +214,16 @@ def test_make_rejects_negative_indices_on_both_paths(bad):
 
 def test_mask_of_rejects_negative_indices():
     with pytest.raises(ValueError):
-        mono.mask_of((-3,))
+        Poly([(-3,)])
     with pytest.raises(ValueError):
-        mono.mask_of((0, 2, -1))
+        Poly([(0, 2, -1)])
 
 
 def test_intern_and_remove_reject_negative_indices_on_both_paths():
     with pytest.raises(ValueError):
-        mono.intern((-4,))
+        Poly.variable(-4)
     with pytest.raises(ValueError):
-        mono.remove((1, 2), -1)
+        Poly([(1, 2)]).substitute(-1, Poly.one())
     with pytest.raises(ValueError):
         oracle.intern((-4,))
     with pytest.raises(ValueError):
@@ -226,7 +235,7 @@ def test_intern_and_remove_reject_negative_indices_on_both_paths():
 
 @given(st.lists(st.integers(0, 999), max_size=12))
 def test_mask_words_round_trip(vars_):
-    mask = mono.mask_of(mono.make(vars_))
+    mask = mono.make(vars_)
     words = mono.mask_words(mask)
     assert all(0 <= w < (1 << mono.LIMB_BITS) for w in words)
     assert mono.mask_from_words(words) == mask
@@ -248,7 +257,7 @@ def test_mask_words_rejects_too_few_words_and_bad_input():
 @given(st.lists(st.lists(st.integers(0, 199), max_size=10), max_size=8))
 def test_gf2matrix_from_masks_matches_from_rows(rows):
     n_cols = 200
-    masks = [mono.mask_of(mono.make(r)) for r in rows]
+    masks = [mono.make(r) for r in rows]
     a = GF2Matrix.from_masks(masks, n_cols)
     b = GF2Matrix.from_rows([sorted(set(r)) for r in rows], n_cols)
     assert (a.to_dense() == b.to_dense()).all()
@@ -276,7 +285,7 @@ def test_random_polynomial_products_match_reference():
 
     def rand_poly(n_vars, n_terms):
         return Poly(
-            mono.make(rng.sample(range(n_vars), rng.randint(0, 3)))
+            oracle.make(rng.sample(range(n_vars), rng.randint(0, 3)))
             for _ in range(n_terms)
         )
 
@@ -299,7 +308,7 @@ def test_poly_evaluate_agrees_across_boundary():
     n_vars = mono.LIMB_BITS + 10
     for _ in range(30):
         p = Poly(
-            mono.make(rng.sample(range(n_vars), rng.randint(0, 3)))
+            oracle.make(rng.sample(range(n_vars), rng.randint(0, 3)))
             for _ in range(5)
         )
         assignment = [rng.randint(0, 1) for _ in range(n_vars)]
@@ -313,7 +322,7 @@ def test_poly_evaluate_agrees_across_boundary():
 
 
 def test_support_mask_matches_variables():
-    p = Poly([mono.make([1, 70]), mono.make([128, 500]), mono.ONE])
+    p = Poly([(1, 70), (500, 128), ()])
     assert p.variables() == frozenset([1, 70, 128, 500])
     assert p.support_mask() == (1 << 1) | (1 << 70) | (1 << 128) | (1 << 500)
     assert mono.bits_of(p.support_mask()) == sorted(p.variables())

@@ -31,6 +31,25 @@ def test_triple_monomial_survives_once():
     assert Poly([(1,), (1,), (1,)]) == Poly.variable(1)
 
 
+def test_tuple_constructor_ignores_variable_order():
+    assert Poly([(2, 1)]) == Poly([(1, 2)])
+    assert hash(Poly([(2, 1)])) == hash(Poly([(1, 2)]))
+    assert Poly([(2, 1), (1, 2)]).is_zero()
+
+
+def test_tuple_constructor_collapses_repeated_variables():
+    # x1 * x1 = x1 in the Boolean ring.
+    assert Poly([(1, 1)]).degree() == 1
+    assert Poly([(1, 1)]) == Poly.variable(1)
+
+
+def test_negative_variable_index_raises_at_construction():
+    with pytest.raises(ValueError):
+        Poly.variable(-1)
+    with pytest.raises(ValueError):
+        Poly([(0, -1)])
+
+
 def test_zero_one_constants():
     assert Poly.zero().is_zero()
     assert Poly.one().is_one()
