@@ -66,12 +66,9 @@ class Poly:
         polynomial.
         """
         acc: Set[int] = set()
+        make = mono.make
         for m in monomials:
-            mk = 0
-            for v in m:
-                if v < 0:
-                    raise ValueError("negative variable index: {}".format(v))
-                mk |= 1 << v
+            mk = make(m)
             if mk in acc:
                 acc.discard(mk)
             else:

@@ -58,10 +58,6 @@ class Linearization:
     def n_cols(self) -> int:
         return len(self.columns)
 
-    def contains(self, p: Poly) -> bool:
-        """True if every monomial of ``p`` has a column."""
-        return self._col_of_mask.keys() >= p.masks
-
     def to_matrix(self, polynomials: Sequence[Poly]) -> GF2Matrix:
         """Stack the polynomials as rows of a GF(2) matrix.
 
