@@ -6,6 +6,9 @@ fast the pure-Python CDCL propagates/learns, how fast the bit-packed
 Gauss–Jordan (the M4RI stand-in) reduces XL-sized matrices, and how fast
 the incremental ANF propagation engine folds fact batches into the
 master system (the `_absorb` inner loop of the Bosphorus workflow).
+``test_bosphorus_cnf_tseitin_xor_recovery`` pins that CNF mode hands
+Tseitin-encoded parities to the algebra as linear polynomials: the
+satcomp Tseitin formula is refuted with no CDCL conflict.
 
 The ``test_anf_wide_*`` benches time the width-adaptive monomial masks
 on >64-variable Simon32/Speck32 round encodings; the rewrite sweep races
@@ -27,17 +30,20 @@ from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
 from repro.ciphers import simon, speck
 from repro.core.anf_to_cnf import AnfToCnf
+from repro.core.bosphorus import Bosphorus
 from repro.core.config import Config
 from repro.core.probing import run_probing
 from repro.core.propagation import propagate
 from repro.gf2 import GF2Matrix
+from repro.obs import Tracer
 from repro.sat import Solver, minisat_config, mk_lit
 from repro.satcomp import generators
+from repro.satcomp.suite import build_suite
 from tests.oracles.gf2 import rref_gj
 from tests.oracles.linearize import rows_to_polys_scalar, to_matrix_scalar
 from tests.oracles.system import normalize as seed_normalize
 
-from .conftest import bench_count
+from .conftest import bench_count, fast_config
 
 
 def _ab_best_pair(fn_new, fn_seed, rounds):
@@ -111,6 +117,30 @@ def test_cdcl_simon_refutation_trailing_units(benchmark):
     benchmark.extra_info["simplified"] = solver.num_simplified
     assert verdict is False
     assert solver.num_simplified > loaded / 2
+
+
+def test_bosphorus_cnf_tseitin_xor_recovery(benchmark):
+    """Bosphorus as a CNF preprocessor on the satcomp Tseitin formula
+    (46 parities encoded as 184 clauses).  CNF→ANF recovers each parity
+    as one linear polynomial, so the ANF algebra refutes the formula and
+    the loop's CDCL spends no conflict on it."""
+    formula = {
+        s.name: s for s in build_suite(per_family=1, seed=0)
+    }["tseitin_n46_0"].formula
+
+    def preprocess():
+        tracer = Tracer()
+        result = Bosphorus(fast_config(), tracer=tracer).preprocess_cnf(formula)
+        return tracer, result
+
+    tracer, result = benchmark.pedantic(preprocess, rounds=1, iterations=1)
+    conflicts = sum(
+        s["attrs"]["conflicts"] for s in tracer.spans() if s["name"] == "sat.solve"
+    )
+    benchmark.extra_info["iterations"] = result.iterations
+    benchmark.extra_info["sat_conflicts"] = conflicts
+    assert result.is_unsat
+    assert conflicts == 0
 
 
 def test_anf_propagation_absorb_batches(benchmark):

@@ -14,7 +14,7 @@ from .parser import (
     read_anf,
     write_anf,
 )
-from .polynomial import Poly, PolyBuilder
+from .polynomial import Poly
 from .ring import Ring
 from .stats import SystemStats, describe_system
 from .system import AnfSystem, ContradictionError, VariableState
@@ -25,7 +25,6 @@ __all__ = [
     "SystemStats",
     "describe_system",
     "Poly",
-    "PolyBuilder",
     "Ring",
     "AnfSystem",
     "VariableState",

@@ -32,10 +32,7 @@ Design notes
 * Polynomials are value objects.  All "mutation" in the rest of the code
   base (propagation, substitution, ElimLin) builds new polynomials, which
   mirrors the paper's design where only ANF propagation replaces the
-  master system.  Hot loops that accumulate many XORs should use
-  :class:`PolyBuilder`, which toggles masks in one mutable set and
-  materialises a single ``Poly`` at the end instead of allocating one
-  intermediate ``Poly`` per step.
+  master system.
 * Throughout the code base a polynomial always means the *equation*
   ``p = 0``, exactly as in the paper ("we use the term polynomial to mean
   polynomial equation equated to zero").
@@ -524,60 +521,6 @@ class Poly:
             else:
                 parts.append("*".join(names[v] for v in m))
         return " + ".join(parts)
-
-
-class PolyBuilder:
-    """Mutable GF(2) accumulator for hot loops.
-
-    Collects monomial masks with XOR semantics (a monomial added twice
-    cancels) in one mutable set, then materialises a single :class:`Poly`.
-    This avoids the per-step frozenset allocation of chained ``p + q``
-    in accumulation-heavy code (see the CNF→ANF clause conversion).
-
-    >>> b = PolyBuilder()
-    >>> b.add_monomial(0b10); b.add_monomial(0b10); b.add_monomial(0b100)
-    >>> b.build().to_string()
-    'x2'
-    """
-
-    __slots__ = ("_acc",)
-
-    def __init__(self, start: Optional[Poly] = None):
-        self._acc: Set[int] = set(start._masks) if start else set()
-
-    def add_monomial(self, mask: int) -> None:
-        """XOR a single monomial mask into the accumulator."""
-        acc = self._acc
-        if mask in acc:
-            acc.discard(mask)
-        else:
-            acc.add(mask)
-
-    def add_poly(self, p: Poly) -> None:
-        """XOR a whole polynomial into the accumulator."""
-        self._acc ^= p._masks
-
-    def add_monomials(self, masks: Iterable[int]) -> None:
-        """XOR an iterable of monomial masks into the accumulator."""
-        add = self.add_monomial
-        for m in masks:
-            add(m)
-
-    def __len__(self) -> int:
-        return len(self._acc)
-
-    def __bool__(self) -> bool:
-        return bool(self._acc)
-
-    def is_zero(self) -> bool:
-        """True if the accumulated sum is currently zero."""
-        return not self._acc
-
-    def build(self) -> Poly:
-        """Materialise the accumulated sum as an immutable :class:`Poly`."""
-        if not self._acc:
-            return _ZERO
-        return Poly._from_frozenset(frozenset(self._acc))
 
 
 _ZERO = Poly()

@@ -1,15 +1,26 @@
 """CNF → ANF conversion (paper section III-D).
 
-Each CNF variable maps to the ANF variable of the same index, and each
-clause becomes the polynomial "product of negated literals = 0" (the
-clause is violated exactly when every literal is false, and the product
-detects that point).  A clause with ``n`` positive literals expands into
-``2**n`` monomials, so clauses are first *cut* — split with auxiliary
-variables, à la k-SAT → 3-SAT — until each piece has at most L' positive
-literals (the clause-cutting length).
+Each CNF variable maps to the ANF variable of the same index.  The
+conversion first recovers the XOR constraints that were Tseitin-encoded
+into clauses (:func:`repro.sat.xorrecovery.recover_xors`, the detection
+CryptoMiniSat runs on CNF input): a complete group — all ``2**(k-1)``
+clauses of one sign parity over one support of ``2 <= k <= 6``
+variables — becomes the single linear polynomial ``Σ x_v + rhs`` and its
+clauses are dropped.  That is exact: those clauses, taken together, *are*
+that parity constraint, so the ANF keeps the CNF's solution set and no
+variable is added.  The algebra then sees the parity as one linear row
+for Gaussian elimination instead of ``2**(k-1)`` products of degree up
+to ``k``.
+
+Every other clause becomes the polynomial "product of negated literals
+= 0" (the clause is violated exactly when every literal is false, and
+the product detects that point).  A clause with ``n`` positive literals
+expands into ``2**n`` monomials, so clauses are first *cut* — split
+with auxiliary variables, à la k-SAT → 3-SAT — until each piece has at
+most L' positive literals (the clause-cutting length).
 
 Native XOR constraints (CryptoMiniSat-style ``x`` lines) translate
-directly into linear polynomials.
+directly into linear polynomials, like recovered ones.
 """
 
 from __future__ import annotations
@@ -18,10 +29,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..anf import monomial as mono
-from ..anf.polynomial import Poly, PolyBuilder
+from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 from ..sat.dimacs import CnfFormula
 from ..sat.types import lit_sign, lit_var, mk_lit
+from ..sat.xorrecovery import formula_with_recovered_xors
 from .config import Config
 
 
@@ -50,8 +62,8 @@ def clause_to_poly(lits: Sequence[int]) -> Poly:
     Mask-native: the base monomial is assembled as one bitmask OR and the
     expansion runs on masks (:func:`repro.anf.monomial.expand_negated_mask`),
     so the CNF→ANF direction rides the packed path like everything else.
-    The whole product is accumulated in one :class:`PolyBuilder` instead
-    of a chain of intermediate ``Poly`` allocations.
+    The expansion's masks are distinct, so they form the polynomial as
+    they are, with nothing to cancel.
     """
     base_mask = 0
     expand_mask_vars: List[int] = []
@@ -66,9 +78,7 @@ def clause_to_poly(lits: Sequence[int]) -> Poly:
     masks = mono.expand_negated_mask(base_mask, expand_mask_vars)
     if not masks:
         return Poly.zero()  # v * (v + 1) = 0: tautological clause
-    builder = PolyBuilder()
-    builder.add_monomials(masks)
-    return builder.build()
+    return Poly._from_frozenset(frozenset(masks))
 
 
 def _count_positive(lits: Sequence[int]) -> int:
@@ -78,8 +88,10 @@ def _count_positive(lits: Sequence[int]) -> int:
 def cnf_to_anf(
     formula: CnfFormula, config: Optional[Config] = None
 ) -> CnfToAnfResult:
-    """Convert a CNF formula to an equisatisfiable ANF system."""
+    """Convert a CNF formula to an ANF system with the same solutions
+    over the CNF variables."""
     config = config or Config()
+    formula = formula_with_recovered_xors(formula, drop_used=True)
     cut_limit = max(config.clause_cut_len, 1)
     ring = Ring(formula.n_vars)
     polys: List[Poly] = []

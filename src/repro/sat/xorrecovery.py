@@ -3,9 +3,16 @@
 CryptoMiniSat detects XOR constraints that were Tseitin-encoded into CNF
 (an l-variable XOR appears as the ``2**(l-1)`` clauses forbidding the
 wrong-parity assignments) and reasons on them natively.  This module
-reproduces that detection so our ``cms`` personality keeps its edge on
-CNF inputs, the same way the real tool does in the paper's SAT-2017
-block.
+reproduces that detection for two consumers:
+
+* the CNF→ANF conversion (:func:`repro.core.cnf_to_anf.cnf_to_anf`),
+  which turns each recovered XOR into one linear polynomial and drops
+  its clauses, so Bosphorus's algebra sees parities as linear rows;
+* the ``cms`` personality's formula load
+  (:meth:`repro.portfolio.backends.CdclChain._load`), which attaches the
+  XORs to its Gauss–Jordan engine and keeps the clauses, so it keeps its
+  edge on CNF inputs the same way the real tool does in the paper's
+  SAT-2017 block.
 
 Detection: group clauses by variable support; a support of size l carries
 an XOR of right-hand side r iff all ``2**(l-1)`` clauses with sign-parity
@@ -53,7 +60,7 @@ def recover_xors(
             for l in clauses[idx]:
                 if l & 1:
                     pattern |= 1 << var_pos[l >> 1]
-            parity = bin(pattern).count("1") & 1
+            parity = pattern.bit_count() & 1
             by_parity[parity].add(pattern)
             idx_by_pattern[pattern] = idx
         for parity in (0, 1):

@@ -1,12 +1,14 @@
 """Tests for CNF → ANF conversion (paper section III-D)."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from oracles import polynomial as oracle
 from repro.anf import Poly
-from repro.core import Config, clause_to_poly, cnf_to_anf
+from repro.core import Bosphorus, Config, clause_to_poly, cnf_to_anf
 from repro.sat import CnfFormula, mk_lit
 
 
@@ -147,3 +149,164 @@ def test_back_translation_of_converted_anf_preserves_models():
         if all(p.evaluate(list(bits)) == 0 for p in back.polynomials):
             projected.add(bits[:n])
     assert projected == original
+
+
+# -- XOR recovery, against brute force ----------------------------------------
+
+
+def _parity_shards(variables, rhs):
+    """The ``2**(k-1)`` clauses whose conjunction is ``Σ x_v = rhs``: each
+    forbids one assignment of the wrong parity."""
+    return [
+        [mk_lit(v, bool(b)) for v, b in zip(variables, bits)]
+        for bits in itertools.product([0, 1], repeat=len(variables))
+        if sum(bits) & 1 != rhs
+    ]
+
+
+def _linear(variables, rhs):
+    return Poly([(v,) for v in variables]).add_constant(rhs)
+
+
+def _mixed_cnf(seed):
+    """A CNF of at most 10 variables mixing full XOR groups, groups one
+    shard short, duplicate shards, ordinary clauses and native ``x``
+    lines.  Planted groups have distinct supports, and no ordinary clause
+    or native XOR shares one, so a planted partial group stays partial."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 10)
+    taken = set()
+
+    def fresh_support():
+        while True:
+            support = sorted(rng.sample(range(n), rng.randint(2, 6)))
+            if frozenset(support) not in taken:
+                taken.add(frozenset(support))
+                return support
+
+    full, partial, clauses = [], [], []
+    for _ in range(rng.randint(1, 3)):
+        support, rhs = fresh_support(), rng.randint(0, 1)
+        full.append((support, rhs))
+        clauses += _parity_shards(support, rhs)
+    for _ in range(rng.randint(1, 2)):
+        support, rhs = fresh_support(), rng.randint(0, 1)
+        shards = _parity_shards(support, rhs)
+        del shards[rng.randrange(len(shards))]
+        partial.append((support, rhs, shards))
+        clauses += shards
+    for _ in range(rng.randint(0, 2)):
+        clauses.append(list(rng.choice(clauses)))
+    for _ in range(rng.randint(2, 8)):
+        support = rng.sample(range(n), rng.randint(1, 4))
+        if frozenset(support) not in taken:
+            clauses.append([mk_lit(v, rng.random() < 0.5) for v in support])
+    rng.shuffle(clauses)
+    formula = CnfFormula(n)
+    for clause in clauses:
+        rng.shuffle(clause)
+        formula.add_clause(clause)
+    for _ in range(rng.randint(0, 2)):
+        support = sorted(rng.sample(range(n), rng.randint(1, 4)))
+        if frozenset(support) not in taken:
+            formula.add_xor(support, rng.randint(0, 1))
+    return formula, full, partial
+
+
+def _cnf_models(formula):
+    """The CNF's models (clauses and native XORs), as assignment masks."""
+    models = set()
+    for a in range(1 << formula.n_vars):
+        if all(
+            any((a >> (l >> 1) & 1) ^ (l & 1) for l in c) for c in formula.clauses
+        ) and all(
+            sum(a >> v & 1 for v in vs) & 1 == rhs for vs, rhs in formula.xors
+        ):
+            models.add(a)
+    return models
+
+
+def _anf_solutions(result):
+    """The ANF's solutions projected to the CNF variables, as masks."""
+    n, total = result.n_cnf_vars, result.ring.n_vars
+    polys = [p.masks for p in result.polynomials]
+    projected = set()
+    for a in range(1 << total):
+        if all(
+            not sum(1 for m in masks if m & a == m) & 1 for masks in polys
+        ):
+            projected.add(a & ((1 << n) - 1))
+    return projected
+
+
+def _complete_groups(clauses):
+    """``(support, rhs) -> the sign patterns forming it``, for each
+    support carrying every shard of one sign parity, read off the
+    definition: a k-variable parity is all 2**(k-1) clauses forbidding
+    its wrong-parity assignments."""
+    patterns = {}
+    for clause in clauses:
+        support = frozenset(l >> 1 for l in clause)
+        if 2 <= len(clause) == len(support) <= 6:
+            negated = frozenset(l >> 1 for l in clause if l & 1)
+            patterns.setdefault(support, set()).add(negated)
+    groups = {}
+    for support, seen in patterns.items():
+        for parity in (0, 1):
+            mine = {p for p in seen if len(p) & 1 == parity}
+            if len(mine) == 1 << (len(support) - 1):
+                groups[(tuple(sorted(support)), parity ^ 1)] = mine
+                break
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_xor_recovery_matches_brute_force(seed):
+    formula, full, partial = _mixed_cnf(seed)
+    models = _cnf_models(formula)
+
+    # Same solutions over the CNF variables, clause cutting included.
+    assert _anf_solutions(cnf_to_anf(formula)) == models
+
+    # Without cutting the output is exactly: one linear polynomial per
+    # complete group, one clause polynomial per clause the groups do not
+    # consume (a duplicate shard is consumed once), the native XORs.
+    result = cnf_to_anf(formula, Config(clause_cut_len=6))
+    assert not result.cut_vars
+    groups = _complete_groups(formula.clauses)
+    consumed = Counter()
+    for (support, rhs), patterns in groups.items():
+        for negated in patterns:
+            consumed[tuple(sorted(
+                mk_lit(v, v in negated) for v in support
+            ))] += 1
+    want = Counter(_linear(vs, rhs) for vs, rhs in groups)
+    want.update(_linear(vs, rhs) for vs, rhs in formula.xors)
+    for clause in formula.clauses:
+        key = tuple(sorted(clause))
+        if consumed[key]:
+            consumed[key] -= 1
+        elif not clause_to_poly(clause).is_zero():
+            want[clause_to_poly(clause)] += 1
+    got = Counter(result.polynomials)
+    assert got == want
+
+    # The planted groups: each full one is a single linear polynomial,
+    # each one a shard short stays its clause polynomials.
+    for support, rhs in full:
+        assert got[_linear(support, rhs)] == 1
+    for support, rhs, shards in partial:
+        assert not got[_linear(support, rhs)]
+        for shard in shards:
+            assert got[clause_to_poly(shard)] >= 1
+
+    # Bosphorus as a CNF preprocessor agrees with brute force.
+    pre = Bosphorus(Config()).preprocess_cnf(formula)
+    if models:
+        assert pre.is_sat
+        values = pre.solution.values
+        assert len(values) == formula.n_vars
+        assert sum(b << v for v, b in enumerate(values)) in models
+    else:
+        assert pre.is_unsat
+

@@ -353,9 +353,11 @@ def test_one_instance_two_runs_match_two_fresh_instances():
     [("tseitin_n46_0", 10000), ("php_7", 2813)],
 )
 def test_warm_loop_refutes_inside_the_loop(name, parent_conflicts):
-    # With a fresh solver per iteration the loop spent 1k+2k+3k+4k
-    # conflicts on tseitin_n46_0 and still ended UNKNOWN, and 1k+1,813
-    # on php_7.  The warm solver carries its learnt clauses over.
+    # With a fresh solver per iteration the loop spent 1k+1,813
+    # conflicts on php_7; the warm solver carries its learnt clauses
+    # over.  The tseitin_n46_0 row no longer reaches the solver: CNF→ANF
+    # recovers its parities, so algebra refutes it with 0 conflicts (see
+    # test_tseitin_cnf_refuted_before_sat).
     instance = {
         s.name: s for s in build_suite(scale=1.0, per_family=1)
     }[name]
@@ -366,6 +368,26 @@ def test_warm_loop_refutes_inside_the_loop(name, parent_conflicts):
     assert result.is_unsat
     spent = sum(attrs["conflicts"] for attrs in _sat_spans(tracer))
     assert spent < parent_conflicts
+
+
+def test_tseitin_cnf_refuted_before_sat():
+    # tseitin_n46_0 is 46 parities encoded as 184 clauses.  CNF→ANF
+    # recovers each parity as one linear polynomial, so the initial
+    # propagation's GF(2) echelonisation refutes the formula before the
+    # loop's first iteration, and no CDCL search runs.
+    formula = {
+        s.name: s for s in build_suite(scale=1.0, per_family=1)
+    }["tseitin_n46_0"].formula
+    config = Config().with_(**FAST)
+    anf = cnf_to_anf(formula, config)
+    assert len(anf.polynomials) == 46
+    assert all(p.degree() == 1 for p in anf.polynomials)
+    assert anf.ring.n_vars == formula.n_vars and not anf.cut_vars
+    tracer = Tracer()
+    result = Bosphorus(config, tracer=tracer).preprocess_cnf(formula)
+    assert result.is_unsat
+    assert result.iterations == 0
+    assert not _sat_spans(tracer)
 
 
 def test_job_solve_span_records_solver_counters():

@@ -10,7 +10,7 @@ correct.
 
 import pytest
 
-from repro.anf import AnfSystem, Poly, PolyBuilder, Ring, parse_system
+from repro.anf import AnfSystem, Poly, parse_system
 from repro.anf.parser import parse_polynomial
 from repro.ciphers import simon, speck
 from repro.core.propagation import materialize, propagate
@@ -250,16 +250,6 @@ def test_replace_at_with_equal_object_is_noop():
     assert system.replace_at(0, twin) is True
     assert len(system) == 1
     assert system.occurrences(1) == {0}
-
-
-def test_poly_builder_round_trip():
-    b = PolyBuilder()
-    b.add_monomial(1 << 1)
-    b.add_monomial(1 << 1)  # cancels
-    b.add_monomial(1 << 2 | 1 << 3)
-    b.add_poly(parse_polynomial("x2*x3 + x4", Ring(6)))  # x2*x3 cancels
-    assert b.build() == Poly([(4,)])
-    assert PolyBuilder().build().is_zero()
 
 
 def test_full_propagation_still_idempotent_after_incremental():
