@@ -153,8 +153,8 @@ def encode_instance(
             y = xor_vec(rotl(y, BETA), x)
             # Cap expression growth: XORs of sums stay small, but define
             # the x word so the next round's adder inputs are variables.
-            x = [builder.define_if_deep(b, 6) for b in x]
-            y = [builder.define_if_deep(b, 6) for b in y]
+            x = [builder.define_if_deep(b) for b in x]
+            y = [builder.define_if_deep(b) for b in y]
         cx, cy = to_int(x), to_int(y)
         ciphertexts.append((cx, cy))
         constrain_vector(builder, x, cx)

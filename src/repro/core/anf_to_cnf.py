@@ -102,6 +102,16 @@ class ConversionStats:
     conversion_disk_hits: int = 0
 
 
+#: The :class:`ConversionStats` cache counters that a session folds into
+#: its metrics registry and a Bosphorus run reports run-wide.
+CACHE_COUNTERS = (
+    "karnaugh_cache_hits",
+    "karnaugh_cache_misses",
+    "karnaugh_disk_hits",
+    "conversion_disk_hits",
+)
+
+
 @dataclass
 class ConversionResult:
     """CNF output plus the maps needed to translate facts back to ANF.
@@ -337,12 +347,7 @@ class ConversionSession:
             stats = result.stats
             span.set("clauses", len(result.formula.clauses))
             span.set("memo_hits", stats.memo_hits)
-            for name in (
-                "karnaugh_cache_hits",
-                "karnaugh_cache_misses",
-                "karnaugh_disk_hits",
-                "conversion_disk_hits",
-            ):
+            for name in CACHE_COUNTERS:
                 value = getattr(stats, name)
                 span.set(name, value)
                 converter.metrics.inc(name, value)
@@ -515,9 +520,9 @@ class ConversionSession:
         makes no net progress (the seed's clamp of 2 looped forever on
         ``xor_cut_len <= 2``).
         """
-        cut_len = max(self.config.xor_cut_len, 3)
-        while len(terms) > cut_len:
-            head, tail = terms[: cut_len - 1], terms[cut_len - 1:]
+        chunk = max(self.config.xor_cut_len, 3)
+        while len(terms) > chunk:
+            head, tail = terms[: chunk - 1], terms[chunk - 1:]
             aux = self.fresh_var()
             self.cut_vars.add(aux)
             self.stats.cut_vars += 1

@@ -28,7 +28,7 @@ from ..anf.system import AnfSystem, ContradictionError
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT, SolverConfig
-from .anf_to_cnf import AnfToCnf, ConversionResult
+from .anf_to_cnf import CACHE_COUNTERS, AnfToCnf, ConversionResult
 from .cnf_to_anf import cnf_to_anf
 from .config import Config
 from .elimlin import run_elimlin
@@ -314,10 +314,7 @@ class Bosphorus:
         return {
             "techniques": techniques,
             "fact_summary": facts.summary(),
-            "karnaugh_cache_hits": metrics.counter("karnaugh_cache_hits"),
-            "karnaugh_cache_misses": metrics.counter("karnaugh_cache_misses"),
-            "karnaugh_disk_hits": metrics.counter("karnaugh_disk_hits"),
-            "conversion_disk_hits": metrics.counter("conversion_disk_hits"),
+            **{name: metrics.counter(name) for name in CACHE_COUNTERS},
         }
 
     def _unsat_result(
@@ -359,12 +356,7 @@ class Bosphorus:
             # This conversion is part of the run: the converter has
             # already folded its cache counters into the run registry,
             # so the run-wide totals are simply re-read from it.
-            for key in (
-                "karnaugh_cache_hits",
-                "karnaugh_cache_misses",
-                "karnaugh_disk_hits",
-                "conversion_disk_hits",
-            ):
+            for key in CACHE_COUNTERS:
                 result.stats[key] = self.metrics.counter(key)
             for clause in conv.formula.clauses:
                 augmented.add_clause(clause)

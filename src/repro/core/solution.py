@@ -21,9 +21,7 @@ from ..anf.polynomial import Poly
 from ..sat.types import TRUE
 
 
-def reconstruct_model(
-    conversion, cnf_model: Sequence[int], strict: bool = True
-) -> Dict[int, int]:
+def reconstruct_model(conversion, cnf_model: Sequence[int]) -> Dict[int, int]:
     """Translate a CNF model back to an assignment of the ANF variables.
 
     ``conversion`` is the :class:`~repro.core.anf_to_cnf.ConversionResult`
@@ -36,9 +34,9 @@ def reconstruct_model(
 
     Returns ``{var: bit}`` for every original ANF variable
     (``0 <= var < n_anf_vars``).  The auxiliaries are *inverted*, not
-    copied: cut variables carry no ANF meaning and are dropped, and with
-    ``strict`` (the default) every Tseitin monomial variable is checked
-    against the AND of its monomial's reconstructed bits — a mismatch
+    copied: cut variables carry no ANF meaning and are dropped, and every
+    Tseitin monomial variable is checked against the AND of its
+    monomial's reconstructed bits — a mismatch
     means the model does not actually satisfy the AND-definition clauses
     (a corrupt model or a stale conversion map) and raises ``ValueError``.
     """
@@ -49,28 +47,25 @@ def reconstruct_model(
         return 0
 
     model = {v: bit(v) for v in range(conversion.n_anf_vars)}
-    if strict:
-        for y, m in conversion.monomial_of_var.items():
-            if y < conversion.n_anf_vars:
-                continue
-            expected = 1
-            for v in m:
-                if not bit(v):
-                    expected = 0
-                    break
-            if bit(y) != expected:
-                raise ValueError(
-                    "monomial variable {} (= {}) has value {} but its "
-                    "monomial evaluates to {}".format(y, m, bit(y), expected)
-                )
+    for y, m in conversion.monomial_of_var.items():
+        if y < conversion.n_anf_vars:
+            continue
+        expected = 1
+        for v in m:
+            if not bit(v):
+                expected = 0
+                break
+        if bit(y) != expected:
+            raise ValueError(
+                "monomial variable {} (= {}) has value {} but its "
+                "monomial evaluates to {}".format(y, m, bit(y), expected)
+            )
     return model
 
 
-def solution_from_model(
-    conversion, cnf_model: Sequence[int], strict: bool = True
-) -> "Solution":
+def solution_from_model(conversion, cnf_model: Sequence[int]) -> "Solution":
     """:func:`reconstruct_model` packaged as a :class:`Solution`."""
-    model = reconstruct_model(conversion, cnf_model, strict=strict)
+    model = reconstruct_model(conversion, cnf_model)
     return Solution([model[v] for v in range(conversion.n_anf_vars)])
 
 

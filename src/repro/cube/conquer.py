@@ -43,7 +43,7 @@ from ..portfolio.backends import SolverBackend, create_backend
 from ..portfolio.engine import STATUS_UNSAT, PortfolioResult, conquer
 from ..sat.dimacs import CnfFormula
 from ..sat.solver import SAT, UNSAT
-from .splitter import DEFAULT_MAX_CUBES, split_formula
+from .splitter import split_formula
 
 
 @dataclass
@@ -90,10 +90,8 @@ class CubeConqueror:
         jobs: Optional[int] = 1,
         depth: int = 4,
         mode: str = "lookahead",
-        max_cubes: int = DEFAULT_MAX_CUBES,
         validate: Optional[Callable[[List[int]], bool]] = None,
         tracer=None,
-        metrics=None,
     ):
         if not backends:
             raise ValueError("cube-and-conquer needs at least one backend")
@@ -103,13 +101,12 @@ class CubeConqueror:
         self.jobs = jobs
         self.depth = depth
         self.mode = mode
-        self.max_cubes = max_cubes
         self.validate = validate
         # Observability (repro.obs): instance-threaded, parent-side.
         # Cube-worker spans/metrics ride each BackendResult back and are
         # adopted/merged at the result boundary.
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     def run(
         self,
@@ -121,10 +118,7 @@ class CubeConqueror:
         deadline = start + timeout_s if timeout_s is not None else None
         with self.tracer.span("cube.conquer", mode=self.mode) as conquer_span:
             with self.tracer.span("cube.split", depth=self.depth) as split_span:
-                cubeset = split_formula(
-                    formula, self.depth, mode=self.mode,
-                    max_cubes=self.max_cubes,
-                )
+                cubeset = split_formula(formula, self.depth, mode=self.mode)
                 split_span.set("cubes", len(cubeset.cubes))
                 split_span.set("refuted_at_split", len(cubeset.refuted))
             conquer_span.set("cubes", len(cubeset.cubes))

@@ -92,16 +92,14 @@ def _ranked_vars(formula: CnfFormula) -> List[int]:
     return [v for v in ranked if scores[v] > 0.0]
 
 
-def _clamp_depth(depth: int, max_cubes: int) -> int:
+def _clamp_depth(depth: int) -> int:
     if depth < 0:
         raise ValueError("cube depth must be >= 0")
-    if max_cubes < 1:
-        raise ValueError("max_cubes must be >= 1")
-    return min(depth, max(0, max_cubes.bit_length() - 1))
+    return min(depth, DEFAULT_MAX_CUBES.bit_length() - 1)
 
 
-def _occurrence_split(formula: CnfFormula, depth: int, max_cubes: int) -> CubeSet:
-    depth = _clamp_depth(depth, max_cubes)
+def _occurrence_split(formula: CnfFormula, depth: int) -> CubeSet:
+    depth = _clamp_depth(depth)
     variables = _ranked_vars(formula)[:depth]
     cubes = [
         tuple(
@@ -113,8 +111,8 @@ def _occurrence_split(formula: CnfFormula, depth: int, max_cubes: int) -> CubeSe
     return CubeSet(cubes=cubes, variables=list(variables))
 
 
-def _lookahead_split(formula: CnfFormula, depth: int, max_cubes: int) -> CubeSet:
-    depth = _clamp_depth(depth, max_cubes)
+def _lookahead_split(formula: CnfFormula, depth: int) -> CubeSet:
+    depth = _clamp_depth(depth)
     plain = expand_xors(formula) if formula.xors else formula
     solver = Solver()
     solver.ensure_vars(plain.n_vars)
@@ -129,7 +127,7 @@ def _lookahead_split(formula: CnfFormula, depth: int, max_cubes: int) -> CubeSet
     order = [v for v in _ranked_vars(plain) if v < formula.n_vars]
     out = CubeSet(forced=forced)
     used: set = set()
-    _descend(solver, order, depth, [], out, used, max_cubes)
+    _descend(solver, order, depth, [], out, used, DEFAULT_MAX_CUBES)
     out.variables = sorted(used)
     return out
 
@@ -166,18 +164,16 @@ def _descend(
 
 
 def split_formula(
-    formula: CnfFormula,
-    depth: int,
-    mode: str = "lookahead",
-    max_cubes: int = DEFAULT_MAX_CUBES,
+    formula: CnfFormula, depth: int, mode: str = "lookahead"
 ) -> CubeSet:
-    """Split ``formula`` into at most ``min(2**depth, max_cubes)`` cubes.
+    """Split ``formula`` into at most ``min(2**depth, DEFAULT_MAX_CUBES)``
+    cubes.
 
     ``depth == 0`` degenerates to a single empty cube — the uncubed
     solve, scheduled unchanged.
     """
     if mode == "occurrence":
-        return _occurrence_split(formula, depth, max_cubes)
+        return _occurrence_split(formula, depth)
     if mode == "lookahead":
-        return _lookahead_split(formula, depth, max_cubes)
+        return _lookahead_split(formula, depth)
     raise ValueError("unknown cube split mode: " + mode)

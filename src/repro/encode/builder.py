@@ -16,6 +16,10 @@ from ..anf.monomial import assignment_mask
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 
+#: Term count beyond which :meth:`SystemBuilder.define_if_deep` names an
+#: expression (Speck's round state).
+DEEP_TERMS = 6
+
 
 class TracedBit:
     """A Boolean value carried both symbolically and concretely."""
@@ -98,9 +102,10 @@ class SystemBuilder:
         self.add_equation(fresh.poly + bit.poly)
         return fresh
 
-    def define_if_deep(self, bit: TracedBit, max_terms: int = 8, name=None) -> TracedBit:
-        """Define a fresh variable only when the expression grew large."""
-        if len(bit.poly) > max_terms:
+    def define_if_deep(self, bit: TracedBit, name=None) -> TracedBit:
+        """Define a fresh variable only when the expression has more than
+        :data:`DEEP_TERMS` terms."""
+        if len(bit.poly) > DEEP_TERMS:
             return self.define(bit, name)
         return bit
 

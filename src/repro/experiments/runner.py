@@ -146,16 +146,7 @@ def _check_model(problem: Problem, model: Optional[List[int]]) -> Optional[bool]
         n = problem.ring.n_vars
         values = list(model[:n]) + [0] * max(0, n - len(model))
         return Solution(values).satisfies(problem.polynomials)
-    # CNF: check all clauses.
-    formula = problem.formula
-    padded = list(model) + [0] * max(0, formula.n_vars - len(model))
-    for clause in formula.clauses:
-        if not any(padded[l >> 1] ^ (l & 1) for l in clause):
-            return False
-    for variables, rhs in formula.xors:
-        if sum(padded[v] for v in variables) & 1 != rhs:
-            return False
-    return True
+    return problem.formula.satisfied_by(model)
 
 
 def _run_family_cell(cell) -> RunResult:

@@ -5,7 +5,9 @@ a near-minimal clause list.  ESPRESSO is heuristic; for the paper's regime
 (Karnaugh parameter K <= 8, i.e. at most 256 minterms) an exact
 Quine–McCluskey cover is affordable, so we implement that: prime implicant
 generation by iterated merging, then essential-prime extraction plus a
-branch-and-bound (Petrick-style) cover of the residue.
+branch-and-bound (Petrick-style) cover of the residue.  A function is
+given by its on-set alone: the truth table of a polynomial chunk is
+completely specified, so there is no don't-care set.
 
 Cubes are encoded as ``(mask, value)`` pairs over ``n_vars`` bits: bit i of
 ``mask`` is 1 when variable i is fixed, in which case bit i of ``value``
@@ -19,18 +21,18 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 Cube = Tuple[int, int]
 
+#: Largest candidate-cube x uncovered-minterm product :func:`minimize`
+#: covers exactly; beyond it the cover is greedy.
+EXACT_LIMIT = 4096
 
-def prime_implicants(
-    minterms: Iterable[int], dont_cares: Iterable[int], n_vars: int
-) -> List[Cube]:
-    """All prime implicants of the function given by on-set + dc-set.
 
-    ``minterms`` and ``dont_cares`` are minterm indices in ``[0, 2**n_vars)``.
+def prime_implicants(minterms: Iterable[int], n_vars: int) -> List[Cube]:
+    """All prime implicants of the function given by its on-set.
+
+    ``minterms`` are minterm indices in ``[0, 2**n_vars)``.
     """
-    on = set(minterms)
-    dc = set(dont_cares)
     full_mask = (1 << n_vars) - 1
-    current: Set[Cube] = {(full_mask, m) for m in on | dc}
+    current: Set[Cube] = {(full_mask, m) for m in set(minterms)}
     primes: Set[Cube] = set()
     while current:
         merged: Set[Cube] = set()
@@ -99,20 +101,15 @@ def _cover_search(
     return best
 
 
-def minimize(
-    minterms: Sequence[int],
-    n_vars: int,
-    dont_cares: Sequence[int] = (),
-    exact_limit: int = 4096,
-) -> List[Cube]:
+def minimize(minterms: Sequence[int], n_vars: int) -> List[Cube]:
     """Minimum (or near-minimum) cube cover of the on-set.
 
     Runs Quine–McCluskey prime generation, takes essential primes, then
-    covers the residue exactly when the search space is small (bounded by
-    ``exact_limit`` candidate/minterm products) and greedily otherwise.
+    covers the residue exactly when the search space is small (at most
+    :data:`EXACT_LIMIT` candidate/minterm products) and greedily otherwise.
     Returns a list of cubes covering every minterm and no point outside
-    the on/dc sets, in canonical sorted order — the cover is a pure
-    function of ``(on-set, dc-set, n_vars)``, which is what lets the
+    the on-set, in canonical sorted order — the cover is a pure
+    function of ``(on-set, n_vars)``, which is what lets the
     ANF→CNF layer share one cover across structurally identical chunks
     (and the differential tests compare clause lists bit for bit).
     """
@@ -121,7 +118,7 @@ def minimize(
         return []
     if n_vars == 0:
         return [(0, 0)]
-    primes = prime_implicants(on, dont_cares, n_vars)
+    primes = prime_implicants(on, n_vars)
     cover_map: List[Tuple[Cube, FrozenSet[int]]] = []
     on_set = set(on)
     for cube in primes:
@@ -152,7 +149,7 @@ def minimize(
 
     if remaining:
         candidates = [(c, f) for c, f in cover_map if f]
-        if len(candidates) * len(remaining) <= exact_limit:
+        if len(candidates) * len(remaining) <= EXACT_LIMIT:
             extra = _cover_search(
                 frozenset(remaining), candidates, len(candidates) + 1
             )

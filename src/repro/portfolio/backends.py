@@ -556,11 +556,9 @@ class DimacsBackend(SolverBackend):
 _REGISTRY: Dict[str, Callable[[], SolverBackend]] = {}
 
 
-def register_backend(
-    name: str, factory: Callable[[], SolverBackend], overwrite: bool = False
-) -> None:
+def register_backend(name: str, factory: Callable[[], SolverBackend]) -> None:
     """Register a backend factory under ``name`` (fresh instance per call)."""
-    if not overwrite and name in _REGISTRY:
+    if name in _REGISTRY:
         raise ValueError("backend already registered: " + name)
     _REGISTRY[name] = factory
 

@@ -388,7 +388,6 @@ class PortfolioRunner:
         jobs: Optional[int] = None,
         validate: Optional[Callable[[List[int]], bool]] = None,
         tracer=None,
-        metrics=None,
     ):
         if not backends:
             raise ValueError("a portfolio needs at least one backend")
@@ -399,7 +398,7 @@ class PortfolioRunner:
         # Worker spans/metrics ride each BackendResult back and are
         # adopted/merged here at the result boundary.
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     # -- public API --------------------------------------------------------
 

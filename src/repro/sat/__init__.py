@@ -55,12 +55,12 @@ def solver_counters(solver: Solver) -> dict:
 
 def minisat_config() -> SolverConfig:
     """Plain CDCL tuned like MiniSat 2.2."""
-    return SolverConfig(var_decay=0.95, restart_base=100, use_luby=True)
+    return SolverConfig(var_decay=0.95, restart_base=100)
 
 
 def lingeling_config() -> SolverConfig:
     """More aggressive restarts; pair with the SatELite preprocessor."""
-    return SolverConfig(var_decay=0.85, restart_base=50, use_luby=True)
+    return SolverConfig(var_decay=0.85, restart_base=50)
 
 
 __all__ = [

@@ -12,6 +12,10 @@ from typing import List, Sequence, TextIO, Tuple
 
 from .types import lit_from_dimacs, lit_to_dimacs
 
+#: Longest XOR chunk :func:`expand_xors` enumerates (``2**(k-1)`` clauses
+#: for a chunk of ``k`` variables).
+XOR_CUT_LEN = 4
+
 
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input."""
@@ -135,10 +139,11 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
     return formula
 
 
-def expand_xors(formula: CnfFormula, cut_len: int = 4) -> CnfFormula:
+def expand_xors(formula: CnfFormula) -> CnfFormula:
     """A plain-CNF formula equivalent to ``formula``.
 
-    XOR constraints are cut into chains of at most ``cut_len`` variables
+    XOR constraints are cut into chains of at most :data:`XOR_CUT_LEN`
+    variables
     (fresh accumulator variables join the chunks) and each chunk's parity
     is enumerated as the ``2**(k-1)`` forbidding clauses.  Solvers and
     external DIMACS binaries without native XOR support get exactly the
@@ -148,8 +153,6 @@ def expand_xors(formula: CnfFormula, cut_len: int = 4) -> CnfFormula:
     """
     if not formula.xors:
         return formula
-    if cut_len < 3:
-        raise ValueError("cut_len must be at least 3")
     out = CnfFormula(formula.n_vars)
     out.clauses = [list(c) for c in formula.clauses]
 
@@ -174,8 +177,8 @@ def expand_xors(formula: CnfFormula, cut_len: int = 4) -> CnfFormula:
 
     for variables, rhs in formula.xors:
         vs = list(variables)
-        while len(vs) > cut_len:
-            head, vs = vs[: cut_len - 1], vs[cut_len - 1 :]
+        while len(vs) > XOR_CUT_LEN:
+            head, vs = vs[: XOR_CUT_LEN - 1], vs[XOR_CUT_LEN - 1 :]
             acc = out.n_vars
             out.n_vars = acc + 1
             emit_parity(head + [acc], 0)  # acc = parity(head)

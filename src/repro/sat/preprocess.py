@@ -14,6 +14,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .types import FALSE, TRUE, UNDEF, lit_neg, lit_var
 
+#: Subsumption + elimination rounds before :meth:`Preprocessor.run` stops.
+MAX_ROUNDS = 3
+#: Variable elimination is refused when a resolvent would be longer.
+MAX_RESOLVENT = 20
+
 
 class PreprocessResult:
     """Outcome of preprocessing.
@@ -176,7 +181,7 @@ class Preprocessor:
             if self._clauses[cid] is not None:
                 self._strengthen(cid)
 
-    def _try_eliminate(self, var: int, grow_limit: int, max_resolvent: int) -> bool:
+    def _try_eliminate(self, var: int) -> bool:
         pos = [c for c in self._occ.get(var << 1, ()) if self._clauses[c] is not None]
         neg = [c for c in self._occ.get((var << 1) | 1, ()) if self._clauses[c] is not None]
         if not pos and not neg:
@@ -195,10 +200,10 @@ class Preprocessor:
                 merged.discard(n_lit)
                 if any(lit_neg(l) in merged for l in merged):
                     continue  # tautological resolvent
-                if len(merged) > max_resolvent:
+                if len(merged) > MAX_RESOLVENT:
                     return False
                 resolvents.append(tuple(sorted(merged)))
-        if len(resolvents) > before + grow_limit:
+        if len(resolvents) > before:
             return False
         saved = [self._clauses[c] for c in pos + neg]
         for c in pos + neg:
@@ -209,29 +214,18 @@ class Preprocessor:
             self._add(r)
         return True
 
-    def run(
-        self,
-        use_bve: bool = True,
-        use_subsumption: bool = True,
-        grow_limit: int = 0,
-        max_resolvent: int = 20,
-        max_rounds: int = 3,
-    ) -> PreprocessResult:
+    def run(self) -> PreprocessResult:
         """Run the preprocessing pipeline and return the simplified CNF."""
         self._propagate_units()
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             if self._contradiction:
                 break
+            self._subsumption_round()
+            self._propagate_units()
             changed = False
-            if use_subsumption:
-                self._subsumption_round()
-                self._propagate_units()
-            if use_bve and not self._contradiction:
-                protected = set()
+            if not self._contradiction:
                 for var in range(self.n_vars):
-                    if self._assign[var] != UNDEF or var in protected:
-                        continue
-                    if self._try_eliminate(var, grow_limit, max_resolvent):
+                    if self._assign[var] == UNDEF and self._try_eliminate(var):
                         changed = True
                 self._propagate_units()
             if not changed:

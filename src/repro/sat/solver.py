@@ -43,30 +43,37 @@ UNSAT = False
 UNKNOWN = None
 
 
+#: Clause-activity decay per conflict, as in MiniSat.
+CLAUSE_DECAY = 0.999
+#: Chance that a diversified (seeded) solver branches on a random
+#: unassigned variable instead of the VSIDS maximum (MiniSat's
+#: ``random_var_freq``).
+RANDOM_BRANCH_FREQ = 0.02
+
+
 @dataclass
 class SolverConfig:
-    """Tunables defining a solver personality.
+    """The tunables on which solver personalities or tests differ.
+
+    ``var_decay`` and ``restart_base`` (the Luby restart unit) tell
+    :func:`repro.sat.minisat_config` from :func:`repro.sat.lingeling_config`;
+    tests shrink ``learnt_keep_base`` / ``learnt_keep_step`` to exercise
+    :meth:`Solver.reduce_db`.
 
     ``seed`` switches on *diversification* for portfolio solving: initial
     polarities are drawn at random and branch decisions occasionally pick
     a random unassigned variable instead of the VSIDS maximum
-    (``random_branch_freq``, MiniSat's ``random_var_freq`` idea).  The
-    randomness is a private ``random.Random(seed)``, so a given seed is
-    bit-for-bit reproducible; ``seed=None`` (the default) consults no RNG
-    at all and preserves the undiversified search exactly.
+    (:data:`RANDOM_BRANCH_FREQ`).  The randomness is a private
+    ``random.Random(seed)``, so a given seed is bit-for-bit reproducible;
+    ``seed=None`` (the default) consults no RNG at all and preserves the
+    undiversified search exactly.
     """
 
     var_decay: float = 0.95
-    clause_decay: float = 0.999
     restart_base: int = 100
-    use_luby: bool = True
-    phase_saving: bool = True
-    default_phase: bool = False
     learnt_keep_base: int = 4000
     learnt_keep_step: int = 300
-    minimize_learnts: bool = True
     seed: Optional[int] = None
-    random_branch_freq: float = 0.02
 
 
 def luby(i: int) -> int:
@@ -152,10 +159,7 @@ class Solver:
         self.activity.append(0.0)
         self.heap_key.append(0.0)
         self._seen.append(False)
-        if self._rng is not None:
-            self.polarity.append(self._rng.random() < 0.5)
-        else:
-            self.polarity.append(self.config.default_phase)
+        self.polarity.append(self._rng is not None and self._rng.random() < 0.5)
         heapq.heappush(self._heap, (0.0, v))
         return v
 
@@ -319,11 +323,9 @@ class Solver:
         heap_key = self.heap_key
         heap = self._heap
         polarity = self.polarity
-        save_phase = self.config.phase_saving
         for lit in trail[bound:]:
             v = lit >> 1
-            if save_phase:
-                polarity[v] = not (lit & 1)
+            polarity[v] = not (lit & 1)
             val[lit] = val[lit ^ 1] = UNDEF
             reason[v] = None
             # Re-enter the heap unless v's live entry is still current.
@@ -496,7 +498,7 @@ class Solver:
         learnt[0] = p ^ 1
 
         out = learnt
-        if self.config.minimize_learnts and len(learnt) > 1:
+        if len(learnt) > 1:
             out, bt_i = self._minimize(learnt)
         for q in learnt[1:]:
             seen[q >> 1] = False
@@ -580,7 +582,7 @@ class Solver:
         if (
             self._rng is not None
             and self.n_vars
-            and self._rng.random() < self.config.random_branch_freq
+            and self._rng.random() < RANDOM_BRANCH_FREQ
         ):
             # Diversification: a random unassigned variable breaks the
             # VSIDS tie deterministically per seed.  A few probes keep
@@ -662,7 +664,7 @@ class Solver:
                 self.cancel_until(bt)
                 self._record_learnt(learnt)
                 self.var_inc /= config.var_decay
-                self.cla_inc /= config.clause_decay
+                self.cla_inc /= CLAUSE_DECAY
                 if (
                     conflict_budget is not None
                     and self.num_conflicts - budget_start >= conflict_budget
@@ -716,9 +718,7 @@ class Solver:
             self.decide(next_lit)
 
     def _restart_limit(self, count: int) -> int:
-        if self.config.use_luby:
-            return self.config.restart_base * luby(count + 1)
-        return int(self.config.restart_base * (1.1 ** count))
+        return self.config.restart_base * luby(count + 1)
 
     # -- learnt-fact harvesting (Bosphorus API) ------------------------------------
 

@@ -14,9 +14,11 @@ reproduces that detection for two consumers:
   edge on CNF inputs the same way the real tool does in the paper's
   SAT-2017 block.
 
-Detection: group clauses by variable support; a support of size l carries
-an XOR of right-hand side r iff all ``2**(l-1)`` clauses with sign-parity
-``1 - r`` are present.  Subsumed partial groups are left untouched.
+Detection: group clauses by variable support; a support of size
+l <= :data:`MAX_WIDTH` carries an XOR of right-hand side r iff all
+``2**(l-1)`` clauses with sign-parity ``1 - r`` are present.  Every copy
+of such a clause counts as used, so dropping the used clauses leaves no
+repeated shard behind.  Subsumed partial groups are left untouched.
 """
 
 from __future__ import annotations
@@ -25,19 +27,23 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .dimacs import CnfFormula
 
+#: Widest XOR support examined (its group has ``2**(MAX_WIDTH - 1)``
+#: clauses, doubling per variable).
+MAX_WIDTH = 6
+
 
 def recover_xors(
-    clauses: Sequence[Sequence[int]], max_width: int = 6
+    clauses: Sequence[Sequence[int]],
 ) -> Tuple[List[Tuple[List[int], int]], List[int]]:
     """Find full XOR constraints among the clauses.
 
     Returns ``(xors, used_clause_indices)`` where each xor is
-    ``(variables, rhs)``.  Only supports of at most ``max_width``
-    variables are examined (the clause count doubles per variable).
+    ``(variables, rhs)``; the indices cover every copy of each XOR's
+    clauses.
     """
     groups: Dict[FrozenSet[int], List[int]] = {}
     for idx, clause in enumerate(clauses):
-        if not 2 <= len(clause) <= max_width:
+        if not 2 <= len(clause) <= MAX_WIDTH:
             continue
         support = frozenset([l >> 1 for l in clause])
         if len(support) == len(clause):  # else not an XOR shard
@@ -54,7 +60,7 @@ def recover_xors(
         var_pos = {v: i for i, v in enumerate(variables)}
         # Bucket the clauses by their sign-parity.
         by_parity: Dict[int, Set[int]] = {0: set(), 1: set()}
-        idx_by_pattern: Dict[int, int] = {}
+        idxs_by_pattern: Dict[int, List[int]] = {}
         for idx in idxs:
             pattern = 0
             for l in clauses[idx]:
@@ -62,7 +68,7 @@ def recover_xors(
                     pattern |= 1 << var_pos[l >> 1]
             parity = pattern.bit_count() & 1
             by_parity[parity].add(pattern)
-            idx_by_pattern[pattern] = idx
+            idxs_by_pattern.setdefault(pattern, []).append(idx)
         for parity in (0, 1):
             if len(by_parity[parity]) == need:
                 # Clauses with sign-parity p forbid assignments with
@@ -70,15 +76,14 @@ def recover_xors(
                 # parity 1 - p: the XOR's right-hand side.
                 rhs = parity ^ 1
                 xors.append((variables, rhs))
-                used.extend(
-                    idx_by_pattern[pat] for pat in by_parity[parity]
-                )
+                for pat in by_parity[parity]:
+                    used.extend(idxs_by_pattern[pat])
                 break
     return xors, sorted(set(used))
 
 
 def formula_with_recovered_xors(
-    formula: CnfFormula, max_width: int = 6, drop_used: bool = False
+    formula: CnfFormula, drop_used: bool = False
 ) -> CnfFormula:
     """The formula with detected XORs attached natively: a new formula
     sharing the input's clause lists, or the input itself when none is
@@ -87,7 +92,7 @@ def formula_with_recovered_xors(
     With ``drop_used`` the clause shards that formed each recovered XOR
     are removed (they are implied by the native constraint).
     """
-    xors, used = recover_xors(formula.clauses, max_width)
+    xors, used = recover_xors(formula.clauses)
     if not xors:
         return formula
     out = CnfFormula(formula.n_vars)

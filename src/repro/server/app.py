@@ -31,10 +31,9 @@ class SolverServer:
     """Serve solving jobs over newline-delimited JSON.
 
     ``port=0`` binds an ephemeral port (read :attr:`port` after
-    :meth:`start`).  The pool — and with it the persistent conversion
-    cache at ``cache_dir`` — is shared by every connection; it may also
-    be passed in pre-built (``pool=``), in which case :meth:`close`
-    still shuts it down.
+    :meth:`start`).  :meth:`start` builds the pool — and with it the
+    persistent conversion cache at ``cache_dir`` — which every
+    connection shares; :meth:`close` shuts it down.
     """
 
     def __init__(
@@ -43,12 +42,11 @@ class SolverServer:
         port: int = 0,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        pool: Optional[WorkerPool] = None,
     ):
         self.host = host
         self.port = port
         self._pool_args = (jobs, cache_dir)
-        self.pool = pool
+        self.pool: Optional[WorkerPool] = None
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:

@@ -152,7 +152,9 @@ class WorkerPool:
 
         ``on_event(kind, payload)`` — called from the pool's serving
         thread — receives ``("progress", dict)`` events then one terminal
-        ``("result", dict)`` or ``("error", str)``.
+        ``("result", dict)`` or ``("error", str)``.  The pool forgets a
+        job with ``on_event`` when it finishes, and one without when
+        :meth:`wait` returns its result.
         """
         spec.validate()
         with self._lock:
@@ -194,13 +196,20 @@ class WorkerPool:
         self, job_id: int, timeout: Optional[float] = None
     ) -> Optional[Dict[str, object]]:
         """Block until the job finishes; returns its result dict (an
-        ``error`` verdict dict for failed jobs), or None on timeout."""
+        ``error`` verdict dict for failed jobs), or None on timeout.
+
+        A job the pool has forgotten (see :meth:`submit`) is unknown:
+        a job with ``on_event`` can be waited on only while it runs.
+        """
         with self._lock:
             st = self._jobs.get(job_id)
         if st is None:
             raise KeyError("unknown job id {}".format(job_id))
         if not st.done.wait(timeout=timeout):
             return None
+        if st.on_event is None:
+            with self._lock:
+                self._jobs.pop(job_id, None)
         return st.result
 
     def stats(self) -> Dict[str, object]:
@@ -213,7 +222,7 @@ class WorkerPool:
                 "queued": states.count("queued"),
                 "dispatched": states.count("dispatched"),
                 "running": states.count("running"),
-                "done": states.count("done"),
+                "done": self._completed + self._failed,
                 "completed": self._completed,
                 "failed": self._failed,
                 "metrics": self.metrics.snapshot(),
@@ -242,8 +251,8 @@ class WorkerPool:
         """Hand pending jobs to idle slots; caller holds the lock."""
         for slot in self._slots.idle():
             while self._pending:
-                st = self._jobs[self._pending.popleft()]
-                if st.state != "queued":
+                st = self._jobs.get(self._pending.popleft())
+                if st is None or st.state != "queued":
                     # A stale requeue of a job that since resolved.
                     continue
                 st.state = "dispatched"
@@ -302,6 +311,8 @@ class WorkerPool:
                 return
             st.state = "done"
             st.result = result
+            if st.on_event is not None:
+                del self._jobs[st.spec.job_id]
             self.metrics.merge(result.get("metrics"))
             if result.get("verdict") == "error":
                 self._failed += 1

@@ -260,6 +260,17 @@ def _complete_groups(clauses):
     return groups
 
 
+def test_duplicate_shard_is_consumed_with_its_group():
+    """A repeated shard of a recovered parity goes with the rest of its
+    group: the CNF yields the parity's linear polynomial and nothing
+    else (not also the shard's degree-3 clause polynomial)."""
+    shards = _parity_shards([0, 1, 2], 1)
+    formula = CnfFormula(3)
+    for clause in shards + [list(shards[0])]:
+        formula.add_clause(clause)
+    assert cnf_to_anf(formula).polynomials == [_linear([0, 1, 2], 1)]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_xor_recovery_matches_brute_force(seed):
     formula, full, partial = _mixed_cnf(seed)
@@ -270,23 +281,22 @@ def test_xor_recovery_matches_brute_force(seed):
 
     # Without cutting the output is exactly: one linear polynomial per
     # complete group, one clause polynomial per clause the groups do not
-    # consume (a duplicate shard is consumed once), the native XORs.
+    # consume (every copy of a group's shard is consumed), the native
+    # XORs.
     result = cnf_to_anf(formula, Config(clause_cut_len=6))
     assert not result.cut_vars
     groups = _complete_groups(formula.clauses)
-    consumed = Counter()
-    for (support, rhs), patterns in groups.items():
-        for negated in patterns:
-            consumed[tuple(sorted(
-                mk_lit(v, v in negated) for v in support
-            ))] += 1
+    consumed = {
+        tuple(sorted(mk_lit(v, v in negated) for v in support))
+        for (support, rhs), patterns in groups.items()
+        for negated in patterns
+    }
     want = Counter(_linear(vs, rhs) for vs, rhs in groups)
     want.update(_linear(vs, rhs) for vs, rhs in formula.xors)
     for clause in formula.clauses:
-        key = tuple(sorted(clause))
-        if consumed[key]:
-            consumed[key] -= 1
-        elif not clause_to_poly(clause).is_zero():
+        if tuple(sorted(clause)) in consumed:
+            continue
+        if not clause_to_poly(clause).is_zero():
             want[clause_to_poly(clause)] += 1
     got = Counter(result.polynomials)
     assert got == want

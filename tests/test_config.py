@@ -1,6 +1,15 @@
 """Tests for the configuration object and the paper's parameter set."""
 
+import dataclasses
+import inspect
+
 from repro.core import Config, PAPER_CONFIG
+from repro.sat import (
+    Preprocessor,
+    SolverConfig,
+    lingeling_config,
+    minisat_config,
+)
 
 
 def test_paper_parameters_match_section_iv():
@@ -37,3 +46,18 @@ def test_all_techniques_enabled_by_default():
     cfg = Config()
     assert cfg.use_xl and cfg.use_elimlin and cfg.use_sat
     assert not cfg.use_groebner  # optional plug-in (paper section V)
+
+
+def test_solver_option_inventory():
+    """Every solver option has two values in use: the personalities
+    differ on ``var_decay`` and ``restart_base``, tests shrink the
+    learnt-database bounds, and ``seed`` diversifies portfolio legs.  A
+    new knob has to justify itself against this list."""
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == {
+        "var_decay", "restart_base", "learnt_keep_base", "learnt_keep_step",
+        "seed",
+    }
+    minisat, lingeling = minisat_config(), lingeling_config()
+    assert minisat.var_decay != lingeling.var_decay
+    assert minisat.restart_base != lingeling.restart_base
+    assert list(inspect.signature(Preprocessor.run).parameters) == ["self"]

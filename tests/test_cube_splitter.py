@@ -4,7 +4,12 @@ and both modes must stay inside the original formula's variables."""
 
 import pytest
 
-from repro.cube import CubeSet, occurrence_scores, split_formula
+from repro.cube import (
+    DEFAULT_MAX_CUBES,
+    CubeSet,
+    occurrence_scores,
+    split_formula,
+)
 from repro.sat import CnfFormula, Solver, parse_dimacs
 from repro.sat.types import lit_var, mk_lit
 from repro.satcomp.generators import pigeonhole
@@ -99,10 +104,12 @@ def test_root_unsat_short_circuits():
 
 
 def test_max_cubes_bounds_the_fanout():
-    cs = split_formula(pigeonhole(4), 10, mode="occurrence", max_cubes=8)
-    assert 0 < len(cs.cubes) <= 8
-    cs = split_formula(pigeonhole(4), 10, mode="lookahead", max_cubes=8)
-    assert 0 < cs.n_leaves and len(cs.cubes) <= 8 + len(cs.variables)
+    # 2**10 leaves wanted; the cap allows DEFAULT_MAX_CUBES (2**8).
+    cs = split_formula(pigeonhole(4), 10, mode="occurrence")
+    assert 0 < len(cs.cubes) <= DEFAULT_MAX_CUBES
+    cs = split_formula(pigeonhole(4), 10, mode="lookahead")
+    assert 0 < cs.n_leaves and len(cs.cubes) <= DEFAULT_MAX_CUBES
+    assert max(map(len, cs.cubes + cs.refuted)) <= 8
 
 
 def test_xor_formulas_branch_on_original_vars_only():

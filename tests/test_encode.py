@@ -137,10 +137,13 @@ def test_define_caps_expression():
 
 def test_define_if_deep_only_when_large():
     builder = SystemBuilder()
-    bits = [builder.new_bit(0) for _ in range(4)]
-    small = bits[0] ^ bits[1]
-    same = builder.define_if_deep(small, max_terms=8)
+    bits = [builder.new_bit(0) for _ in range(7)]
+    small = bits[0]
+    for b in bits[1:6]:
+        small = small ^ b
+    assert len(small.poly) == 6
+    same = builder.define_if_deep(small)
     assert same is small
-    big = bits[0] ^ bits[1] ^ bits[2] ^ bits[3]
-    fresh = builder.define_if_deep(big, max_terms=2)
+    big = small ^ bits[6]
+    fresh = builder.define_if_deep(big)
     assert fresh is not big

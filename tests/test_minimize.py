@@ -21,9 +21,9 @@ def cube_covers(cube, minterm, n_vars):
     return (minterm & mask) == (value & mask)
 
 
-def check_cover(minterms, dont_cares, n_vars, cubes):
-    """Cubes must cover all minterms and nothing outside on ∪ dc."""
-    allowed = set(minterms) | set(dont_cares)
+def check_cover(minterms, n_vars, cubes):
+    """Cubes must cover all minterms and nothing else."""
+    allowed = set(minterms)
     covered = set()
     for cube in cubes:
         for m in range(1 << n_vars):
@@ -52,21 +52,15 @@ def test_xor_function_needs_all_minterms():
     on = [m for m in range(8) if bin(m).count("1") % 2 == 1]
     cubes = minimize(on, 3)
     assert len(cubes) == 4
-    check_cover(on, [], 3, cubes)
-
-
-def test_dont_cares_enable_merging():
-    # f(0)=1, f(1)=dc merges into the cube over bit0.
-    cubes = minimize([0], 1, dont_cares=[1])
-    assert cubes == [(0, 0)]
+    check_cover(on, 3, cubes)
 
 
 def test_prime_implicants_classic():
     # Classic example: minterms {0,1,2,5,6,7} of 3 vars.
-    primes = prime_implicants([0, 1, 2, 5, 6, 7], [], 3)
+    primes = prime_implicants([0, 1, 2, 5, 6, 7], 3)
     assert (6, 0) in primes  # cube 00- (bits 1,2 fixed to 0)
     check = minimize([0, 1, 2, 5, 6, 7], 3)
-    check_cover([0, 1, 2, 5, 6, 7], [], 3, check)
+    check_cover([0, 1, 2, 5, 6, 7], 3, check)
     assert len(check) <= 4
 
 
@@ -79,7 +73,7 @@ def test_paper_fig3_karnaugh_map():
     assert len(on) == 8
     cubes = minimize(on, 4)
     assert len(cubes) == 6
-    check_cover(on, [], 4, cubes)
+    check_cover(on, 4, cubes)
     # And they translate to the paper's clause set (Fig 2, left).
     clauses = set()
     for cube in cubes:
@@ -103,11 +97,10 @@ def test_cube_to_clause_polarity():
 
 
 @settings(max_examples=60)
-@given(st.sets(st.integers(0, 15)), st.sets(st.integers(0, 15)))
-def test_minimize_is_valid_cover(on, dc):
-    on = sorted(on - dc)
-    cubes = minimize(on, 4, dont_cares=sorted(dc))
-    check_cover(on, dc, 4, cubes)
+@given(st.sets(st.integers(0, 15)))
+def test_minimize_is_valid_cover(on):
+    cubes = minimize(sorted(on), 4)
+    check_cover(on, 4, cubes)
 
 
 @settings(max_examples=30)

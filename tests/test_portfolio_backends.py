@@ -292,7 +292,7 @@ def test_expand_xors_preserves_models():
     # assignment extends to the expansion.
     formula = CnfFormula(5)
     formula.add_xor([0, 1, 2, 3, 4], 1)
-    plain = expand_xors(formula, cut_len=3)
+    plain = expand_xors(formula)
     assert not plain.xors and plain.n_vars > 5
     from repro.sat import Solver
 

@@ -272,6 +272,31 @@ def test_idle_worker_death_respawns_cleanly(monkeypatch):
         assert second["verdict"] == "sat"
 
 
+def test_finished_jobs_leave_no_state():
+    # 20 jobs reporting through on_event, then one collected by wait():
+    # none may stay behind in the pool's job table.
+    results = []
+    with WorkerPool(jobs=1) as pool:
+        for _ in range(20):
+            pool.submit(
+                JobSpec(fmt="dimacs", text=EASY, preprocess=False),
+                on_event=lambda kind, payload: (
+                    kind == "result" and results.append(payload)
+                ),
+            )
+        deadline = time.monotonic() + 60
+        while len(results) < 20:
+            assert time.monotonic() < deadline, "jobs never finished"
+            time.sleep(0.05)
+        assert not pool._jobs
+        job = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        assert pool.wait(job, timeout=60)["verdict"] == "sat"
+        assert not pool._jobs
+        stats = pool.stats()
+    assert stats["done"] == stats["completed"] == 21
+    assert all(r["verdict"] == "sat" for r in results)
+
+
 def test_pool_rejects_submit_after_close():
     pool = WorkerPool(jobs=1)
     pool.close()
@@ -282,11 +307,14 @@ def test_pool_rejects_submit_after_close():
 def test_concurrent_submit_and_cancel_resolve_every_job_once():
     # More workers than cores, three submitting threads, every third job
     # cancelled at once: each job must resolve exactly once, and the
-    # pool's counters must add up.
+    # pool's counters must add up.  A job cancelled while queued resolves
+    # inside cancel() and the pool forgets it there, so the verdicts are
+    # read off the event stream, not wait().
     import threading
 
     n_threads, per_thread = 3, 12
     events = {}
+    verdicts = []
     lock = threading.Lock()
     ids = []
 
@@ -296,6 +324,9 @@ def test_concurrent_submit_and_cancel_resolve_every_job_once():
                 if kind != "progress":
                     with lock:
                         events[key] = events.get(key, 0) + 1
+                        verdicts.append(
+                            payload["verdict"] if kind == "result" else kind
+                        )
 
             job = pool.submit(
                 JobSpec(fmt="dimacs", text=EASY if i % 2 else UNSAT,
@@ -315,8 +346,15 @@ def test_concurrent_submit_and_cancel_resolve_every_job_once():
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive()
-        verdicts = [pool.wait(job, timeout=60)["verdict"] for job in ids]
+        deadline = time.monotonic() + 60
+        while True:
+            with lock:
+                if len(verdicts) >= len(ids):
+                    break
+            assert time.monotonic() < deadline, "jobs never resolved"
+            time.sleep(0.05)
         stats = pool.stats()
+        assert not pool._jobs
     assert len(set(ids)) == n_threads * per_thread
     assert set(verdicts) <= {"sat", "unsat", "cancelled"}
     assert sorted(events.values()) == [1] * len(ids)
