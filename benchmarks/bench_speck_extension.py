@@ -9,7 +9,7 @@ with/without-Bosphorus protocol.
 import pytest
 
 from repro.ciphers import speck
-from repro.experiments import Problem, format_blocks, run_block
+from repro.experiments import PERSONALITIES, Problem, format_blocks, run_block
 
 from .conftest import bench_count, bench_timeout, fast_config
 
@@ -35,7 +35,7 @@ def test_speck_block(benchmark, problems, table_printer):
         rounds=1, iterations=1,
     )
     table_printer("Extension / Speck block", format_blocks([block]))
-    for personality in ("minisat", "lingeling", "cms"):
+    for personality in PERSONALITIES:
         w = block.scores[(personality, True)]
         wo = block.scores[(personality, False)]
         benchmark.extra_info[personality] = {"w/o": wo.format(), "w": w.format()}

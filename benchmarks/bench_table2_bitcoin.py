@@ -10,7 +10,12 @@ difficulty ladder stays within pure-Python reach.
 
 import pytest
 
-from repro.experiments import bitcoin_problems, format_blocks, run_block
+from repro.experiments import (
+    PERSONALITIES,
+    bitcoin_problems,
+    format_blocks,
+    run_block,
+)
 
 from .conftest import bench_count, bench_timeout, fast_config
 
@@ -45,7 +50,7 @@ def test_table2_bitcoin_blocks(benchmark, blocks, table_printer):
         format_blocks(results),
     )
     for block in results:
-        for personality in ("minisat", "lingeling", "cms"):
+        for personality in PERSONALITIES:
             w = block.scores[(personality, True)]
             wo = block.scores[(personality, False)]
             benchmark.extra_info["{}:{}".format(block.label, personality)] = {

@@ -11,6 +11,7 @@ UNSAT-favouring shape must show.
 import pytest
 
 from repro.experiments import (
+    PERSONALITIES,
     format_blocks,
     run_block,
     satcomp_hard_problems,
@@ -54,7 +55,7 @@ def test_table2_satcomp_blocks(benchmark, suites, table_printer):
         format_blocks(results),
     )
     full_block = results[0]
-    for personality in ("minisat", "lingeling", "cms"):
+    for personality in PERSONALITIES:
         w = full_block.scores[(personality, True)]
         wo = full_block.scores[(personality, False)]
         benchmark.extra_info[personality] = {"w/o": wo.format(), "w": w.format()}

@@ -11,7 +11,12 @@ sits at the same relative difficulty tiers; counts via REPRO_BENCH_COUNT.
 
 import pytest
 
-from repro.experiments import format_blocks, run_block, simon_problems
+from repro.experiments import (
+    PERSONALITIES,
+    format_blocks,
+    run_block,
+    simon_problems,
+)
 
 from .conftest import bench_count, bench_timeout, fast_config
 
@@ -47,7 +52,7 @@ def test_table2_simon_blocks(benchmark, blocks, table_printer):
     table_printer("Table II / Simon blocks (scaled rounds)",
                   format_blocks(results))
     for block in results:
-        for personality in ("minisat", "lingeling", "cms"):
+        for personality in PERSONALITIES:
             w = block.scores[(personality, True)]
             wo = block.scores[(personality, False)]
             benchmark.extra_info["{}:{}".format(block.label, personality)] = {

@@ -12,7 +12,12 @@ instances, and PAR-2 does not degrade on the solved set.
 
 import pytest
 
-from repro.experiments import format_blocks, run_block, sr_problems
+from repro.experiments import (
+    PERSONALITIES,
+    format_blocks,
+    run_block,
+    sr_problems,
+)
 
 from .conftest import bench_count, bench_timeout, fast_config
 
@@ -35,7 +40,7 @@ def test_table2_sr_block(benchmark, problems, table_printer):
 
     table_printer("Table II / SR block (scaled: SR-[1,2,2,4])",
                   format_blocks([block]))
-    for personality in ("minisat", "lingeling", "cms"):
+    for personality in PERSONALITIES:
         without = block.scores[(personality, False)]
         with_b = block.scores[(personality, True)]
         benchmark.extra_info[personality] = {

@@ -2,7 +2,7 @@
 
 Mechanizes the repo's standing invariants (see ROADMAP) as static-
 analysis rules over stdlib ``ast``: ONE-KERNEL, MASK-PATH, DET-RNG,
-FORK-SAFETY and ORACLE-FREEZE, with an explicit suppression
+FORK-SAFETY, ORACLE-FREEZE and DEAD-API, with an explicit suppression
 pragma (``# repro: allow[RULE-ID] <justification>``).  Run it as
 ``python -m repro.analysis`` or ``make lint``: it prints one line per
 finding and a tally, needs nothing beyond the standard library and

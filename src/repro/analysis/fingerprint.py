@@ -20,7 +20,7 @@ import copy
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 #: Prefix recorded in the fingerprint file, so the hash scheme is
 #: self-describing and can be evolved.
@@ -106,21 +106,3 @@ def write_fingerprints(path: Path, pins: Dict[str, str]) -> None:
     )
 
 
-def diff_fingerprints(
-    expected: Dict[str, str], actual: Dict[str, str]
-) -> List[str]:
-    """Human lines describing drift between pinned and recomputed."""
-    problems = []
-    for key in sorted(set(expected) | set(actual)):
-        exp, act = expected.get(key), actual.get(key)
-        if act is None:
-            problems.append("{}: oracle definition missing".format(key))
-        elif exp is None:
-            problems.append("{}: no pinned fingerprint".format(key))
-        elif exp != act:
-            problems.append(
-                "{}: fingerprint drifted (pinned {}, recomputed {})".format(
-                    key, exp[:18] + "...", act[:18] + "..."
-                )
-            )
-    return problems

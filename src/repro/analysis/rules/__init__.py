@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from ..rules_base import Rule
+from .dead_api import DeadApiRule
 from .det_rng import DetRngRule
 from .fork_safety import ForkSafetyRule
 from .mask_path import MaskPathRule
@@ -18,6 +19,7 @@ ALL_RULES: List[Type[Rule]] = [
     DetRngRule,
     ForkSafetyRule,
     OracleFreezeRule,
+    DeadApiRule,
 ]
 
 RULES_BY_ID: Dict[str, Type[Rule]] = {rule.id: rule for rule in ALL_RULES}
@@ -25,6 +27,7 @@ RULES_BY_ID: Dict[str, Type[Rule]] = {rule.id: rule for rule in ALL_RULES}
 __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
+    "DeadApiRule",
     "DetRngRule",
     "ForkSafetyRule",
     "MaskPathRule",

@@ -1,7 +1,7 @@
 """MASK-PATH: matrices are built with the bulk constructors.
 
 The standing invariant (ROADMAP, PRs 3–4): matrix producers use the
-bulk constructors (``from_cells`` / ``from_masks`` / ``from_rows``)
+bulk constructors (``from_cells`` / ``from_rows``)
 instead of per-cell ``set`` loops.  This rule flags a
 ``.set(i, j, value)`` matrix cell write driven from a loop — the
 per-cell producer shape the bulk constructors replaced.  The check keys
@@ -21,12 +21,12 @@ from ..rules_base import ModuleContext, Rule, call_name, file_is
 class MaskPathRule(Rule):
     id = "MASK-PATH"
     description = (
-        "matrix producers use from_cells/from_masks/from_rows, not "
+        "matrix producers use from_cells/from_rows, not "
         "per-cell set loops"
     )
     fix_hint = (
         "stay on the mask path: build matrices with "
-        "GF2Matrix.from_cells/from_masks/from_rows"
+        "GF2Matrix.from_cells/from_rows"
     )
     default_settings = {
         #: The matrix layer itself: its primitives legitimately touch

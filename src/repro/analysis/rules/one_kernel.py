@@ -2,10 +2,9 @@
 
 The standing invariant (ROADMAP, PR 6): all elimination call sites go
 through :func:`repro.gf2.elimination.eliminate` (or the
-``rref``/``rank``/``solve_affine``/``kernel_basis``/``rref_rows``
-wrappers riding it).  The seed column-at-a-time Gauss–Jordan lives with
-the tests as a differential oracle, outside the scanned tree.  This
-rule flags:
+``rref``/``rank`` wrappers riding it).  The seed column-at-a-time
+Gauss–Jordan lives with the tests as a differential oracle, outside the
+scanned tree.  This rule flags:
 
 * per-row elimination primitives (``xor_row_into`` / ``swap_rows``)
   driven from a loop — the signature of a hand-rolled sweep;
@@ -18,7 +17,7 @@ rule flags:
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
+from typing import List
 
 from ..rules_base import (
     ModuleContext,
@@ -97,8 +96,8 @@ class OneKernelRule(Rule):
     id = "ONE-KERNEL"
     description = (
         "GF(2) elimination must go through repro.gf2.elimination."
-        "eliminate() (or its rank/solve_affine/kernel_basis/rref_rows "
-        "wrappers); no hand-rolled column loops"
+        "eliminate() (or its rref/rank wrappers); no hand-rolled column "
+        "loops"
     )
     fix_hint = (
         "route the elimination through repro.gf2.elimination.eliminate()"

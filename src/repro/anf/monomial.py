@@ -15,9 +15,7 @@ systems of at most :data:`LIMB_BITS` variables fit one machine word
 (CPython's small-int fast path), and wider systems transparently become
 multi-limb big ints whose bitwise ops are branch-free C loops over
 :data:`LIMB_BITS`-bit limbs.  The limb stride is the same 64-bit packed
-word layout :class:`~repro.gf2.matrix.GF2Matrix` uses; :func:`mask_words`
-/ :func:`mask_from_words` convert between the two without re-encoding
-bit by bit.
+word layout :class:`~repro.gf2.matrix.GF2Matrix` uses.
 
 Sorted variable tuples (:data:`Monomial`) appear only at the I/O
 boundary — the parser, printing, the tuple-accepting ``Poly``
@@ -37,8 +35,7 @@ Monomial = Tuple[int, ...]
 ONE = 0
 
 #: The limb stride of the mask encoding: masks are little-endian arrays
-#: of 64-bit words (CPython big ints expose exactly this through
-#: :func:`mask_words`), matching ``gf2.matrix``'s packed ``uint64`` rows.
+#: of 64-bit words, matching ``gf2.matrix``'s packed ``uint64`` rows.
 LIMB_BITS = 64
 
 
@@ -77,42 +74,6 @@ def as_tuple(mask: int) -> Monomial:
     if mask < 0:
         raise ValueError("mask must be non-negative")
     return tuple(bits_of(mask))
-
-
-def mask_words(mask: int, n_words: int = 0) -> List[int]:
-    """Split a mask into little-endian :data:`LIMB_BITS`-bit limbs.
-
-    The layout matches one packed row of
-    :class:`~repro.gf2.matrix.GF2Matrix` (``uint64`` words, bit ``j`` of
-    word ``w`` = variable ``64*w + j``).  ``n_words`` pads (or checks)
-    the length; 0 means "just enough words".
-    """
-    if mask < 0:
-        raise ValueError("mask must be non-negative")
-    need = max(1, -(-mask.bit_length() // LIMB_BITS))
-    if n_words:
-        if need > n_words:
-            raise ValueError(
-                "mask needs {} words, got n_words={}".format(need, n_words)
-            )
-        need = n_words
-    word = (1 << LIMB_BITS) - 1
-    out = []
-    for _ in range(need):
-        out.append(mask & word)
-        mask >>= LIMB_BITS
-    return out
-
-
-def mask_from_words(words: Iterable[int]) -> int:
-    """Reassemble a mask from little-endian limbs (inverse of
-    :func:`mask_words`)."""
-    mask = 0
-    for i, w in enumerate(words):
-        if not 0 <= w < (1 << LIMB_BITS):
-            raise ValueError("word {} out of range".format(i))
-        mask |= w << (i * LIMB_BITS)
-    return mask
 
 
 def compress_mask(mask: int, support_mask: int) -> int:

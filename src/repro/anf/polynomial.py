@@ -361,43 +361,6 @@ class Poly:
                     acc.add(prod)
         return Poly._from_frozenset(frozenset(acc))
 
-    def substitute_literals(
-        self, simple: Dict[int, Tuple[Optional[int], int]]
-    ) -> "Poly":
-        """Substitution where every replacement is ``0``, ``1``, ``y`` or
-        ``y + 1`` (encoded ``(None, 0)``, ``(None, 1)``, ``(y, 0)``,
-        ``(y, 1)`` — the encoding ``VariableState.literal_of`` produces).
-        Each monomial rewrites to at most ``2^k`` monomials where k is
-        its count of *negated* aliases — almost always 0 or 1.
-
-        This is the propagation engine's hottest kernel, and it is
-        mask-native: the substitution is pre-split into bitmasks, one
-        width-adaptive AND screens each monomial (most monomials of a
-        dirtied equation do not mention a substituted variable), dead
-        monomials die on a second AND, and the rewritten base monomial is
-        assembled by mask OR.
-
-        ``AnfSystem.normalize`` pre-splits the masks itself and calls
-        :meth:`substitute_masks` directly.
-        """
-        sub_mask = 0  # all substituted variables
-        dead_mask = 0  # -> constant 0: the monomial dies
-        alias: Optional[Dict[int, Tuple[int, int]]] = None  # -> y or y + 1
-        alias_mask = 0
-        for v, (y, c) in simple.items():
-            bit = 1 << v
-            sub_mask |= bit
-            if y is None:
-                if c == 0:
-                    dead_mask |= bit
-                # constant 1: the variable simply drops out of the base
-            else:
-                alias_mask |= bit
-                if alias is None:
-                    alias = {}
-                alias[v] = (y, c)
-        return self.substitute_masks(sub_mask, dead_mask, alias_mask, alias)
-
     def substitute_masks(
         self,
         sub_mask: int,
@@ -411,6 +374,12 @@ class Poly:
         ones replaced by constant 0, ``alias_mask`` the ones replaced by
         ``y`` / ``y + 1`` (with ``alias[v] = (y, parity)``); bits in
         ``sub_mask`` only are replaced by constant 1 and simply drop out.
+
+        This is the propagation engine's hottest kernel
+        (:meth:`AnfSystem.normalize` splits the masks): one AND screens
+        each monomial, dead monomials die on a second AND, and the
+        rewritten base is assembled by mask OR.  A monomial rewrites to
+        at most ``2^k`` monomials, k its count of negated aliases.
         """
         acc: Set[int] = set()
         for mk in self._masks:

@@ -88,14 +88,6 @@ class VariableState:
             return None
         return val ^ parity
 
-    def representative(self, v: int) -> Tuple[int, int]:
-        """The equivalence literal ``(variable, negated)`` for ``v``.
-
-        If the variable has a value this still returns the class root; use
-        :meth:`value` first when a constant is wanted.
-        """
-        return self.find(v)
-
     def assign(self, v: int, value: int) -> bool:
         """Set ``x_v = value``.  Returns True if this was new information.
 
@@ -166,9 +158,9 @@ class VariableState:
         Returns ``(None, c)`` when the variable has value ``c``,
         ``(root, parity)`` when it rewrites to another variable (possibly
         negated), or None when it is its own representative.  This is the
-        exact encoding :meth:`Poly.substitute_literals` consumes, so ANF
-        propagation never round-trips substitutions through ``Poly``
-        objects.
+        encoding :meth:`normalize` splits into the masks
+        :meth:`Poly.substitute_masks` consumes, so ANF propagation never
+        round-trips substitutions through ``Poly`` objects.
         """
         cache = self._lit_cache
         if v in cache:
@@ -182,22 +174,6 @@ class VariableState:
         cache[v] = entry
         return entry
 
-    def as_assignment(self, n_vars: int, default: int = 0) -> List[int]:
-        """Concrete assignment: determined values, ``default`` elsewhere.
-
-        Equivalence classes without a value collapse onto the default of
-        their root so equivalences stay satisfied.
-        """
-        out = []
-        for v in range(n_vars):
-            val = self.value(v)
-            if val is None:
-                root, parity = self.find(v)
-                val = default ^ parity
-            out.append(val)
-        return out
-
-
 class AnfSystem:
     """A system of Boolean polynomial equations with occurrence lists.
 
@@ -206,8 +182,8 @@ class AnfSystem:
     :class:`ContradictionError` (the paper's ``1 = 0`` termination signal).
 
     The per-variable occurrence lists are *persistent* state (paper
-    section III-B): :meth:`add`, :meth:`remove_at`, :meth:`replace_at` and
-    :meth:`replace_all` all keep them exact, so the incremental
+    section III-B): :meth:`add`, :meth:`remove_at` and :meth:`replace_at`
+    keep them exact, so the incremental
     propagation engine never rebuilds them.  Removal is swap-remove (the
     last equation moves into the freed slot), so indices are dense but
     not stable across removals — :meth:`index_of` gives the current slot
@@ -346,19 +322,6 @@ class AnfSystem:
     def occurrence_count(self, var: int) -> int:
         """Number of equations mentioning ``var``."""
         return len(self._occurrence.get(var, ()))
-
-    def replace_all(self, polynomials: Iterable[Poly]) -> None:
-        """Swap in a new equation list, rebuilding occurrence lists.
-
-        Full-system rebuild; the incremental engine edits in place via
-        :meth:`replace_at`/:meth:`remove_at` instead.  Kept for callers
-        that genuinely replace the whole master copy.
-        """
-        self._polys = []
-        self._index = {}
-        self._occurrence = {}
-        for p in polynomials:
-            self.add(p)
 
     # -- normalisation against the variable state ---------------------------
 

@@ -50,9 +50,6 @@ class GF2e:
                 acc ^= self.modulus << (bit - self.e)
         return acc
 
-    def square(self, a: int) -> int:
-        return self.mul(a, a)
-
     def pow(self, a: int, k: int) -> int:
         acc = 1
         base = a
@@ -128,9 +125,3 @@ class GF2e:
         """Little-endian bit list of an element."""
         return [(a >> i) & 1 for i in range(self.e)]
 
-    def bits_to_element(self, bits: Sequence[int]) -> int:
-        """Inverse of :meth:`element_to_bits`."""
-        out = 0
-        for i, b in enumerate(bits):
-            out |= (b & 1) << i
-        return out

@@ -18,9 +18,8 @@ instances solvable by the pure-Python stack (DESIGN.md §4, substitution 3).
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..anf.ring import Ring
 from ..encode import (
     SystemBuilder,
     TracedBit,
@@ -28,7 +27,6 @@ from ..encode import (
     const_vector,
     rotr,
     shr,
-    to_int,
     xor_vec,
 )
 
@@ -210,9 +208,3 @@ class Sha256Encoder:
             out.append(add_many(self.builder, [reg, _word_from_int(init)], "out{}".format(i)))
         return out
 
-    def verify_against_reference(self, words: Sequence[Word]) -> bool:
-        """Check the traced witness against the concrete implementation."""
-        concrete = [to_int(w) for w in words[:16]]
-        expected = compress(concrete, H0, self.rounds)
-        symbolic = self.compress(words)
-        return [to_int(w) for w in symbolic] == expected

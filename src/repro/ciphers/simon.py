@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
 from ..encode import (
     SystemBuilder,
-    TracedBit,
     and_vec,
     const_vector,
     constrain_vector,
@@ -63,7 +62,7 @@ def key_schedule(key_words: Sequence[int], rounds: int) -> List[int]:
     k = list(key_words)
     c = 0xFFFC  # 2^16 - 4
     for i in range(len(k), rounds):
-        tmp = _rotl16(k[i - 1], -3) if False else ((k[i - 1] >> 3) | (k[i - 1] << (WORD - 3))) & 0xFFFF
+        tmp = ((k[i - 1] >> 3) | (k[i - 1] << (WORD - 3))) & 0xFFFF
         tmp ^= k[i - 3]
         tmp ^= ((tmp >> 1) | (tmp << (WORD - 1))) & 0xFFFF
         k.append((~k[i - 4] & 0xFFFF) ^ tmp ^ Z0[(i - KEY_WORDS) % 62] ^ 3)
@@ -79,15 +78,6 @@ def encrypt(plaintext: Tuple[int, int], key_words: Sequence[int], rounds: int = 
     ks = key_schedule(key_words, rounds)
     for i in range(rounds):
         x, y = y ^ _round_function(x) ^ ks[i], x
-    return x, y
-
-
-def decrypt(ciphertext: Tuple[int, int], key_words: Sequence[int], rounds: int = FULL_ROUNDS) -> Tuple[int, int]:
-    """Inverse of :func:`encrypt`."""
-    x, y = ciphertext
-    ks = key_schedule(key_words, rounds)
-    for i in reversed(range(rounds)):
-        x, y = y, x ^ _round_function(y) ^ ks[i]
     return x, y
 
 

@@ -52,12 +52,6 @@ def _round(x: int, y: int, k: int) -> Tuple[int, int]:
     return x, y
 
 
-def _unround(x: int, y: int, k: int) -> Tuple[int, int]:
-    y = _rotr16(y ^ x, BETA)
-    x = _rotl16(((x ^ k) - y) & MASK, ALPHA)
-    return x, y
-
-
 def key_schedule(key_words: Sequence[int], rounds: int) -> List[int]:
     """Round keys for Speck32/64.
 
@@ -79,15 +73,6 @@ def encrypt(plaintext: Tuple[int, int], key_words: Sequence[int],
     x, y = plaintext
     for k in key_schedule(key_words, rounds):
         x, y = _round(x, y, k)
-    return x, y
-
-
-def decrypt(ciphertext: Tuple[int, int], key_words: Sequence[int],
-            rounds: int = FULL_ROUNDS) -> Tuple[int, int]:
-    """Inverse of :func:`encrypt`."""
-    x, y = ciphertext
-    for k in reversed(key_schedule(key_words, rounds)):
-        x, y = _unround(x, y, k)
     return x, y
 
 

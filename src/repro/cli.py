@@ -19,10 +19,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .anf import Ring, read_anf, write_anf
+from .anf import read_anf, write_anf
 from .core.bosphorus import Bosphorus, STATUS_SAT, STATUS_UNSAT
 from .core.config import Config
 from .obs import NULL_TRACER, Tracer
+from .portfolio.backends import PERSONALITIES
 from .sat.dimacs import read_dimacs, write_dimacs
 
 
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cnfwrite", metavar="FILE", help="write processed CNF")
     parser.add_argument("--solve", action="store_true",
                         help="run a final SAT solver on the processed CNF")
-    parser.add_argument("--solver", choices=("minisat", "lingeling", "cms"),
+    parser.add_argument("--solver", choices=PERSONALITIES,
                         default="cms", help="final solver personality")
     final = parser.add_mutually_exclusive_group()
     final.add_argument("--backend", metavar="SPEC", default=None,

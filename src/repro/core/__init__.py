@@ -22,7 +22,6 @@ from .facts import (
     SOURCE_SAT,
     SOURCE_XL,
     FactStore,
-    classify_fact,
 )
 from .groebner import GroebnerResult, buchberger, normal_form, s_polynomial
 from .linearize import Linearization, extract_facts, gauss_jordan
@@ -48,7 +47,6 @@ __all__ = [
     "Config",
     "PAPER_CONFIG",
     "FactStore",
-    "classify_fact",
     "SOURCE_INPUT",
     "SOURCE_PROPAGATION",
     "SOURCE_XL",

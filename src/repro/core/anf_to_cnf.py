@@ -144,19 +144,6 @@ class ConversionResult:
     stats: ConversionStats
     delta: Optional[CnfFormula] = None
 
-    def is_original_var(self, cnf_var: int) -> bool:
-        """True if the CNF variable is one of the problem's ANF variables."""
-        return cnf_var < self.n_anf_vars
-
-    def is_cut_var(self, cnf_var: int) -> bool:
-        """True if the CNF variable is an XOR-cutting auxiliary."""
-        return cnf_var in self.cut_vars
-
-    def is_monomial_var(self, cnf_var: int) -> bool:
-        """True if the CNF variable is a Tseitin monomial auxiliary."""
-        return cnf_var >= self.n_anf_vars and cnf_var in self.monomial_of_var
-
-
 class AnfToCnf:
     """Converter carrying the paper's parameters K and L.
 

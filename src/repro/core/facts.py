@@ -8,7 +8,7 @@ experiments can report who learnt what.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..anf.polynomial import Poly
 
@@ -20,19 +20,6 @@ SOURCE_ELIMLIN = "elimlin"
 SOURCE_SAT = "sat"
 SOURCE_GROEBNER = "groebner"
 SOURCE_PROBING = "probing"
-
-
-def classify_fact(poly: Poly) -> str:
-    """Shape of a fact: unit / equivalence / monomial / linear / other."""
-    if poly.as_unit() is not None:
-        return "unit"
-    if poly.as_equivalence() is not None:
-        return "equivalence"
-    if poly.as_monomial_assignment() is not None:
-        return "monomial"
-    if poly.is_linear():
-        return "linear"
-    return "other"
 
 
 class FactStore:
@@ -50,10 +37,6 @@ class FactStore:
         self._facts.append((poly, source))
         return True
 
-    def add_all(self, polys: Iterable[Poly], source: str) -> int:
-        """Record several facts; returns how many were new."""
-        return sum(1 for p in polys if self.add(p, source))
-
     def __len__(self) -> int:
         return len(self._facts)
 
@@ -66,14 +49,6 @@ class FactStore:
     def polynomials(self) -> List[Poly]:
         """All fact polynomials, in learning order."""
         return [p for p, _ in self._facts]
-
-    def source_of(self, poly: Poly) -> Optional[str]:
-        """Which technique learnt this fact (None if unknown)."""
-        return self._index.get(poly)
-
-    def by_source(self, source: str) -> List[Poly]:
-        """Facts contributed by one technique."""
-        return [p for p, s in self._facts if s == source]
 
     def summary(self) -> Dict[str, int]:
         """Fact counts per source (for experiment reporting)."""

@@ -15,8 +15,8 @@ Columns are monomial *masks* (the width-adaptive int bitmasks a
 and the column map is keyed by mask, so the hot encode path hashes ints.
 Matrices are built in bulk: one flat (row, column) index pass over each
 polynomial's masks feeds :meth:`~repro.gf2.matrix.GF2Matrix.from_cells`,
-which scatters all 1-cells into the packed 64-bit-limb rows (the
-``from_masks`` / ``row_mask`` layout) with a single vectorised OR.
+which scatters all 1-cells into the packed 64-bit-limb rows with a
+single vectorised OR.
 Decoding is batch too: :meth:`~repro.gf2.matrix.GF2Matrix.rows_cols`
 bit-walks only the non-zero packed words of the reduced matrix, so the
 many all-zero rows an RREF leaves behind cost nothing.  The historical

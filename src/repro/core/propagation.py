@@ -10,7 +10,7 @@ Architecture
 ------------
 * The engine edits the master system **in place** through
   ``AnfSystem.replace_at``/``remove_at``; there is no per-call occurrence
-  rebuild and no end-of-run ``replace_all`` sweep.  A full fixpoint pass
+  rebuild and no end-of-run whole-system sweep.  A full fixpoint pass
   costs O(affected equations), and an incremental call costs only the
   closure of the dirty set.
 * ``propagate(system, dirty=...)`` seeds the worklist with just the

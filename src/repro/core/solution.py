@@ -15,7 +15,7 @@ satisfies the source ANF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..anf.polynomial import Poly
 from ..sat.types import TRUE
@@ -109,18 +109,6 @@ class Solution:
         if needed > len(padded):
             padded = padded + [0] * (needed - len(padded))
         return all(p.evaluate(padded) == 0 for p in polynomials)
-
-    def violated(self, polynomials: Sequence[Poly]) -> List[Poly]:
-        """The equations the assignment fails (for diagnostics)."""
-        padded = self.values
-        needed = 0
-        for p in polynomials:
-            vs = p.variables()
-            if vs:
-                needed = max(needed, max(vs) + 1)
-        if needed > len(padded):
-            padded = padded + [0] * (needed - len(padded))
-        return [p for p in polynomials if p.evaluate(padded) != 0]
 
     def __repr__(self) -> str:
         bits = "".join(str(v) for v in self.values[:64])

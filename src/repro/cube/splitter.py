@@ -63,11 +63,6 @@ class CubeSet:
     forced: List[int] = field(default_factory=list)
     root_unsat: bool = False
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.cubes) + len(self.refuted)
-
-
 def occurrence_scores(formula: CnfFormula) -> List[float]:
     """Length-weighted occurrence score per variable (2^-len per
     constraint): the cheap proxy for propagation leverage used to rank
@@ -127,7 +122,7 @@ def _lookahead_split(formula: CnfFormula, depth: int) -> CubeSet:
     order = [v for v in _ranked_vars(plain) if v < formula.n_vars]
     out = CubeSet(forced=forced)
     used: set = set()
-    _descend(solver, order, depth, [], out, used, DEFAULT_MAX_CUBES)
+    _descend(solver, order, depth, [], out, used)
     out.variables = sorted(used)
     return out
 
@@ -139,9 +134,8 @@ def _descend(
     prefix: List[int],
     out: CubeSet,
     used: set,
-    max_cubes: int,
 ) -> None:
-    if depth == 0 or len(out.cubes) >= max_cubes:
+    if depth == 0:
         out.cubes.append(tuple(prefix))
         return
     v = next((u for u in order if solver.val[u << 1] == UNDEF), None)
@@ -159,7 +153,7 @@ def _descend(
             # the whole space.
             out.refuted.append(tuple(prefix + [lit]))
         else:
-            _descend(solver, order, depth - 1, prefix + [lit], out, used, max_cubes)
+            _descend(solver, order, depth - 1, prefix + [lit], out, used)
         solver.cancel_until(level)
 
 

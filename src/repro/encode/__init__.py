@@ -7,12 +7,10 @@ from .bitvec import (
     and_vec,
     const_vector,
     constrain_vector,
-    not_vec,
     rotl,
     rotr,
     shr,
     to_int,
-    vector_from_int_vars,
     xor_vec,
 )
 from .builder import SystemBuilder, TracedBit
@@ -25,12 +23,10 @@ __all__ = [
     "to_int",
     "xor_vec",
     "and_vec",
-    "not_vec",
     "rotl",
     "rotr",
     "shr",
     "adder",
     "add_many",
-    "vector_from_int_vars",
     "constrain_vector",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..anf.polynomial import Poly
 from .builder import SystemBuilder, TracedBit
 
 BitVector = List[TracedBit]
@@ -40,11 +39,6 @@ def and_vec(a: Sequence[TracedBit], b: Sequence[TracedBit]) -> BitVector:
     if len(a) != len(b):
         raise ValueError("width mismatch")
     return [x & y for x, y in zip(a, b)]
-
-
-def not_vec(a: Sequence[TracedBit]) -> BitVector:
-    """Bitwise complement."""
-    return [~x for x in a]
 
 
 def rotl(a: Sequence[TracedBit], k: int) -> BitVector:
@@ -113,13 +107,6 @@ def add_many(
     for idx, v in enumerate(vectors[1:]):
         acc = adder(builder, acc, v, None if name is None else "{}_{}".format(name, idx))
     return acc
-
-
-def vector_from_int_vars(
-    builder: SystemBuilder, value: int, width: int, prefix: Optional[str] = None
-) -> BitVector:
-    """Fresh unknown variables whose witness spells ``value``."""
-    return builder.new_bits([(value >> i) & 1 for i in range(width)], prefix)
 
 
 def constrain_vector(builder: SystemBuilder, bits: Sequence[TracedBit], value: int) -> None:

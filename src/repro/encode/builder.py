@@ -102,11 +102,11 @@ class SystemBuilder:
         self.add_equation(fresh.poly + bit.poly)
         return fresh
 
-    def define_if_deep(self, bit: TracedBit, name=None) -> TracedBit:
+    def define_if_deep(self, bit: TracedBit) -> TracedBit:
         """Define a fresh variable only when the expression has more than
         :data:`DEEP_TERMS` terms."""
         if len(bit.poly) > DEEP_TERMS:
-            return self.define(bit, name)
+            return self.define(bit)
         return bit
 
     # -- checks ------------------------------------------------------------------

@@ -8,7 +8,6 @@ from .runner import (
     run_family,
     run_instance,
 )
-from .report import cactus_points, markdown_table, render_cactus, solved_counts
 from .tables import (
     TableBlock,
     bitcoin_problems,
@@ -36,8 +35,4 @@ __all__ = [
     "bitcoin_problems",
     "satcomp_problems",
     "satcomp_hard_problems",
-    "cactus_points",
-    "render_cactus",
-    "markdown_table",
-    "solved_counts",
 ]

@@ -23,7 +23,7 @@ wall-clock isolation; the PAR-2 math is unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..anf.polynomial import Poly
@@ -33,11 +33,9 @@ from ..core.anf_to_cnf import AnfToCnf
 from ..core.bosphorus import Bosphorus
 from ..core.config import Config
 from ..core.solution import Solution
-from ..portfolio.backends import CdclBackend
+from ..portfolio.backends import PERSONALITIES, CdclBackend
 from ..portfolio.batch import BatchItemError, BatchScheduler
 from ..sat.dimacs import CnfFormula
-
-PERSONALITIES = ("minisat", "lingeling", "cms")
 
 
 @dataclass

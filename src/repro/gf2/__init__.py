@@ -2,11 +2,10 @@
 
 :func:`eliminate` is the one elimination kernel API — every consumer
 (linearize/elimlin/xl/propagation/xorengine and the derived matrix
-paths ``rank``/``solve_affine``/``kernel_basis``/``rref_rows``) reduces
-through it.
+paths ``rref``/``rank``) reduces through it.
 """
 
 from .elimination import choose_block_size, eliminate
-from .matrix import GF2Matrix, rref_rows
+from .matrix import GF2Matrix
 
-__all__ = ["GF2Matrix", "rref_rows", "eliminate", "choose_block_size"]
+__all__ = ["GF2Matrix", "eliminate", "choose_block_size"]

@@ -4,11 +4,10 @@ Every elimination consumer in the repo — the XL/ElimLin linearisation
 (:func:`repro.core.linearize.gauss_jordan`), the linear-residual-group
 echelonisation in :mod:`repro.core.propagation`, the XOR engine's
 CMS-style preprocessing (:meth:`repro.sat.xorengine.XorEngine`), and the
-derived matrix paths ``rank`` / ``solve_affine`` / ``kernel_basis`` /
-``rref_rows`` — goes through :func:`eliminate`.  New elimination call
-sites must too: the per-call-site quirks the seed accumulated
-(copy-then-rref rank scans, per-row consistency walks) get fixed here,
-once.
+derived matrix paths ``rref`` / ``rank`` — goes through
+:func:`eliminate`.  New elimination call sites must too: the
+per-call-site quirks the seed accumulated (copy-then-rref rank scans,
+per-row consistency walks) get fixed here, once.
 
 Method of Four Russians (M4RI)
 ------------------------------
@@ -70,8 +69,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from .matrix import GF2Matrix
-
-_ONE = np.uint64(1)
 
 #: The byte-lane extraction fast path views packed uint64 words as
 #: eight uint8 lanes, which only lines up on little-endian hosts.

@@ -17,7 +17,7 @@ oracle and bench baseline.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -83,6 +83,3 @@ def truth_table_masks(
     return np.flatnonzero(parity).tolist()
 
 
-def poly_support(poly: Poly) -> Tuple[int, ...]:
-    """Sorted variable support of a polynomial."""
-    return tuple(sorted(poly.variables()))

@@ -26,7 +26,6 @@ from .schema import (
     undeclared_stats_keys,
     validate_span,
     validate_spans,
-    validate_stats,
 )
 from .trace import (
     NULL_TRACER,
@@ -55,5 +54,4 @@ __all__ = [
     "undeclared_stats_keys",
     "validate_span",
     "validate_spans",
-    "validate_stats",
 ]

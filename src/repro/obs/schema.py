@@ -19,7 +19,6 @@ __all__ = [
     "TECHNIQUE_KEYS",
     "SPAN_KEYS",
     "undeclared_stats_keys",
-    "validate_stats",
     "validate_span",
     "validate_spans",
 ]
@@ -74,16 +73,6 @@ def undeclared_stats_keys(stats: Dict[str, Any]) -> List[str]:
         if isinstance(entry, dict):
             extra.extend(k for k in entry if k not in TECHNIQUE_KEYS)
     return sorted(set(extra))
-
-
-def validate_stats(stats: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` if ``stats`` emits any undeclared key."""
-    extra = undeclared_stats_keys(stats)
-    if extra:
-        raise ValueError(
-            "undeclared result.stats keys (declare them in "
-            "repro/obs/schema.py): " + ", ".join(extra)
-        )
 
 
 def validate_span(span: Dict[str, Any]) -> None:

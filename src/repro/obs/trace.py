@@ -111,11 +111,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def current_id(self) -> Optional[str]:
-        """Id of the innermost open span on this thread (None at root)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span; finishes (and records) when the ``with`` exits."""
         span_id = "{}-{}".format(self._prefix, next(self._seq))
@@ -219,9 +214,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def current_id(self) -> None:
-        return None
 
     def spans(self) -> List[Dict[str, Any]]:
         return []

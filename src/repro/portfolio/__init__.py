@@ -6,7 +6,8 @@ counterpart:
 
 * :mod:`repro.portfolio.backends` — the :class:`SolverBackend` protocol,
   the in-process CDCL personalities (plus seed-diversified copies), the
-  external-binary DIMACS backend, and the name registry;
+  external-binary DIMACS backend, and :func:`create_backend`'s spec
+  lookup;
 * :mod:`repro.portfolio.engine` — the one fan-out engine: cubes dealt
   into chains over backends, first validated verdict wins, losers are
   cancelled cooperatively, one :class:`PortfolioStats` row per cube, one
@@ -23,13 +24,10 @@ from .backends import (
     BackendResult,
     CdclBackend,
     DimacsBackend,
-    EXTERNAL_SOLVER_CANDIDATES,
+    PERSONALITIES,
     SolverBackend,
     create_backend,
     default_portfolio,
-    detect_external_backends,
-    register_backend,
-    registered_backends,
 )
 from .batch import BatchItemError, BatchScheduler, batch_cancel, default_jobs
 from .engine import (
@@ -44,13 +42,10 @@ __all__ = [
     "BackendResult",
     "CdclBackend",
     "DimacsBackend",
-    "EXTERNAL_SOLVER_CANDIDATES",
+    "PERSONALITIES",
     "SolverBackend",
     "create_backend",
     "default_portfolio",
-    "detect_external_backends",
-    "register_backend",
-    "registered_backends",
     "BatchItemError",
     "BatchScheduler",
     "batch_cancel",

@@ -203,6 +203,19 @@ class SolverBackend:
         return solve_cube
 
 
+#: The in-process CDCL personalities and their solver configurations
+#: (cms is minisat's CDCL plus XOR recovery and the engine).
+_PERSONALITY_CONFIGS = {
+    "minisat": minisat_config,
+    "lingeling": lingeling_config,
+    "cms": minisat_config,
+}
+
+#: The personality names :func:`create_backend`, the CLI's ``--solver``
+#: and the Table II drivers accept.
+PERSONALITIES = tuple(_PERSONALITY_CONFIGS)
+
+
 @dataclass
 class CdclBackend(SolverBackend):
     """An in-process CDCL personality, optionally seed-diversified.
@@ -232,15 +245,9 @@ class CdclBackend(SolverBackend):
         return "{}@{}".format(self.personality, self.seed)
 
     def _config(self) -> SolverConfig:
-        factories = {
-            "minisat": minisat_config,
-            "lingeling": lingeling_config,
-            # cms is minisat's CDCL plus XOR recovery and the engine.
-            "cms": minisat_config,
-        }
-        if self.personality not in factories:
+        if self.personality not in _PERSONALITY_CONFIGS:
             raise ValueError("unknown personality: " + self.personality)
-        cfg = factories[self.personality]()
+        cfg = _PERSONALITY_CONFIGS[self.personality]()
         if self.seed is not None:
             cfg = replace(cfg, seed=self.seed)
         return cfg
@@ -551,21 +558,7 @@ class DimacsBackend(SolverBackend):
         return BackendResult(status, model=model)
 
 
-# -- registry -------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[[], SolverBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], SolverBackend]) -> None:
-    """Register a backend factory under ``name`` (fresh instance per call)."""
-    if name in _REGISTRY:
-        raise ValueError("backend already registered: " + name)
-    _REGISTRY[name] = factory
-
-
-def registered_backends() -> List[str]:
-    """Registered backend names, in registration order."""
-    return list(_REGISTRY)
+# -- backend specs ----------------------------------------------------------
 
 
 def create_backend(spec: str) -> SolverBackend:
@@ -573,63 +566,28 @@ def create_backend(spec: str) -> SolverBackend:
 
     Accepted forms:
 
-    * a registered name — ``"minisat"``, ``"lingeling"``, ``"cms"``;
+    * a personality — one of :data:`PERSONALITIES`;
     * ``"<personality>@<seed>"`` — the diversified CDCL personality,
       e.g. ``"cms@7"``;
     * ``"dimacs:<program>[ args...]"`` — an external solver binary run
       over strict DIMACS, e.g. ``"dimacs:kissat"`` or
       ``"dimacs:cryptominisat5 --verb=0"``.
     """
-    if spec in _REGISTRY:
-        return _REGISTRY[spec]()
+    personality, at, seed_text = spec.partition("@")
+    if personality in PERSONALITIES:
+        if not at:
+            return CdclBackend(personality=personality)
+        try:
+            seed = int(seed_text)
+        except ValueError:
+            raise ValueError("bad seed in backend spec: " + spec)
+        return CdclBackend(personality=personality, seed=seed)
     if spec.startswith("dimacs:"):
         command = tuple(spec[len("dimacs:"):].split())
         if not command:
             raise ValueError("empty dimacs backend command: " + spec)
         return DimacsBackend(command=command)
-    if "@" in spec:
-        personality, _, seed_text = spec.partition("@")
-        if personality in ("minisat", "lingeling", "cms"):
-            try:
-                seed = int(seed_text)
-            except ValueError:
-                raise ValueError("bad seed in backend spec: " + spec)
-            return CdclBackend(personality=personality, seed=seed)
     raise ValueError("unknown backend spec: " + spec)
-
-
-for _personality in ("minisat", "lingeling", "cms"):
-    register_backend(
-        _personality,
-        (lambda p: lambda: CdclBackend(personality=p))(_personality),
-    )
-
-
-#: External solver binaries probed by :func:`detect_external_backends`.
-EXTERNAL_SOLVER_CANDIDATES = (
-    "cryptominisat5",
-    "kissat",
-    "cadical",
-    "glucose",
-    "minisat",
-    "lingeling",
-)
-
-
-def detect_external_backends(
-    candidates: Sequence[str] = EXTERNAL_SOLVER_CANDIDATES,
-) -> List[DimacsBackend]:
-    """DIMACS backends for every candidate binary present on ``PATH``.
-
-    Returns an empty list when none are installed — portfolio and tests
-    degrade gracefully to the in-process personalities.
-    """
-    found = []
-    for prog in candidates:
-        backend = DimacsBackend(command=(prog,))
-        if backend.available():
-            found.append(backend)
-    return found
 
 
 def default_portfolio(seed: int = 0) -> List[SolverBackend]:

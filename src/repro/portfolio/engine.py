@@ -106,11 +106,6 @@ class PortfolioResult:
     wall_seconds: float = 0.0
     results: List[Optional[BackendResult]] = field(default_factory=list)
 
-    @property
-    def n_cancelled(self) -> int:
-        return sum(1 for s in self.stats if s.cancelled)
-
-
 def _decisive(result: BackendResult) -> bool:
     """SAT, or an UNSAT that never needed its cube."""
     return result.status is SAT or (

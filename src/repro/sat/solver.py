@@ -168,10 +168,6 @@ class Solver:
         while self.n_vars < n:
             self.new_var()
 
-    def value_lit(self, lit: int) -> int:
-        """TRUE/FALSE/UNDEF value of a literal under the current trail."""
-        return self.val[lit]
-
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)
@@ -731,6 +727,3 @@ class Solver:
         bound = self.trail_lim[0] if self.trail_lim else len(self.trail)
         return list(self.trail[:bound])
 
-    def learnt_binary_clauses(self) -> List[Tuple[int, int]]:
-        """All binary clauses ever learnt (survives DB reduction)."""
-        return sorted(self.learnt_binaries)

@@ -17,7 +17,7 @@ UNSAT, varying clause/variable ratio, and hidden algebraic structure
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..sat.dimacs import CnfFormula
 from ..sat.types import mk_lit
@@ -209,27 +209,3 @@ def _add_xor_clauses(formula: CnfFormula, variables: Sequence[int], rhs: int) ->
         )
 
 
-def graph_coloring(
-    n_nodes: int, n_edges: int, colors: int, seed: int = 0
-) -> CnfFormula:
-    """Random graph k-coloring.  Variable (v, c) = v*colors + c."""
-    rng = random.Random(seed)
-    formula = CnfFormula(n_nodes * colors)
-
-    def var(v: int, c: int) -> int:
-        return v * colors + c
-
-    for v in range(n_nodes):
-        formula.add_clause([mk_lit(var(v, c)) for c in range(colors)])
-        for c1 in range(colors):
-            for c2 in range(c1 + 1, colors):
-                formula.add_clause([mk_lit(var(v, c1), True), mk_lit(var(v, c2), True)])
-    seen = set()
-    while len(seen) < n_edges:
-        a, b = rng.sample(range(n_nodes), 2)
-        if (min(a, b), max(a, b)) in seen:
-            continue
-        seen.add((min(a, b), max(a, b)))
-        for c in range(colors):
-            formula.add_clause([mk_lit(var(a, c), True), mk_lit(var(b, c), True)])
-    return formula

@@ -302,8 +302,3 @@ class ServerClient:
             lambda e: e.get("event") == "stats" and not e.get("watch")
         )
 
-    async def watch_stats(self) -> Dict[str, object]:
-        """The next periodic snapshot from an active ``watch`` feed."""
-        return await self._read_until(
-            lambda e: e.get("event") == "stats" and e.get("watch")
-        )

@@ -79,7 +79,7 @@ def _record(solver: Solver, verdicts: List) -> Dict[str, object]:
         ),
         "learnts_sha256": _sha(c.lits for c in solver.learnts),
         "level0": solver.level0_literals(),
-        "binaries": [list(b) for b in solver.learnt_binary_clauses()],
+        "binaries": [list(b) for b in sorted(solver.learnt_binaries)],
         "model": _model(solver),
         "assumptions_failed": solver.assumptions_failed,
         "failed_assumption": solver.failed_assumption,

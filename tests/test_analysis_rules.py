@@ -7,9 +7,9 @@ checker would false-positive on), and *suppressed* by a justified
 ``# repro: allow[...]`` pragma.  The fixtures are analyzed as text —
 they are never imported.
 
-Path-scoped checks (DET-RNG clocks, FORK-SAFETY globals) are re-scoped
-onto the fixture paths through the same per-rule settings overrides the
-production config exposes.
+Path-scoped checks (DET-RNG clocks, FORK-SAFETY globals, DEAD-API's
+definitions and uses) are re-scoped onto the fixture paths through the
+same per-rule settings overrides the production config exposes.
 """
 
 import re
@@ -35,6 +35,10 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 OVERRIDES = {
     "DET-RNG": {"clock_paths": [""]},
     "FORK-SAFETY": {"worker_paths": [""]},
+    "DEAD-API": {
+        "def_paths": [""],
+        "use_paths": ["tests/analysis_fixtures"],
+    },
 }
 
 #: (rule id, fixture stem, expected findings on the violating fixture).
@@ -43,6 +47,7 @@ CASES = [
     ("MASK-PATH", "mask_path", 2),
     ("DET-RNG", "det_rng", 5),
     ("FORK-SAFETY", "fork_safety", 3),
+    ("DEAD-API", "dead_api", 4),
 ]
 
 
@@ -128,6 +133,47 @@ def test_obs_layer_is_inside_production_clock_scope():
     from repro.analysis.rules.det_rng import DetRngRule
 
     assert "repro/obs/" in DetRngRule.default_settings["clock_paths"]
+
+
+# -- DEAD-API: what counts as a use ----------------------------------------
+#
+# Each case lays out a tiny repo under a temp root and lints it with the
+# production settings: uses come from src/ (never tests/), definitions
+# are checked under repro/.
+
+
+def dead_api_names(tmp_path, source, init="", test=""):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(init, encoding="utf-8")
+    (pkg / "mod.py").write_text(source, encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(test, encoding="utf-8")
+    config = AnalysisConfig(root=tmp_path, rule_ids=["DEAD-API"])
+    report = analyze_paths([str(tmp_path / "src")], config)
+    return [f.message.split()[0] for f in report.findings]
+
+
+def test_dead_api_export_and_test_use_are_not_uses(tmp_path):
+    names = dead_api_names(
+        tmp_path,
+        '__all__ = ["exported"]\n\n\ndef exported():\n    return 1\n',
+        init='from .mod import exported\n\n__all__ = ["exported"]\n',
+        test="from repro.mod import exported\n\nexported()\n",
+    )
+    assert names == ["exported"]
+
+
+def test_dead_api_identifier_string_counts_as_use(tmp_path):
+    source = "def by_name():\n    return 1\n"
+    assert dead_api_names(tmp_path / "bare", source) == ["by_name"]
+    table = source + '\n\nHANDLER = globals()["by_name"]\n'
+    assert dead_api_names(tmp_path / "table", table) == []
+
+
+def test_dead_api_skips_private_definitions(tmp_path):
+    source = "def _helper():\n    return 1\n\n\nclass _Shape:\n    pass\n"
+    assert dead_api_names(tmp_path, source) == []
 
 
 # -- ORACLE-FREEZE: fingerprint pinning against a temp tree ---------------

@@ -90,9 +90,7 @@ def test_cut_variables_tracked_and_not_monomials():
     assert conv.cut_vars
     for aux in conv.cut_vars:
         assert aux not in conv.monomial_of_var
-        assert conv.is_cut_var(aux)
-        assert not conv.is_monomial_var(aux)
-        assert not conv.is_original_var(aux)
+        assert aux >= conv.n_anf_vars
     for v, m in conv.monomial_of_var.items():
         assert isinstance(m, tuple)
 
@@ -105,13 +103,11 @@ def test_variable_kind_classification():
     conv = AnfToCnf(Config(karnaugh_limit=3, xor_cut_len=4)).convert_polynomials(polys)
     assert conv.stats.cut_vars > 0 and conv.stats.monomial_vars > 0
     for v in range(conv.formula.n_vars):
-        kinds = (
-            conv.is_original_var(v),
-            conv.is_monomial_var(v),
-            conv.is_cut_var(v),
-        )
+        original = v < conv.n_anf_vars
+        monomial = not original and v in conv.monomial_of_var
+        kinds = (original, monomial, v in conv.cut_vars)
         assert sum(kinds) == 1, "variable {} has kinds {}".format(v, kinds)
-        if conv.is_monomial_var(v):
+        if monomial:
             m = conv.monomial_of_var[v]
             assert len(m) >= 2
             assert conv.var_of_monomial[m] == v

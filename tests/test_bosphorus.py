@@ -221,13 +221,12 @@ def test_result_stats_keys_are_all_declared():
     """Every key a preprocessing run emits — top-level and per-iteration
     technique entries — is declared in the frozen schema, so dashboards
     and downstream parsers can rely on the key set."""
-    from repro.obs import undeclared_stats_keys, validate_stats
+    from repro.obs import undeclared_stats_keys
 
     ring, polys = parse_system(PAPER_EXAMPLE)
     cfg = Config(use_groebner=True, use_probing=True, stop_on_solution=False)
     result = Bosphorus(cfg).preprocess_anf(ring, polys)
     assert undeclared_stats_keys(result.stats) == []
-    validate_stats(result.stats)  # must not raise
 
 
 #: Four iterations in which XL, Groebner and probing each learn facts.

@@ -139,9 +139,9 @@ def test_back_translation_of_converted_anf_preserves_models():
     # clause-cutting auxiliaries on top.
     for v in range(conv.formula.n_vars):
         assert (
-            conv.is_original_var(v)
-            or conv.is_monomial_var(v)
-            or conv.is_cut_var(v)
+            v < conv.n_anf_vars
+            or v in conv.monomial_of_var
+            or v in conv.cut_vars
         )
     n_total = back.ring.n_vars
     projected = set()

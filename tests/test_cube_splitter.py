@@ -108,7 +108,8 @@ def test_max_cubes_bounds_the_fanout():
     cs = split_formula(pigeonhole(4), 10, mode="occurrence")
     assert 0 < len(cs.cubes) <= DEFAULT_MAX_CUBES
     cs = split_formula(pigeonhole(4), 10, mode="lookahead")
-    assert 0 < cs.n_leaves and len(cs.cubes) <= DEFAULT_MAX_CUBES
+    assert 0 < len(cs.cubes) + len(cs.refuted)
+    assert len(cs.cubes) <= DEFAULT_MAX_CUBES
     assert max(map(len, cs.cubes + cs.refuted)) <= 8
 
 

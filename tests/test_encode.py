@@ -15,12 +15,10 @@ from repro.encode import (
     and_vec,
     const_vector,
     constrain_vector,
-    not_vec,
     rotl,
     rotr,
     shr,
     to_int,
-    vector_from_int_vars,
     xor_vec,
 )
 
@@ -51,11 +49,6 @@ def test_and_vec_concrete(a, b):
     assert to_int(and_vec(const_vector(a, 16), const_vector(b, 16))) == a & b
 
 
-@given(words16)
-def test_not_vec_concrete(a):
-    assert to_int(not_vec(const_vector(a, 16))) == a ^ 0xFFFF
-
-
 @given(words16, st.integers(0, 15))
 def test_rotl_concrete(a, k):
     expected = ((a << k) | (a >> (16 - k))) & 0xFFFF if k else a
@@ -84,8 +77,8 @@ def test_adder_concrete(a, b):
 
 def test_adder_with_variables_generates_equations():
     builder = SystemBuilder()
-    a = vector_from_int_vars(builder, 0xAB, 8)
-    b = vector_from_int_vars(builder, 0x47, 8)
+    a = builder.new_bits([(0xAB >> i) & 1 for i in range(8)])
+    b = builder.new_bits([(0x47 >> i) & 1 for i in range(8)])
     s = adder(builder, a, b)
     assert to_int(s) == (0xAB + 0x47) & 0xFF
     assert builder.equations
@@ -118,7 +111,7 @@ def test_constrain_checks_witness():
 
 def test_constrain_vector_adds_equations():
     builder = SystemBuilder()
-    v = vector_from_int_vars(builder, 0b101, 3)
+    v = builder.new_bits([1, 0, 1])
     constrain_vector(builder, v, 0b101)
     assert len(builder.equations) == 3
     assert builder.check_witness()

@@ -4,8 +4,7 @@ A monomial is a width-adaptive int bitmask and mul/divides/lcm/remove
 are bitwise ops on it; the historical sorted-tuple merges live in
 ``tests/oracles/monomial.py``.  These property tests cross-check the two
 (decoding masks with ``as_tuple``) at widths straddling the 64-bit limb
-boundaries (63, 64, 65, 127, 128, 1000 variables) and cover the mask <->
-packed-word interop with ``gf2.matrix``.
+boundaries (63, 64, 65, 127, 128, 1000 variables).
 """
 
 import random
@@ -18,7 +17,6 @@ from oracles import monomial as oracle
 from oracles.polynomial import poly_mul
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
-from repro.gf2 import GF2Matrix
 
 #: Variable-universe widths straddling the limb boundaries.
 WIDTHS = (63, 64, 65, 127, 128, 1000)
@@ -228,52 +226,6 @@ def test_intern_and_remove_reject_negative_indices_on_both_paths():
         oracle.intern((-4,))
     with pytest.raises(ValueError):
         oracle.remove((1, 2), -1)
-
-
-# -- packed-word interop with gf2.matrix --------------------------------------
-
-
-@given(st.lists(st.integers(0, 999), max_size=12))
-def test_mask_words_round_trip(vars_):
-    mask = mono.make(vars_)
-    words = mono.mask_words(mask)
-    assert all(0 <= w < (1 << mono.LIMB_BITS) for w in words)
-    assert mono.mask_from_words(words) == mask
-    # Explicit padding keeps the round trip intact.
-    padded = mono.mask_words(mask, n_words=len(words) + 3)
-    assert len(padded) == len(words) + 3
-    assert mono.mask_from_words(padded) == mask
-
-
-def test_mask_words_rejects_too_few_words_and_bad_input():
-    with pytest.raises(ValueError):
-        mono.mask_words(1 << 130, n_words=2)
-    with pytest.raises(ValueError):
-        mono.mask_words(-1)
-    with pytest.raises(ValueError):
-        mono.mask_from_words([1 << mono.LIMB_BITS])
-
-
-@given(st.lists(st.lists(st.integers(0, 199), max_size=10), max_size=8))
-def test_gf2matrix_from_masks_matches_from_rows(rows):
-    n_cols = 200
-    masks = [mono.make(r) for r in rows]
-    a = GF2Matrix.from_masks(masks, n_cols)
-    b = GF2Matrix.from_rows([sorted(set(r)) for r in rows], n_cols)
-    assert (a.to_dense() == b.to_dense()).all()
-    # Row masks round-trip through the packed words.
-    for i, mask in enumerate(masks):
-        assert a.row_mask(i) == mask
-        assert a.row_cols(i) == mono.bits_of(mask)
-
-
-def test_gf2matrix_from_masks_validates():
-    with pytest.raises(ValueError):
-        GF2Matrix.from_masks([-1], 10)
-    with pytest.raises(IndexError):
-        GF2Matrix.from_masks([1 << 10], 10)
-    with pytest.raises(IndexError):
-        GF2Matrix(2, 8).row_mask(5)
 
 
 # -- polynomial-level round trip ----------------------------------------------

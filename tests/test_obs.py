@@ -56,8 +56,8 @@ def test_span_nesting_builds_parentage():
     tracer = Tracer()
     with tracer.span("outer", kind="test") as outer:
         with tracer.span("inner") as inner:
-            assert tracer.current_id() == inner.id
-        assert tracer.current_id() == outer.id
+            assert tracer._stack()[-1] == inner.id
+        assert tracer._stack()[-1] == outer.id
     spans = tracer.spans()
     assert [s["name"] for s in spans] == ["inner", "outer"]  # exit order
     by_name = {s["name"]: s for s in spans}
@@ -83,7 +83,7 @@ def test_out_of_order_exit_self_heals():
     outer = tracer.span("outer")
     inner = tracer.span("inner")  # never exited explicitly
     outer.__exit__(None, None, None)  # leaks `inner`; stack must unwind
-    assert tracer.current_id() is None
+    assert tracer._stack() == []
     with tracer.span("next") as nxt:
         assert nxt.id != inner.id
     assert tracer.spans()[-1]["parent"] is None

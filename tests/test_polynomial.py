@@ -281,7 +281,11 @@ def test_substitute_literals_matches_tuple_oracle():
             if y == v:
                 continue
             simple[v] = (y, rng.randrange(2))
-        got = p.substitute_literals(simple)
+        sub_mask = sum(1 << v for v in simple)
+        dead_mask = sum(1 << v for v, yc in simple.items() if yc == (None, 0))
+        alias = {v: yc for v, yc in simple.items() if yc[0] is not None}
+        alias_mask = sum(1 << v for v in alias)
+        got = p.substitute_masks(sub_mask, dead_mask, alias_mask, alias or None)
         assert got == oracle.substitute_literals(p, simple)
 
 

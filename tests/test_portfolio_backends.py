@@ -1,4 +1,4 @@
-"""Backend conformance suite: every registered backend must honour the
+"""Backend conformance suite: every backend must honour the
 SolverBackend contract on the same micro-instances.
 
 The suite runs over the in-process personalities, a seed-diversified
@@ -9,26 +9,31 @@ honoured wall-clock deadlines, and UNKNOWN (never a wrong answer) on
 budget exhaustion.
 """
 
+import shutil
 import time
 
 import pytest
 
 from repro.portfolio import (
+    PERSONALITIES,
     CdclBackend,
     DimacsBackend,
     create_backend,
     default_portfolio,
-    detect_external_backends,
-    registered_backends,
-    register_backend,
 )
 from repro.sat import CnfFormula, expand_xors, parse_dimacs
 from repro.satcomp.generators import pigeonhole
 
 
+#: External solver binaries the suite also runs when they are on PATH.
+EXTERNAL_SOLVERS = (
+    "cryptominisat5", "kissat", "cadical", "glucose", "minisat", "lingeling"
+)
+
+
 def conformance_specs():
     specs = ["minisat", "lingeling", "cms", "minisat@7", "cms@3"]
-    specs += [backend.name for backend in detect_external_backends()]
+    specs += ["dimacs:" + prog for prog in EXTERNAL_SOLVERS if shutil.which(prog)]
     return specs
 
 
@@ -56,22 +61,20 @@ def _check_model(formula, model):
 
 
 def test_registry_contains_personalities():
-    names = registered_backends()
-    assert {"minisat", "lingeling", "cms"} <= set(names)
+    assert {"minisat", "lingeling", "cms"} <= set(PERSONALITIES)
+    for name in PERSONALITIES:
+        assert create_backend(name).name == name
 
 
 def test_conformance_covers_every_registered_backend():
-    # Drift guard: registering a new backend without adding it to the
+    # Drift guard: adding a personality without adding it to the
     # conformance parameterization must fail loudly here, not silently
-    # ship an untested personality.  A registered name is covered when
-    # it appears as a spec outright or as the base of an "@seed" spec.
+    # ship an untested personality.  A personality is covered when it
+    # appears as a spec outright or as the base of an "@seed" spec.
     covered = {spec.split("@", 1)[0] for spec in conformance_specs()}
-    missing = [
-        name for name in registered_backends()
-        if name.split("@", 1)[0] not in covered
-    ]
+    missing = [name for name in PERSONALITIES if name not in covered]
     assert missing == [], (
-        "registered backends missing from the conformance suite: "
+        "personalities missing from the conformance suite: "
         + ", ".join(missing)
     )
 
@@ -83,11 +86,6 @@ def test_create_backend_rejects_garbage():
         create_backend("minisat@not-a-seed")
     with pytest.raises(ValueError):
         create_backend("dimacs:")
-
-
-def test_register_backend_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register_backend("minisat", lambda: CdclBackend("minisat"))
 
 
 def test_default_portfolio_is_diverse():

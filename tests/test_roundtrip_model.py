@@ -137,7 +137,9 @@ def test_roundtrip_models_match_brute_force(width, data):
         values = [model[v] for v in range(width)]
         solution = Solution(values)
         assert solution.satisfies(polys), (
-            "reconstructed model violates {}".format(solution.violated(polys))
+            "reconstructed model violates {}".format(
+                [p for p in polys if p.evaluate(values)]
+            )
         )
 
 

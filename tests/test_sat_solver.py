@@ -148,7 +148,7 @@ def test_budget_exhaustion_keeps_level0_facts_valid():
     solver, _ = make_solver(clauses)
     solver.solve(conflict_budget=50)
     for lit in solver.level0_literals():
-        assert solver.value_lit(lit) == TRUE
+        assert solver.val[lit] == TRUE
 
 
 # -- learnt fact extraction ----------------------------------------------------------
@@ -168,7 +168,7 @@ def test_learnt_binaries_recorded():
     clauses = random_3sat(12, 60, rng)
     solver, ok = make_solver(clauses, 12)
     solver.solve(conflict_budget=1000)
-    for a, b in solver.learnt_binary_clauses():
+    for a, b in solver.learnt_binaries:
         assert a < b
 
 

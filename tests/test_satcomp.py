@@ -66,13 +66,6 @@ def test_xor_chain_sat_and_unsat():
     assert solve(unsat) is False
 
 
-def test_graph_coloring_generates():
-    f = generators.graph_coloring(8, 12, 3, seed=0)
-    assert f.n_vars == 24
-    verdict = solve(f)
-    assert verdict in (True, False)
-
-
 def test_build_suite_families():
     suite = build_suite(scale=0.5, per_family=2, seed=1)
     families = {inst.family for inst in suite}

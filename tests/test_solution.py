@@ -8,7 +8,6 @@ from repro.core import (
     Config,
     FactStore,
     Solution,
-    classify_fact,
     reconstruct_model,
     solution_from_model,
 )
@@ -33,26 +32,12 @@ def test_solution_pads_short_assignments():
     assert Solution([0]).satisfies(polys)  # x5 defaults to 0
 
 
-def test_violated_lists_failures():
-    polys = polys_of("x1\nx2 + 1")
-    violated = Solution([0, 1, 1]).violated(polys)
-    assert violated == [polys[0]]
-
-
-def test_classify_fact():
-    assert classify_fact(polys_of("x1 + 1")[0]) == "unit"
-    assert classify_fact(polys_of("x1 + x2")[0]) == "equivalence"
-    assert classify_fact(polys_of("x1*x2 + 1")[0]) == "monomial"
-    assert classify_fact(polys_of("x1 + x2 + x3")[0]) == "linear"
-    assert classify_fact(polys_of("x1*x2 + x3")[0]) == "other"
-
-
 def test_fact_store_dedupes():
     store = FactStore()
     p = polys_of("x1 + 1")[0]
     assert store.add(p, SOURCE_XL) is True
     assert store.add(p, SOURCE_ELIMLIN) is False  # first source wins
-    assert store.source_of(p) == SOURCE_XL
+    assert list(store) == [(p, SOURCE_XL)]
     assert len(store) == 1
 
 
@@ -64,9 +49,10 @@ def test_fact_store_ignores_zero():
 
 def test_fact_store_by_source_and_summary():
     store = FactStore()
-    store.add_all(polys_of("x1 + 1\nx2"), SOURCE_XL)
+    for p in polys_of("x1 + 1\nx2"):
+        store.add(p, SOURCE_XL)
     store.add(polys_of("x3 + x4")[0], SOURCE_ELIMLIN)
-    assert len(store.by_source(SOURCE_XL)) == 2
+    assert [s for _, s in store].count(SOURCE_XL) == 2
     assert store.summary() == {SOURCE_XL: 2, SOURCE_ELIMLIN: 1}
     assert len(store.polynomials()) == 3
 
@@ -105,7 +91,7 @@ def test_reconstruct_model_strict_catches_corrupt_monomial_var():
     verdict, solver = solve_conversion(conv)
     assert verdict is True
     (aux,) = [
-        v for v in conv.monomial_of_var if not conv.is_original_var(v)
+        v for v in conv.monomial_of_var if v >= conv.n_anf_vars
     ]
     corrupt = list(solver.model)
     corrupt[aux] ^= 1
@@ -128,5 +114,6 @@ def test_reconstruct_model_defaults_unconstrained_vars_to_zero():
 def test_fact_store_iteration_order():
     store = FactStore()
     ps = polys_of("x1\nx2\nx3")
-    store.add_all(ps, SOURCE_XL)
+    for p in ps:
+        store.add(p, SOURCE_XL)
     assert [p for p, _ in store] == ps

@@ -35,7 +35,7 @@ def check_watch_invariants(solver):
 def check_trail_invariants(solver):
     """Trail literals are all TRUE, levels are monotone, reasons valid."""
     for i, lit in enumerate(solver.trail):
-        assert solver.value_lit(lit) == TRUE
+        assert solver.val[lit] == TRUE
     for lim in solver.trail_lim:
         assert 0 <= lim <= len(solver.trail)
     assert solver.trail_lim == sorted(solver.trail_lim)
@@ -129,10 +129,8 @@ def test_invariants_during_and_after_split(seed):
 
     solver.propagate = checked_propagate
     out = splitter.CubeSet()
-    splitter._descend(
-        solver, splitter._ranked_vars(formula), 5, [], out, set(), 32
-    )
-    assert max(nodes) == 5 and out.n_leaves > 1
+    splitter._descend(solver, splitter._ranked_vars(formula), 5, [], out, set())
+    assert max(nodes) == 5 and len(out.cubes) + len(out.refuted) > 1
     assert solver.decision_level == 0
     check_all(solver)
 

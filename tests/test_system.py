@@ -69,13 +69,6 @@ def test_equate_consistent_values_ok():
     assert st_.equate(0, 1, 1) is True
 
 
-def test_as_assignment_respects_equivalences():
-    st_ = VariableState(4)
-    st_.equate(0, 1, 1)
-    values = st_.as_assignment(4)
-    assert values[0] == values[1] ^ 1
-
-
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 1)),
                 max_size=12))
 def test_union_find_transitive_consistency(ops):
@@ -172,13 +165,6 @@ def test_check_assignment():
     sys_ = AnfSystem(Ring(3), [P("x1 + x2 + 1")])
     assert sys_.check_assignment([0, 1, 0])
     assert not sys_.check_assignment([0, 1, 1])
-
-
-def test_replace_all_rebuilds_occurrences():
-    sys_ = AnfSystem(Ring(4), [P("x1 + x2")])
-    sys_.replace_all([P("x2 + x3")])
-    assert sys_.occurrences(1) == set()
-    assert sys_.occurrences(3) == {0}
 
 
 def test_ring_grows_on_add():
