@@ -8,7 +8,6 @@ conversion time across K and L on a Simon instance, quantifying Fig. 2's
 
 import pytest
 
-from repro.anf import AnfSystem
 from repro.ciphers import simon
 from repro.core import AnfToCnf, Config
 

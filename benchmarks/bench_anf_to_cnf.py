@@ -20,8 +20,6 @@ uses count 1 and only checks correctness), mirroring
 
 import time
 
-import pytest
-
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
 from repro.ciphers import simon, speck

@@ -26,8 +26,6 @@ import os
 import random
 import time
 
-import pytest
-
 from repro.anf import AnfSystem
 from repro.anf.polynomial import Poly
 from repro.ciphers import simon

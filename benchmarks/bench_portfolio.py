@@ -23,8 +23,6 @@ deadlines.
 import os
 import time
 
-import pytest
-
 from repro.experiments import par2_score, run_family, satcomp_problems
 
 from .conftest import bench_count, bench_timeout, fast_config

@@ -5,7 +5,7 @@ propagation collapses the system to (2): x1 = x2 = x3 = x4 = 1, x5 = 0.
 The benchmark measures a full Bosphorus run on the example.
 """
 
-from repro.anf import Ring, parse_system
+from repro.anf import parse_system
 from repro.core import Bosphorus, Config
 
 EXAMPLE = """

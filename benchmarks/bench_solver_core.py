@@ -23,8 +23,6 @@ import random
 import time
 from types import SimpleNamespace
 
-import pytest
-
 from repro.anf import AnfSystem
 from repro.anf import monomial as mono
 from repro.anf.polynomial import Poly
@@ -36,7 +34,7 @@ from repro.core.probing import run_probing
 from repro.core.propagation import propagate
 from repro.gf2 import GF2Matrix
 from repro.obs import Tracer
-from repro.sat import Solver, minisat_config, mk_lit
+from repro.sat import Solver, minisat_config
 from repro.satcomp import generators
 from repro.satcomp.suite import build_suite
 from tests.oracles.gf2 import rref_gj
@@ -186,7 +184,7 @@ def test_anf_propagation_probing_sweep(benchmark):
     propagate(system)
 
     result = benchmark.pedantic(
-        lambda: run_probing(system, None, 24), rounds=3, iterations=1
+        lambda: run_probing(system, 24), rounds=3, iterations=1
     )
     assert result.probed == 24
     benchmark.extra_info["facts"] = len(result.facts)
@@ -280,7 +278,7 @@ def test_anf_wide_probing_sweep_speck(benchmark):
     system = AnfSystem(inst.ring.clone(), inst.polynomials)
     propagate(system)
 
-    probe = lambda: run_probing(system, None, 16)
+    probe = lambda: run_probing(system, 16)
     full = bench_count() >= 2
     result = benchmark.pedantic(probe, rounds=3 if full else 1, iterations=1)
     assert result.probed == 16

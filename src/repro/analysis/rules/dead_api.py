@@ -16,6 +16,11 @@ Names starting with ``_`` and ``visit_*`` dispatch methods are skipped.
 
 Matching is by name in one pass, so a definition that only another dead
 definition names shows up on the next run, once that one is gone.
+
+The same rule flags dead imports: a module-level import in a
+non-``__init__`` module under ``repro/`` whose bound name the module
+never reads (``from __future__`` imports are exempt; an ``__all__``
+entry counts as a read).  It is reported at the import line.
 """
 
 from __future__ import annotations
@@ -56,11 +61,20 @@ def _names_used(tree: ast.AST, is_init: bool, out: Set[str]) -> None:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _all_entries(tree: ast.Module) -> Set[str]:
+    return {
+        node.value
+        for stmt in tree.body if _is_all_assign(stmt)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
 class DeadApiRule(Rule):
     id = "DEAD-API"
     description = (
         "every public function, class and method in repro/ is named "
-        "outside tests/"
+        "outside tests/, and every module-level import is read"
     )
     fix_hint = (
         "delete it (with the tests that check only it), or fold it into "
@@ -112,6 +126,30 @@ class DeadApiRule(Rule):
                     name
                 ),
             )
+
+    def end_module(self, ctx: ModuleContext) -> None:
+        if ctx.modpath.endswith("__init__.py") or not path_in(
+            ctx.modpath, self.settings["def_paths"]
+        ):
+            return
+        read = _all_entries(ctx.tree)
+        read.update(
+            node.id for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        )
+        for stmt in ctx.tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"
+            ):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    ctx.report(
+                        self, stmt,
+                        "{} is imported but never read".format(name),
+                        hint="delete the import",
+                    )
 
     visit_FunctionDef = _check
     visit_AsyncFunctionDef = _check

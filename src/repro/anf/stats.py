@@ -9,7 +9,7 @@ system is in XL's comfort zone (low degree, many equations) or SAT's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .polynomial import Poly
 

@@ -16,13 +16,12 @@ miner's parameter choice guarantees in expectation.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..anf.polynomial import Poly
 from ..anf.ring import Ring
-from ..encode import SystemBuilder, TracedBit, to_int
+from ..encode import SystemBuilder, TracedBit
 from .sha256 import H0, Sha256Encoder, compress
 
 #: Fig. 5 layout constants: 415 fixed bits, a 32-bit nonce, the SHA

@@ -60,7 +60,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..anf import monomial as mono
 from ..anf.monomial import Monomial
@@ -69,7 +69,7 @@ from ..anf.system import AnfSystem
 from ..minimize import cube_to_clause, minimize, truth_table
 from ..minimize.truthtable import MAX_BATCH_VARS, truth_table_masks
 from ..obs import NULL_TRACER, MetricsRegistry
-from ..sat.dimacs import CnfFormula
+from ..sat.dimacs import CnfFormula, cut_xor, parity_clauses
 from ..sat.types import mk_lit
 from .config import Config
 
@@ -493,31 +493,22 @@ class ConversionSession:
             return items
         # Ascending deglex.
         terms.sort(key=mono.deglex_desc_key, reverse=True)
-        for chunk, chunk_rhs in self._cut(terms, rhs):
+        # XOR-cutting into chunks of at most L terms.  L is clamped to 3:
+        # a chunk of 2 would be one real term plus the bridging auxiliary
+        # — a pure rename that makes no net progress (the seed's clamp of
+        # 2 looped forever on ``xor_cut_len <= 2``).
+        for chunk, chunk_rhs in cut_xor(
+            terms, rhs, max(self.config.xor_cut_len, 3), self._cut_var
+        ):
             self._emit_short(chunk, chunk_rhs)
         return items
 
-    def _cut(
-        self, terms: List[int], rhs: int
-    ) -> Iterator[Tuple[List[int], int]]:
-        """XOR-cutting: split into chunks of at most L terms.
-
-        The effective cut length is clamped to 3: a chunk of 2 would be
-        one real term plus the bridging auxiliary — a pure rename that
-        makes no net progress (the seed's clamp of 2 looped forever on
-        ``xor_cut_len <= 2``).
-        """
-        chunk = max(self.config.xor_cut_len, 3)
-        while len(terms) > chunk:
-            head, tail = terms[: chunk - 1], terms[chunk - 1:]
-            aux = self.fresh_var()
-            self.cut_vars.add(aux)
-            self.stats.cut_vars += 1
-            aux_mask = 1 << aux
-            # aux = head_1 ⊕ ... (definition: head ⊕ aux = 0).
-            yield (head + [aux_mask], 0)
-            terms = [aux_mask] + tail
-        yield (terms, rhs)
+    def _cut_var(self) -> int:
+        """A fresh XOR-cutting auxiliary, as a single-variable mask."""
+        aux = self.fresh_var()
+        self.cut_vars.add(aux)
+        self.stats.cut_vars += 1
+        return 1 << aux
 
     def _emit_short(self, terms: List[int], rhs: int) -> None:
         support_mask = reduce(or_, terms)
@@ -604,16 +595,6 @@ class ConversionSession:
         if self.config.emit_xor_clauses:
             items.append((term_vars, rhs))
             return
-        n = len(term_vars)
-        # Forbid every assignment whose parity differs from rhs:
-        # 2**(n-1) clauses of n literals each.
-        for pattern in range(1 << n):
-            parity = bin(pattern).count("1") & 1
-            if parity == rhs:
-                continue
-            clause = [
-                mk_lit(term_vars[i], negated=bool(pattern >> i & 1))
-                for i in range(n)
-            ]
+        for clause in parity_clauses(term_vars, rhs):
             items.append(clause)
             self.stats.tseitin_clauses += 1

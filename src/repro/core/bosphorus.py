@@ -181,7 +181,7 @@ class Bosphorus:
             (config.use_groebner, SOURCE_GROEBNER,
              lambda: buchberger(list(system.polynomials)).facts),
             (config.use_probing, SOURCE_PROBING,
-             lambda: run_probing(system, config, config.probe_limit).facts),
+             lambda: run_probing(system, config.probe_limit).facts),
         ]
 
         try:

@@ -26,7 +26,7 @@ directly into linear polynomials, like recovered ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..anf import monomial as mono
 from ..anf.polynomial import Poly

@@ -8,7 +8,7 @@ experiments can report who learnt what.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..anf.polynomial import Poly
 
@@ -26,33 +26,32 @@ class FactStore:
     """Insertion-ordered set of learnt facts with provenance."""
 
     def __init__(self):
-        self._facts: List[Tuple[Poly, str]] = []
-        self._index: Dict[Poly, str] = {}
+        # Fact -> source, in learning order.
+        self._facts: Dict[Poly, str] = {}
 
     def add(self, poly: Poly, source: str) -> bool:
         """Record a fact.  Returns True if it was new."""
-        if poly.is_zero() or poly in self._index:
+        if poly.is_zero() or poly in self._facts:
             return False
-        self._index[poly] = source
-        self._facts.append((poly, source))
+        self._facts[poly] = source
         return True
 
     def __len__(self) -> int:
         return len(self._facts)
 
     def __contains__(self, poly: Poly) -> bool:
-        return poly in self._index
+        return poly in self._facts
 
     def __iter__(self):
-        return iter(self._facts)
+        return iter(self._facts.items())
 
     def polynomials(self) -> List[Poly]:
         """All fact polynomials, in learning order."""
-        return [p for p, _ in self._facts]
+        return list(self._facts)
 
     def summary(self) -> Dict[str, int]:
         """Fact counts per source (for experiment reporting)."""
         out: Dict[str, int] = {}
-        for _, s in self._facts:
+        for s in self._facts.values():
             out[s] = out.get(s, 0) + 1
         return out

@@ -18,7 +18,7 @@ and the leading monomial the minimum under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..anf import monomial as mono
 from ..anf.polynomial import Poly

@@ -22,12 +22,11 @@ facts for the workflow to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional
 
 from ..anf import monomial as mono
 from ..anf.polynomial import Poly
 from ..anf.system import AnfSystem, ContradictionError, VariableState
-from .config import Config
 from .propagation import propagate
 
 
@@ -42,11 +41,6 @@ class ProbeResult:
     contradiction: bool = False
 
 
-def _scratch(system: AnfSystem) -> AnfSystem:
-    copy = system.copy()
-    return copy
-
-
 def _branch(system: AnfSystem, var: int, value: int) -> Optional[VariableState]:
     """Propagate ``var = value`` on a scratch copy; None on contradiction.
 
@@ -55,7 +49,7 @@ def _branch(system: AnfSystem, var: int, value: int) -> Optional[VariableState]:
     equivalence-class root) can change — the incremental dirty-set call
     makes each probe cost the assumption's cone, not the whole system.
     """
-    scratch = _scratch(system)
+    scratch = system.copy()
     scratch.state.ensure(var)
     try:
         scratch.state.assign(var, value)
@@ -88,16 +82,11 @@ def _candidate_variables(system: AnfSystem, limit: int) -> List[int]:
     return out
 
 
-def run_probing(
-    system: AnfSystem,
-    config: Optional[Config] = None,
-    max_probes: int = 32,
-) -> ProbeResult:
+def run_probing(system: AnfSystem, max_probes: int = 32) -> ProbeResult:
     """Probe up to ``max_probes`` variables; returns learnt facts.
 
     The input system is read, never written (probing works on copies).
     """
-    del config  # reserved for future tuning knobs; keeps the plug-in API
     result = ProbeResult()
     if not system.polynomials:
         return result

@@ -7,7 +7,7 @@ unsolved instance.  Lower is better.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass

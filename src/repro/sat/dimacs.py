@@ -8,7 +8,7 @@ literal flips the right-hand side, CMS-style).
 
 from __future__ import annotations
 
-from typing import List, Sequence, TextIO, Tuple
+from typing import Callable, Iterator, List, Sequence, TextIO, Tuple
 
 from .types import lit_from_dimacs, lit_to_dimacs
 
@@ -139,16 +139,47 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
     return formula
 
 
+def parity_clauses(variables: Sequence[int], rhs: int) -> Iterator[List[int]]:
+    """The CNF of ``v_1 ⊕ ... ⊕ v_k = rhs`` over ``k`` distinct variables:
+    the ``2**(k-1)`` clauses forbidding each wrong-parity assignment.
+
+    Pattern bit ``i`` negates ``variables[i]``; patterns run in ascending
+    order, so the clause list is fixed by the argument order.  With no
+    variables, ``rhs = 1`` gives the empty clause.
+    """
+    m = len(variables)
+    for pattern in range(1 << m):
+        if bin(pattern).count("1") & 1 != rhs:
+            yield [(variables[i] << 1) | (pattern >> i & 1) for i in range(m)]
+
+
+def cut_xor(
+    terms: List, rhs: int, cut_len: int, fresh: Callable[[], object]
+) -> Iterator[Tuple[List, int]]:
+    """Cut the parity ``terms = rhs`` into chunks of at most ``cut_len``
+    terms (``cut_len >= 3``).
+
+    Each chunk but the last defines a fresh accumulator ``fresh()`` as
+    the parity of ``cut_len - 1`` terms (yielded as ``head + [acc] = 0``),
+    and the accumulator opens the next chunk.
+    """
+    while len(terms) > cut_len:
+        head, terms = terms[: cut_len - 1], terms[cut_len - 1:]
+        acc = fresh()
+        yield head + [acc], 0
+        terms = [acc] + terms
+    yield terms, rhs
+
+
 def expand_xors(formula: CnfFormula) -> CnfFormula:
     """A plain-CNF formula equivalent to ``formula``.
 
     XOR constraints are cut into chains of at most :data:`XOR_CUT_LEN`
-    variables
-    (fresh accumulator variables join the chunks) and each chunk's parity
-    is enumerated as the ``2**(k-1)`` forbidding clauses.  Solvers and
-    external DIMACS binaries without native XOR support get exactly the
-    models of the original formula on the original variables; the
-    accumulators occupy indices ``>= formula.n_vars``.  A formula with no
+    variables by :func:`cut_xor` and each chunk's parity is enumerated by
+    :func:`parity_clauses`.  Solvers and external DIMACS binaries without
+    native XOR support get exactly the models of the original formula on
+    the original variables; the accumulators occupy indices
+    ``>= formula.n_vars``.  A formula with no
     XORs is returned unchanged.
     """
     if not formula.xors:
@@ -156,34 +187,23 @@ def expand_xors(formula: CnfFormula) -> CnfFormula:
     out = CnfFormula(formula.n_vars)
     out.clauses = [list(c) for c in formula.clauses]
 
-    def emit_parity(variables: List[int], rhs: int) -> None:
-        # Repeated variables cancel in GF(2); the enumeration below
-        # needs each variable to appear once.
-        counts: dict = {}
-        for v in variables:
-            counts[v] = counts.get(v, 0) ^ 1
-        vs = [v for v, odd in counts.items() if odd]
-        if not vs:
-            if rhs & 1:
-                out.add_clause([])
-            return
-        m = len(vs)
-        for pattern in range(1 << m):
-            if bin(pattern).count("1") & 1 == rhs:
-                continue
-            out.add_clause(
-                [(vs[i] << 1) | (pattern >> i & 1) for i in range(m)]
-            )
+    def fresh() -> int:
+        out.n_vars += 1
+        return out.n_vars - 1
 
     for variables, rhs in formula.xors:
-        vs = list(variables)
-        while len(vs) > XOR_CUT_LEN:
-            head, vs = vs[: XOR_CUT_LEN - 1], vs[XOR_CUT_LEN - 1 :]
-            acc = out.n_vars
-            out.n_vars = acc + 1
-            emit_parity(head + [acc], 0)  # acc = parity(head)
-            vs.insert(0, acc)
-        emit_parity(vs, rhs)
+        for chunk, chunk_rhs in cut_xor(
+            list(variables), rhs, XOR_CUT_LEN, fresh
+        ):
+            # Repeated variables cancel in GF(2); the enumeration needs
+            # each variable to appear once.
+            counts: dict = {}
+            for v in chunk:
+                counts[v] = counts.get(v, 0) ^ 1
+            for clause in parity_clauses(
+                [v for v, odd in counts.items() if odd], chunk_rhs
+            ):
+                out.add_clause(clause)
     return out
 
 

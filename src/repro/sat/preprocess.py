@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .types import FALSE, TRUE, UNDEF, lit_neg, lit_var
+from .types import FALSE, TRUE, UNDEF, lit_neg
 
 #: Subsumption + elimination rounds before :meth:`Preprocessor.run` stops.
 MAX_ROUNDS = 3

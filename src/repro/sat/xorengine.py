@@ -13,7 +13,7 @@ capability for our CDCL core:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..gf2.elimination import eliminate
 from ..gf2.matrix import GF2Matrix

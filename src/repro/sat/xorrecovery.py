@@ -2,7 +2,8 @@
 
 CryptoMiniSat detects XOR constraints that were Tseitin-encoded into CNF
 (an l-variable XOR appears as the ``2**(l-1)`` clauses forbidding the
-wrong-parity assignments) and reasons on them natively.  This module
+wrong-parity assignments, the encoding :func:`repro.sat.dimacs.parity_clauses`
+emits) and reasons on them natively.  This module
 reproduces that detection for two consumers:
 
 * the CNF→ANF conversion (:func:`repro.core.cnf_to_anf.cnf_to_anf`),

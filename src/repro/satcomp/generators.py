@@ -17,9 +17,9 @@ UNSAT, varying clause/variable ratio, and hidden algebraic structure
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..sat.dimacs import CnfFormula
+from ..sat.dimacs import CnfFormula, parity_clauses
 from ..sat.types import mk_lit
 
 
@@ -119,20 +119,9 @@ def tseitin_parity(
     total = 0 if satisfiable else 1
     # Distribute the total charge: set node 0's charge to `total`.
     charges[0] = total
-    for node in range(n_nodes):
-        edge_vars = incident[node]
-        rhs = charges[node]
-        m = len(edge_vars)
-        for pattern in range(1 << m):
-            parity = bin(pattern).count("1") & 1
-            if parity == rhs:
-                continue
-            formula.add_clause(
-                [
-                    mk_lit(edge_vars[i], negated=bool(pattern >> i & 1))
-                    for i in range(m)
-                ]
-            )
+    for node, edge_vars in enumerate(incident):
+        for clause in parity_clauses(edge_vars, charges[node]):
+            formula.add_clause(clause)
     return formula
 
 
@@ -159,7 +148,8 @@ def xor_chain(
     def emit(variables, rhs):
         rows.append(list(variables))
         rhs_vec.append(rhs)
-        _add_xor_clauses(formula, variables, rhs)
+        for clause in parity_clauses(variables, rhs):
+            formula.add_clause(clause)
 
     # A covering set of random triples (every variable constrained) plus
     # extra random 3-XORs, all consistent with the planted assignment.
@@ -191,21 +181,9 @@ def xor_chain(
             # Rebuild clauses with the flipped constraint.
             flipped = CnfFormula(n_vars)
             for r, rhs in zip(rows, rhs_vec):
-                _add_xor_clauses(flipped, r, rhs)
+                for clause in parity_clauses(r, rhs):
+                    flipped.add_clause(clause)
             return flipped
     # Dependent row not found (unlikely): fall back to a direct clash.
     emit(rows[0], rhs_vec[0] ^ 1)
     return formula
-
-
-def _add_xor_clauses(formula: CnfFormula, variables: Sequence[int], rhs: int) -> None:
-    m = len(variables)
-    for pattern in range(1 << m):
-        parity = bin(pattern).count("1") & 1
-        if parity == rhs:
-            continue
-        formula.add_clause(
-            [mk_lit(variables[i], negated=bool(pattern >> i & 1)) for i in range(m)]
-        )
-
-

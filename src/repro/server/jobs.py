@@ -10,10 +10,12 @@ final solve goes through :func:`repro.portfolio.create_backend`.  Server
 workers are backends-only: there is ONE solving path, and the service
 merely schedules it.
 
-Cancellation and deadlines ride the cooperative cancel of the backend
-solve: ``cancel`` is any object with ``is_set()`` (the pool passes its
-shared-flag token), checked between pipeline stages here and after
-every conflict inside an in-process backend solve.
+The worker is the job's only clock: :func:`execute_job` stops at each
+stage boundary once the client cancelled or ``timeout_s`` ran out, and
+hands the rest of the budget to the backend solve.  ``cancel`` is any
+object with ``is_set()`` (the pool passes its shared-flag token),
+checked there and after every conflict inside an in-process backend
+solve.
 """
 
 from __future__ import annotations
@@ -97,16 +99,6 @@ def _sha256_dimacs(formula: CnfFormula) -> str:
     return hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest()
 
 
-def _status_to_verdict(status: Optional[bool], cancel) -> str:
-    if status is True:
-        return VERDICT_SAT
-    if status is False:
-        return VERDICT_UNSAT
-    if cancel is not None and cancel.is_set():
-        return VERDICT_CANCELLED
-    return VERDICT_UNKNOWN
-
-
 def execute_job(
     spec: JobSpec,
     cache_dir: Optional[str] = None,
@@ -117,19 +109,19 @@ def execute_job(
 
     ``progress`` (if given) is called as ``progress(stage, payload)``
     with stages ``"parsed"``, ``"preprocessed"`` and ``"solving"``;
-    payloads are small JSON-safe dicts.  ``cancel`` is polled between
-    stages and threaded into the backend solve, so a cancelled job stops
-    within one conflict of the signal.  A backend's SAT answer is
-    reported only when its model satisfies the job's input (the clauses
-    and XORs of a ``dimacs`` job, the polynomials of an ``anf`` one);
-    otherwise the verdict is ``unknown`` and the result's ``error`` says
+    payloads are small JSON-safe dicts.  ``cancel`` and the deadline
+    are checked between stages and threaded into the backend solve, so
+    a cancelled job stops within one conflict of the signal.  A
+    backend's SAT answer is reported only when its model satisfies the
+    job's input (the clauses and XORs of a ``dimacs`` job, the
+    polynomials of an ``anf`` one); otherwise the verdict is ``unknown`` and the result's ``error`` says
     ``"model failed validation"``.
 
     The result dict always carries ``job_id``, ``verdict`` (one of
-    ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``, the
-    last when the solve stopped because ``spec.timeout_s`` ran out),
-    ``model``,
-    ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
+    ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``; a
+    job without an answer reports ``cancelled`` when its client
+    cancelled it and ``timeout`` when ``spec.timeout_s`` ran out),
+    ``model``, ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
     snapshot the pool merges into its service-wide counters) and —
     whenever a CNF was produced — ``cnf_sha256``, the hash of the exact
     DIMACS a fresh run must reproduce bit-for-bit (warm
@@ -139,6 +131,9 @@ def execute_job(
     """
     spec.validate()
     started = time.perf_counter()
+    # The deadline covers the whole pipeline, from the moment the worker
+    # starts the job (queue time does not count).
+    deadline = None if spec.timeout_s is None else started + spec.timeout_s
     # Observability is per-job and worker-local: the tracer/registry are
     # created here, after any fork, and leave this process only as plain
     # dicts on the result (the standing fork-boundary pattern).
@@ -173,8 +168,19 @@ def execute_job(
             result["spans"] = tracer.spans()
         return result
 
-    def cancelled() -> bool:
-        return cancel is not None and cancel.is_set()
+    def verdict_of(status: Optional[bool]) -> str:
+        """The one verdict rule: a job without an answer was cancelled by
+        its client, or ran past its deadline, or is just unknown."""
+        if status is not None:
+            return VERDICT_SAT if status else VERDICT_UNSAT
+        if cancel is not None and cancel.is_set():
+            return VERDICT_CANCELLED
+        if deadline is not None and time.perf_counter() >= deadline:
+            return VERDICT_TIMEOUT
+        return VERDICT_UNKNOWN
+
+    def stopped() -> bool:
+        return verdict_of(None) != VERDICT_UNKNOWN
 
     try:
         config = Config(cache_dir=cache_dir).with_(**spec.config)
@@ -193,8 +199,8 @@ def execute_job(
             formula = parse_dimacs(spec.text)
             emit("parsed", {"fmt": "dimacs", "n_vars": formula.n_vars,
                             "n_clauses": len(formula.clauses)})
-    if cancelled():
-        return finish(VERDICT_CANCELLED)
+    if stopped():
+        return finish(verdict_of(None))
 
     # -- preprocess ----------------------------------------------------------
     pre_stats: Dict[str, object] = {}
@@ -250,8 +256,8 @@ def execute_job(
         }
     else:
         cnf = formula
-    if cancelled():
-        return finish(VERDICT_CANCELLED, stats=pre_stats, formula=cnf)
+    if stopped():
+        return finish(verdict_of(None), stats=pre_stats, formula=cnf)
 
     if not spec.solve or cnf is None:
         return finish(VERDICT_UNKNOWN, stats=pre_stats, formula=cnf)
@@ -275,11 +281,8 @@ def execute_job(
         raise RuntimeError("backend unavailable: {}".format(backend.name))
     emit("solving", {"backend": backend.name,
                      "n_vars": cnf.n_vars, "n_clauses": len(cnf.clauses)})
-    # The per-job deadline covers the whole pipeline: whatever the parse
-    # and preprocess stages consumed is subtracted from the solve budget.
-    remaining = None
-    if spec.timeout_s is not None:
-        remaining = max(0.0, spec.timeout_s - (time.perf_counter() - started))
+    remaining = (None if deadline is None
+                 else max(0.0, deadline - time.perf_counter()))
     with tracer.span(
         "job.solve", backend=backend.name, n_clauses=len(cnf.clauses)
     ) as span, metrics.timer("solve_s"):
@@ -289,17 +292,7 @@ def execute_job(
             conflict_budget=spec.conflict_budget,
             cancel=cancel,
         ), satisfies_input)
-        verdict = _status_to_verdict(res.status, cancel)
-        if res.cancelled:
-            verdict = VERDICT_CANCELLED
-        elif (
-            verdict == VERDICT_UNKNOWN
-            and spec.timeout_s is not None
-            and time.perf_counter() - started >= spec.timeout_s
-        ):
-            # The in-worker deadline fired before the pool's watchdog
-            # swept the job: the same timeout, not an unknown answer.
-            verdict = VERDICT_TIMEOUT
+        verdict = verdict_of(res.status)
         span.set("verdict", verdict)
         span.set("conflicts", res.conflicts)
         for name, value in (res.counters or {}).items():

@@ -13,35 +13,33 @@ cancel flag — and adds what a service needs on top:
   :class:`~repro.portfolio.batch.CancelToken` plugs into the
   solver's per-conflict cancel check, so a cancel lands within one
   conflict;
-* **per-job deadlines** — measured from job *start*; a job that outlives
-  ``timeout_s`` is cancelled the same way and reported as ``timeout``;
+* **no clock of its own** — a job's ``timeout_s`` is enforced by the
+  worker itself (:func:`~repro.server.jobs.execute_job` checks it at
+  every stage boundary and inside the solve);
 * **the one death rule** of the slots — a job whose worker dies mid-run
   fails with ``worker-died``, one dispatched to a dying worker but never
   started is requeued, the slot respawns and keeps serving.
 
-One parent thread drives the slots: it waits on the pipes, the process
+One parent thread drives the slots: it blocks on the pipes, the process
 sentinels and a wake-up pipe (poked by :meth:`submit` and
-:meth:`close`), dispatches, sweeps deadlines and calls the per-job
-``on_event`` callbacks — the asyncio front end (:mod:`repro.server.app`)
-bridges those onto the event loop.
+:meth:`close`), dispatches, and calls the per-job ``on_event``
+callbacks — every job reports through its callback, and the pool
+forgets it once the terminal event is sent.  The asyncio front end
+(:mod:`repro.server.app`) bridges those callbacks onto the event loop.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Optional
 
 from ..obs import MetricsRegistry
 from ..portfolio.batch import WorkerSlots, default_jobs
 from .jobs import JobSpec, execute_job
-
-#: Deadline sweep period (deadline resolution), seconds.
-SWEEP_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -53,14 +51,10 @@ class _JobState:
     ``done``."""
 
     spec: JobSpec
-    on_event: Optional[Callable[[str, object], None]] = None
+    on_event: Callable[[str, object], None]
     state: str = "queued"
     worker: Optional[int] = None
-    deadline: Optional[float] = None
     cancel_requested: bool = False
-    timed_out: bool = False
-    result: Optional[Dict[str, object]] = None
-    done: threading.Event = field(default_factory=threading.Event)
 
 
 class WorkerPool:
@@ -122,8 +116,8 @@ class WorkerPool:
         """Stop accepting jobs, stop the serving thread, shut workers down.
 
         Jobs still running are abandoned (their workers are terminated
-        after ``timeout``); waiters on them stay unresolved, so drain
-        the pool first if their results matter.
+        after ``timeout``) and send no terminal event, so drain the pool
+        first if their results matter.
         """
         with self._lock:
             if self._closed:
@@ -144,17 +138,15 @@ class WorkerPool:
     # -- submission -----------------------------------------------------------
 
     def submit(
-        self,
-        spec: JobSpec,
-        on_event: Optional[Callable[[str, object], None]] = None,
+        self, spec: JobSpec, on_event: Callable[[str, object], None]
     ) -> int:
         """Queue a job; returns its (pool-assigned, non-zero) job id.
 
         ``on_event(kind, payload)`` — called from the pool's serving
-        thread — receives ``("progress", dict)`` events then one terminal
-        ``("result", dict)`` or ``("error", str)``.  The pool forgets a
-        job with ``on_event`` when it finishes, and one without when
-        :meth:`wait` returns its result.
+        thread, or from :meth:`cancel` for a job still queued — receives
+        ``("progress", dict)`` events then one terminal ``("result",
+        dict)`` or ``("error", str)``, after which the pool forgets the
+        job.
         """
         spec.validate()
         with self._lock:
@@ -178,7 +170,7 @@ class WorkerPool:
         """
         with self._lock:
             st = self._jobs.get(job_id)
-            if st is None or st.state == "done":
+            if st is None:
                 return False
             st.cancel_requested = True
             if st.state != "queued":
@@ -186,31 +178,11 @@ class WorkerPool:
                 return True
             self._pending.remove(job_id)
         self._finish(
-            st,
+            st, "result",
             {"job_id": job_id, "verdict": "cancelled", "model": None,
              "stats": {}, "seconds": 0.0},
         )
         return True
-
-    def wait(
-        self, job_id: int, timeout: Optional[float] = None
-    ) -> Optional[Dict[str, object]]:
-        """Block until the job finishes; returns its result dict (an
-        ``error`` verdict dict for failed jobs), or None on timeout.
-
-        A job the pool has forgotten (see :meth:`submit`) is unknown:
-        a job with ``on_event`` can be waited on only while it runs.
-        """
-        with self._lock:
-            st = self._jobs.get(job_id)
-        if st is None:
-            raise KeyError("unknown job id {}".format(job_id))
-        if not st.done.wait(timeout=timeout):
-            return None
-        if st.on_event is None:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-        return st.result
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -231,15 +203,14 @@ class WorkerPool:
     # -- the serving thread ---------------------------------------------------
 
     def _serve(self) -> None:
-        """Dispatch, sweep deadlines, and turn slot events into job
-        state until :meth:`close`."""
+        """Dispatch and turn slot events into job state until
+        :meth:`close`."""
         while True:
             with self._lock:
                 if self._closed:
                     return
                 self._dispatch_locked()
-                self._sweep_locked()
-            events = self._slots.events(SWEEP_INTERVAL_S, [self._wake_r])
+            events = self._slots.events(None, [self._wake_r])
             try:
                 os.read(self._wake_r, 4096)
             except BlockingIOError:
@@ -262,28 +233,13 @@ class WorkerPool:
                     self._slots.cancel(slot, st.spec.job_id)
                 break
 
-    def _sweep_locked(self) -> None:
-        """Cancel running jobs past their deadline; caller holds the lock."""
-        now = time.monotonic()
-        for st in self._jobs.values():
-            if (
-                st.state == "running"
-                and st.deadline is not None
-                and not st.timed_out
-                and now >= st.deadline
-            ):
-                st.timed_out = True
-                self._slots.cancel(st.worker, st.spec.job_id)
-
     def _on_slot_event(self, kind: str, job_id: int, payload) -> None:
         with self._lock:
             st = self._jobs.get(job_id)
-            if st is None or st.state == "done":
+            if st is None:
                 return
             if kind == "started":
                 st.state = "running"
-                if st.spec.timeout_s is not None:
-                    st.deadline = time.monotonic() + st.spec.timeout_s
                 return
             if kind == "requeue":
                 st.state = "queued"
@@ -294,40 +250,28 @@ class WorkerPool:
             stage, data = payload
             self._notify(st, "progress", {"stage": stage, **data})
         elif kind == "result":
-            if st.timed_out and payload.get("verdict") == "cancelled":
-                payload["verdict"] = "timeout"
-            self._finish(st, payload)
+            self._finish(st, kind, payload)
         elif kind == "error":
-            self._finish(st, {
-                "job_id": job_id,
-                "verdict": "error",
-                "error": "{}: {}".format(*payload),
-            })
+            self._finish(st, kind, "{}: {}".format(*payload))
 
-    def _finish(self, st: _JobState, result: Dict[str, object]) -> None:
-        """Record a terminal result; caller must hold no lock."""
+    def _finish(self, st: _JobState, kind: str, payload) -> None:
+        """Send a job's terminal ``result``/``error`` event and forget the
+        job; caller must hold no lock."""
         with self._lock:
             if st.state == "done":
                 return
             st.state = "done"
-            st.result = result
-            if st.on_event is not None:
-                del self._jobs[st.spec.job_id]
-            self.metrics.merge(result.get("metrics"))
-            if result.get("verdict") == "error":
+            del self._jobs[st.spec.job_id]
+            if kind == "error":
                 self._failed += 1
             else:
+                self.metrics.merge(payload.get("metrics"))
                 self._completed += 1
-        if result.get("verdict") == "error":
-            self._notify(st, "error", result.get("error"))
-        else:
-            self._notify(st, "result", result)
-        st.done.set()
+        self._notify(st, kind, payload)
 
     @staticmethod
     def _notify(st: _JobState, kind: str, payload) -> None:
-        if st.on_event is not None:
-            try:
-                st.on_event(kind, payload)
-            except Exception:
-                pass
+        try:
+            st.on_event(kind, payload)
+        except Exception:
+            pass

@@ -1,4 +1,13 @@
-"""Fixture: DEAD-API quiet — every public definition is named."""
+"""Fixture: DEAD-API quiet — every public definition is named, and
+every import is read."""
+
+from __future__ import annotations  # __future__: exempt
+
+import os.path
+from json import dumps  # read through __all__
+from typing import Dict as Table
+
+__all__ = ["dumps"]
 
 
 def _private_helper():  # private: skipped
@@ -18,5 +27,7 @@ class Walker:
         return node
 
 
-HANDLERS = {"dispatched_by_name": 2}
-RESULT = called_helper() + len(HANDLERS) + (Walker() is None)
+HANDLERS: Table = {"dispatched_by_name": 2}
+RESULT = called_helper() + len(HANDLERS) + (Walker() is None) + len(
+    os.path.sep
+)

@@ -1,4 +1,8 @@
-"""Fixture: DEAD-API fires — public definitions nothing names."""
+"""Fixture: DEAD-API fires — public definitions nothing names, and
+imports the module never reads."""
+
+import os.path
+from typing import List as Seq
 
 __all__ = ["only_exported"]
 

@@ -48,7 +48,7 @@ def absorb_and_probe(inst, probe_limit=8):
     """The Bosphorus inner-loop shape: fixpoint, probe, absorb, fixpoint."""
     system = AnfSystem(inst.ring.clone(), inst.polynomials)
     propagate(system)
-    probe = run_probing(system, None, probe_limit)
+    probe = run_probing(system, probe_limit)
     fresh = []
     for fact in probe.facts:
         nf = system.normalize(fact)

@@ -47,7 +47,7 @@ CASES = [
     ("MASK-PATH", "mask_path", 2),
     ("DET-RNG", "det_rng", 5),
     ("FORK-SAFETY", "fork_safety", 3),
-    ("DEAD-API", "dead_api", 4),
+    ("DEAD-API", "dead_api", 6),
 ]
 
 
@@ -174,6 +174,22 @@ def test_dead_api_identifier_string_counts_as_use(tmp_path):
 def test_dead_api_skips_private_definitions(tmp_path):
     source = "def _helper():\n    return 1\n\n\nclass _Shape:\n    pass\n"
     assert dead_api_names(tmp_path, source) == []
+
+
+def test_dead_api_reports_unread_module_imports(tmp_path):
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from json import dumps, loads\n\n"
+        '__all__ = ["dumps"]\n\n'
+        "SEP = os.sep\n"
+    )
+    assert dead_api_names(tmp_path / "mod", source) == ["osp", "loads"]
+    # A package __init__ re-exports what it imports: not checked.
+    assert dead_api_names(
+        tmp_path / "init", "SEP = 1\n", init="import os\nfrom json import loads\n"
+    ) == []
 
 
 # -- ORACLE-FREEZE: fingerprint pinning against a temp tree ---------------

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from oracles.anf_to_cnf import convert_polynomials_scalar, convert_scalar
-from repro.anf import AnfSystem, Poly, Ring, parse_system
+from repro.anf import AnfSystem, Poly, parse_system
 from repro.core import AnfToCnf, Config
 from repro.sat import Solver, mk_lit
 from repro.sat.types import TRUE

@@ -1,10 +1,6 @@
 """End-to-end tests for the Bosphorus workflow (paper sections II-E, III)."""
 
-import itertools
-
-import pytest
-
-from repro.anf import Poly, Ring, parse_system
+from repro.anf import Ring, parse_system
 from repro.core import (
     Bosphorus,
     Config,

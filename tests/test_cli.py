@@ -1,7 +1,6 @@
 """Tests for the bosphorus-py command-line interface."""
 
 import json
-import os
 
 import pytest
 

@@ -4,12 +4,7 @@ and both modes must stay inside the original formula's variables."""
 
 import pytest
 
-from repro.cube import (
-    DEFAULT_MAX_CUBES,
-    CubeSet,
-    occurrence_scores,
-    split_formula,
-)
+from repro.cube import DEFAULT_MAX_CUBES, occurrence_scores, split_formula
 from repro.sat import CnfFormula, Solver, parse_dimacs
 from repro.sat.types import lit_var, mk_lit
 from repro.satcomp.generators import pigeonhole

@@ -1,7 +1,5 @@
 """Tests for the symbolic tracing toolkit (builder + bit vectors)."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anf import AnfSystem, ContradictionError, Poly, Ring
+from repro.anf import ContradictionError, Poly, Ring
 from repro.core import Bosphorus, Config
 
 N_VARS = 5

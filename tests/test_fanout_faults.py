@@ -43,6 +43,7 @@ from repro.portfolio import (
     SolverBackend,
     batch_cancel,
 )
+from pool_events import submit
 from repro.sat import parse_dimacs
 from repro.server.jobs import JobSpec
 from repro.server.pool import WorkerPool
@@ -269,17 +270,17 @@ def test_worker_pool_job(kind, tmp_path):
             time.sleep(STALL_S)  # holds up the pool's serving thread
 
     with WorkerPool(jobs=2) as pool:
-        sibling = pool.submit(
-            JobSpec(fmt="dimacs", text=EASY, preprocess=False)
+        _, sibling = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False)
         )
-        faulty = pool.submit(
-            _faulty_job(kind, tmp_path), on_event=on_faulty_event
+        faulty, wait_faulty = submit(
+            pool, _faulty_job(kind, tmp_path), on_event=on_faulty_event
         )
         if kind == "cancel":
             time.sleep(0.3)
             assert pool.cancel(faulty)
-        result = pool.wait(faulty, timeout=60)
-        assert pool.wait(sibling, timeout=60)["verdict"] == "sat"
+        result = wait_faulty(timeout=60)
+        assert sibling(timeout=60)["verdict"] == "sat"
     assert result["verdict"] in ("error", "timeout", "cancelled"), result
     expected = {"raise": "error", "hang": "timeout", "cancel": "cancelled"}
     assert result["verdict"] == expected.get(kind, "error")

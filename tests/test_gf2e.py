@@ -1,10 +1,7 @@
 """Tests for GF(2^e) arithmetic, concrete and symbolic."""
 
-import itertools
-import random
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.anf import Poly

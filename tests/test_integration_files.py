@@ -3,8 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
 from repro.anf import parse_system
 from repro.cli import main as cli_main
 from repro.gen import main as gen_main

@@ -1,12 +1,9 @@
 """Tests for the Quine–McCluskey minimiser (ESPRESSO stand-in)."""
 
-import itertools
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anf import Poly, Ring, parse_polynomial
+from repro.anf import Ring, parse_polynomial
 from repro.minimize import (
     cube_to_clause,
     minimize,

@@ -19,7 +19,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.portfolio import BackendResult, CdclBackend, PortfolioRunner, SolverBackend
+from repro.portfolio import CdclBackend, PortfolioRunner, SolverBackend
 from repro.sat import parse_dimacs
 
 PAPER_EXAMPLE = """

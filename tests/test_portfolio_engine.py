@@ -19,7 +19,7 @@ from repro.portfolio import (
     SolverBackend,
     arbitrate,
 )
-from repro.sat import CnfFormula, parse_dimacs
+from repro.sat import parse_dimacs
 from repro.satcomp.generators import pigeonhole
 
 

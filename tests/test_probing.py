@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.anf import AnfSystem, Poly, Ring, parse_system
 from repro.core import Bosphorus, Config, propagate, run_probing
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.anf import AnfSystem, ContradictionError, Poly, Ring, parse_system
+from repro.anf import AnfSystem, ContradictionError, Poly, parse_system
 from repro.core import materialize, propagate, state_polynomials
 
 

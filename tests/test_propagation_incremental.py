@@ -13,7 +13,7 @@ import pytest
 from repro.anf import AnfSystem, Poly, parse_system
 from repro.anf.parser import parse_polynomial
 from repro.ciphers import simon, speck
-from repro.core.propagation import materialize, propagate
+from repro.core.propagation import propagate
 
 
 def state_snapshot(system):

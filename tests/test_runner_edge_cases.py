@@ -1,8 +1,6 @@
 """Edge-case tests for the experiment runner."""
 
-import pytest
-
-from repro.anf import Poly, Ring, parse_system
+from repro.anf import parse_system
 from repro.core.config import Config
 from repro.experiments import Problem, run_instance
 from repro.portfolio import CdclBackend

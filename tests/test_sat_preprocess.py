@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.sat import Preprocessor, Solver, mk_lit
-from repro.sat.types import FALSE, TRUE, UNDEF
+from repro.sat.types import TRUE, UNDEF
 
 
 def brute_models(n_vars, clauses):

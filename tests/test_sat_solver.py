@@ -4,20 +4,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sat import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    Solver,
-    SolverConfig,
-    lit_neg,
-    luby,
-    mk_lit,
-)
-from repro.sat.types import FALSE, TRUE, UNDEF
+from repro.sat import SAT, UNKNOWN, UNSAT, Solver, luby, mk_lit
+from repro.sat.types import TRUE
 
 
 def brute_force(n_vars, clauses):

@@ -1,9 +1,5 @@
 """Tests for the synthetic SAT-2017 substitute suite."""
 
-import itertools
-
-import pytest
-
 from repro.satcomp import build_suite, generators, hard_subset
 from repro.sat import Solver
 

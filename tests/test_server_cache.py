@@ -15,8 +15,6 @@ import os
 import pickle
 import shutil
 
-import pytest
-
 from repro.anf import AnfSystem, parse_system
 from repro.core.anf_to_cnf import AnfToCnf, system_fingerprint
 from repro.core.config import Config

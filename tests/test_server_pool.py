@@ -14,6 +14,7 @@ import time
 import pytest
 
 import repro.server.pool as pool_mod
+from pool_events import submit
 from repro.server.jobs import JobSpec, execute_job
 from repro.server.pool import WorkerPool
 
@@ -40,10 +41,11 @@ HARD = _hard_instance()
 
 def test_submit_wait_round_trip():
     with WorkerPool(jobs=1) as pool:
-        sat = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
-        unsat = pool.submit(JobSpec(fmt="dimacs", text=UNSAT, preprocess=False))
-        assert pool.wait(sat, timeout=60)["verdict"] == "sat"
-        assert pool.wait(unsat, timeout=60)["verdict"] == "unsat"
+        _, sat = submit(pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        _, unsat = submit(
+            pool, JobSpec(fmt="dimacs", text=UNSAT, preprocess=False))
+        assert sat(timeout=60)["verdict"] == "sat"
+        assert unsat(timeout=60)["verdict"] == "unsat"
         stats = pool.stats()
         assert stats["completed"] == 2
         assert stats["failed"] == 0
@@ -52,11 +54,11 @@ def test_submit_wait_round_trip():
 def test_event_stream_order():
     events = []
     with WorkerPool(jobs=1) as pool:
-        job = pool.submit(
-            JobSpec(fmt="dimacs", text=EASY, preprocess=False),
+        _, wait = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False),
             on_event=lambda kind, payload: events.append((kind, payload)),
         )
-        result = pool.wait(job, timeout=60)
+        result = wait(timeout=60)
     kinds = [k for k, _ in events]
     assert kinds[-1] == "result"
     assert set(kinds[:-1]) == {"progress"}
@@ -66,8 +68,8 @@ def test_event_stream_order():
 def test_anf_job_with_shared_cache(tmp_path):
     anf = "x0*x1 + x2 + 1\nx1*x2 + x0\nx0 + x1 + x2 + 1\n"
     with WorkerPool(jobs=1, cache_dir=str(tmp_path)) as pool:
-        cold = pool.wait(pool.submit(JobSpec(fmt="anf", text=anf)), timeout=120)
-        warm = pool.wait(pool.submit(JobSpec(fmt="anf", text=anf)), timeout=120)
+        cold = submit(pool, JobSpec(fmt="anf", text=anf))[1](timeout=120)
+        warm = submit(pool, JobSpec(fmt="anf", text=anf))[1](timeout=120)
     assert cold["verdict"] == warm["verdict"] == "sat"
     assert warm["stats"]["conversion_disk_hits"] > 0
     assert warm["cnf_sha256"] == cold["cnf_sha256"]
@@ -75,11 +77,12 @@ def test_anf_job_with_shared_cache(tmp_path):
 
 def test_running_job_cancel_lands_within_a_slice():
     with WorkerPool(jobs=1) as pool:
-        job = pool.submit(JobSpec(fmt="dimacs", text=HARD, preprocess=False))
+        job, wait = submit(
+            pool, JobSpec(fmt="dimacs", text=HARD, preprocess=False))
         time.sleep(0.4)  # let the solve get going
         assert pool.cancel(job)
         t0 = time.monotonic()
-        result = pool.wait(job, timeout=30)
+        result = wait(timeout=30)
         elapsed = time.monotonic() - t0
     assert result["verdict"] == "cancelled"
     # A cancel lands within one conflict — far under a second on this
@@ -89,29 +92,33 @@ def test_running_job_cancel_lands_within_a_slice():
 
 def test_queued_job_cancel_resolves_immediately():
     with WorkerPool(jobs=1) as pool:
-        running = pool.submit(JobSpec(fmt="dimacs", text=HARD, preprocess=False))
-        queued = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        running, wait_running = submit(
+            pool, JobSpec(fmt="dimacs", text=HARD, preprocess=False))
+        queued, wait_queued = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
         assert pool.cancel(queued)
-        result = pool.wait(queued, timeout=5)
+        result = wait_queued(timeout=5)
         assert result["verdict"] == "cancelled"
         pool.cancel(running)
-        pool.wait(running, timeout=30)
+        wait_running(timeout=30)
 
 
 def test_cancel_unknown_or_finished_job_is_false():
     with WorkerPool(jobs=1) as pool:
-        job = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
-        pool.wait(job, timeout=60)
+        job, wait = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        wait(timeout=60)
         assert pool.cancel(job) is False
         assert pool.cancel(999) is False
 
 
 def test_deadline_reports_timeout_verdict():
     with WorkerPool(jobs=1) as pool:
-        job = pool.submit(
-            JobSpec(fmt="dimacs", text=HARD, preprocess=False, timeout_s=0.3)
+        _, wait = submit(
+            pool,
+            JobSpec(fmt="dimacs", text=HARD, preprocess=False, timeout_s=0.3),
         )
-        result = pool.wait(job, timeout=30)
+        result = wait(timeout=30)
     assert result["verdict"] in ("timeout", "sat", "unsat")
     # On this instance 0.3s is far from enough; accept a verdict only if
     # the solver genuinely beat the clock (never seen, but not illegal).
@@ -119,20 +126,32 @@ def test_deadline_reports_timeout_verdict():
 
 
 def test_own_deadline_reports_timeout_not_unknown():
-    # The job's own deadline (inside the backend solve) can fire before
-    # the pool's watchdog sweeps it; the verdict must still be timeout.
     result = execute_job(
         JobSpec(fmt="dimacs", text=HARD, preprocess=False, timeout_s=0.05)
     )
     assert result["verdict"] == "timeout"
 
 
+def test_deadline_stops_the_job_at_the_next_stage_boundary():
+    # Spent before parsing ends: the job stops at the first stage
+    # boundary, without preprocessing or solving.
+    stages = []
+    result = execute_job(
+        JobSpec(fmt="anf", text="x0*x1 + x2 + 1\nx1*x2 + x0\n",
+                timeout_s=1e-6),
+        progress=lambda stage, payload: stages.append(stage),
+    )
+    assert result["verdict"] == "timeout"
+    assert stages == ["parsed"]
+
+
 def test_job_exception_is_isolated():
     with WorkerPool(jobs=1) as pool:
-        bad = pool.submit(JobSpec(fmt="dimacs", text="p cnf not-a-header"))
-        good = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
-        bad_result = pool.wait(bad, timeout=60)
-        good_result = pool.wait(good, timeout=60)
+        _, bad = submit(pool, JobSpec(fmt="dimacs", text="p cnf not-a-header"))
+        _, good = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        bad_result = bad(timeout=60)
+        good_result = good(timeout=60)
     assert bad_result["verdict"] == "error"
     assert "error" in bad_result
     assert good_result["verdict"] == "sat"
@@ -232,18 +251,19 @@ def test_worker_death_mid_job_fails_only_that_job(monkeypatch):
     monkeypatch.setenv("REPRO_MP_START", "fork")
     monkeypatch.setattr(pool_mod, "execute_job", _exploding_execute_job)
     with WorkerPool(jobs=2) as pool:
-        boom = pool.submit(
-            JobSpec(fmt="dimacs", text="c BOOM\n" + EASY, preprocess=False)
+        _, boom = submit(
+            pool,
+            JobSpec(fmt="dimacs", text="c BOOM\n" + EASY, preprocess=False),
         )
         good = [
-            pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+            submit(pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))[1]
             for _ in range(4)
         ]
-        boom_result = pool.wait(boom, timeout=60)
+        boom_result = boom(timeout=60)
         assert boom_result["verdict"] == "error"
         assert "worker-died" in boom_result["error"]
-        for job in good:
-            assert pool.wait(job, timeout=60)["verdict"] == "sat"
+        for wait in good:
+            assert wait(timeout=60)["verdict"] == "sat"
         stats = pool.stats()
         assert stats["respawns"] >= 1
         assert stats["alive"] == 2
@@ -255,26 +275,24 @@ def test_idle_worker_death_respawns_cleanly(monkeypatch):
     # pipe with it; the respawned slot must keep serving.
     monkeypatch.setenv("REPRO_MP_START", "fork")
     with WorkerPool(jobs=1) as pool:
-        first = pool.wait(
-            pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False)),
-            timeout=60,
-        )
+        first = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False)
+        )[1](timeout=60)
         assert first["verdict"] == "sat"
         pool._slots.procs[0].terminate()
         deadline = time.monotonic() + 10
         while pool.stats()["respawns"] == 0:
             assert time.monotonic() < deadline, "slot never respawned"
             time.sleep(0.05)
-        second = pool.wait(
-            pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False)),
-            timeout=60,
-        )
+        second = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False)
+        )[1](timeout=60)
         assert second["verdict"] == "sat"
 
 
 def test_finished_jobs_leave_no_state():
-    # 20 jobs reporting through on_event, then one collected by wait():
-    # none may stay behind in the pool's job table.
+    # 20 jobs counted off their result events, then one waited on: none
+    # may stay behind in the pool's job table.
     results = []
     with WorkerPool(jobs=1) as pool:
         for _ in range(20):
@@ -289,8 +307,9 @@ def test_finished_jobs_leave_no_state():
             assert time.monotonic() < deadline, "jobs never finished"
             time.sleep(0.05)
         assert not pool._jobs
-        job = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
-        assert pool.wait(job, timeout=60)["verdict"] == "sat"
+        _, wait = submit(
+            pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        assert wait(timeout=60)["verdict"] == "sat"
         assert not pool._jobs
         stats = pool.stats()
     assert stats["done"] == stats["completed"] == 21
@@ -301,15 +320,14 @@ def test_pool_rejects_submit_after_close():
     pool = WorkerPool(jobs=1)
     pool.close()
     with pytest.raises(RuntimeError):
-        pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        submit(pool, JobSpec(fmt="dimacs", text=EASY, preprocess=False))
 
 
 def test_concurrent_submit_and_cancel_resolve_every_job_once():
     # More workers than cores, three submitting threads, every third job
     # cancelled at once: each job must resolve exactly once, and the
     # pool's counters must add up.  A job cancelled while queued resolves
-    # inside cancel() and the pool forgets it there, so the verdicts are
-    # read off the event stream, not wait().
+    # inside cancel(), so the verdicts are read off the event stream.
     import threading
 
     n_threads, per_thread = 3, 12

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import struct
 
 import pytest
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.ciphers import simon
 from repro.core import Bosphorus, Config, Solution
 

@@ -2,12 +2,10 @@
 guarantee that ``seed=None`` keeps the undiversified search bit-for-bit.
 """
 
-import random
-
 import pytest
 
 from repro.sat import Solver, SolverConfig
-from repro.satcomp.generators import planted_ksat, random_ksat
+from repro.satcomp.generators import planted_ksat
 
 
 def _load(formula, config=None):

@@ -1,7 +1,5 @@
 """Tests for the Speck32/64 extension family."""
 
-import pytest
-
 from repro.ciphers import speck
 from repro.core import Bosphorus, Config, Solution
 

@@ -1,12 +1,10 @@
 """Finer-grained tests of workflow details from paper section III."""
 
-import pytest
-
-from repro.anf import AnfSystem, Poly, Ring, parse_system
+from repro.anf import AnfSystem, parse_system
 from repro.core import Bosphorus, Config, run_sat
 from repro.core.bosphorus import STATUS_SAT, STATUS_UNKNOWN
 from repro.portfolio.backends import sliced_solve
-from repro.sat import Solver, mk_lit
+from repro.sat import Solver
 
 
 def test_solution_not_used_to_simplify_anf():

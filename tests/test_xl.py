@@ -1,8 +1,6 @@
 """Tests for eXtended Linearization (paper section II-B, Table I)."""
 
-import random
-
-from repro.anf import Poly, Ring, parse_system
+from repro.anf import parse_system
 from repro.core import Config, run_xl
 
 

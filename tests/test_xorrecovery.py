@@ -12,20 +12,34 @@ from repro.sat import (
     mk_lit,
     recover_xors,
 )
+from repro.sat.dimacs import parity_clauses
 
 
 def xor_clauses(variables, rhs):
     """Encode an XOR as its 2^(l-1) forbidding clauses."""
-    out = []
-    m = len(variables)
-    for pattern in range(1 << m):
-        if bin(pattern).count("1") & 1 == rhs:
-            continue
-        out.append([
-            mk_lit(variables[i], negated=bool(pattern >> i & 1))
-            for i in range(m)
-        ])
-    return out
+    return list(parity_clauses(variables, rhs))
+
+
+@pytest.mark.parametrize("rhs", [0, 1])
+@pytest.mark.parametrize("width", range(1, 7))
+def test_parity_clauses_models_are_the_parity_models(width, rhs):
+    clauses = xor_clauses(list(range(width)), rhs)
+    assert len(clauses) == 1 << (width - 1)
+    for bits in itertools.product((0, 1), repeat=width):
+        satisfied = all(
+            any(bits[l >> 1] ^ (l & 1) for l in clause) for clause in clauses
+        )
+        assert satisfied == (sum(bits) % 2 == rhs)
+
+
+@pytest.mark.parametrize("rhs", [0, 1])
+@pytest.mark.parametrize("width", range(2, 7))
+def test_recover_xors_inverts_parity_clauses(width, rhs):
+    variables = [9, 2, 14, 5, 0, 7][:width]  # not sorted
+    clauses = xor_clauses(variables, rhs)
+    xors, used = recover_xors(clauses)
+    assert xors == [(sorted(variables), rhs)]
+    assert sorted(used) == list(range(len(clauses)))
 
 
 def test_recovers_simple_xor():
