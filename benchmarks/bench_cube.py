@@ -32,7 +32,7 @@ from repro.ciphers import simon
 from repro.core.anf_to_cnf import AnfToCnf
 from repro.core.config import Config
 from repro.cube import CubeConqueror
-from repro.portfolio import CdclBackend
+from repro.portfolio import CdclBackend, stop_rule
 
 from .conftest import bench_count, bench_timeout
 
@@ -66,7 +66,8 @@ def test_cube_and_conquer_unsat_speedup(benchmark, table_printer):
     jobs = min(4, cpus)
 
     t0 = time.monotonic()
-    uncubed = CdclBackend("minisat").solve(formula, timeout_s=timeout)
+    uncubed = CdclBackend("minisat").solve(
+        formula, stop=stop_rule(time.monotonic() + timeout))
     seq_s = time.monotonic() - t0
 
     conqueror = CubeConqueror(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from .anf import read_anf, write_anf
@@ -151,7 +152,7 @@ def _model_validator(result):
 
 def _final_solve(args, result, tracer=NULL_TRACER):
     """Solve the processed CNF per --cube / --portfolio / --backend / --solver."""
-    from .portfolio import create_backend, default_portfolio
+    from .portfolio import create_backend, default_portfolio, stop_rule
     from .portfolio.engine import validated
 
     validate = _model_validator(result)
@@ -184,8 +185,8 @@ def _final_solve(args, result, tracer=NULL_TRACER):
         ).run(result.cnf, timeout_s=args.timeout)
     else:
         with tracer.span("final.solve", backend=backend.name) as span:
-            res = validated(
-                backend.solve(result.cnf, timeout_s=args.timeout), validate)
+            stop = stop_rule(time.monotonic() + args.timeout)
+            res = validated(backend.solve(result.cnf, stop=stop), validate)
             span.set("conflicts", res.conflicts)
         if res.demoted:
             print("c model failed validation")

@@ -66,7 +66,7 @@ from ..anf import monomial as mono
 from ..anf.monomial import Monomial
 from ..anf.polynomial import Poly
 from ..anf.system import AnfSystem
-from ..minimize import cube_to_clause, minimize, truth_table
+from ..minimize import cube_to_clause, minimize
 from ..minimize.truthtable import MAX_BATCH_VARS, truth_table_masks
 from ..obs import NULL_TRACER, MetricsRegistry
 from ..sat.dimacs import CnfFormula, cut_xor, parity_clauses
@@ -511,8 +511,12 @@ class ConversionSession:
         return 1 << aux
 
     def _emit_short(self, terms: List[int], rhs: int) -> None:
+        # K is clamped to MAX_BATCH_VARS, the widest truth table the
+        # batch evaluator builds; a wider chunk goes to Tseitin.
         support_mask = reduce(or_, terms)
-        if support_mask.bit_count() <= self.config.karnaugh_limit:
+        if support_mask.bit_count() <= min(
+            self.config.karnaugh_limit, MAX_BATCH_VARS
+        ):
             self._emit_karnaugh(terms, rhs, support_mask)
         else:
             self._emit_tseitin(terms, rhs)
@@ -539,18 +543,7 @@ class ConversionSession:
                     karnaugh_cache[key] = cubes
                     self.stats.karnaugh_disk_hits += 1
         if cubes is None:
-            local_masks = key[1]
-            if n <= MAX_BATCH_VARS:
-                on_set = truth_table_masks(local_masks, n, rhs)
-            else:
-                # Absurdly large K: fall back to the per-row evaluation
-                # on the local problem (still cached by shape).  Local
-                # masks of distinct terms are distinct.
-                local_poly = Poly._from_frozenset(
-                    frozenset(local_masks)
-                ).add_constant(rhs)
-                on_set = truth_table(local_poly, list(range(n)))
-            cubes = minimize(on_set, n)
+            cubes = minimize(truth_table_masks(key[1], n, rhs), n)
             karnaugh_cache[key] = cubes
             self.stats.karnaugh_cache_misses += 1
             if store is not None:

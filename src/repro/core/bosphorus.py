@@ -13,7 +13,10 @@ Termination conditions mirror the paper:
 * the inner SAT solver finds a model → (optionally) stop and report it
   (the model is *not* used to simplify the ANF, since it may not be the
   unique solution);
-* no new facts in a full pass → fixed point.
+* no new facts in a full pass → fixed point;
+* the caller's ``stop()`` holds → no verdict and no CNF.  It is asked
+  before each learner and SAT step and after every inner conflict; an XL
+  or ElimLin step runs to its end, so a run overshoots by one step.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ from .xl import run_xl
 STATUS_SAT = "sat"
 STATUS_UNSAT = "unsat"
 STATUS_UNKNOWN = "unknown"
+
+
+class _Stopped(Exception):
+    """The caller's ``stop`` held between two steps of the loop."""
+
+
+def _halt(stop) -> None:
+    if stop is not None and stop():
+        raise _Stopped
 
 
 @dataclass
@@ -107,9 +119,10 @@ class Bosphorus:
     # -- entry points ---------------------------------------------------------
 
     def preprocess_anf(
-        self, ring: Ring, polynomials: Sequence[Poly]
+        self, ring: Ring, polynomials: Sequence[Poly], stop=None
     ) -> BosphorusResult:
-        """Run the fact-learning loop on an ANF problem."""
+        """Run the fact-learning loop on an ANF problem (until ``stop()``
+        holds, see the module docstring)."""
         facts = FactStore()
         with self.tracer.span(
             "bosphorus.preprocess",
@@ -121,32 +134,34 @@ class Bosphorus:
             except ContradictionError:
                 result = self._unsat_result(facts, iterations=0, ring=ring)
             else:
-                result = self._run_loop(system, facts)
+                result = self._run_loop(system, facts, stop)
             span.set("status", result.status)
             span.set("iterations", result.iterations)
         return result
 
-    def preprocess_cnf(self, formula: CnfFormula) -> BosphorusResult:
+    def preprocess_cnf(self, formula: CnfFormula, stop=None) -> BosphorusResult:
         """Use Bosphorus as a CNF preprocessor (paper section III-D).
 
         The result carries both the original CNF (augmented with learnt
         facts — the paper returns this because a CNF→ANF→CNF round trip
-        alone is suboptimal) and the CNF of the internal ANF.
+        alone is suboptimal) and the CNF of the internal ANF; a run
+        ``stop`` cut off carries neither.
         """
         anf = cnf_to_anf(formula, self.config)
-        result = self.preprocess_anf(anf.ring, anf.polynomials)
+        result = self.preprocess_anf(anf.ring, anf.polynomials, stop)
         result.original_cnf = formula
-        with self.tracer.span("bosphorus.augment_cnf"):
-            result.augmented_cnf = self._augment_cnf(
-                formula, result, set(anf.cut_vars)
-            )
+        if result.cnf is not None:
+            with self.tracer.span("bosphorus.augment_cnf"):
+                result.augmented_cnf = self._augment_cnf(
+                    formula, result, set(anf.cut_vars)
+                )
         if result.solution is not None:
             result.solution = Solution(result.solution.values[: formula.n_vars])
         return result
 
     # -- the loop -------------------------------------------------------------
 
-    def _run_loop(self, system: AnfSystem, facts: FactStore) -> BosphorusResult:
+    def _run_loop(self, system: AnfSystem, facts: FactStore, stop) -> BosphorusResult:
         config = self.config
         rng = random.Random(config.seed)
         original_ring = system.ring
@@ -195,6 +210,7 @@ class Bosphorus:
                     for enabled, source, learn in learners:
                         if not enabled:
                             continue
+                        _halt(stop)
                         with tracer.span(source) as span, metrics.timer(
                             source + "_s"
                         ):
@@ -204,6 +220,7 @@ class Bosphorus:
                         new_facts += added
 
                     if config.use_sat:
+                        _halt(stop)
                         with tracer.span(
                             "sat", budget=sat_budget
                         ) as span, metrics.timer("sat_s"):
@@ -214,6 +231,7 @@ class Bosphorus:
                                 self.inner_solver_config,
                                 session=session,
                                 tracer=tracer,
+                                stop=stop,
                             )
                             it_stats["sat_status"] = sat_res.status
                             it_stats["sat_conflicts"] = sat_res.conflicts
@@ -243,6 +261,8 @@ class Bosphorus:
                     technique_stats.append(it_stats)
                     if new_facts == 0:
                         break
+            if status == STATUS_UNKNOWN:
+                _halt(stop)
         except ContradictionError:
             return self._unsat_result(
                 facts,
@@ -251,16 +271,18 @@ class Bosphorus:
                 stats=technique_stats,
                 metrics=metrics,
             )
-
-        with tracer.span("conversion.final"):
-            processed = materialize(system)
-            conversion = session.convert(system)
+        except _Stopped:
+            processed, conversion = materialize(system), None
+        else:
+            with tracer.span("conversion.final"):
+                processed = materialize(system)
+                conversion = session.convert(system)
         return BosphorusResult(
             status=status,
             facts=facts,
             iterations=iterations,
             processed_anf=processed,
-            cnf=conversion.formula,
+            cnf=conversion.formula if conversion else None,
             conversion=conversion,
             solution=solution,
             system=system,

@@ -7,7 +7,7 @@ Field names follow the paper's section IV parameter list:
 * ``xl_expand_allowance`` — δM: XL expansion stops near ``2**(M + δM)``,
 * ``xl_degree`` — D: maximum degree of expansion multipliers,
 * ``karnaugh_limit`` — K: maximum support size for the Karnaugh-map
-  conversion path,
+  conversion path (clamped to 20, the widest truth table it builds),
 * ``xor_cut_len`` — L: XOR-cutting length for ANF→CNF,
 * ``clause_cut_len`` — L': clause-cutting length for CNF→ANF,
 * ``sat_conflict_*`` — the conflict budget schedule C (start, step, max).

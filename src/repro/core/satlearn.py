@@ -26,7 +26,7 @@ auxiliary (monomial / cut) variables are excluded, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..anf.polynomial import Poly
 from ..anf.system import AnfSystem
@@ -79,6 +79,7 @@ def run_sat(
     solver_config: Optional[SolverConfig] = None,
     session: Optional[ConversionSession] = None,
     tracer=None,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> SatLearnResult:
     """Convert, solve under a conflict budget, and harvest learnt facts.
 
@@ -89,7 +90,8 @@ def run_sat(
     and phases.  ``result.conflicts`` is this call's share.  The
     session's converter carries its own config: its conversion
     parameters (K, L, ``emit_xor_clauses``) are the ones used —
-    ``config`` then only governs the conflict budget.
+    ``config`` then only governs the conflict budget.  ``stop()``, asked
+    after every conflict, ends the search as an exhausted budget does.
 
     With the converter's ``config.cache_dir`` set, each conversion is
     keyed by the session's history plus the canonical system hash
@@ -124,7 +126,7 @@ def run_sat(
                 engine.add_xor(variables, rhs)
             solver.attach_xor_engine(engine)
         # A solver made UNSAT while adding answers UNSAT at once.
-        status = solver.solve(conflict_budget=budget)
+        status = solver.solve(conflict_budget=budget, stop=stop)
         counters = solver_counters(solver)
         for name in SOLVER_COUNTERS:
             counters[name] -= before[name]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..anf.polynomial import Poly
+from ..sat.dimacs import CnfFormula
 from ..sat.types import TRUE
 
 
@@ -87,6 +88,14 @@ def make_model_validator(conversion, polynomials: Sequence[Poly]):
         return solution.satisfies(polynomials)
 
     return validate
+
+
+def satisfies_input(model: Sequence[int], problem) -> bool:
+    """Whether the 0/1 ``model`` satisfies ``problem`` as it was given, a
+    :class:`CnfFormula` or ANF polynomials (missing bits read 0)."""
+    if isinstance(problem, CnfFormula):
+        return problem.satisfied_by(model)
+    return Solution(list(model)).satisfies(problem)
 
 
 @dataclass

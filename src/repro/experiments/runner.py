@@ -12,9 +12,10 @@ Reproduces the paper's Table II protocol:
 Three solver personalities stand in for MiniSat / Lingeling /
 CryptoMiniSat5 (DESIGN.md §4, substitution 5); they are the in-process
 :class:`repro.portfolio.CdclBackend` adapters, so the same code path
-serves this harness, the parallel portfolio engine and the CLI.  Time
-budgets are enforced by checking the wall clock after every conflict of
-the CDCL search, so a slow instance cannot wedge the harness.
+serves this harness, the parallel portfolio engine and the CLI.  A
+cell's time budget is one ``stop`` predicate that Bosphorus asks before
+each learner step and every CDCL search asks after each conflict, so a
+slow instance cannot wedge the harness.
 ``run_family(jobs=N)`` distributes the Table II grid over a bounded
 worker pool (:class:`repro.portfolio.BatchScheduler`) with per-instance
 wall-clock isolation; the PAR-2 math is unchanged.
@@ -32,8 +33,8 @@ from ..anf.system import AnfSystem, ContradictionError
 from ..core.anf_to_cnf import AnfToCnf
 from ..core.bosphorus import Bosphorus
 from ..core.config import Config
-from ..core.solution import Solution
-from ..portfolio.backends import PERSONALITIES, CdclBackend
+from ..core.solution import satisfies_input
+from ..portfolio.backends import PERSONALITIES, CdclBackend, stop_rule
 from ..portfolio.batch import BatchItemError, BatchScheduler
 from ..sat.dimacs import CnfFormula
 
@@ -88,9 +89,7 @@ def run_instance(
     """One Table II cell entry for one instance."""
     config = bosphorus_config or Config()
     start = time.monotonic()
-    deadline = start + timeout_s
-    bosphorus_seconds = 0.0
-    decided = False
+    stop = stop_rule(start + timeout_s)  # Bosphorus and the final solve
 
     if not use_bosphorus:
         if problem.kind == "anf":
@@ -100,7 +99,7 @@ def run_instance(
                 return RunResult(False, time.monotonic() - start)
         else:
             formula = problem.formula
-        res = CdclBackend(personality).solve(formula, deadline=deadline)
+        res = CdclBackend(personality).solve(formula, stop=stop)
         seconds = time.monotonic() - start
         checked = _check_model(problem, res.model) if res.status is True else None
         return RunResult(res.status, seconds, 0.0, res.conflicts, checked)
@@ -109,9 +108,11 @@ def run_instance(
     b_start = time.monotonic()
     bosph = Bosphorus(config)
     if problem.kind == "anf":
-        result = bosph.preprocess_anf(problem.ring.clone(), list(problem.polynomials))
+        result = bosph.preprocess_anf(
+            problem.ring.clone(), list(problem.polynomials), stop
+        )
     else:
-        result = bosph.preprocess_cnf(problem.formula)
+        result = bosph.preprocess_cnf(problem.formula, stop)
     bosphorus_seconds = time.monotonic() - b_start
 
     if result.is_unsat:
@@ -121,6 +122,8 @@ def run_instance(
         checked = _check_model(problem, result.solution.values)
         return RunResult(True, time.monotonic() - start, bosphorus_seconds,
                          0, checked, decided_by_bosphorus=True)
+    if result.cnf is None:  # stopped at the deadline
+        return RunResult(None, time.monotonic() - start, bosphorus_seconds)
 
     # Final solving on the processed problem.
     if problem.kind == "cnf":
@@ -129,7 +132,7 @@ def run_instance(
         formula = AnfToCnf(config.with_(emit_xor_clauses=True)).convert(result.system).formula
     else:
         formula = result.cnf
-    res = CdclBackend(personality).solve(formula, deadline=deadline)
+    res = CdclBackend(personality).solve(formula, stop=stop)
     seconds = time.monotonic() - start
     checked = _check_model(problem, res.model) if res.status is True else None
     return RunResult(res.status, seconds, bosphorus_seconds, res.conflicts,
@@ -140,11 +143,9 @@ def _check_model(problem: Problem, model: Optional[List[int]]) -> Optional[bool]
     """Validate a SAT model against the original problem when possible."""
     if model is None:
         return None
-    if problem.kind == "anf":
-        n = problem.ring.n_vars
-        values = list(model[:n]) + [0] * max(0, n - len(model))
-        return Solution(values).satisfies(problem.polynomials)
-    return problem.formula.satisfied_by(model)
+    return satisfies_input(
+        model, problem.polynomials if problem.kind == "anf" else problem.formula
+    )
 
 
 def _run_family_cell(cell) -> RunResult:

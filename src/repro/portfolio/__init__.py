@@ -28,6 +28,7 @@ from .backends import (
     SolverBackend,
     create_backend,
     default_portfolio,
+    stop_rule,
 )
 from .batch import BatchItemError, BatchScheduler, batch_cancel, default_jobs
 from .engine import (
@@ -46,6 +47,7 @@ __all__ = [
     "SolverBackend",
     "create_backend",
     "default_portfolio",
+    "stop_rule",
     "BatchItemError",
     "BatchScheduler",
     "batch_cancel",

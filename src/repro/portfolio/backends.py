@@ -2,10 +2,12 @@
 
 The paper races MiniSat, Lingeling and CryptoMiniSat5 over the same
 instances; this module gives the reproduction the matching abstraction: a
-:class:`SolverBackend` answers *one* CNF under a wall-clock deadline, a
-conflict budget and a cooperative cancellation signal, and every consumer
-(the final-solver harness, the portfolio engine, the CLI) talks to the
-protocol instead of a concrete solver.  Three conforming families ship:
+:class:`SolverBackend` answers *one* CNF under a conflict budget and a
+``stop`` predicate, and every consumer (the final-solver harness, the
+portfolio engine, the server, the CLI) talks to the protocol instead of
+a concrete solver.  ``stop`` is the one stop signal running code gets:
+callers build it with :func:`stop_rule` from their deadline and cancel
+token.  Three conforming families ship:
 
 * :class:`CdclBackend` — the in-process CDCL personalities
   (minisat / lingeling / cms configurations from :mod:`repro.sat`);
@@ -15,9 +17,9 @@ protocol instead of a concrete solver.  Three conforming families ship:
   portfolio can run many decorrelated copies of one personality;
 * :class:`DimacsBackend` — any external SAT solver binary, fed strict
   DIMACS through a temp file and parsed from its competition-format
-  output (``s SATISFIABLE`` / ``v`` lines), with kill-on-timeout.  It is
-  skipped gracefully (``available() == False``) when the binary is not
-  installed.
+  output (``s SATISFIABLE`` / ``v`` lines), killed once ``stop``
+  holds.  It is skipped gracefully (``available() == False``) when the
+  binary is not installed.
 
 Backends must be picklable: the portfolio engine ships them to worker
 processes.  The registry maps names (``"minisat"``, ``"cms@7"``,
@@ -50,7 +52,7 @@ from ..sat.xorengine import XorEngine
 
 #: Conflicts per slice of the interruptible solve loop.  A slice
 #: boundary restarts the Luby sequence, so this is part of the search;
-#: deadline and cancellation are checked after every conflict.
+#: ``stop`` is asked after every conflict.
 SLICE_CONFLICTS = 500
 
 
@@ -77,7 +79,7 @@ class BackendResult:
     status: Optional[bool]
     model: Optional[List[int]] = None
     conflicts: int = 0
-    cancelled: bool = False
+    cancelled: bool = False  # set by the fan-out engine, not a backend
     demoted: bool = False
     assumption_failure: bool = False
     error: Optional[str] = None
@@ -92,44 +94,41 @@ class BackendResult:
     counters: Optional[dict] = None
 
 
-def _deadline_of(timeout_s: Optional[float], deadline: Optional[float]) -> Optional[float]:
-    if deadline is not None:
-        return deadline
-    if timeout_s is not None:
-        return time.monotonic() + timeout_s
-    return None
+def stop_rule(deadline: Optional[float] = None,
+              cancel=None) -> Optional[Callable[[], bool]]:
+    """The one stop predicate: true once ``cancel`` (anything with
+    ``is_set()``) is set or the ``time.monotonic()`` ``deadline`` has
+    passed.  ``None`` when neither can fire, so an unbounded solve asks
+    nothing after its conflicts."""
+    if deadline is None and cancel is None:
+        return None
 
+    def stop() -> bool:
+        return (cancel is not None and cancel.is_set()) or (
+            deadline is not None and time.monotonic() >= deadline
+        )
 
-def _cancelled(cancel) -> bool:
-    return cancel is not None and cancel.is_set()
+    return stop
 
 
 def sliced_solve(
     solver: Solver,
-    deadline: Optional[float] = None,
+    stop: Optional[Callable[[], bool]] = None,
     conflict_budget: Optional[int] = None,
-    cancel=None,
     slice_conflicts: int = SLICE_CONFLICTS,
     assumptions: Sequence[int] = (),
 ) -> Optional[bool]:
-    """Run CDCL in conflict slices until a verdict, the deadline, budget
-    exhaustion, or cancellation — whichever comes first.
+    """Run CDCL in conflict slices until a verdict, budget exhaustion or
+    ``stop()`` — whichever comes first.
 
     The one interruptible-solve policy, shared by every in-process
-    backend: a deadline already in the past never buys a conflict
-    slice, and inside a slice the solver asks after every conflict
-    whether the deadline passed or ``cancel`` was set, so either stops
-    the search within one conflict.  ``assumptions`` are re-applied on
-    every slice; after an UNSAT verdict the caller reads
+    backend: a ``stop`` that already holds never buys a conflict slice,
+    and inside a slice the solver asks it after every conflict, so it
+    stops the search within one conflict.  ``assumptions`` are re-applied
+    on every slice; after an UNSAT verdict the caller reads
     ``solver.assumptions_failed`` to tell a cube-relative refutation from
     a global one.
     """
-    stop = None
-    if cancel is not None or deadline is not None:
-        def stop() -> bool:
-            return _cancelled(cancel) or (
-                deadline is not None and time.monotonic() >= deadline
-            )
     budget_left = conflict_budget
     while True:
         if stop is not None and stop():
@@ -160,13 +159,12 @@ class SolverBackend:
     natively; external ones receive them as appended unit clauses.  An
     UNSAT answer under assumptions carries
     :attr:`BackendResult.assumption_failure` so cube schedulers never
-    mistake a refuted cube for a refuted formula."""
+    mistake a refuted cube for a refuted formula.
+
+    ``stop`` (:func:`stop_rule`) is the only stop signal a solve gets:
+    the backend asks it and gives up without a verdict once it holds."""
 
     name: str = "backend"
-    #: Whether :meth:`solve` honours ``conflict_budget``.  External
-    #: binaries cannot (they are wall-clock-bounded only), so callers
-    #: racing them under a conflict budget must supply a deadline too.
-    supports_conflict_budget: bool = True
 
     def available(self) -> bool:
         return True
@@ -174,10 +172,8 @@ class SolverBackend:
     def solve(
         self,
         formula: CnfFormula,
-        timeout_s: Optional[float] = None,
-        deadline: Optional[float] = None,
         conflict_budget: Optional[int] = None,
-        cancel=None,
+        stop: Optional[Callable[[], bool]] = None,
         assumptions: Sequence[int] = (),
     ) -> BackendResult:
         raise NotImplementedError
@@ -186,18 +182,16 @@ class SolverBackend:
         self, formula: CnfFormula, cubes: Sequence[Sequence[int]]
     ) -> Callable[..., BackendResult]:
         """A function solving ``formula`` under one cube of ``cubes`` per
-        call, in order: ``fn(cube, deadline=, conflict_budget=,
-        cancel=)``.  This default solves every cube from scratch through
-        :meth:`solve` (the empty cube passes no ``assumptions``); an
-        in-process backend loads the formula once and keeps its solver
-        warm across the chain."""
+        call, in order: ``fn(cube, conflict_budget=, stop=)``.  This
+        default solves every cube from scratch through :meth:`solve` (the
+        empty cube passes no ``assumptions``); an in-process backend
+        loads the formula once and keeps its solver warm across the
+        chain."""
 
-        def solve_cube(cube, deadline=None, conflict_budget=None,
-                       cancel=None) -> BackendResult:
+        def solve_cube(cube, conflict_budget=None, stop=None) -> BackendResult:
             kwargs = {"assumptions": list(cube)} if cube else {}
             return self.solve(
-                formula, deadline=deadline, conflict_budget=conflict_budget,
-                cancel=cancel, **kwargs,
+                formula, conflict_budget=conflict_budget, stop=stop, **kwargs
             )
 
         return solve_cube
@@ -255,18 +249,13 @@ class CdclBackend(SolverBackend):
     def solve(
         self,
         formula: CnfFormula,
-        timeout_s: Optional[float] = None,
-        deadline: Optional[float] = None,
         conflict_budget: Optional[int] = None,
-        cancel=None,
+        stop: Optional[Callable[[], bool]] = None,
         assumptions: Sequence[int] = (),
     ) -> BackendResult:
         # The one-cube chain: there is no second solving path.
         return self.cube_solver(formula, [assumptions])(
-            assumptions,
-            deadline=_deadline_of(timeout_s, deadline),
-            conflict_budget=conflict_budget,
-            cancel=cancel,
+            assumptions, conflict_budget=conflict_budget, stop=stop
         )
 
     def cube_solver(
@@ -341,40 +330,32 @@ class CdclChain:
     def __call__(
         self,
         cube: Sequence[int],
-        deadline: Optional[float] = None,
         conflict_budget: Optional[int] = None,
-        cancel=None,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> BackendResult:
-        # Cancellation/deadline checked before the heavy setup too: a
-        # loser that starts after the race is decided must not burn CPU
-        # on clause loading or SatELite preprocessing.
-        if _cancelled(cancel) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            return BackendResult(None, cancelled=_cancelled(cancel))
+        # ``stop`` is asked before the heavy setup too: a loser that
+        # starts after the race is decided must not burn CPU on clause
+        # loading or SatELite preprocessing.
+        if stop is not None and stop():
+            return BackendResult(None)
         try:
-            return self._solve(cube, deadline, conflict_budget, cancel)
+            return self._solve(cube, conflict_budget, stop)
         except Exception:
             self.solver = None
             self._spent = dict.fromkeys(SOLVER_COUNTERS, 0)
             raise
 
-    def _solve(self, cube, deadline, conflict_budget, cancel) -> BackendResult:
+    def _solve(self, cube, conflict_budget, stop) -> BackendResult:
         if self.solver is None and not self.refuted:
             self._load()
         solver = self.solver
         if solver is None:
             return BackendResult(UNSAT)
         verdict = UNSAT if not solver.ok else sliced_solve(
-            solver,
-            deadline=deadline,
-            conflict_budget=conflict_budget,
-            cancel=cancel,
-            assumptions=cube,
+            solver, stop, conflict_budget, assumptions=cube
         )
         result = BackendResult(
             verdict,
-            cancelled=verdict is None and _cancelled(cancel),
             # UNSAT with the flag still False is a *global* refutation
             # even though a cube was assumed — the search never needed
             # the assumptions to close the proof.
@@ -410,15 +391,12 @@ class DimacsBackend(SolverBackend):
     is parsed from SAT-competition output (``s SATISFIABLE`` /
     ``s UNSATISFIABLE``, bare MiniSat-style ``SATISFIABLE`` lines, or
     the 10/20 exit-code convention) and the model from ``v`` lines when
-    present.  The process is killed on deadline or cancellation.
+    present.  The process is killed once ``stop()`` holds; a conflict
+    budget cannot reach a binary, so it is ignored.
     """
 
     command: Tuple[str, ...] = ()
     label: Optional[str] = None
-
-    # External binaries are wall-clock-bounded only (no annotation: a
-    # class attribute, not a dataclass field).
-    supports_conflict_budget = False
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -432,10 +410,8 @@ class DimacsBackend(SolverBackend):
     def solve(
         self,
         formula: CnfFormula,
-        timeout_s: Optional[float] = None,
-        deadline: Optional[float] = None,
         conflict_budget: Optional[int] = None,
-        cancel=None,
+        stop: Optional[Callable[[], bool]] = None,
         assumptions: Sequence[int] = (),
     ) -> BackendResult:
         if not self.available():
@@ -445,14 +421,12 @@ class DimacsBackend(SolverBackend):
                     self.command[0] if self.command else "<empty command>"
                 ),
             )
-        deadline = _deadline_of(timeout_s, deadline)
+        stop = stop or (lambda: False)
         # Short-circuit before serialising the instance: a queued loser
         # whose race is already over must not write a temp CNF and exec
         # a binary only to kill it moments later.
-        if _cancelled(cancel) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            return BackendResult(None, cancelled=_cancelled(cancel))
+        if stop():
+            return BackendResult(None)
         n_report = formula.n_vars
         plain = expand_xors(formula)
         if assumptions:
@@ -472,7 +446,7 @@ class DimacsBackend(SolverBackend):
             argv = [a.replace("{cnf}", path) for a in self.command]
             if not any("{cnf}" in a for a in self.command):
                 argv.append(path)
-            if deadline is not None and time.monotonic() >= deadline:
+            if stop():
                 return BackendResult(None)
             try:
                 proc = subprocess.Popen(
@@ -497,9 +471,7 @@ class DimacsBackend(SolverBackend):
             reader.start()
             killed = False
             while proc.poll() is None:
-                if _cancelled(cancel) or (
-                    deadline is not None and time.monotonic() >= deadline
-                ):
+                if stop():
                     try:
                         os.killpg(proc.pid, signal.SIGKILL)
                     except OSError:
@@ -516,7 +488,7 @@ class DimacsBackend(SolverBackend):
                 proc.stdout.close()
             stdout = "".join(chunks)
             if killed:
-                return BackendResult(None, cancelled=_cancelled(cancel))
+                return BackendResult(None)
             result = self._parse(stdout, proc.returncode, n_report)
             if assumptions and result.status is UNSAT:
                 result.assumption_failure = True

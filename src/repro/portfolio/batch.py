@@ -109,9 +109,9 @@ def default_jobs() -> int:
 
 class CancelToken:
     """Worker-side cancel signal for one unit: set exactly when the
-    parent wrote this unit's id into its slot's cancel flag.  Any object
-    with ``is_set()`` satisfies the cooperative cancel protocol of
-    :func:`repro.portfolio.backends.sliced_solve`, so a cancel lands
+    parent wrote this unit's id into its slot's cancel flag.  Unit
+    functions fold it into their ``stop`` predicate
+    (:func:`repro.portfolio.backends.stop_rule`), so a cancel lands
     within one conflict."""
 
     __slots__ = ("_flags", "_slot", "_unit_id")

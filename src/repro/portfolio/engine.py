@@ -50,7 +50,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..sat.solver import SAT, UNSAT
-from .backends import BackendResult, SolverBackend
+from .backends import BackendResult, SolverBackend, stop_rule
 from .batch import BatchItemError, BatchScheduler, batch_cancel, default_jobs
 
 #: Stats row status values.
@@ -164,32 +164,35 @@ def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
     """Solve one leg's cubes where the pool runs it; returns
     ``(result, seconds)`` per cube reached, in order.
 
-    The leg stops after a SAT answer, a refutation that never needed
-    its cube (the formula itself is UNSAT), or a cancel.  A raising cube
-    loses that cube only: the exception becomes its error result and the
-    next cube still runs.
+    Every cube stops on the leg's deadline or the pool's cancel token;
+    one that ends without an answer or error once the token is set was
+    cancelled.  The leg stops after a SAT answer, a refutation that
+    never needed its cube (the formula itself is UNSAT), or a cancel.  A
+    raising cube loses that cube only: the exception becomes its error
+    result and the next cube still runs.
     """
     cancel = batch_cancel()
+    stop = stop_rule(leg.deadline, cancel)
     solve_cube = leg.backend.cube_solver(leg.formula, leg.cubes)
     out = []
     for index, cube in zip(leg.indices, leg.cubes):
         t0 = time.monotonic()
         try:
             result = solve_cube(
-                cube, deadline=leg.deadline,
-                conflict_budget=leg.conflict_budget, cancel=cancel,
+                cube, conflict_budget=leg.conflict_budget, stop=stop
             )
         except Exception as exc:
             result = BackendResult(
                 None, error="{}: {}".format(type(exc).__name__, exc)
             )
         elapsed = time.monotonic() - t0
+        cancelled = cancel is not None and cancel.is_set()
+        if cancelled and result.status is None and not result.error:
+            result.cancelled = True
         if leg.trace:
             _observe(leg, index, cube, result, t0, elapsed)
         out.append((result, elapsed))
-        if _decisive(result) or result.cancelled or (
-            cancel is not None and cancel.is_set()
-        ):
+        if _decisive(result) or cancelled:
             break
     return out
 

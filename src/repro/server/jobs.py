@@ -10,12 +10,12 @@ final solve goes through :func:`repro.portfolio.create_backend`.  Server
 workers are backends-only: there is ONE solving path, and the service
 merely schedules it.
 
-The worker is the job's only clock: :func:`execute_job` stops at each
-stage boundary once the client cancelled or ``timeout_s`` ran out, and
-hands the rest of the budget to the backend solve.  ``cancel`` is any
-object with ``is_set()`` (the pool passes its shared-flag token),
-checked there and after every conflict inside an in-process backend
-solve.
+The worker is the job's only clock: :func:`execute_job` composes one
+``stop`` predicate — the client cancelled, or ``timeout_s`` ran out —
+and asks it at each stage boundary.  Bosphorus asks it before each
+learner step and the backend after every conflict, so a job stops within
+one learner step of its signal.  ``cancel`` is any object with
+``is_set()`` (the pool passes its shared-flag token).
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def execute_job(
 
     ``progress`` (if given) is called as ``progress(stage, payload)``
     with stages ``"parsed"``, ``"preprocessed"`` and ``"solving"``;
-    payloads are small JSON-safe dicts.  ``cancel`` and the deadline
-    are checked between stages and threaded into the backend solve, so
-    a cancelled job stops within one conflict of the signal.  A
+    payloads are small JSON-safe dicts.  The job's one stop rule
+    (``cancel`` is set, or the deadline passed) is asked between stages
+    and handed to Bosphorus and to the backend as ``stop``.  A
     backend's SAT answer is reported only when its model satisfies the
     job's input (the clauses and XORs of a ``dimacs`` job, the
     polynomials of an ``anf`` one); otherwise the verdict is ``unknown`` and the result's ``error`` says
@@ -193,10 +193,11 @@ def execute_job(
             from ..anf import parse_system
 
             ring, polynomials = parse_system(spec.text)
+            problem = polynomials
             emit("parsed", {"fmt": "anf", "n_vars": ring.n_vars,
                             "n_polys": len(polynomials)})
         else:
-            formula = parse_dimacs(spec.text)
+            formula = problem = parse_dimacs(spec.text)
             emit("parsed", {"fmt": "dimacs", "n_vars": formula.n_vars,
                             "n_clauses": len(formula.clauses)})
     if stopped():
@@ -216,9 +217,9 @@ def execute_job(
         with tracer.span("job.preprocess") as span, \
                 metrics.timer("preprocess_s"):
             if spec.fmt == "anf":
-                pre = bosph.preprocess_anf(ring, polynomials)
+                pre = bosph.preprocess_anf(ring, polynomials, stopped)
             else:
-                pre = bosph.preprocess_cnf(formula)
+                pre = bosph.preprocess_cnf(formula, stopped)
             span.set("iterations", pre.iterations)
             span.set("status", pre.status)
         metrics.merge(bosph.metrics)
@@ -263,35 +264,24 @@ def execute_job(
         return finish(VERDICT_UNKNOWN, stats=pre_stats, formula=cnf)
 
     # -- solve ---------------------------------------------------------------
+    from ..core.solution import satisfies_input
     from ..portfolio import create_backend
     from ..portfolio.engine import validated
-
-    # A SAT answer is checked against the job's input, not the processed
-    # CNF: the backend may be an external binary.
-    if spec.fmt == "anf":
-        from ..core.solution import Solution
-
-        def satisfies_input(model) -> bool:
-            return Solution(list(model)).satisfies(polynomials)
-    else:
-        satisfies_input = formula.satisfied_by
 
     backend = create_backend(spec.backend)
     if not backend.available():
         raise RuntimeError("backend unavailable: {}".format(backend.name))
     emit("solving", {"backend": backend.name,
                      "n_vars": cnf.n_vars, "n_clauses": len(cnf.clauses)})
-    remaining = (None if deadline is None
-                 else max(0.0, deadline - time.perf_counter()))
     with tracer.span(
         "job.solve", backend=backend.name, n_clauses=len(cnf.clauses)
     ) as span, metrics.timer("solve_s"):
-        res = validated(backend.solve(
-            cnf,
-            timeout_s=remaining,
-            conflict_budget=spec.conflict_budget,
-            cancel=cancel,
-        ), satisfies_input)
+        # A SAT answer is checked against the job's input, not the
+        # processed CNF: the backend may be an external binary.
+        res = validated(
+            backend.solve(cnf, spec.conflict_budget, stopped),
+            lambda model: satisfies_input(model, problem),
+        )
         verdict = verdict_of(res.status)
         span.set("verdict", verdict)
         span.set("conflicts", res.conflicts)

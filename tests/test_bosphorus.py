@@ -7,9 +7,11 @@ from repro.core import (
     preprocess_anf,
     preprocess_cnf,
     STATUS_SAT,
+    STATUS_UNKNOWN,
     STATUS_UNSAT,
 )
 from repro.sat import CnfFormula, Solver, mk_lit
+from repro.sat.dimacs import parity_clauses
 from repro.sat.types import TRUE
 
 PAPER_EXAMPLE = """
@@ -121,12 +123,8 @@ def test_max_iterations_respected():
 
 
 def _xor_cnf(formula, variables, rhs):
-    for pattern in range(1 << len(variables)):
-        if bin(pattern).count("1") & 1 == rhs:
-            continue
-        formula.add_clause(
-            [mk_lit(variables[i], bool(pattern >> i & 1)) for i in range(len(variables))]
-        )
+    for clause in parity_clauses(variables, rhs):
+        formula.add_clause(clause)
 
 
 def test_cnf_preprocessing_detects_parity_unsat():
@@ -304,3 +302,52 @@ def test_unsat_exit_still_reports_conversion_stats():
         "conversion_disk_hits",
     ):
         assert key in result.stats  # present (and schema-typed) on UNSAT too
+
+
+# -- the caller's stop predicate -------------------------------------------------
+
+
+def _dimacs_sha256(formula):
+    import hashlib
+    import io
+
+    from repro.sat.dimacs import write_dimacs
+
+    buf = io.StringIO()
+    write_dimacs(buf, formula)
+    return hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest()
+
+
+def test_stop_that_holds_ends_the_run_without_a_cnf():
+    from repro.ciphers import simon
+    from repro.obs import Tracer
+
+    inst = simon.generate_instance(1, 5, seed=1)
+    tracer = Tracer()
+    result = Bosphorus(Config(), tracer=tracer).preprocess_anf(
+        inst.ring, inst.polynomials, stop=lambda: True
+    )
+    assert result.status == STATUS_UNKNOWN
+    assert result.cnf is None
+    assert "sat.solve" not in {s["name"] for s in tracer.spans()}
+
+
+def test_stop_that_never_holds_leaves_the_run_unchanged():
+    # A stop predicate only reads: asking it before every step and after
+    # every conflict must not change what the run learns or emits.
+    from repro.ciphers import simon
+
+    inst = simon.generate_instance(1, 5, seed=1)
+    config = Config(stop_on_solution=False)
+
+    def run(stop):
+        return Bosphorus(config).preprocess_anf(
+            inst.ring.clone(), list(inst.polynomials), stop=stop
+        )
+
+    plain, watched = run(None), run(lambda: False)
+    assert watched.status == plain.status
+    assert list(watched.facts) == list(plain.facts)
+    assert watched.stats["techniques"] == plain.stats["techniques"]
+    assert any(t["sat_conflicts"] for t in plain.stats["techniques"])
+    assert _dimacs_sha256(watched.cnf) == _dimacs_sha256(plain.cnf)

@@ -12,7 +12,7 @@ import types
 import pytest
 
 import repro.portfolio.backends as backends
-from repro.portfolio.backends import SLICE_CONFLICTS, sliced_solve
+from repro.portfolio.backends import SLICE_CONFLICTS, sliced_solve, stop_rule
 from repro.sat import Solver, minisat_config, solver_counters
 from repro.satcomp.generators import pigeonhole, random_ksat
 
@@ -56,7 +56,7 @@ def _trajectory(solver: Solver, verdict):
 def test_cancel_stops_at_the_conflict_it_was_set():
     assert K % SLICE_CONFLICTS
     solver = _loaded(pigeonhole(8))
-    verdict = sliced_solve(solver, cancel=_SetAt(solver, K))
+    verdict = sliced_solve(solver, stop_rule(cancel=_SetAt(solver, K)))
     assert verdict is None
     assert solver.num_conflicts == K
     assert solver.decision_level == 0
@@ -75,8 +75,7 @@ def test_never_stopped_search_is_the_unstopped_search(formula, budget):
     )
     watched = _loaded(formula)
     got = _trajectory(watched, sliced_solve(
-        watched, conflict_budget=budget, cancel=_NeverSet(),
-        deadline=float("inf"),
+        watched, stop_rule(float("inf"), _NeverSet()), conflict_budget=budget,
     ))
     assert got == expected
 
@@ -87,7 +86,7 @@ def test_deadline_passing_mid_slice_stops_within_one_conflict(monkeypatch):
     solver = _loaded(pigeonhole(8))
     monkeypatch.setattr(backends, "time", types.SimpleNamespace(
         monotonic=lambda: float(solver.num_conflicts)))
-    verdict = sliced_solve(solver, deadline=float(K))
+    verdict = sliced_solve(solver, stop_rule(float(K)))
     assert verdict is None
     assert solver.num_conflicts == K
     assert solver.decision_level == 0

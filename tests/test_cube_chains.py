@@ -223,13 +223,12 @@ class LiesOnCube(SolverBackend):
     def __init__(self, lit):
         self.lit = lit
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None, assumptions=()):
+    def solve(self, formula, conflict_budget=None, stop=None,
+              assumptions=()):
         if assumptions and assumptions[0] == self.lit:
             return BackendResult(True, model=[0] * formula.n_vars)
         return CdclBackend("minisat").solve(
-            formula, deadline=deadline, cancel=cancel,
-            assumptions=assumptions)
+            formula, stop=stop, assumptions=assumptions)
 
 
 def test_demoted_sat_sends_the_rest_of_its_chain_out_again():

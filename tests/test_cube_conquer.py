@@ -2,6 +2,8 @@
 solve, first-SAT early exit, the all-cubes-refuted UNSAT rule, the
 global-refutation shortcut, and fact merging."""
 
+import time
+
 import pytest
 
 from repro.cube import CubeConqueror
@@ -11,6 +13,7 @@ from repro.portfolio import (
     DimacsBackend,
     PortfolioDisagreement,
     SolverBackend,
+    stop_rule,
 )
 from repro.portfolio.engine import (
     STATUS_CANCELLED,
@@ -46,10 +49,10 @@ class ScriptedBackend(SolverBackend):
         self.default = default
         self.honour_cancel = honour_cancel
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None, assumptions=()):
-        if self.honour_cancel and cancel is not None and cancel.is_set():
-            return BackendResult(None, cancelled=True)
+    def solve(self, formula, conflict_budget=None, stop=None,
+              assumptions=()):
+        if self.honour_cancel and stop is not None and stop():
+            return BackendResult(None)
         kwargs = self.script.get(assumptions[0] if assumptions else None,
                                  self.default)
         if kwargs == "raise":
@@ -86,7 +89,8 @@ def test_verdict_matches_uncubed_solve(mode, jobs, depth):
         random_ksat(10, 60, seed=2),
     ]
     for formula in instances:
-        reference = CdclBackend("minisat").solve(formula, timeout_s=20).status
+        reference = CdclBackend("minisat").solve(
+            formula, stop=stop_rule(time.monotonic() + 20)).status
         assert reference is not None
         conq = CubeConqueror(
             [CdclBackend("minisat"), CdclBackend("cms", seed=1)],
@@ -214,8 +218,8 @@ def test_sat_and_global_unsat_raise_disagreement():
 class LyingCubeBackend(SolverBackend):
     name = "liar"
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None, assumptions=()):
+    def solve(self, formula, conflict_budget=None, stop=None,
+              assumptions=()):
         return BackendResult(True, model=[0] * formula.n_vars)
 
 

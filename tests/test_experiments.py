@@ -1,5 +1,7 @@
 """Tests for the PAR-2 scorer and the Table II runner."""
 
+import time
+
 import pytest
 
 from repro.core.config import Config
@@ -14,8 +16,13 @@ from repro.experiments import (
     simon_problems,
     sr_problems,
 )
-from repro.portfolio import CdclBackend
+from repro.portfolio import CdclBackend, stop_rule
 from repro.satcomp import generators
+
+
+def within(seconds):
+    return stop_rule(time.monotonic() + seconds)
+
 
 FAST = Config(
     xl_sample_bits=10,
@@ -78,12 +85,12 @@ def test_score_format_matches_paper_style():
 def test_final_solver_personalities_agree(personality):
     sat = generators.planted_ksat(12, 40, 3, seed=3)[0]
     unsat = generators.pigeonhole(4)
-    res = CdclBackend(personality).solve(sat, timeout_s=20)
+    res = CdclBackend(personality).solve(sat, stop=within(20))
     v1, model = res.status, res.model
     assert v1 is True
     for clause in sat.clauses:
         assert any(model[l >> 1] ^ (l & 1) for l in clause)
-    v2 = CdclBackend(personality).solve(unsat, timeout_s=20).status
+    v2 = CdclBackend(personality).solve(unsat, stop=within(20)).status
     assert v2 is False
 
 
@@ -94,7 +101,7 @@ def test_cms_personality_uses_xors():
     f.add_xor([0, 1], 1)
     f.add_xor([1, 2], 1)
     f.add_xor([0, 2], 1)  # odd cycle: UNSAT by GJE alone
-    res = CdclBackend("cms").solve(f, timeout_s=10)
+    res = CdclBackend("cms").solve(f, stop=within(10))
     verdict, conflicts = res.status, res.conflicts
     assert verdict is False
     assert conflicts == 0  # decided by the XOR engine's GJE, not search

@@ -68,16 +68,16 @@ def sat_micro():
     return parse_dimacs("p cnf 3 3\n1 2 0\n-1 2 0\n-2 3 0\n")
 
 
-def _wait_for_cancel(cancel):
+def _wait_for_cancel(stop):
     end = time.monotonic() + 30  # a safety net, never reached when healthy
     while time.monotonic() < end:
-        if cancel is not None and cancel.is_set():
+        if stop is not None and stop():
             return
         time.sleep(0.01)
     raise AssertionError("the unit was never cancelled")
 
 
-def _inject(kind, cancel, sleep_past=0.0):
+def _inject(kind, stop, sleep_past=0.0):
     """Run the fault inside the worker; returns a large payload
     (``sigkill-mid-write``) or None when the unit was cancelled."""
     if kind == "raise":
@@ -96,7 +96,7 @@ def _inject(kind, cancel, sleep_past=0.0):
         return "x" * BIG
     if kind == "hang":
         time.sleep(sleep_past)  # deaf to everything, past its deadline
-    _wait_for_cancel(cancel)
+    _wait_for_cancel(stop)
     return None
 
 
@@ -109,12 +109,11 @@ class FaultBackend(SolverBackend):
         self.kind = kind
         self.name = "fault-" + kind
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None, assumptions=()):
-        past = max(0.0, deadline - time.monotonic()) + 0.1 if deadline else 0.0
-        payload = _inject(self.kind, cancel, past)
+    def solve(self, formula, conflict_budget=None, stop=None,
+              assumptions=()):
+        payload = _inject(self.kind, stop, RACE_TIMEOUT_S + 0.1)
         if payload is None:
-            return BackendResult(None, cancelled=True)
+            return BackendResult(None)
         return BackendResult(None, error=payload)
 
 
@@ -177,7 +176,7 @@ def test_cube_conquest(kind):
 def _batch_unit(item):
     if item == "healthy":
         return "healthy"
-    return _inject(item, batch_cancel(), HANG_S) or "cancelled"
+    return _inject(item, batch_cancel().is_set, HANG_S) or "cancelled"
 
 
 def _stop_on_healthy(result):

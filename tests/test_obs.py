@@ -41,8 +41,8 @@ class DyingBackend(SolverBackend):
 
     name = "dying"
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None, assumptions=None):
+    def solve(self, formula, conflict_budget=None, stop=None,
+              assumptions=None):
         import os
 
         time.sleep(0.2)

@@ -20,6 +20,7 @@ from repro.portfolio import (
     DimacsBackend,
     create_backend,
     default_portfolio,
+    stop_rule,
 )
 from repro.sat import CnfFormula, expand_xors, parse_dimacs
 from repro.satcomp.generators import pigeonhole
@@ -43,6 +44,10 @@ def backend(request):
     if not instance.available():
         pytest.skip("backend unavailable: " + instance.name)
     return instance
+
+
+def within(seconds):
+    return stop_rule(time.monotonic() + seconds)
 
 
 def sat_micro():
@@ -100,7 +105,7 @@ def test_default_portfolio_is_diverse():
 
 def test_sat_verdict_and_model(backend):
     formula = sat_micro()
-    result = backend.solve(formula, timeout_s=20)
+    result = backend.solve(formula, stop=within(20))
     assert result.status is True
     if isinstance(backend, CdclBackend):
         assert result.model is not None
@@ -109,7 +114,7 @@ def test_sat_verdict_and_model(backend):
 
 
 def test_unsat_verdict(backend):
-    result = backend.solve(unsat_micro(), timeout_s=20)
+    result = backend.solve(unsat_micro(), stop=within(20))
     assert result.status is False
 
 
@@ -120,13 +125,13 @@ def test_xor_constraints_are_respected(backend):
     formula.add_xor([0, 1], 1)
     formula.add_xor([1, 2], 1)
     formula.add_xor([0, 2], 1)
-    result = backend.solve(formula, timeout_s=20)
+    result = backend.solve(formula, stop=within(20))
     assert result.status is False
 
 
 def test_timeout_is_honoured(backend):
     start = time.monotonic()
-    result = backend.solve(pigeonhole(9), timeout_s=0.3)
+    result = backend.solve(pigeonhole(9), stop=within(0.3))
     elapsed = time.monotonic() - start
     assert result.status is None
     assert elapsed < 10.0
@@ -134,7 +139,7 @@ def test_timeout_is_honoured(backend):
 
 def test_past_deadline_returns_unknown_without_search(backend):
     result = backend.solve(
-        pigeonhole(9), deadline=time.monotonic() - 1.0
+        pigeonhole(9), stop=stop_rule(time.monotonic() - 1.0)
     )
     assert result.status is None
     assert result.conflicts == 0
@@ -152,7 +157,7 @@ def test_assumptions_restrict_models(backend):
     # sat_micro leaves x0 free: a cube pinning either phase must be
     # honoured (natively in-process, as appended units over DIMACS).
     for lit, bit in ((0, 1), (1, 0)):  # mk_lit(0) / mk_lit(0, True)
-        result = backend.solve(sat_micro(), timeout_s=20, assumptions=[lit])
+        result = backend.solve(sat_micro(), stop=within(20), assumptions=[lit])
         assert result.status is True
         assert not result.assumption_failure
         if result.model is not None:
@@ -164,13 +169,13 @@ def test_cube_unsat_is_flagged_assumption_relative(backend):
     # sat_micro forces x1; assuming its negation refutes the *cube*, not
     # the formula — every backend must flag the UNSAT as
     # assumption-relative so a cube scheduler never misreads it.
-    result = backend.solve(sat_micro(), timeout_s=20, assumptions=[3])
+    result = backend.solve(sat_micro(), stop=within(20), assumptions=[3])
     assert result.status is False
     assert result.assumption_failure
 
 
 def test_plain_unsat_carries_no_assumption_flag(backend):
-    result = backend.solve(unsat_micro(), timeout_s=20)
+    result = backend.solve(unsat_micro(), stop=within(20))
     assert result.status is False
     assert not result.assumption_failure
 
@@ -179,9 +184,9 @@ def test_lingeling_assumptions_bypass_bve():
     # BVE may eliminate an assumed variable; under a cube the lingeling
     # personality must solve unpreprocessed and still honour the cube.
     backend = CdclBackend("lingeling")
-    result = backend.solve(sat_micro(), timeout_s=20, assumptions=[1])
+    result = backend.solve(sat_micro(), stop=within(20), assumptions=[1])
     assert result.status is True and result.model[0] == 0
-    result = backend.solve(sat_micro(), timeout_s=20, assumptions=[3])
+    result = backend.solve(sat_micro(), stop=within(20), assumptions=[3])
     assert result.status is False and result.assumption_failure
 
 
@@ -198,7 +203,7 @@ def test_backends_are_picklable(backend):
 def test_dimacs_backend_unavailable_is_graceful(tmp_path):
     backend = create_backend("dimacs:definitely-not-a-solver-binary")
     assert not backend.available()
-    result = backend.solve(sat_micro(), timeout_s=5)
+    result = backend.solve(sat_micro(), stop=within(5))
     assert result.status is None
     assert result.error
 
@@ -217,7 +222,7 @@ def test_dimacs_backend_against_scripted_solver(tmp_path):
     script.chmod(0o755)
     backend = DimacsBackend(command=(str(script),))
     assert backend.available()
-    result = backend.solve(CnfFormula(3), timeout_s=5)
+    result = backend.solve(CnfFormula(3), stop=within(5))
     assert result.status is True
     assert result.model == [1, 0, 1]
 
@@ -235,7 +240,7 @@ def test_dimacs_backend_embedded_cnf_placeholder(tmp_path):
     )
     script.chmod(0o755)
     backend = DimacsBackend(command=(str(script), "--input={cnf}"))
-    result = backend.solve(CnfFormula(2), timeout_s=5)
+    result = backend.solve(CnfFormula(2), stop=within(5))
     assert result.status is False
 
 
@@ -258,7 +263,7 @@ def test_dimacs_backend_drains_large_output(tmp_path):
     script.chmod(0o755)
     backend = DimacsBackend(command=(str(script),))
     start = time.monotonic()
-    result = backend.solve(CnfFormula(2), timeout_s=20)
+    result = backend.solve(CnfFormula(2), stop=within(20))
     assert time.monotonic() - start < 15.0
     assert result.status is True
     assert result.model == [1, 1]
@@ -269,7 +274,7 @@ def test_dimacs_backend_parses_unsat_exit_code(tmp_path):
     script.write_text("#!/bin/sh\nexit 20\n")
     script.chmod(0o755)
     backend = DimacsBackend(command=(str(script),))
-    result = backend.solve(CnfFormula(2), timeout_s=5)
+    result = backend.solve(CnfFormula(2), stop=within(5))
     assert result.status is False
 
 
@@ -279,7 +284,7 @@ def test_dimacs_backend_kills_on_timeout(tmp_path):
     script.chmod(0o755)
     backend = DimacsBackend(command=(str(script),))
     start = time.monotonic()
-    result = backend.solve(CnfFormula(2), timeout_s=0.3)
+    result = backend.solve(CnfFormula(2), stop=within(0.3))
     assert result.status is None
     assert time.monotonic() - start < 5.0
 

@@ -33,13 +33,11 @@ class StallBackend(SolverBackend):
 
     name = "stall"
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None):
-        if deadline is None:
-            deadline = time.monotonic() + (timeout_s if timeout_s else 30.0)
-        while time.monotonic() < deadline:
-            if cancel is not None and cancel.is_set():
-                return BackendResult(None, cancelled=True)
+    def solve(self, formula, conflict_budget=None, stop=None):
+        end = time.monotonic() + 30.0
+        while time.monotonic() < end:
+            if stop is not None and stop():
+                return BackendResult(None)
             time.sleep(0.01)
         return BackendResult(None)
 
@@ -49,8 +47,7 @@ class LyingBackend(SolverBackend):
 
     name = "liar"
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None):
+    def solve(self, formula, conflict_budget=None, stop=None):
         return BackendResult(True, model=[0] * formula.n_vars)
 
 
@@ -60,8 +57,7 @@ class DyingBackend(SolverBackend):
 
     name = "dying"
 
-    def solve(self, formula, timeout_s=None, deadline=None,
-              conflict_budget=None, cancel=None):
+    def solve(self, formula, conflict_budget=None, stop=None):
         import os
 
         time.sleep(0.3)

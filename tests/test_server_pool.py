@@ -7,6 +7,7 @@ respawns; cancellation is cooperative and lands within one conflict;
 deadlines are per-job and start when the job does.
 """
 
+import io
 import os
 import random
 import time
@@ -14,6 +15,8 @@ import time
 import pytest
 
 import repro.server.pool as pool_mod
+from repro.anf import write_anf
+from repro.ciphers import simon
 from pool_events import submit
 from repro.server.jobs import JobSpec, execute_job
 from repro.server.pool import WorkerPool
@@ -143,6 +146,22 @@ def test_deadline_stops_the_job_at_the_next_stage_boundary():
     )
     assert result["verdict"] == "timeout"
     assert stages == ["parsed"]
+
+
+def test_deadline_stops_bosphorus_preprocessing():
+    # Bosphorus answers this instance only after more than a second; the
+    # job's stop reaches its learners and its inner solver, so the job
+    # times out instead of answering long past its deadline.
+    inst = simon.generate_instance(2, 6, seed=1)
+    text = io.StringIO()
+    write_anf(text, inst.polynomials, inst.ring)
+    stages = []
+    result = execute_job(
+        JobSpec(fmt="anf", text=text.getvalue(), timeout_s=0.05),
+        progress=lambda stage, payload: stages.append(stage),
+    )
+    assert result["verdict"] == "timeout"
+    assert "solving" not in stages
 
 
 def test_job_exception_is_isolated():

@@ -3,7 +3,7 @@
 from repro.anf import AnfSystem, parse_system
 from repro.core import Bosphorus, Config, run_sat
 from repro.core.bosphorus import STATUS_SAT, STATUS_UNKNOWN
-from repro.portfolio.backends import sliced_solve
+from repro.portfolio.backends import sliced_solve, stop_rule
 from repro.sat import Solver
 
 
@@ -59,7 +59,7 @@ def test_solve_with_budget_respects_deadline():
     for c in f.clauses:
         solver.add_clause(c)
     start = time.monotonic()
-    verdict = sliced_solve(solver, deadline=time.monotonic() + 0.2,
+    verdict = sliced_solve(solver, stop_rule(time.monotonic() + 0.2),
                            slice_conflicts=50)
     assert verdict is None
     assert time.monotonic() - start < 5.0
