@@ -25,9 +25,10 @@ from repro.anf.polynomial import Poly
 from repro.ciphers import simon, speck
 from repro.core.anf_to_cnf import AnfToCnf
 from repro.core.config import Config
-from repro.minimize import minimize, truth_table
+from repro.minimize import minimize
 from repro.minimize.truthtable import truth_table_masks
 from tests.oracles.anf_to_cnf import convert_polynomials_scalar
+from tests.oracles.truthtable import truth_table
 
 from .conftest import bench_count
 

@@ -29,7 +29,10 @@ answer the instance is UNSAT only when **every** scheduled cube is
 refuted (plus the branches the splitter already closed).  A cube left
 unknown, errored, or cancelled blocks the UNSAT verdict: a partition
 with an open piece proves nothing.  A conquest answers a verdict (and a
-validated model) only; no learnt fact travels back from a cube.
+validated model) only; no learnt fact travels back from a cube.  A
+traced conquest gets one ``cube.solve`` span per cube that reported,
+recorded under ``cube.conquer`` in this process from the window its
+worker measured.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..obs import NULL_TRACER, MetricsRegistry
+from ..obs import NULL_TRACER
 from ..portfolio.backends import SolverBackend, create_backend
 from ..portfolio.engine import STATUS_UNSAT, PortfolioResult, conquer
 from ..sat.dimacs import CnfFormula
@@ -103,10 +106,9 @@ class CubeConqueror:
         self.mode = mode
         self.validate = validate
         # Observability (repro.obs): instance-threaded, parent-side.
-        # Cube-worker spans/metrics ride each BackendResult back and are
-        # adopted/merged at the result boundary.
+        # conquer() records each cube's span here from the window the
+        # worker measured.
         self.tracer = tracer or NULL_TRACER
-        self.metrics = MetricsRegistry()
 
     def run(
         self,
@@ -136,17 +138,17 @@ class CubeConqueror:
                 outcome.global_unsat = cubeset.root_unsat
             else:
                 self._conquer(outcome, formula, cubeset.cubes, deadline,
-                              conflict_budget, conquer_span.id)
+                              conflict_budget)
             outcome.wall_seconds = time.monotonic() - start
             return outcome
 
-    def _conquer(self, outcome, formula, cubes, deadline, conflict_budget,
-                 parent_id) -> None:
+    def _conquer(self, outcome, formula, cubes, deadline,
+                 conflict_budget) -> None:
         win = conquer(
             outcome, formula, cubes,
             [b for b in self.backends if b.available()], self.jobs,
             self.validate, deadline, conflict_budget, self.tracer,
-            self.metrics, parent_id, span="cube.solve", prefix="cube",
+            span="cube.solve",
         )
         if outcome.verdict is SAT:
             outcome.sat_cube = outcome.stats[win].cube

@@ -1,11 +1,9 @@
 """Two-level logic minimisation (our ESPRESSO replacement)."""
 
 from .quine_mccluskey import cube_to_clause, minimize, prime_implicants
-from .truthtable import truth_table
 
 __all__ = [
     "minimize",
     "prime_implicants",
     "cube_to_clause",
-    "truth_table",
 ]

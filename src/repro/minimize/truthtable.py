@@ -11,8 +11,7 @@ arrive as support-compressed local bitmasks (see
 are evaluated in one numpy broadcast — a monomial is 1 exactly when its
 mask is a subset of the assignment index, so the whole table is one
 ``(assignments x terms)`` subset test plus a parity reduction.  The
-per-row Python loop survives as :func:`truth_table`, the equivalence
-oracle and bench baseline.
+seed per-row loop is the test oracle ``tests/oracles/truthtable.py``.
 """
 
 from __future__ import annotations
@@ -21,34 +20,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..anf.polynomial import Poly
-
 #: Widest support the batch evaluator accepts.  ``2**n`` table rows stop
 #: being "small" long before this; the bound just keeps the uint64
 #: assignment indices exact.
 MAX_BATCH_VARS = 20
-
-
-def truth_table(poly: Poly, variables: Sequence[int]) -> List[int]:
-    """On-set minterm indices of ``poly`` over the given variable order.
-
-    Bit ``i`` of a minterm index is the value of ``variables[i]``.  The
-    returned minterms are exactly the assignments where the polynomial
-    evaluates to 1 — i.e. the assignments *forbidden* by the equation
-    ``poly = 0``.
-
-    Python loop per assignment; kept as the oracle twin of
-    :func:`truth_table_masks` (the ``bench_anf_to_cnf`` baseline leg).
-    """
-    n = len(variables)
-    on = []
-    assignment = {}
-    for m in range(1 << n):
-        for i, v in enumerate(variables):
-            assignment[v] = (m >> i) & 1
-        if poly.evaluate(assignment):
-            on.append(m)
-    return on
 
 
 def truth_table_masks(
@@ -58,8 +33,7 @@ def truth_table_masks(
 
     ``local_masks[t]`` is the bitmask of term ``t`` over the local
     variables ``0..n_vars-1`` (bit ``i`` of a minterm index is the value
-    of local variable ``i``, matching :func:`truth_table` with
-    ``variables[i] -> i``).  All ``2**n_vars`` assignments are evaluated
+    of local variable ``i``).  All ``2**n_vars`` assignments are evaluated
     at once: term ``t`` holds on assignment ``a`` iff
     ``a & mask_t == mask_t``, and the polynomial's value is the GF(2)
     parity of the holding terms XOR ``rhs``.  Returns the minterm

@@ -3,17 +3,19 @@
 Three pieces:
 
 * :mod:`repro.obs.trace` — hierarchical spans (monotonic clocks only)
-  with a zero-overhead no-op default, cross-process stitching via
-  :meth:`Tracer.adopt`, and JSON-lines / Chrome ``trace_event`` export;
+  with a zero-overhead no-op default and JSON-lines / Chrome
+  ``trace_event`` export;
 * :mod:`repro.obs.metrics` — instance-threaded counters and duration
-  histograms, merged parent-side at the result boundary;
+  histograms; a server job's snapshot merges into the pool's;
 * :mod:`repro.obs.schema` — the frozen ``result.stats`` key schema and
   the span-dict validator.
 
 Standing invariants (ROADMAP): no module-global tracer or registry
-(FORK-SAFETY), ``time.monotonic()`` only (DET-RNG), worker spans and
-metrics ride result objects and merge parent-side, and spans never
-alter solver control flow.
+(FORK-SAFETY), ``time.monotonic()`` only (DET-RNG), spans never alter
+solver control flow, and nothing crosses a process boundary but plain
+data: a fan-out worker returns each cube's measured window and pid and
+the parent records the cube's span; a server job returns its span dicts
+and a metrics snapshot.
 """
 
 from .metrics import MetricsRegistry

@@ -1,12 +1,11 @@
 """Metrics: counters and duration histograms.
 
 A :class:`MetricsRegistry` is **instance-threaded, never module-global**
-(FORK-SAFETY): the owner of a run creates one and passes it down; forked
-workers accumulate into their own local registry whose
-:meth:`~MetricsRegistry.snapshot` rides the result object back to the
-parent, where :meth:`~MetricsRegistry.merge` folds it in at the result
-boundary — the same shipping pattern worker spans use
-(:meth:`~repro.obs.trace.Tracer.adopt`).
+(FORK-SAFETY): the owner of a run creates one and passes it down.  A
+server job accumulates into its own registry in the worker; its
+:meth:`~MetricsRegistry.snapshot` rides the job's result back to the
+pool, where :meth:`~MetricsRegistry.merge` folds it in at the result
+boundary.
 
 Snapshots are plain JSON-serialisable dicts, so they cross both the
 pickle boundary (the worker pipes) and the server's

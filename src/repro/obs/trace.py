@@ -7,16 +7,17 @@ stack, so nested ``with tracer.span(...)`` blocks build the tree without
 any caller bookkeeping.
 
 The fork boundary follows the repo's standing pattern (FORK-SAFETY):
-tracers are instance-threaded, never module-global.  A forked worker
-creates its *own* fresh ``Tracer`` after the fork, and its finished
-spans ride the result object back to the parent — exactly like the
-worker's metrics snapshot (:mod:`repro.obs.metrics`) — where
-:meth:`Tracer.adopt` reparents the worker roots under the parent's racing span and deduplicates by span id, so a
-retried/respawned delivery can never double-count.  Span ids embed the
-pid, a per-process tracer instance number and a sequence number, which
-keeps ids unique across every process of a run without any shared state.
-``time.monotonic()`` is system-wide on Linux, so worker timestamps align
-with the parent's and the stitched timeline is directly comparable.
+tracers are instance-threaded, never module-global.  A fan-out worker
+builds no tracer: it returns each cube's measured ``time.monotonic()``
+window and its pid with the result, and the parent records the cube's
+span from them under the span open there (:mod:`repro.portfolio.engine`).
+A server job builds its own tracer in the worker and returns its finished
+span dicts with the result, where they are concatenated, never merged.
+Span ids embed the pid, a per-process tracer instance number and a
+sequence number, which keeps ids unique across every process of a run
+without any shared state.  ``time.monotonic()`` is system-wide on Linux,
+so worker timestamps align with the parent's and the stitched timeline is
+directly comparable.
 
 The default everywhere is the zero-overhead :data:`NULL_TRACER`: its
 ``span()`` returns a shared inert object, so disabled tracing costs one
@@ -101,7 +102,6 @@ class Tracer:
         # server's worker threads.  Created here, never at import time.
         self._local = threading.local()
         self._spans: List[Dict[str, Any]] = []
-        self._seen: set = set()
 
     # -- recording ------------------------------------------------------------
 
@@ -138,46 +138,13 @@ class Tracer:
             # Out-of-order exit (an inner span leaked): unwind to it so
             # parentage self-heals instead of corrupting later spans.
             del stack[stack.index(data["id"]) :]
-        self._record(data)
-
-    def _record(self, data: Dict[str, Any]) -> None:
-        if data["id"] in self._seen:
-            return
-        self._seen.add(data["id"])
         self._spans.append(data)
 
-    # -- reading / merging ----------------------------------------------------
+    # -- reading --------------------------------------------------------------
 
     def spans(self) -> List[Dict[str, Any]]:
         """Finished spans, oldest exit first (plain picklable dicts)."""
         return list(self._spans)
-
-    def adopt(
-        self,
-        spans: Iterable[Dict[str, Any]],
-        parent_id: Optional[str] = None,
-    ) -> int:
-        """Merge spans recorded by another tracer (a forked worker).
-
-        Worker-root spans — those whose parent is not among the adopted
-        batch — are reparented under ``parent_id`` so the cross-process
-        timeline stitches into one tree.  Spans whose id was already
-        recorded are skipped: a duplicate delivery (respawn, retry)
-        merges exactly once.  Returns the number of spans adopted.
-        """
-        spans = [s for s in spans if isinstance(s, dict) and s.get("id")]
-        ids = {s["id"] for s in spans}
-        adopted = 0
-        for s in spans:
-            if s["id"] in self._seen:
-                continue
-            data = dict(s)
-            data["attrs"] = dict(s.get("attrs") or {})
-            if data.get("parent") not in ids:
-                data["parent"] = parent_id
-            self._record(data)
-            adopted += 1
-        return adopted
 
     def export(self, path: str) -> None:
         """Write the collected spans to ``path`` (format by suffix)."""
@@ -217,9 +184,6 @@ class NullTracer:
 
     def spans(self) -> List[Dict[str, Any]]:
         return []
-
-    def adopt(self, spans, parent_id=None) -> int:
-        return 0
 
     def export(self, path: str) -> None:
         pass

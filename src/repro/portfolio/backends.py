@@ -83,14 +83,10 @@ class BackendResult:
     demoted: bool = False
     assumption_failure: bool = False
     error: Optional[str] = None
-    # Observability (repro.obs), populated only when tracing is on: the
-    # worker-local tracer's finished span dicts and the worker-local
-    # MetricsRegistry snapshot.  They ride the result back across the
-    # pickle boundary and are adopted/merged parent-side.
-    spans: Optional[list] = None
-    metrics: Optional[dict] = None
     #: In-process solves only: the solver's work counters at exit
-    #: (:func:`repro.sat.solver_counters`), recorded on the caller's span.
+    #: (:func:`repro.sat.solver_counters`), recorded on the caller's span
+    #: (a fan-out's cube span, which the parent records from the window
+    #: the worker measured, or a server job's ``job.solve``).
     counters: Optional[dict] = None
 
 

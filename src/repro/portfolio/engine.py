@@ -40,15 +40,23 @@ Soundness and determinism:
   *when* losers are cancelled, never *what* is answered);
 * a validated SAT beside an unconditional UNSAT is a soundness bug and
   raises :class:`PortfolioDisagreement` instead of silently picking one.
+
+Tracing stays in the parent: a worker builds no tracer.  :func:`run_leg`
+returns each cube's measured ``time.monotonic()`` window and the pid
+that solved it, and :func:`conquer` records the cube's span from them
+under the race or conquest span open when it is called; the stats row
+links to that span through ``span_id``.  A dead worker's cubes get no
+span.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER
 from ..sat.solver import SAT, UNSAT
 from .backends import BackendResult, SolverBackend, stop_rule
 from .batch import BatchItemError, BatchScheduler, batch_cancel, default_jobs
@@ -146,8 +154,7 @@ class Leg:
     :meth:`~repro.portfolio.backends.SolverBackend.cube_solver` — an
     in-process backend loads the formula once per leg and keeps its
     solver warm from cube to cube.  A race leg is the single empty cube.
-    ``indices`` name the cubes in spans and results; ``span`` and
-    ``prefix`` name the per-cube trace span and metric counters."""
+    ``indices`` name the cubes in spans and results."""
 
     backend: SolverBackend
     formula: object
@@ -155,14 +162,13 @@ class Leg:
     conflict_budget: Optional[int]
     indices: Tuple[int, ...]
     cubes: Tuple[Tuple[int, ...], ...] = ((),)
-    span: str = "portfolio.backend"
-    prefix: str = "backend"
-    trace: bool = False
 
 
-def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
+def run_leg(leg: Leg) -> List[Tuple[BackendResult, float, float, int]]:
     """Solve one leg's cubes where the pool runs it; returns
-    ``(result, seconds)`` per cube reached, in order.
+    ``(result, t0, seconds, pid)`` per cube reached, in order: the
+    ``time.monotonic()`` window of the solve and the process that ran
+    it, from which the parent records the cube's span.
 
     Every cube stops on the leg's deadline or the pool's cancel token;
     one that ends without an answer or error once the token is set was
@@ -174,8 +180,9 @@ def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
     cancel = batch_cancel()
     stop = stop_rule(leg.deadline, cancel)
     solve_cube = leg.backend.cube_solver(leg.formula, leg.cubes)
+    pid = os.getpid()
     out = []
-    for index, cube in zip(leg.indices, leg.cubes):
+    for cube in leg.cubes:
         t0 = time.monotonic()
         try:
             result = solve_cube(
@@ -189,41 +196,31 @@ def run_leg(leg: Leg) -> List[Tuple[BackendResult, float]]:
         cancelled = cancel is not None and cancel.is_set()
         if cancelled and result.status is None and not result.error:
             result.cancelled = True
-        if leg.trace:
-            _observe(leg, index, cube, result, t0, elapsed)
-        out.append((result, elapsed))
+        out.append((result, t0, elapsed, pid))
         if _decisive(result) or cancelled:
             break
     return out
 
 
-def _observe(leg: Leg, index: int, cube, result: BackendResult,
-             t0: float, elapsed: float) -> None:
-    """Instrument one cube post-fork (FORK-SAFETY): a tracer and a
-    registry are created *here*, in the process that did the solving,
-    and ride the result back for parent-side merging.  The span brackets
-    work that already happened, so its window is rewritten to the
-    measured solve interval (``time.monotonic()`` is system-wide, so the
-    parent's stitched timeline stays aligned)."""
-    registry = MetricsRegistry()
-    registry.inc(leg.prefix + "_solves")
-    registry.inc(leg.prefix + "_conflicts", result.conflicts)
-    registry.observe(leg.prefix + "_solve_s", elapsed)
-    result.metrics = registry.snapshot()
-    attrs = {"backend": leg.backend.name, "index": index}
+def _record_span(tracer, name: str, backend: str, index: int, cube,
+                 measured) -> str:
+    """Record one cube's span in the parent, under the span open here,
+    over the window and pid ``run_leg`` measured (``time.monotonic()``
+    is system-wide, so a worker's window lines up with the parent's
+    spans).  Returns the span id."""
+    result, t0, seconds, pid = measured
+    attrs = {"backend": backend, "index": index}
     if cube:
         attrs["cube"] = list(cube)
-    tracer = Tracer()
-    with tracer.span(leg.span, **attrs) as span:
+    with tracer.span(name, **attrs) as span:
         span.set("conflicts", result.conflicts)
         span.set("cancelled", result.cancelled)
-        for name, value in (result.counters or {}).items():
-            span.set(name, value)
+        for key, value in (result.counters or {}).items():
+            span.set(key, value)
         if result.error:
             span.set("error", result.error)
-    span.data["t0"] = t0
-    span.data["dur"] = elapsed
-    result.spans = tracer.spans()
+    span.data.update(t0=t0, dur=seconds, pid=pid)
+    return span.id
 
 
 def validated(result: BackendResult, validate) -> BackendResult:
@@ -252,28 +249,6 @@ def leg_status(result: BackendResult) -> str:
     return STATUS_UNKNOWN
 
 
-def absorb_observability(
-    tracer, metrics, result: Optional[BackendResult],
-    parent_id: Optional[str],
-) -> Optional[str]:
-    """Merge one cube result's spans and metrics at the result boundary.
-
-    Adoption reparents the worker's root span under ``parent_id`` and
-    deduplicates by span id, so a duplicate delivery can never
-    double-count.  Returns the cube's span id, if any.
-    """
-    if result is None:
-        return None
-    metrics.merge(result.metrics)
-    if not result.spans:
-        return None
-    tracer.adopt(result.spans, parent_id=parent_id)
-    for span in result.spans:
-        if span.get("parent") is None:
-            return span.get("id")
-    return None
-
-
 def conquer(
     outcome: PortfolioResult,
     formula,
@@ -284,10 +259,7 @@ def conquer(
     deadline: Optional[float],
     conflict_budget: Optional[int],
     tracer,
-    metrics,
-    parent_id: Optional[str],
     span: str = "portfolio.backend",
-    prefix: str = "backend",
 ) -> Optional[int]:
     """Solve ``formula`` under each of ``cubes`` on ``backends`` (all
     available) and fill ``outcome``; returns the winning cube's index.
@@ -309,15 +281,15 @@ def conquer(
     n = min(max(jobs, len(backends)), len(cubes))
     chains = [
         Leg(backends[k % len(backends)], formula, deadline, conflict_budget,
-            tuple(range(k, len(cubes), n)), tuple(cubes[k::n]), span=span,
-            prefix=prefix, trace=tracer.enabled)
+            tuple(range(k, len(cubes), n)), tuple(cubes[k::n]))
         for k in range(n)
     ]
     names = [chains[i % n].backend.name for i in range(len(cubes))]
     ran: List = [None] * len(cubes)
 
     def stops(entry) -> bool:
-        return any([_decisive(validated(res, validate)) for res, _ in entry])
+        return any([_decisive(validated(res, validate))
+                    for res, _, _, _ in entry])
 
     while chains:
         raw = BatchScheduler(jobs).map(run_leg, chains, stop_when=stops)
@@ -332,9 +304,13 @@ def conquer(
                                   entry.seconds, None)
                 continue
             entry = entry or []
-            for index, (result, seconds) in zip(leg.indices, entry):
-                ran[index] = (result, seconds, absorb_observability(
-                    tracer, metrics, result, parent_id))
+            for index, cube, measured in zip(leg.indices, leg.cubes, entry):
+                result, _, seconds, _ = measured
+                span_id = None
+                if tracer.enabled:
+                    span_id = _record_span(tracer, span, leg.backend.name,
+                                           index, cube, measured)
+                ran[index] = (result, seconds, span_id)
             if 0 < len(entry) < len(leg.cubes) and entry[-1][0].demoted:
                 again.append(replace(
                     leg, indices=leg.indices[len(entry):],
@@ -393,10 +369,9 @@ class PortfolioRunner:
         self.jobs = jobs
         self.validate = validate
         # Observability (repro.obs): instance-threaded, parent-side.
-        # Worker spans/metrics ride each BackendResult back and are
-        # adopted/merged here at the result boundary.
+        # conquer() records each leg's span here from the window the
+        # worker measured.
         self.tracer = tracer or NULL_TRACER
-        self.metrics = MetricsRegistry()
 
     # -- public API --------------------------------------------------------
 
@@ -424,8 +399,7 @@ class PortfolioRunner:
             conquer(
                 outcome, formula, [()] * len(ready),
                 [self.backends[i] for i in ready], jobs, self.validate,
-                deadline, conflict_budget, self.tracer, self.metrics,
-                race_span.id,
+                deadline, conflict_budget, self.tracer,
             )
             # Back to one row per backend, skipped ones included.
             stats = [PortfolioStats(b.name, STATUS_SKIPPED, index=i)

@@ -33,7 +33,8 @@ class SolverServer:
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  :meth:`start` builds the pool — and with it the
     persistent conversion cache at ``cache_dir`` — which every
-    connection shares; :meth:`close` shuts it down.
+    connection shares; :meth:`close` stops listening, ends every open
+    connection (cancelling its live jobs) and then shuts the pool down.
     """
 
     def __init__(
@@ -48,6 +49,9 @@ class SolverServer:
         self._pool_args = (jobs, cache_dir)
         self.pool: Optional[WorkerPool] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        # One task per open connection, so close() can end them before
+        # the pool they cancel jobs on goes away.
+        self._connections: Set[asyncio.Task] = set()
 
     async def start(self) -> None:
         if self.pool is None:
@@ -67,6 +71,12 @@ class SolverServer:
     async def close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Before wait_closed(): from Python 3.12.1 it waits for every
+            # connection to end.
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self.pool is not None:
@@ -94,6 +104,8 @@ class SolverServer:
         # task under key "task" so _handle_request can replace/stop it.
         watcher: Dict[str, asyncio.Task] = {}
         writer_task = asyncio.ensure_future(self._drain(outbox, writer))
+        connection = asyncio.current_task()
+        self._connections.add(connection)
 
         def post(message: Dict[str, object]) -> None:
             """Queue an event from any thread, loop-safely."""
@@ -110,9 +122,14 @@ class SolverServer:
                     self._handle_request(line, post, live_jobs, watcher)
                 except protocol.ProtocolError as exc:
                     post(protocol.event("error", error=str(exc)))
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # A cancel is close() ending the connection.  Return normally:
+            # Python 3.11's start_server reports a cancelled handler task
+            # as an unhandled exception.
             pass
         finally:
+            self._connections.discard(connection)
             for job_id in list(live_jobs):
                 self.pool.cancel(job_id)
             for task in (watcher.pop("task", None), writer_task):

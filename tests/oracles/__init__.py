@@ -13,7 +13,10 @@ Each production fast path is pinned bit for bit to one of these:
   products, substitution and CNF clause expansion, for the bitmask
   monomial layer;
 * :mod:`oracles.system` — the ``Poly``-valued ``AnfSystem.normalize``
-  pipeline, for the mask-native rewrite propagation runs on.
+  pipeline, for the mask-native rewrite propagation runs on;
+* :mod:`oracles.truthtable` — the per-row ``truth_table`` loop, for the
+  batch ``truth_table_masks`` of the Karnaugh path (it builds the seed
+  converter's per-chunk tables).
 
 They live with the tests and nothing in ``src/`` imports them.  Their
 value is being unchanged: every top-level definition here is pinned by

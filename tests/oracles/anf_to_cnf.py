@@ -14,9 +14,11 @@ from repro.anf.monomial import Monomial
 from repro.anf.polynomial import Poly
 from repro.core.anf_to_cnf import ConversionResult, ConversionStats
 from repro.core.config import Config
-from repro.minimize import cube_to_clause, minimize, truth_table
+from repro.minimize import cube_to_clause, minimize
 from repro.sat.dimacs import CnfFormula
 from repro.sat.types import mk_lit
+
+from .truthtable import truth_table
 
 
 class ScalarContext:

@@ -3,13 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.truthtable import truth_table
 from repro.anf import Ring, parse_polynomial
-from repro.minimize import (
-    cube_to_clause,
-    minimize,
-    prime_implicants,
-    truth_table,
-)
+from repro.minimize import cube_to_clause, minimize, prime_implicants
 
 
 def cube_covers(cube, minterm, n_vars):

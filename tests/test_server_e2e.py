@@ -218,6 +218,36 @@ def test_disconnect_cancels_live_jobs():
     asyncio.run(run())
 
 
+def test_close_ends_connected_clients_before_the_pool():
+    """close() with a client still connected and a job still running
+    leaves no connection task behind, and the client's later disconnect
+    raises nothing on the loop."""
+    hard = _hard_instance()
+    loop_errors = []
+
+    async def run():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+        server = SolverServer(jobs=1)
+        await server.start()
+        client = await ServerClient.connect(server.host, server.port)
+        job = await client.submit("dimacs", hard, preprocess=False)
+        ev = await client.progress(job)
+        while ev.get("stage") != "solving":
+            ev = await client.progress(job)
+        await server.close()
+        pending = [t for t in asyncio.all_tasks()
+                   if t is not asyncio.current_task() and not t.done()]
+        await client.close()
+        await asyncio.sleep(0.2)  # let a leftover handler see the EOF
+        return pending
+
+    pending = asyncio.run(run())
+    assert pending == []
+    assert loop_errors == []
+
+
 def test_two_clients_share_one_pool(tmp_path):
     async def run():
         async with SolverServer(jobs=2, cache_dir=str(tmp_path)) as server:
