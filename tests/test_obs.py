@@ -239,7 +239,7 @@ def test_parallel_race_adopts_every_worker_span_exactly_once():
     outcome = runner.run(sat_micro(), timeout_s=10)
     assert outcome.verdict is True
     spans = tracer.spans()
-    validate_spans(spans)  # unique ids = no double adoption
+    validate_spans(spans)  # unique ids = no cube recorded twice
     race = next(s for s in spans if s["name"] == "portfolio.race")
     legs = [s for s in spans if s["name"] == "portfolio.backend"]
     assert len(legs) == 2  # one leg per backend, exactly once
@@ -247,7 +247,7 @@ def test_parallel_race_adopts_every_worker_span_exactly_once():
     for leg in legs:
         assert leg["parent"] == race["id"]  # stitched under the race
         assert leg["pid"] != race["pid"]  # recorded in the worker
-    # Stats rows link into the trace through the adopted leg ids.
+    # Stats rows link into the trace through the leg span ids.
     leg_ids = {leg["id"] for leg in legs}
     assert {row.span_id for row in outcome.stats} == leg_ids
     _assert_measured_windows(spans, outcome.stats, race)
@@ -268,7 +268,7 @@ def test_sequential_race_records_leg_spans_parent_side():
 
 def test_dead_worker_race_still_yields_one_clean_trace():
     """A backend that hard-kills its worker contributes no spans; the
-    survivor's spans are adopted exactly once and the trace stays
+    survivor's span is recorded exactly once and the trace stays
     well-formed."""
     tracer = Tracer()
     runner = PortfolioRunner(
@@ -299,7 +299,7 @@ def test_cube_conquest_traces_every_cube_exactly_once():
     conquer = next(s for s in spans if s["name"] == "cube.conquer")
     assert any(s["name"] == "cube.split" for s in spans)
     cube_spans = [s for s in spans if s["name"] == "cube.solve"]
-    # One span per conquered cube, each adopted exactly once.
+    # One span per conquered cube, each recorded exactly once.
     indices = [s["attrs"]["index"] for s in cube_spans]
     assert len(indices) == len(set(indices))
     assert len(cube_spans) == len(
@@ -307,7 +307,7 @@ def test_cube_conquest_traces_every_cube_exactly_once():
     )
     for s in cube_spans:
         assert s["parent"] == conquer["id"]
-    # Stats rows carry the adopted leg ids.
+    # Stats rows carry the cube span ids.
     linked = {r.span_id for r in outcome.stats if r.span_id}
     assert linked == {s["id"] for s in cube_spans}
     _assert_measured_windows(spans, outcome.stats, conquer)
