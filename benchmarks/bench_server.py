@@ -4,7 +4,8 @@ Two claims behind ``make bench-server``:
 
 * **throughput scales with workers** — a batch of jobs submitted over
   the JSON-lines protocol completes faster on a 2-worker pool than on a
-  1-worker pool.  The speedup assertion arms only when the machine can
+  1-worker pool, comparing the best of three batches on each side.  The
+  speedup assertion arms only when the machine can
   actually parallelise (>= 2 CPUs) and the run is big enough to measure
   (``REPRO_BENCH_COUNT >= 2``); otherwise the bench still runs both
   pools and checks the verdicts agree.
@@ -108,6 +109,20 @@ def _run_batch(jobs, cache_dir, texts, repeat=1, fmt="anf", **options):
     return asyncio.run(run())
 
 
+def _best_batch(jobs, tmp_path, tag, texts, batches=3, **options):
+    """The fastest of ``batches`` runs of the same batch, each on its own
+    cache dir: (wall seconds, results).  Every run must agree on the
+    verdicts."""
+    runs = [
+        _run_batch(jobs, str(tmp_path / "{}-{}".format(tag, i)), texts,
+                   **options)
+        for i in range(batches)
+    ]
+    verdicts = {tuple(r["verdict"] for r in results) for _, results in runs}
+    assert len(verdicts) == 1, verdicts
+    return min(runs, key=lambda run: run[0])
+
+
 def test_server_throughput_scales_with_workers(benchmark, table_printer,
                                                tmp_path):
     texts = _cnf_family(max(2, bench_count() * 4))
@@ -115,11 +130,12 @@ def test_server_throughput_scales_with_workers(benchmark, table_printer,
     solve_only = {"fmt": "dimacs", "preprocess": False}
 
     # Separate cache dirs: the scaling comparison must not let run two
-    # ride run one's disk entries.
-    one_s, one_results = _run_batch(1, str(tmp_path / "one"), texts,
-                                    **solve_only)
+    # ride run one's disk entries.  Each side is the best of three
+    # batches, so one slow batch on a busy host does not decide the
+    # comparison.
+    one_s, one_results = _best_batch(1, tmp_path, "one", texts, **solve_only)
     two_s, two_results = benchmark.pedantic(
-        lambda: _run_batch(2, str(tmp_path / "two"), texts, **solve_only),
+        lambda: _best_batch(2, tmp_path, "two", texts, **solve_only),
         rounds=1,
         iterations=1,
     )

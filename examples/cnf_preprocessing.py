@@ -12,7 +12,7 @@ Run:  python examples/cnf_preprocessing.py [nodes]
 import sys
 import time
 
-from repro import preprocess_cnf
+from repro import Bosphorus
 from repro.satcomp.generators import tseitin_parity
 from repro.sat import Solver
 
@@ -37,7 +37,7 @@ def main(nodes: int = 52, seed: int = 11):
 
     # Route 2: Bosphorus preprocessing (CNF -> ANF -> GJE).
     start = time.monotonic()
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     bosphorus_time = time.monotonic() - start
     print("Bosphorus:       {} in {:.2f}s (facts: {})".format(
         result.status.upper(), bosphorus_time, result.facts.summary()

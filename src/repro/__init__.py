@@ -40,8 +40,6 @@ from .core import (
     FactStore,
     Solution,
     cnf_to_anf,
-    preprocess_anf,
-    preprocess_cnf,
 )
 from .portfolio import (
     BatchScheduler,
@@ -73,8 +71,6 @@ __all__ = [
     "PAPER_CONFIG",
     "FactStore",
     "Solution",
-    "preprocess_anf",
-    "preprocess_cnf",
     "cnf_to_anf",
     "Solver",
     "SolverConfig",

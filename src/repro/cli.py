@@ -8,9 +8,14 @@ Examples::
 
 Reads a problem in ANF (``.anf`` text format) or CNF (DIMACS), runs the
 fact-learning loop, and writes the processed ANF/CNF.  With ``--solve``
-the processed CNF is handed to one of the three final-solver
-personalities and the verdict is printed in SAT-competition style
-(``s SATISFIABLE`` / ``v`` model lines).
+the final CNF (for a CNF input, the input augmented with the learnt
+facts) goes to a final solver — one backend, a ``--portfolio`` race or a
+``--cube`` conquest — and the verdict is printed in SAT-competition
+style (``s SATISFIABLE`` / ``v`` model lines).
+
+The CLI is an adapter over :func:`repro.pipeline.solve_problem`: it
+parses arguments and prints.  ``--timeout`` bounds the whole run,
+preprocessing included; a run it stops prints ``s UNKNOWN``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import time
 from typing import List, Optional
 
 from .anf import read_anf, write_anf
-from .core.bosphorus import Bosphorus, STATUS_SAT, STATUS_UNSAT
 from .core.config import Config
 from .obs import NULL_TRACER, Tracer
-from .portfolio.backends import PERSONALITIES
+from .pipeline import FinalSolve, Problem, solve_problem
+from .portfolio.backends import PERSONALITIES, default_portfolio
 from .sat.dimacs import read_dimacs, write_dimacs
 
 
@@ -37,9 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--anfread", metavar="FILE", help="input problem in ANF")
     src.add_argument("--cnfread", metavar="FILE", help="input problem in DIMACS CNF")
     parser.add_argument("--anfwrite", metavar="FILE", help="write processed ANF")
-    parser.add_argument("--cnfwrite", metavar="FILE", help="write processed CNF")
+    parser.add_argument("--cnfwrite", metavar="FILE",
+                        help="write the final CNF (for a CNF input, the "
+                             "input plus the learnt facts)")
     parser.add_argument("--solve", action="store_true",
-                        help="run a final SAT solver on the processed CNF")
+                        help="run a final SAT solver on the final CNF")
     parser.add_argument("--solver", choices=PERSONALITIES,
                         default="cms", help="final solver personality")
     final = parser.add_mutually_exclusive_group()
@@ -66,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="portfolio/cube worker processes (1 = sequential)")
     parser.add_argument("--timeout", type=float, default=60.0,
-                        help="final-solver wall-clock budget in seconds")
+                        help="wall-clock budget in seconds for the whole "
+                             "run: preprocessing and the final solve")
     # Paper parameters.
     parser.add_argument("-m", "--samplebits", type=int, default=None,
                         help="XL/ElimLin subsample parameter M")
@@ -139,68 +147,6 @@ def config_from_args(args: argparse.Namespace) -> Config:
     )
 
 
-def _model_validator(result):
-    """Final-solve SAT claims are only trusted after reconstruction
-    through the conversion auxiliaries and evaluation on the processed
-    ANF."""
-    if result.conversion is None or not result.processed_anf:
-        return None
-    from .core.solution import make_model_validator
-
-    return make_model_validator(result.conversion, result.processed_anf)
-
-
-def _final_solve(args, result, tracer=NULL_TRACER):
-    """Solve the processed CNF per --cube / --portfolio / --backend / --solver."""
-    from .portfolio import create_backend, default_portfolio, stop_rule
-    from .portfolio.engine import validated
-
-    validate = _model_validator(result)
-    if args.portfolio:
-        backends = default_portfolio(seed=args.seed)
-    else:
-        backend = create_backend(args.backend or args.solver)
-        if not backend.available():
-            print("c backend unavailable: {}".format(backend.name))
-            return None, None
-        backends = [backend]
-    if args.cube:
-        from .cube import CubeConqueror
-
-        tag = "cube"
-        outcome = CubeConqueror(
-            backends, jobs=args.jobs, depth=args.cube_depth,
-            validate=validate, tracer=tracer,
-        ).run(result.cnf, timeout_s=args.timeout)
-        if args.verb >= 2:
-            print("c cube: {} cubes ({} closed at split) over {}".format(
-                outcome.n_cubes, outcome.n_refuted_at_split,
-                "+".join(b.name for b in backends)))
-    elif args.portfolio:
-        from .portfolio import PortfolioRunner
-
-        tag = "portfolio"
-        outcome = PortfolioRunner(
-            backends, jobs=args.jobs, validate=validate, tracer=tracer,
-        ).run(result.cnf, timeout_s=args.timeout)
-    else:
-        with tracer.span("final.solve", backend=backend.name) as span:
-            stop = stop_rule(time.monotonic() + args.timeout)
-            res = validated(backend.solve(result.cnf, stop=stop), validate)
-            span.set("conflicts", res.conflicts)
-        if res.demoted:
-            print("c model failed validation")
-        return res.status, res.model
-    if args.verb >= 2:
-        for row in outcome.stats:
-            print("c {}: #{:<4} {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
-                tag, row.index, row.backend, row.status, row.seconds,
-                row.conflicts, "  [winner]" if row.won else ""))
-        if tag == "cube" and outcome.global_unsat:
-            print("c cube: refutation was global (whole-formula shortcut)")
-    return outcome.verdict, outcome.model
-
-
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosphorus-py serve",
@@ -267,83 +213,90 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args, config, tracer) -> int:
-    bosph = Bosphorus(config, tracer=tracer)
-
     if args.anfread:
         with open(args.anfread) as f:
             ring, polys = read_anf(f)
         if args.stats:
-            from .anf.stats import describe_system
-            print("c --- input ANF statistics ---")
-            for line in describe_system(polys).format().splitlines():
-                print("c " + line)
-        result = bosph.preprocess_anf(ring, polys)
+            _print_stats("input", polys)
+        problem = Problem.from_anf(args.anfread, ring, polys)
     else:
         with open(args.cnfread) as f:
-            formula = read_dimacs(f)
-        result = bosph.preprocess_cnf(formula)
+            problem = Problem.from_cnf(args.cnfread, read_dimacs(f))
 
-    if args.stats and result.processed_anf:
-        from .anf.stats import describe_system
-        print("c --- processed ANF statistics ---")
-        for line in describe_system(result.processed_anf).format().splitlines():
-            print("c " + line)
+    final = None
+    if args.solve:
+        final = FinalSolve(
+            default_portfolio(seed=args.seed) if args.portfolio
+            else [args.backend or args.solver],
+            cube_depth=args.cube_depth if args.cube else None,
+            jobs=args.jobs,
+        )
+    outcome = solve_problem(problem, config, final,
+                            deadline=time.monotonic() + args.timeout,
+                            tracer=tracer)
+    result = outcome.result
 
-    if args.verb >= 1:
+    if args.stats and result is not None and result.processed_anf:
+        _print_stats("processed", result.processed_anf)
+
+    if args.verb >= 1 and result is not None:
         print("c bosphorus-py: {} iterations, {} learnt facts ({})".format(
             result.iterations, len(result.facts),
             ", ".join("{}={}".format(k, v)
                       for k, v in sorted(result.facts.summary().items())),
         ))
 
-    if args.anfwrite:
+    if args.anfwrite and result is not None:
         with open(args.anfwrite, "w") as f:
             write_anf(f, result.processed_anf)
     if args.cnfwrite:
-        out = result.augmented_cnf if args.cnfread else result.cnf
-        with open(args.cnfwrite, "w") as f:
-            write_dimacs(f, out, comments=["processed by bosphorus-py"])
+        if outcome.formula is None:
+            print("c --cnfwrite skipped: the run stopped ({}) before "
+                  "producing a CNF".format(outcome.name))
+        else:
+            with open(args.cnfwrite, "w") as f:
+                write_dimacs(f, outcome.formula,
+                             comments=["processed by bosphorus-py"])
 
-    if result.status == STATUS_UNSAT:
+    _print_fanout(args, outcome)
+    if outcome.error:
+        print("c " + outcome.error)
+    if outcome.verdict is False:
         print("s UNSATISFIABLE")
         return 20
+    if outcome.verdict is None:
+        print("s UNKNOWN")
+        return 0
+    print("s SATISFIABLE")
     if args.solve:
-        solution = result.solution
-        if solution is None:
-            verdict, model = _final_solve(args, result, tracer)
-            if verdict is False:
-                print("s UNSATISFIABLE")
-                return 20
-            if verdict is None:
-                print("s UNKNOWN")
-                return 0
-            values = model
-        else:
-            values = solution.values
-        print("s SATISFIABLE")
-        if values is None:
-            # A SAT verdict without a printable model (e.g. an external
-            # backend that reports no ``v`` lines).
-            return 10
-        # Print the input's variables only: a CNF input's ANF ring also
-        # numbers the clause-cutting auxiliaries.
-        if args.cnfread:
-            n = result.original_cnf.n_vars
-        elif result.system:
-            n = result.system.ring.n_vars
-        else:
-            n = len(values)
-        lits = [
-            "{}{}".format("" if values[v] else "-", v + 1)
-            for v in range(min(n, len(values)))
-        ]
-        print("v {} 0".format(" ".join(lits)))
-        return 10
-    if result.status == STATUS_SAT:
-        print("s SATISFIABLE")
-        return 10
-    print("s UNKNOWN")
-    return 0
+        print("v {} 0".format(" ".join("{}{}".format("" if bit else "-", v + 1)
+                                       for v, bit in enumerate(outcome.model))))
+    return 10
+
+
+def _print_stats(which, polynomials) -> None:
+    from .anf.stats import describe_system
+
+    print("c --- {} ANF statistics ---".format(which))
+    for line in describe_system(polynomials).format().splitlines():
+        print("c " + line)
+
+
+def _print_fanout(args, outcome) -> None:
+    """``--verb 2``: one row per portfolio backend or cube."""
+    fanout = outcome.fanout
+    if fanout is None or args.verb < 2:
+        return
+    tag = "cube" if args.cube else "portfolio"
+    if args.cube:
+        print("c cube: {} cubes ({} closed at split) over {}".format(
+            fanout.n_cubes, fanout.n_refuted_at_split, outcome.backend))
+    for row in fanout.stats:
+        print("c {}: #{:<4} {:<14} {:<13} {:6.2f}s conflicts={}{}".format(
+            tag, row.index, row.backend, row.status, row.seconds,
+            row.conflicts, "  [winner]" if row.won else ""))
+    if args.cube and fanout.global_unsat:
+        print("c cube: refutation was global (whole-formula shortcut)")
 
 
 if __name__ == "__main__":

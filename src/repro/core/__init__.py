@@ -7,8 +7,6 @@ from .bosphorus import (
     STATUS_UNSAT,
     Bosphorus,
     BosphorusResult,
-    preprocess_anf,
-    preprocess_cnf,
 )
 from .cnf_to_anf import CnfToAnfResult, clause_to_poly, cnf_to_anf
 from .config import PAPER_CONFIG, Config
@@ -39,8 +37,6 @@ from .xl import XlResult, run_xl
 __all__ = [
     "Bosphorus",
     "BosphorusResult",
-    "preprocess_anf",
-    "preprocess_cnf",
     "STATUS_SAT",
     "STATUS_UNSAT",
     "STATUS_UNKNOWN",

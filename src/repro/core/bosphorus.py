@@ -77,7 +77,6 @@ class BosphorusResult:
     conversion: Optional[ConversionResult] = None
     solution: Optional[Solution] = None
     system: Optional[AnfSystem] = None
-    original_cnf: Optional[CnfFormula] = None
     augmented_cnf: Optional[CnfFormula] = None
     stats: Dict[str, object] = field(default_factory=dict)
 
@@ -149,7 +148,6 @@ class Bosphorus:
         """
         anf = cnf_to_anf(formula, self.config)
         result = self.preprocess_anf(anf.ring, anf.polynomials, stop)
-        result.original_cnf = formula
         if result.cnf is not None:
             with self.tracer.span("bosphorus.augment_cnf"):
                 result.augmented_cnf = self._augment_cnf(
@@ -385,13 +383,3 @@ class Bosphorus:
             for variables, rhs in conv.formula.xors:
                 augmented.add_xor(variables, rhs)
         return augmented
-
-
-def preprocess_anf(ring, polynomials, config=None) -> BosphorusResult:
-    """Convenience wrapper: one-shot ANF preprocessing."""
-    return Bosphorus(config).preprocess_anf(ring, polynomials)
-
-
-def preprocess_cnf(formula, config=None) -> BosphorusResult:
-    """Convenience wrapper: one-shot CNF preprocessing."""
-    return Bosphorus(config).preprocess_cnf(formula)

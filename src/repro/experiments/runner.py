@@ -1,24 +1,17 @@
 """Experiment runner: instances x {with, without Bosphorus} x 3 solvers.
 
-Reproduces the paper's Table II protocol:
-
-* *without* Bosphorus the problem is only converted to CNF (if it is an
-  ANF) and handed to the final solver;
-* *with* Bosphorus the fact-learning loop runs first (under its own
-  budget), then the final solver gets the processed CNF — and if
-  Bosphorus already decided the instance, that verdict (and its time)
-  stands.
-
-Three solver personalities stand in for MiniSat / Lingeling /
-CryptoMiniSat5 (DESIGN.md §4, substitution 5); they are the in-process
-:class:`repro.portfolio.CdclBackend` adapters, so the same code path
-serves this harness, the parallel portfolio engine and the CLI.  A
-cell's time budget is one ``stop`` predicate that Bosphorus asks before
-each learner step and every CDCL search asks after each conflict, so a
-slow instance cannot wedge the harness.
-``run_family(jobs=N)`` distributes the Table II grid over a bounded
-worker pool (:class:`repro.portfolio.BatchScheduler`) with per-instance
-wall-clock isolation; the PAR-2 math is unchanged.
+Reproduces the paper's Table II protocol: *without* Bosphorus the
+problem is only converted to CNF (if it is an ANF) and handed to the
+final solver; *with* Bosphorus the fact-learning loop runs first, and a
+verdict it reaches (with its time) stands.  Each cell is one call of
+:func:`repro.pipeline.solve_problem`, the pipeline the CLI and the
+server share, under one deadline; :func:`run_instance` keeps the PAR-2
+bookkeeping.  A SAT model that fails the input check leaves the cell
+unsolved, and :func:`run_family` fails loudly on it.  The three solver
+personalities stand in for MiniSat / Lingeling / CryptoMiniSat5
+(DESIGN.md §4, substitution 5).  ``run_family(jobs=N)`` distributes the
+grid over a bounded worker pool (:class:`repro.portfolio.BatchScheduler`)
+with per-instance wall-clock isolation; the PAR-2 math is unchanged.
 """
 
 from __future__ import annotations
@@ -27,38 +20,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..anf.polynomial import Poly
-from ..anf.ring import Ring
-from ..anf.system import AnfSystem, ContradictionError
-from ..core.anf_to_cnf import AnfToCnf
-from ..core.bosphorus import Bosphorus
 from ..core.config import Config
-from ..core.solution import satisfies_input
-from ..portfolio.backends import PERSONALITIES, CdclBackend, stop_rule
+from ..pipeline import FinalSolve, Problem, solve_problem
+from ..portfolio.backends import PERSONALITIES
 from ..portfolio.batch import BatchItemError, BatchScheduler
-from ..sat.dimacs import CnfFormula
-
-
-@dataclass
-class Problem:
-    """One benchmark instance: an ANF or a CNF."""
-
-    name: str
-    kind: str  # "anf" | "cnf"
-    ring: Optional[Ring] = None
-    polynomials: Optional[List[Poly]] = None
-    formula: Optional[CnfFormula] = None
-    expected: Optional[bool] = None
-    witness: Optional[List[int]] = None
-
-    @staticmethod
-    def from_anf(name, ring, polynomials, expected=True, witness=None) -> "Problem":
-        return Problem(name, "anf", ring=ring, polynomials=polynomials,
-                       expected=expected, witness=witness)
-
-    @staticmethod
-    def from_cnf(name, formula, expected=None) -> "Problem":
-        return Problem(name, "cnf", formula=formula, expected=expected)
 
 
 @dataclass
@@ -73,12 +38,6 @@ class RunResult:
     decided_by_bosphorus: bool = False
 
 
-def _convert_anf(problem: Problem, config: Config, personality: str) -> CnfFormula:
-    cfg = config.with_(emit_xor_clauses=(personality == "cms"))
-    system = AnfSystem(problem.ring.clone(), problem.polynomials)
-    return AnfToCnf(cfg).convert(system).formula
-
-
 def run_instance(
     problem: Problem,
     personality: str,
@@ -87,64 +46,17 @@ def run_instance(
     bosphorus_config: Optional[Config] = None,
 ) -> RunResult:
     """One Table II cell entry for one instance."""
-    config = bosphorus_config or Config()
     start = time.monotonic()
-    stop = stop_rule(start + timeout_s)  # Bosphorus and the final solve
-
-    if not use_bosphorus:
-        if problem.kind == "anf":
-            try:
-                formula = _convert_anf(problem, config, personality)
-            except ContradictionError:
-                return RunResult(False, time.monotonic() - start)
-        else:
-            formula = problem.formula
-        res = CdclBackend(personality).solve(formula, stop=stop)
-        seconds = time.monotonic() - start
-        checked = _check_model(problem, res.model) if res.status is True else None
-        return RunResult(res.status, seconds, 0.0, res.conflicts, checked)
-
-    # With Bosphorus: learn facts first.
-    b_start = time.monotonic()
-    bosph = Bosphorus(config)
-    if problem.kind == "anf":
-        result = bosph.preprocess_anf(
-            problem.ring.clone(), list(problem.polynomials), stop
-        )
-    else:
-        result = bosph.preprocess_cnf(problem.formula, stop)
-    bosphorus_seconds = time.monotonic() - b_start
-
-    if result.is_unsat:
-        return RunResult(False, time.monotonic() - start, bosphorus_seconds,
-                         0, None, decided_by_bosphorus=True)
-    if result.is_sat and result.solution is not None:
-        checked = _check_model(problem, result.solution.values)
-        return RunResult(True, time.monotonic() - start, bosphorus_seconds,
-                         0, checked, decided_by_bosphorus=True)
-    if result.cnf is None:  # stopped at the deadline
-        return RunResult(None, time.monotonic() - start, bosphorus_seconds)
-
-    # Final solving on the processed problem.
-    if problem.kind == "cnf":
-        formula = result.augmented_cnf or result.cnf
-    elif personality == "cms" and result.system is not None:
-        formula = AnfToCnf(config.with_(emit_xor_clauses=True)).convert(result.system).formula
-    else:
-        formula = result.cnf
-    res = CdclBackend(personality).solve(formula, stop=stop)
-    seconds = time.monotonic() - start
-    checked = _check_model(problem, res.model) if res.status is True else None
-    return RunResult(res.status, seconds, bosphorus_seconds, res.conflicts,
-                     checked)
-
-
-def _check_model(problem: Problem, model: Optional[List[int]]) -> Optional[bool]:
-    """Validate a SAT model against the original problem when possible."""
-    if model is None:
-        return None
-    return satisfies_input(
-        model, problem.polynomials if problem.kind == "anf" else problem.formula
+    outcome = solve_problem(
+        problem, bosphorus_config or Config(), FinalSolve([personality]),
+        preprocess=use_bosphorus, deadline=start + timeout_s,
+    )
+    pre = outcome.result
+    return RunResult(
+        outcome.verdict, time.monotonic() - start,
+        outcome.seconds.get("preprocess", 0.0), outcome.conflicts,
+        outcome.model_checked,
+        decided_by_bosphorus=pre is not None and (pre.is_unsat or pre.is_sat),
     )
 
 

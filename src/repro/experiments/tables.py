@@ -1,7 +1,7 @@
 """Table II drivers: build each benchmark family and print the paper's rows.
 
 Every block of the paper's Table II has a builder here returning
-:class:`~repro.experiments.runner.Problem` lists, plus a formatter that
+:class:`~repro.pipeline.Problem` lists, plus a formatter that
 prints `PAR-2 (solved)` cells for the three solver personalities, with and
 without Bosphorus — the same layout as the paper.
 
@@ -25,6 +25,12 @@ from .runner import PERSONALITIES, Problem, run_family
 # -- family builders ---------------------------------------------------------
 
 
+def _cipher_problem(name: str, inst) -> Problem:
+    """A cipher instance as a SAT problem with its planted witness."""
+    return Problem.from_anf(name, inst.ring, inst.polynomials,
+                            expected=True, witness=inst.witness)
+
+
 def sr_problems(
     count: int = 3,
     n_rounds: int = 1,
@@ -35,59 +41,36 @@ def sr_problems(
     sbox_encoding: str = "quadratic",
 ) -> List[Problem]:
     """SR-[n, r, c, e] instances (paper: SR-[1,4,4,8], 500 instances)."""
-    out = []
-    for i in range(count):
-        inst = aes_small.generate_instance(
-            n_rounds, r, c, e, seed=seed + i, sbox_encoding=sbox_encoding
-        )
-        out.append(
-            Problem.from_anf(
-                "SR-[{},{},{},{}]#{}".format(n_rounds, r, c, e, i),
-                inst.ring,
-                inst.polynomials,
-                expected=True,
-                witness=inst.witness,
-            )
-        )
-    return out
+    return [
+        _cipher_problem("SR-[{},{},{},{}]#{}".format(n_rounds, r, c, e, i),
+                        aes_small.generate_instance(
+                            n_rounds, r, c, e, seed=seed + i,
+                            sbox_encoding=sbox_encoding))
+        for i in range(count)
+    ]
 
 
 def simon_problems(
     count: int = 3, n_plaintexts: int = 2, rounds: int = 6, seed: int = 0
 ) -> List[Problem]:
     """Simon-[n, r] instances (paper: [8,6], [9,7], [10,8]; 50 each)."""
-    out = []
-    for i in range(count):
-        inst = simon.generate_instance(n_plaintexts, rounds, seed=seed + i)
-        out.append(
-            Problem.from_anf(
-                "Simon-[{},{}]#{}".format(n_plaintexts, rounds, i),
-                inst.ring,
-                inst.polynomials,
-                expected=True,
-                witness=inst.witness,
-            )
-        )
-    return out
+    return [
+        _cipher_problem("Simon-[{},{}]#{}".format(n_plaintexts, rounds, i),
+                        simon.generate_instance(n_plaintexts, rounds,
+                                                seed=seed + i))
+        for i in range(count)
+    ]
 
 
 def bitcoin_problems(
     count: int = 2, k: int = 8, rounds: int = 16, seed: int = 0
 ) -> List[Problem]:
     """Bitcoin-[k] instances (paper: k in {10, 15, 20}; 50 each)."""
-    out = []
-    for i in range(count):
-        inst = bitcoin_mod.generate_instance(k, rounds, seed=seed + i)
-        out.append(
-            Problem.from_anf(
-                "Bitcoin-[{}]#{}".format(k, i),
-                inst.ring,
-                inst.polynomials,
-                expected=True,
-                witness=inst.witness,
-            )
-        )
-    return out
+    return [
+        _cipher_problem("Bitcoin-[{}]#{}".format(k, i),
+                        bitcoin_mod.generate_instance(k, rounds, seed=seed + i))
+        for i in range(count)
+    ]
 
 
 def satcomp_problems(

@@ -25,8 +25,8 @@ Both final-solve modes are this one engine:
 Soundness and determinism:
 
 * a SAT claim is only *accepted* after the caller-supplied validator
-  confirms the model (the Bosphorus wiring validates through
-  ``core.solution.reconstruct_model`` + evaluate-on-the-original-ANF); an
+  confirms the model (:func:`repro.pipeline.solve_problem` checks it
+  against the input with ``core.solution.satisfies_input``); an
   invalid or missing model **demotes** that answer to no verdict and the
   run continues;
 * an answer is decisive when it is a validated SAT or an *unconditional*

@@ -8,10 +8,9 @@ The package splits into four pieces:
 * :mod:`repro.server.pool` — the long-lived daemon worker pool (job
   submission by message, cooperative cancellation within one conflict,
   dead-worker respawn);
-* :mod:`repro.server.jobs` — what one job *is*: parse → preprocess →
-  solve, riding the existing Bosphorus/backend machinery (workers are
-  backends-only — there is ONE solving path) and enforcing the job's
-  deadline;
+* :mod:`repro.server.jobs` — what one job *is*: its text parsed and
+  handed to :func:`repro.pipeline.solve_problem`, the one solve
+  pipeline (workers are backends-only), under the job's deadline;
 * :mod:`repro.server.protocol` / :mod:`repro.server.app` — the
   JSON-lines protocol over ``asyncio.start_server`` and the
   :class:`SolverServer` that bridges connections to the pool.

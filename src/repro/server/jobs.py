@@ -2,17 +2,15 @@
 
 A :class:`JobSpec` is the picklable description a client submits over
 the protocol and the pool ships to a worker; :func:`execute_job` is the
-worker-side pipeline.  It deliberately contains **no solving logic of
-its own** — parsing is :mod:`repro.anf` / :mod:`repro.sat.dimacs`,
-preprocessing is :class:`repro.core.bosphorus.Bosphorus` (which picks up
-the persistent conversion cache through ``Config.cache_dir``), and the
-final solve goes through :func:`repro.portfolio.create_backend`.  Server
-workers are backends-only: there is ONE solving path, and the service
-merely schedules it.
+worker-side adapter over :func:`repro.pipeline.solve_problem`, the one
+solve pipeline the CLI and the Table II runner share: it parses the
+text and turns the outcome into the wire result, with **no solving
+logic of its own**.  Workers are backends-only: a job's final solve is
+one :func:`repro.portfolio.create_backend` spec.
 
-The worker is the job's only clock: :func:`execute_job` composes one
-``stop`` predicate — the client cancelled, or ``timeout_s`` ran out —
-and asks it at each stage boundary.  Bosphorus asks it before each
+The worker is the job's only clock: the deadline is ``timeout_s`` after
+the worker starts the job, and the pipeline composes it with the
+client's cancel token into one ``stop``.  Bosphorus asks it before each
 learner step and the backend after every conflict, so a job stops within
 one learner step of its signal.  ``cancel`` is any object with
 ``is_set()`` (the pool passes its shared-flag token).
@@ -26,20 +24,14 @@ import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, Optional
 
-from ..anf.system import ContradictionError
+from ..anf import parse_system
 from ..core.config import Config
 from ..obs import MetricsRegistry, NULL_TRACER, Tracer
+from ..pipeline import FinalSolve, Problem, solve_problem
 from ..sat.dimacs import CnfFormula, parse_dimacs, write_dimacs
 
 #: Accepted ``JobSpec.fmt`` values.
 FORMATS = ("anf", "dimacs")
-
-#: Verdict strings reported by :func:`execute_job`.
-VERDICT_SAT = "sat"
-VERDICT_UNSAT = "unsat"
-VERDICT_UNKNOWN = "unknown"
-VERDICT_CANCELLED = "cancelled"
-VERDICT_TIMEOUT = "timeout"
 
 
 @dataclass
@@ -107,32 +99,25 @@ def execute_job(
 ) -> Dict[str, object]:
     """Run one job to completion and return its JSON-serialisable result.
 
-    ``progress`` (if given) is called as ``progress(stage, payload)``
-    with stages ``"parsed"``, ``"preprocessed"`` and ``"solving"``;
-    payloads are small JSON-safe dicts.  The job's one stop rule
-    (``cancel`` is set, or the deadline passed) is asked between stages
-    and handed to Bosphorus and to the backend as ``stop``.  A
-    backend's SAT answer is reported only when its model satisfies the
-    job's input (the clauses and XORs of a ``dimacs`` job, the
-    polynomials of an ``anf`` one); otherwise the verdict is ``unknown`` and the result's ``error`` says
-    ``"model failed validation"``.
+    ``progress(stage, payload)`` (if given) hears ``"parsed"``,
+    ``"preprocessed"`` and ``"solving"`` with small JSON-safe payloads.
+    A SAT answer, the backend's or one Bosphorus found, is reported only
+    when its model satisfies the job's input; otherwise the verdict is
+    ``unknown`` and ``error`` says ``"model failed validation"``.
 
-    The result dict always carries ``job_id``, ``verdict`` (one of
-    ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``; a
-    job without an answer reports ``cancelled`` when its client
-    cancelled it and ``timeout`` when ``spec.timeout_s`` ran out),
-    ``model``, ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
+    The result always carries ``job_id``, ``verdict`` (``sat`` /
+    ``unsat`` / ``unknown``, or ``cancelled`` when the client cancelled
+    the job and ``timeout`` when ``spec.timeout_s`` ran out), ``model``,
+    ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
     snapshot the pool merges into its service-wide counters) and —
     whenever a CNF was produced — ``cnf_sha256``, the hash of the exact
     DIMACS a fresh run must reproduce bit-for-bit (warm
     persistent-cache restarts are asserted against it).  With
-    ``spec.trace`` the result also carries ``"spans"``: the job's span
-    tree (root ``server.job``), recorded by a worker-local tracer.
+    ``spec.trace`` it also carries ``"spans"``: the job's span tree
+    (root ``server.job``), recorded by a worker-local tracer.
     """
     spec.validate()
-    started = time.perf_counter()
-    # The deadline covers the whole pipeline, from the moment the worker
-    # starts the job (queue time does not count).
+    started = time.monotonic()
     deadline = None if spec.timeout_s is None else started + spec.timeout_s
     # Observability is per-job and worker-local: the tracer/registry are
     # created here, after any fork, and leave this process only as plain
@@ -141,161 +126,63 @@ def execute_job(
     metrics = MetricsRegistry()
     root = tracer.span("server.job", job_id=spec.job_id, fmt=spec.fmt)
 
-    def emit(stage: str, payload: Optional[Dict[str, object]] = None) -> None:
-        if progress is not None:
-            progress(stage, payload or {})
+    config = Config(cache_dir=cache_dir).with_(**spec.config)
 
-    def finish(verdict, model=None, stats=None, formula=None, extra=None):
-        result: Dict[str, object] = {
-            "job_id": spec.job_id,
-            "verdict": verdict,
-            "model": model,
-            "stats": stats or {},
-            "seconds": time.perf_counter() - started,
-        }
-        if formula is not None:
-            result["cnf_sha256"] = _sha256_dimacs(formula)
-            result["n_vars"] = formula.n_vars
-            result["n_clauses"] = len(formula.clauses)
-        if extra:
-            result.update(extra)
-        metrics.inc("jobs")
-        metrics.inc("jobs_" + verdict)
-        result["metrics"] = metrics.snapshot()
-        if tracer.enabled:
-            root.set("verdict", verdict)
-            root.__exit__(None, None, None)
-            result["spans"] = tracer.spans()
-        return result
-
-    def verdict_of(status: Optional[bool]) -> str:
-        """The one verdict rule: a job without an answer was cancelled by
-        its client, or ran past its deadline, or is just unknown."""
-        if status is not None:
-            return VERDICT_SAT if status else VERDICT_UNSAT
-        if cancel is not None and cancel.is_set():
-            return VERDICT_CANCELLED
-        if deadline is not None and time.perf_counter() >= deadline:
-            return VERDICT_TIMEOUT
-        return VERDICT_UNKNOWN
-
-    def stopped() -> bool:
-        return verdict_of(None) != VERDICT_UNKNOWN
-
-    try:
-        config = Config(cache_dir=cache_dir).with_(**spec.config)
-    except TypeError as exc:  # pragma: no cover - validate() catches first
-        raise ValueError(str(exc))
-
-    # -- parse ---------------------------------------------------------------
     with tracer.span("job.parse", fmt=spec.fmt), metrics.timer("parse_s"):
         if spec.fmt == "anf":
-            from ..anf import parse_system
-
-            ring, polynomials = parse_system(spec.text)
-            problem = polynomials
-            emit("parsed", {"fmt": "anf", "n_vars": ring.n_vars,
-                            "n_polys": len(polynomials)})
+            problem = Problem.from_anf("job", *parse_system(spec.text))
+            parsed = {"fmt": "anf", "n_vars": problem.ring.n_vars,
+                      "n_polys": len(problem.polynomials)}
         else:
-            formula = problem = parse_dimacs(spec.text)
-            emit("parsed", {"fmt": "dimacs", "n_vars": formula.n_vars,
-                            "n_clauses": len(formula.clauses)})
-    if stopped():
-        return finish(verdict_of(None))
+            problem = Problem.from_cnf("job", parse_dimacs(spec.text))
+            parsed = {"fmt": "dimacs", "n_vars": problem.formula.n_vars,
+                      "n_clauses": len(problem.formula.clauses)}
+        if progress is not None:
+            progress("parsed", parsed)
 
-    # -- preprocess ----------------------------------------------------------
-    pre_stats: Dict[str, object] = {}
-    solution_values = None
-    if spec.preprocess:
-        from ..core.bosphorus import Bosphorus, STATUS_SAT, STATUS_UNSAT
+    outcome = solve_problem(
+        problem, config,
+        FinalSolve([spec.backend], conflict_budget=spec.conflict_budget)
+        if spec.solve else None,
+        preprocess=spec.preprocess, deadline=deadline, cancel=cancel,
+        tracer=tracer, metrics=metrics, progress=progress,
+        spans=("job.preprocess", "job.solve"),
+    )
+    if outcome.error and outcome.model_checked is None:
+        raise RuntimeError(outcome.error)  # the backend is unavailable
 
-        # The job's tracer is handed down, so the preprocessor's span
-        # tree (satlearn iterations, conversions, ...) nests under this
-        # stage; its per-run conversion counters merge into the job's
-        # registry afterwards.
-        bosph = Bosphorus(config, tracer=tracer)
-        with tracer.span("job.preprocess") as span, \
-                metrics.timer("preprocess_s"):
-            if spec.fmt == "anf":
-                pre = bosph.preprocess_anf(ring, polynomials, stopped)
-            else:
-                pre = bosph.preprocess_cnf(formula, stopped)
-            span.set("iterations", pre.iterations)
-            span.set("status", pre.status)
-        metrics.merge(bosph.metrics)
+    # ``cnf_sha256`` hashes the processed CNF (``result.cnf``), or the
+    # CNF the backend got when nothing was preprocessed.
+    stats: Dict[str, object] = {}
+    pre, cnf = outcome.result, outcome.formula
+    if pre is not None:
         cnf = pre.cnf
-        pre_stats = dict(pre.stats)
-        pre_stats["iterations"] = pre.iterations
-        pre_stats["facts"] = pre.facts.summary()
-        emit("preprocessed", {
-            "iterations": pre.iterations,
-            "status": pre.status,
-            "conversion_disk_hits": pre_stats.get("conversion_disk_hits", 0),
-            "karnaugh_disk_hits": pre_stats.get("karnaugh_disk_hits", 0),
-        })
-        if pre.status == STATUS_UNSAT:
-            return finish(VERDICT_UNSAT, stats=pre_stats, formula=cnf)
-        if pre.status == STATUS_SAT and pre.solution is not None:
-            solution_values = list(pre.solution.values)
-            return finish(VERDICT_SAT, model=solution_values,
-                          stats=pre_stats, formula=cnf)
-    elif spec.fmt == "anf":
-        from ..anf import AnfSystem
-        from ..core.anf_to_cnf import AnfToCnf
+        stats = dict(pre.stats, iterations=pre.iterations,
+                     facts=pre.facts.summary())
+    elif spec.fmt == "anf" and cnf is not None:
+        stats = {name: metrics.counter(name) for name in
+                 ("karnaugh_disk_hits", "conversion_disk_hits")}
+    if "solve" in outcome.seconds:
+        stats.update(conflicts=outcome.conflicts, backend=outcome.backend)
 
-        try:
-            system = AnfSystem(ring, polynomials)
-        except ContradictionError:
-            return finish(VERDICT_UNSAT)
-        conversion = AnfToCnf(config, tracer=tracer, metrics=metrics).convert(
-            system
-        )
-        cnf = conversion.formula
-        pre_stats = {
-            "karnaugh_disk_hits": conversion.stats.karnaugh_disk_hits,
-            "conversion_disk_hits": conversion.stats.conversion_disk_hits,
-        }
-    else:
-        cnf = formula
-    if stopped():
-        return finish(verdict_of(None), stats=pre_stats, formula=cnf)
-
-    if not spec.solve or cnf is None:
-        return finish(VERDICT_UNKNOWN, stats=pre_stats, formula=cnf)
-
-    # -- solve ---------------------------------------------------------------
-    from ..core.solution import satisfies_input
-    from ..portfolio import create_backend
-    from ..portfolio.engine import validated
-
-    backend = create_backend(spec.backend)
-    if not backend.available():
-        raise RuntimeError("backend unavailable: {}".format(backend.name))
-    emit("solving", {"backend": backend.name,
-                     "n_vars": cnf.n_vars, "n_clauses": len(cnf.clauses)})
-    with tracer.span(
-        "job.solve", backend=backend.name, n_clauses=len(cnf.clauses)
-    ) as span, metrics.timer("solve_s"):
-        # A SAT answer is checked against the job's input, not the
-        # processed CNF: the backend may be an external binary.
-        res = validated(
-            backend.solve(cnf, spec.conflict_budget, stopped),
-            lambda model: satisfies_input(model, problem),
-        )
-        verdict = verdict_of(res.status)
-        span.set("verdict", verdict)
-        span.set("conflicts", res.conflicts)
-        for name, value in (res.counters or {}).items():
-            span.set(name, value)
-    metrics.inc("backend_solves")
-    metrics.inc("backend_conflicts", res.conflicts)
-    stats = dict(pre_stats)
-    stats["conflicts"] = res.conflicts
-    stats["backend"] = backend.name
-    # The backend model covers the whole final CNF; a job answers over
-    # its input's variables only, as a preprocessing-found model does.
-    model = None if res.demoted else res.model
-    if model is not None:
-        model = model[: ring.n_vars if spec.fmt == "anf" else formula.n_vars]
-    return finish(verdict, model=model, stats=stats, formula=cnf,
-                  extra={"error": res.error} if res.demoted else None)
+    result: Dict[str, object] = {
+        "job_id": spec.job_id,
+        "verdict": outcome.name,
+        "model": outcome.model,
+        "stats": stats,
+        "seconds": time.monotonic() - started,
+    }
+    if cnf is not None:
+        result["cnf_sha256"] = _sha256_dimacs(cnf)
+        result["n_vars"] = cnf.n_vars
+        result["n_clauses"] = len(cnf.clauses)
+    if outcome.model_checked is False:
+        result["error"] = outcome.error
+    metrics.inc("jobs")
+    metrics.inc("jobs_" + outcome.name)
+    result["metrics"] = metrics.snapshot()
+    if tracer.enabled:
+        root.set("verdict", outcome.name)
+        root.__exit__(None, None, None)
+        result["spans"] = tracer.spans()
+    return result

@@ -14,8 +14,9 @@ cancel flag — and adds what a service needs on top:
   solver's per-conflict cancel check, so a cancel lands within one
   conflict;
 * **no clock of its own** — a job's ``timeout_s`` is enforced by the
-  worker itself (:func:`~repro.server.jobs.execute_job` checks it at
-  every stage boundary and inside the solve);
+  worker itself (:func:`~repro.server.jobs.execute_job` hands it to the
+  solve pipeline, which checks it at every stage boundary and inside
+  Bosphorus and the solve);
 * **the one death rule** of the slots — a job whose worker dies mid-run
   fails with ``worker-died``, one dispatched to a dying worker but never
   started is requeued, the slot respawns and keeps serving.

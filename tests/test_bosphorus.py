@@ -4,8 +4,6 @@ from repro.anf import Ring, parse_system
 from repro.core import (
     Bosphorus,
     Config,
-    preprocess_anf,
-    preprocess_cnf,
     STATUS_SAT,
     STATUS_UNKNOWN,
     STATUS_UNSAT,
@@ -133,7 +131,7 @@ def test_cnf_preprocessing_detects_parity_unsat():
     _xor_cnf(formula, [0, 1], 1)
     _xor_cnf(formula, [1, 2], 1)
     _xor_cnf(formula, [0, 2], 1)
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     assert result.status == STATUS_UNSAT
     assert result.augmented_cnf is not None
     assert [] in result.augmented_cnf.clauses
@@ -144,7 +142,7 @@ def test_cnf_preprocessing_sat_instance():
     formula.add_clause([mk_lit(0)])
     formula.add_clause([mk_lit(0, True), mk_lit(1)])
     formula.add_clause([mk_lit(1, True), mk_lit(2, True)])
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     assert result.status in (STATUS_SAT, "unknown")
     if result.solution is not None:
         assert len(result.solution.values) == 3
@@ -156,7 +154,7 @@ def test_cnf_preprocessing_sat_instance():
 def test_augmented_cnf_contains_original_clauses():
     formula = CnfFormula(3)
     formula.add_clause([mk_lit(0), mk_lit(1)])
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     if result.status == STATUS_UNSAT:
         return
     assert [mk_lit(0), mk_lit(1)] in result.augmented_cnf.clauses
@@ -166,7 +164,7 @@ def test_augmented_cnf_equisatisfiable():
     formula = CnfFormula(4)
     _xor_cnf(formula, [0, 1, 2], 1)
     formula.add_clause([mk_lit(3)])
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     solver = Solver()
     aug = result.augmented_cnf
     solver.ensure_vars(aug.n_vars)
@@ -179,7 +177,7 @@ def test_augmented_cnf_equisatisfiable():
 
 def test_convenience_wrappers():
     ring, polys = parse_system("x1 + 1")
-    result = preprocess_anf(ring, polys)
+    result = Bosphorus().preprocess_anf(ring, polys)
     assert result.status != STATUS_UNSAT
 
 
@@ -265,7 +263,7 @@ def test_augmented_cnf_stats_keys_are_all_declared():
 
     formula = CnfFormula(3)
     _xor_cnf(formula, [0, 1, 2], 1)
-    result = preprocess_cnf(formula)
+    result = Bosphorus().preprocess_cnf(formula)
     assert undeclared_stats_keys(result.stats) == []
 
 

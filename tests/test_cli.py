@@ -1,6 +1,7 @@
 """Tests for the bosphorus-py command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -277,3 +278,77 @@ def test_quiet_mode(anf_file, capsys):
     main(["--anfread", anf_file, "--verb", "0"])
     out = capsys.readouterr().out
     assert "c bosphorus-py" not in out
+
+
+def _simon_2_6(tmp_path):
+    from repro.anf import write_anf
+    from repro.ciphers import simon
+
+    inst = simon.generate_instance(2, 6, seed=1)
+    path = tmp_path / "simon.anf"
+    with open(path, "w") as f:
+        write_anf(f, inst.polynomials, inst.ring)
+    return str(path)
+
+
+def test_timeout_covers_the_whole_run(tmp_path, capsys):
+    # Bosphorus alone needs most of a second on this instance; the
+    # deadline reaches its loop, so the run stops instead of answering
+    # late, and --cnfwrite is skipped because no CNF was produced.
+    path, out_path = _simon_2_6(tmp_path), tmp_path / "out.cnf"
+    start = time.monotonic()
+    code = main(["--anfread", path, "--solve", "--timeout", "0.05",
+                 "--cnfwrite", str(out_path)])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "s UNKNOWN" in out
+    assert "c --cnfwrite skipped: the run stopped (timeout)" in out
+    assert not out_path.exists()
+    assert elapsed < 0.5
+
+
+def test_cnf_input_final_solve_gets_the_augmented_cnf(tmp_path):
+    # Paper section III-D: a CNF input's final solver gets the input
+    # augmented with the learnt facts, the formula --cnfwrite writes.
+    from repro.core.bosphorus import Bosphorus
+    from repro.satcomp.generators import pigeonhole
+    from repro.sat.dimacs import write_dimacs
+
+    formula = pigeonhole(5)
+    path, trace = tmp_path / "php5.cnf", tmp_path / "run.jsonl"
+    with open(path, "w") as f:
+        write_dimacs(f, formula)
+    argv = ["--cnfread", str(path), "--solve", "--no-sat",
+            "--maxiters", "2", "--trace", str(trace)]
+    assert main(argv) == 20
+    result = Bosphorus(
+        config_from_args(build_parser().parse_args(argv))
+    ).preprocess_cnf(formula)
+    assert result.status == "unknown"  # the loop leaves it undecided
+    assert len(result.augmented_cnf.clauses) != len(result.cnf.clauses)
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    (final,) = [s for s in spans if s["name"] == "final.solve"]
+    assert final["attrs"]["n_clauses"] == len(result.augmented_cnf.clauses)
+
+
+def test_bosphorus_model_is_checked_against_the_input(anf_file, capsys,
+                                                      monkeypatch):
+    # The paper example's unique solution, found by Bosphorus itself,
+    # with one bit flipped: the run demotes it instead of printing it.
+    from repro.core.bosphorus import Bosphorus
+
+    real = Bosphorus.preprocess_anf
+
+    def corrupted(self, ring, polynomials, stop=None):
+        result = real(self, ring, polynomials, stop)
+        result.solution.values[1] ^= 1
+        return result
+
+    monkeypatch.setattr(Bosphorus, "preprocess_anf", corrupted)
+    code = main(["--anfread", anf_file, "--solve"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "c model failed validation" in out
+    assert "s UNKNOWN" in out
+    assert not any(l.startswith("v ") for l in out.splitlines())

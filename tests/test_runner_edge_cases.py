@@ -129,3 +129,24 @@ def test_timeout_stops_bosphorus_before_it_decides():
     res = run_instance(problem, "minisat", True, timeout_s=0.05)
     assert res.verdict is None
     assert not res.decided_by_bosphorus
+
+
+def test_invalid_model_demotes_the_cell_and_fails_the_family(monkeypatch):
+    # A backend claiming SAT with the all-false model, which violates
+    # x1 + x2 + 1: the cell is unsolved, and the grid stops loudly.
+    import pytest
+
+    from repro.experiments.runner import _run_family_cell
+    from repro.portfolio import BackendResult
+
+    def liar(self, formula, conflict_budget=None, stop=None, assumptions=()):
+        return BackendResult(True, model=[0] * formula.n_vars)
+
+    monkeypatch.setattr(CdclBackend, "solve", liar)
+    ring, polys = parse_system("x1 + x2 + 1")
+    problem = Problem.from_anf("liar", ring, polys)
+    res = run_instance(problem, "minisat", False, timeout_s=5)
+    assert res.verdict is None
+    assert res.model_checked is False
+    with pytest.raises(AssertionError, match="invalid model for liar"):
+        _run_family_cell((problem, "minisat", False, 5.0, None))

@@ -254,6 +254,41 @@ def test_backend_model_is_validated_against_the_input(fmt, text, tmp_path):
     assert result["model"] is None
 
 
+#: The paper's worked example: Bosphorus finds its unique solution.
+PAPER_EXAMPLE = """\
+x1*x2 + x3 + x4 + 1
+x1*x2*x3 + x1 + x3 + 1
+x1*x3 + x3*x4*x5 + x3
+x2*x3 + x3*x5 + 1
+x2*x3 + x5 + 1
+"""
+
+
+def test_bosphorus_model_is_validated_against_the_input(monkeypatch):
+    # A model Bosphorus found passes the same input check as a
+    # backend's: the true one is reported, a corrupted one is not.
+    from repro.anf import parse_system
+    from repro.core.bosphorus import Bosphorus
+
+    result = execute_job(JobSpec(fmt="anf", text=PAPER_EXAMPLE))
+    assert result["verdict"] == "sat" and "backend" not in result["stats"]
+    _, polys = parse_system(PAPER_EXAMPLE)
+    assert all(p.evaluate(result["model"]) == 0 for p in polys)
+
+    real = Bosphorus.preprocess_anf
+
+    def corrupted(self, ring, polynomials, stop=None):
+        pre = real(self, ring, polynomials, stop)
+        pre.solution.values[1] ^= 1
+        return pre
+
+    monkeypatch.setattr(Bosphorus, "preprocess_anf", corrupted)
+    result = execute_job(JobSpec(fmt="anf", text=PAPER_EXAMPLE))
+    assert result["verdict"] == "unknown"
+    assert result["error"] == "model failed validation"
+    assert result["model"] is None
+
+
 # -- death isolation ---------------------------------------------------------
 
 
