@@ -4,7 +4,7 @@ BOSPHORUS bridges ANF (GF(2) polynomial systems) and CNF solving: XL,
 ElimLin and conflict-bounded CDCL SAT solving are iterated, with ANF
 propagation folding each technique's learnt facts back into the master
 problem, until a fixed point.  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for the paper-versus-measured results.
+where the reproduction departs from the paper's setup.
 
 Quickstart::
 

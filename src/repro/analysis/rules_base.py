@@ -35,7 +35,6 @@ class ModuleContext:
     #: separators — what rule path scoping tests against (e.g.
     #: ``repro/gf2/matrix.py``).
     modpath: str
-    source: str
     tree: ast.AST
     findings: List[Finding] = field(default_factory=list)
     func_stack: List[str] = field(default_factory=list)

@@ -77,7 +77,6 @@ def analyze_source(
     ctx = ModuleContext(
         relpath=relpath,
         modpath=_modpath(relpath),
-        source=source,
         tree=tree,
     )
     collected = run_rules(rules, ctx)

@@ -73,6 +73,14 @@ from ..sat.dimacs import CnfFormula, cut_xor, parity_clauses
 from ..sat.types import mk_lit
 from .config import Config
 
+#: Persistent-cache namespaces (:class:`repro.server.cache.CacheStore`):
+#: minimised Karnaugh covers (shape key → cubes) and whole conversions
+#: ((session history, system fingerprint) → (ConversionResult, the
+#: session's new clause-memo entries by position)).
+_KARNAUGH_NS = "karnaugh"
+_CONVERSION_NS = "conversion"
+
+
 @dataclass
 class ConversionStats:
     """Clause/variable accounting for one conversion.
@@ -132,8 +140,8 @@ class ConversionResult:
     auxiliary the session has numbered so far, so a model or a learnt
     literal of an incremental solver fed by earlier conversions
     translates too.
-    ``delta`` holds the clauses and XORs this conversion emitted that
-    its session had never emitted before.
+    ``delta`` holds the clauses this conversion emitted that its session
+    had never emitted before.
     """
 
     formula: CnfFormula
@@ -205,7 +213,7 @@ def system_fingerprint(n_vars, polynomials, state, config: Config) -> tuple:
       the constant term (the in-poly emission order is canonicalised by
       the converter itself, so the multiset is exact);
     * the variable state's unit and equivalence clauses;
-    * the conversion parameters K, L and the XOR-clause switch.
+    * the conversion parameters K and L.
 
     Masks are plain ints at any width, so the key is deterministic
     across processes and runs.
@@ -226,7 +234,6 @@ def _fingerprint(n_vars, poly_keys, state_clauses, config: Config) -> tuple:
         tuple(map(tuple, state_clauses)),
         config.karnaugh_limit,
         config.xor_cut_len,
-        config.emit_xor_clauses,
     )
 
 
@@ -279,8 +286,9 @@ class ConversionSession:
     structure-keyed cache.
 
     A fresh polynomial's encoding is recorded as a list of *items*: a
-    clause (list), an XOR ``(variables, rhs)`` (tuple) or a monomial
-    variable whose AND definition must precede what follows (int).
+    clause (list) or a monomial variable whose AND definition must
+    precede what follows (int).  The converter emits no native XOR
+    constraints: every XOR chunk becomes clauses.
     Emitting items into a formula writes each definition once per
     formula, so the whole formula and the delta come from one walk
     each, and the session's first conversion emits exactly what a
@@ -367,7 +375,7 @@ class ConversionSession:
             self._history = hashlib.sha256(
                 repr(cache_key).encode("utf-8")
             ).hexdigest()
-            cached = store.get("conversion", cache_key)
+            cached = store.get(_CONVERSION_NS, cache_key)
             if cached is not None:
                 result, fresh_at = cached
                 self._adopt(result, state_clauses)
@@ -433,7 +441,7 @@ class ConversionSession:
             delta=delta,
         )
         if cache_key is not None:
-            store.put("conversion", cache_key, (result, fresh_at))
+            store.put(_CONVERSION_NS, cache_key, (result, fresh_at))
         return result
 
     def _adopt(self, result: ConversionResult, state_clauses) -> None:
@@ -455,11 +463,8 @@ class ConversionSession:
         the first time ``formula`` needs it."""
         clauses = formula.clauses
         for item in items:
-            kind = item.__class__
-            if kind is list:
+            if item.__class__ is list:
                 clauses.append(item)
-            elif kind is tuple:
-                formula.xors.append(item)
             elif item not in defined:
                 defined.add(item)
                 clauses.extend(self._definition(item))
@@ -538,7 +543,7 @@ class ConversionSession:
             if store is not None:
                 # Disk tier: a cover minimised by any earlier run (or a
                 # sibling worker) with the same shape.
-                cubes = store.get("karnaugh", key)
+                cubes = store.get(_KARNAUGH_NS, key)
                 if cubes is not None:
                     karnaugh_cache[key] = cubes
                     self.stats.karnaugh_disk_hits += 1
@@ -547,7 +552,7 @@ class ConversionSession:
             karnaugh_cache[key] = cubes
             self.stats.karnaugh_cache_misses += 1
             if store is not None:
-                store.put("karnaugh", key, cubes)
+                store.put(_KARNAUGH_NS, key, cubes)
         support = mono.bits_of(support_mask)
         items = self._items
         for cube in cubes:
@@ -585,9 +590,6 @@ class ConversionSession:
                 y = self._monomial_var(mk)
                 items.append(y)
                 term_vars.append(y)
-        if self.config.emit_xor_clauses:
-            items.append((term_vars, rhs))
-            return
         for clause in parity_clauses(term_vars, rhs):
             items.append(clause)
             self.stats.tseitin_clauses += 1

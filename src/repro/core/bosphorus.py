@@ -76,7 +76,6 @@ class BosphorusResult:
     cnf: Optional[CnfFormula] = None
     conversion: Optional[ConversionResult] = None
     solution: Optional[Solution] = None
-    system: Optional[AnfSystem] = None
     augmented_cnf: Optional[CnfFormula] = None
     stats: Dict[str, object] = field(default_factory=dict)
 
@@ -283,7 +282,6 @@ class Bosphorus:
             cnf=conversion.formula if conversion else None,
             conversion=conversion,
             solution=solution,
-            system=system,
             stats=self._assemble_stats(technique_stats, facts, metrics),
         )
 
@@ -380,6 +378,4 @@ class Bosphorus:
                 result.stats[key] = self.metrics.counter(key)
             for clause in conv.formula.clauses:
                 augmented.add_clause(clause)
-            for variables, rhs in conv.formula.xors:
-                augmented.add_xor(variables, rhs)
         return augmented

@@ -41,13 +41,13 @@ from .config import Config
 class CnfToAnfResult:
     """ANF equivalent of a CNF formula.
 
-    ANF variable ``i`` is CNF variable ``i`` for ``i < n_cnf_vars``;
-    variables beyond that are clause-cutting auxiliaries.
+    ANF variable ``i`` is CNF variable ``i`` for every variable of the
+    formula; variables beyond its ``n_vars`` are clause-cutting
+    auxiliaries.
     """
 
     ring: Ring
     polynomials: List[Poly]
-    n_cnf_vars: int
     cut_vars: List[int] = field(default_factory=list)
 
 
@@ -132,6 +132,4 @@ def cnf_to_anf(
             ring.ensure(v)
         polys.append(Poly([(v,) for v in variables]).add_constant(rhs))
 
-    return CnfToAnfResult(
-        ring=ring, polynomials=polys, n_cnf_vars=formula.n_vars, cut_vars=cut_vars
-    )
+    return CnfToAnfResult(ring=ring, polynomials=polys, cut_vars=cut_vars)

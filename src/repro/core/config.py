@@ -51,8 +51,6 @@ class Config:
     # Failed-literal probing — the section-V "lookahead" plug-in.
     use_probing: bool = False
     probe_limit: int = 32
-    # Emit native XOR clauses alongside (for GJE-capable final solvers).
-    emit_xor_clauses: bool = False
     # Hard caps keeping the pure-Python XL matrices manageable.
     xl_max_rows: int = 6000
     xl_max_cols: int = 6000

@@ -37,7 +37,6 @@ class ProbeResult:
     facts: List[Poly] = field(default_factory=list)
     probed: int = 0
     failed_literals: int = 0
-    agreements: int = 0
     contradiction: bool = False
 
 
@@ -114,7 +113,7 @@ def run_probing(system: AnfSystem, max_probes: int = 32) -> ProbeResult:
             result.facts.append(Poly.variable(var))  # x = 0
             continue
 
-        # Both branches alive: harvest agreements on other variables.
+        # Both branches alive: harvest what both imply for other variables.
         # A variable can only have a value in a branch if that branch's
         # propagation touched it (master-determined ones are skipped
         # below), so one AND of the branch touched masks prunes the
@@ -129,13 +128,11 @@ def run_probing(system: AnfSystem, max_probes: int = 32) -> ProbeResult:
             v0 = zero_state.value(other)
             v1 = one_state.value(other)
             if v0 is not None and v0 == v1:
-                result.agreements += 1
                 result.facts.append(
                     Poly.variable(other).add_constant(v0)
                 )
             elif v0 is not None and v1 is not None and v0 != v1:
                 # other = var ⊕ v0 holds in both branches: an equivalence.
-                result.agreements += 1
                 result.facts.append(
                     Poly.variable(other)
                     + Poly.variable(var)

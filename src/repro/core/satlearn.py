@@ -34,7 +34,6 @@ from ..obs import NULL_TRACER
 from ..sat import SOLVER_COUNTERS, solver_counters
 from ..sat.solver import SAT, UNSAT, Solver, SolverConfig
 from ..sat.types import TRUE, UNDEF, lit_neg, lit_sign, lit_var
-from ..sat.xorengine import XorEngine
 from .anf_to_cnf import (
     AnfToCnf,
     ConversionResult,
@@ -89,9 +88,10 @@ def run_sat(
     passed to every loop iteration keeps its learnt clauses, activities
     and phases.  ``result.conflicts`` is this call's share.  The
     session's converter carries its own config: its conversion
-    parameters (K, L, ``emit_xor_clauses``) are the ones used —
-    ``config`` then only governs the conflict budget.  ``stop()``, asked
-    after every conflict, ends the search as an exhausted budget does.
+    parameters (K, L) are the ones used — ``config`` then only governs
+    the conflict budget.  ``stop()``, asked after every conflict, ends
+    the search as an exhausted budget does.  The converter emits
+    clauses only, so this solver never carries an XOR engine.
 
     With the converter's ``config.cache_dir`` set, each conversion is
     keyed by the session's history plus the canonical system hash
@@ -117,14 +117,7 @@ def run_sat(
             solver = session.solver = Solver(solver_config)
         before = solver_counters(solver)
         solver.ensure_vars(conversion.formula.n_vars)
-        delta = conversion.delta
-        if solver.add_clauses(delta.clauses) and delta.xors:
-            # New XORs join the bound engine, which re-eliminates the
-            # whole XOR set at level 0 when it is attached again.
-            engine = solver.xor_engine or XorEngine()
-            for variables, rhs in delta.xors:
-                engine.add_xor(variables, rhs)
-            solver.attach_xor_engine(engine)
+        solver.add_clauses(conversion.delta.clauses)
         # A solver made UNSAT while adding answers UNSAT at once.
         status = solver.solve(conflict_budget=budget, stop=stop)
         counters = solver_counters(solver)

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..obs import NULL_TRACER
 from ..portfolio.backends import SolverBackend, create_backend
 from ..portfolio.engine import STATUS_UNSAT, PortfolioResult, conquer
 from ..sat.dimacs import CnfFormula
-from ..sat.solver import SAT, UNSAT
+from ..sat.solver import UNSAT
 from .splitter import split_formula
 
 
@@ -55,7 +55,6 @@ class CubeOutcome(PortfolioResult):
     :class:`~repro.portfolio.engine.PortfolioResult` (one stats row and
     one result per cube) plus the split's fields."""
 
-    sat_cube: Optional[Tuple[int, ...]] = None
     n_cubes: int = 0
     n_refuted_at_split: int = 0
     #: True when UNSAT came from the whole-formula shortcut (or the
@@ -144,15 +143,13 @@ class CubeConqueror:
 
     def _conquer(self, outcome, formula, cubes, deadline,
                  conflict_budget) -> None:
-        win = conquer(
+        conquer(
             outcome, formula, cubes,
             [b for b in self.backends if b.available()], self.jobs,
             self.validate, deadline, conflict_budget, self.tracer,
             span="cube.solve",
         )
-        if outcome.verdict is SAT:
-            outcome.sat_cube = outcome.stats[win].cube
-        elif outcome.verdict is UNSAT:
+        if outcome.verdict is UNSAT:
             outcome.global_unsat = True
         elif outcome.results and all(
             r is not None and r.status is UNSAT for r in outcome.results

@@ -20,14 +20,12 @@ Two splitters share the :class:`CubeSet` output shape:
   ``refuted``), propagation-implied variables are never branched on, and
   each node branches on the best-ranked variable still unassigned *in
   that subtree* — so different cubes may split on different variables.
-  Root-level propagation also yields ``forced`` units, which hold in
-  every model of the formula.
 
 XOR constraints are expanded for the lookahead walk, but branching
-variables and forced units are always restricted to the *original*
-formula's variables: cubes travel to backends as assumptions (or
-appended units) against the unexpanded formula, where expansion-local
-auxiliaries would be meaningless.
+variables are always restricted to the *original* formula's variables:
+cubes travel to backends as assumptions (or appended units) against the
+unexpanded formula, where expansion-local auxiliaries would be
+meaningless.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import List, Sequence, Tuple
 
 from ..sat.dimacs import CnfFormula, expand_xors
 from ..sat.solver import Solver
-from ..sat.types import UNDEF, lit_var, mk_lit
+from ..sat.types import UNDEF, mk_lit
 
 #: Cap on emitted cubes — a depth-d split wants 2**d leaves, so depth is
 #: clamped to keep the schedule bounded no matter what the caller asks.
@@ -51,16 +49,14 @@ class CubeSet:
     ``cubes`` are the open leaves (tuples of encoded literals) to be
     conquered; ``refuted`` are branches the splitter already closed by
     unit propagation — they count as refuted cubes in the UNSAT
-    aggregation, no solver call needed.  ``forced`` are root-level
-    propagation units over the original variables (global facts).
-    ``root_unsat`` short-circuits everything: the formula died during
-    clause loading or root propagation.
+    aggregation, no solver call needed.  ``root_unsat`` short-circuits
+    everything: the formula died during clause loading or root
+    propagation.
     """
 
     cubes: List[Tuple[int, ...]] = field(default_factory=list)
     refuted: List[Tuple[int, ...]] = field(default_factory=list)
     variables: List[int] = field(default_factory=list)
-    forced: List[int] = field(default_factory=list)
     root_unsat: bool = False
 
 def occurrence_scores(formula: CnfFormula) -> List[float]:
@@ -115,12 +111,9 @@ def _lookahead_split(formula: CnfFormula, depth: int) -> CubeSet:
         return CubeSet(root_unsat=True)
     if solver.propagate() is not None:
         return CubeSet(root_unsat=True)
-    forced = [
-        lit for lit in solver.level0_literals() if lit_var(lit) < formula.n_vars
-    ]
     # Branching candidates: original variables only (see module docstring).
     order = [v for v in _ranked_vars(plain) if v < formula.n_vars]
-    out = CubeSet(forced=forced)
+    out = CubeSet()
     used: set = set()
     _descend(solver, order, depth, [], out, used)
     out.variables = sorted(used)

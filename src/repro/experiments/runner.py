@@ -32,10 +32,8 @@ class RunResult:
 
     verdict: Optional[bool]  # True SAT / False UNSAT / None unsolved
     seconds: float
-    bosphorus_seconds: float = 0.0
     conflicts: int = 0
     model_checked: Optional[bool] = None
-    decided_by_bosphorus: bool = False
 
 
 def run_instance(
@@ -51,12 +49,9 @@ def run_instance(
         problem, bosphorus_config or Config(), FinalSolve([personality]),
         preprocess=use_bosphorus, deadline=start + timeout_s,
     )
-    pre = outcome.result
     return RunResult(
-        outcome.verdict, time.monotonic() - start,
-        outcome.seconds.get("preprocess", 0.0), outcome.conflicts,
+        outcome.verdict, time.monotonic() - start, outcome.conflicts,
         outcome.model_checked,
-        decided_by_bosphorus=pre is not None and (pre.is_unsat or pre.is_sat),
     )
 
 

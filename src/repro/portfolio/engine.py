@@ -260,9 +260,9 @@ def conquer(
     conflict_budget: Optional[int],
     tracer,
     span: str = "portfolio.backend",
-) -> Optional[int]:
+) -> None:
     """Solve ``formula`` under each of ``cubes`` on ``backends`` (all
-    available) and fill ``outcome``; returns the winning cube's index.
+    available) and fill ``outcome``.
 
     The cubes are dealt round-robin into ``n = min(max(jobs,
     len(backends)), len(cubes))`` chains: chain ``k`` holds cubes ``k,
@@ -276,7 +276,7 @@ def conquer(
     :func:`arbitrate`.
     """
     if not cubes or not backends:
-        return None
+        return
     jobs = jobs if jobs is not None else default_jobs()
     n = min(max(jobs, len(backends)), len(cubes))
     chains = [
@@ -338,7 +338,6 @@ def conquer(
         outcome.model = outcome.results[win].model
         outcome.winner = names[win]
         outcome.stats[win].won = True
-    return win
 
 
 class PortfolioRunner:

@@ -28,17 +28,15 @@ class PreprocessResult:
         clauses: the simplified clause list (internal literals).
         n_vars: variable count (unchanged; eliminated vars just vanish
             from clauses).
-        elim_stack: ``(var, clauses)`` entries, in elimination order, used
-            by :meth:`Preprocessor.extend_model`.
-        fixed: literals fixed by the preprocessor (units found).
+
+    Model reconstruction reads the preprocessor's own elimination stack
+    (:meth:`Preprocessor.extend_model`).
     """
 
-    def __init__(self, status, clauses, n_vars, elim_stack, fixed):
+    def __init__(self, status, clauses, n_vars):
         self.status = status
         self.clauses = clauses
         self.n_vars = n_vars
-        self.elim_stack = elim_stack
-        self.fixed = fixed
 
 
 def _signature(clause: Tuple[int, ...]) -> int:
@@ -58,7 +56,7 @@ class Preprocessor:
         self._occ: Dict[int, Set[int]] = {}
         self._assign: List[int] = [UNDEF] * n_vars
         self._units: List[int] = []
-        self._elim_stack: List[Tuple[int, List[Tuple[int, ...]]]] = []
+        self._eliminated: List[Tuple[int, List[Tuple[int, ...]]]] = []
         self._touched: Set[int] = set()
         self._contradiction = False
         for c in clauses:
@@ -208,7 +206,7 @@ class Preprocessor:
         saved = [self._clauses[c] for c in pos + neg]
         for c in pos + neg:
             self._remove(c)
-        self._elim_stack.append((var, [s for s in saved if s is not None]))
+        self._eliminated.append((var, [s for s in saved if s is not None]))
         self._assign[var] = UNDEF  # stays unassigned; model extension sets it
         for r in resolvents:
             self._add(r)
@@ -231,11 +229,11 @@ class Preprocessor:
             if not changed:
                 break
         if self._contradiction:
-            return PreprocessResult(False, [], self.n_vars, self._elim_stack, list(self._units))
+            return PreprocessResult(False, [], self.n_vars)
         clauses = [list(c) for c in self._clauses if c is not None]
         for lit in self._units:
             clauses.append([lit])
-        return PreprocessResult(True, clauses, self.n_vars, self._elim_stack, list(self._units))
+        return PreprocessResult(True, clauses, self.n_vars)
 
     # -- model reconstruction -------------------------------------------------
 
@@ -251,7 +249,7 @@ class Preprocessor:
         for v in range(len(out)):
             if out[v] == UNDEF:
                 out[v] = FALSE
-        for var, saved in reversed(self._elim_stack):
+        for var, saved in reversed(self._eliminated):
             # Find the polarity of var that satisfies all saved clauses.
             need_true = False
             need_false = False

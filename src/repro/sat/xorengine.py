@@ -80,13 +80,14 @@ class XorEngine:
             return
         var_list = sorted({v for x in self.xors for v in x.vars})
         col_of = {v: i for i, v in enumerate(var_list)}
-        ncols = len(var_list) + 1  # last column is the rhs
-        m = GF2Matrix(len(self.xors), ncols)
-        for i, x in enumerate(self.xors):
-            for v in x.vars:
-                m.set(i, col_of[v], 1)  # repro: allow[MASK-PATH] XOR blocks are tiny (a few vars per clause); a bulk scatter would not pay here
-            if x.rhs:
-                m.set(i, len(var_list), 1)  # repro: allow[MASK-PATH] same tiny per-clause rhs bit as above
+        # One row per XOR: its columns, plus the last (rhs) column if set.
+        m = GF2Matrix.from_rows(
+            [
+                [col_of[v] for v in x.vars] + ([len(var_list)] if x.rhs else [])
+                for x in self.xors
+            ],
+            len(var_list) + 1,
+        )
         eliminate(m, max_cols=len(var_list))
         new_xors: List[XorClause] = []
         for i in range(m.n_rows):

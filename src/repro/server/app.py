@@ -6,7 +6,9 @@ the :class:`~repro.server.pool.WorkerPool`, whose callback threads are
 bridged onto the event loop with ``call_soon_threadsafe`` — the loop
 never blocks on a solve.  Each connection gets an outbox queue drained
 by a writer task, so events stay strictly ordered per connection even
-when many jobs finish at once.
+when many jobs finish at once.  The server sends only replies and job
+events: a ``stats`` request gets one snapshot, and nothing is pushed
+unasked.
 
 Disconnect semantics: jobs submitted on a connection that drops are
 cooperatively cancelled — an unattended client must not keep burning
@@ -100,9 +102,6 @@ class SolverServer:
         loop = asyncio.get_running_loop()
         outbox: asyncio.Queue = asyncio.Queue()
         live_jobs: Set[int] = set()
-        # At most one periodic stats watcher per connection; holds the
-        # task under key "task" so _handle_request can replace/stop it.
-        watcher: Dict[str, asyncio.Task] = {}
         writer_task = asyncio.ensure_future(self._drain(outbox, writer))
         connection = asyncio.current_task()
         self._connections.add(connection)
@@ -119,7 +118,7 @@ class SolverServer:
                 if not line.strip():
                     continue
                 try:
-                    self._handle_request(line, post, live_jobs, watcher)
+                    self._handle_request(line, post, live_jobs)
                 except protocol.ProtocolError as exc:
                     post(protocol.event("error", error=str(exc)))
         except (ConnectionResetError, asyncio.IncompleteReadError,
@@ -132,23 +131,18 @@ class SolverServer:
             self._connections.discard(connection)
             for job_id in list(live_jobs):
                 self.pool.cancel(job_id)
-            for task in (watcher.pop("task", None), writer_task):
-                if task is None:
-                    continue
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+            writer_task.cancel()
+            try:
+                await writer_task
+            except asyncio.CancelledError:
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    def _handle_request(
-        self, line: bytes, post, live_jobs: Set[int], watcher
-    ) -> None:
+    def _handle_request(self, line: bytes, post, live_jobs: Set[int]) -> None:
         message = protocol.decode_line(line)
         op = protocol.parse_request(message)
         if op == "ping":
@@ -156,15 +150,6 @@ class SolverServer:
             return
         if op == "stats":
             post(protocol.event("stats", **self._stats_snapshot()))
-            if "watch" in message:
-                old = watcher.pop("task", None)
-                if old is not None:
-                    old.cancel()
-                interval = float(message["watch"])
-                if interval > 0:
-                    watcher["task"] = asyncio.ensure_future(
-                        self._watch_stats(interval, post)
-                    )
             return
         if op == "cancel":
             ok = self.pool.cancel(message["job"])
@@ -197,14 +182,6 @@ class SolverServer:
         stats = dict(self.pool.stats())
         stats["cache_dir"] = self.pool.cache_dir
         return stats
-
-    async def _watch_stats(self, interval: float, post) -> None:
-        """Per-connection periodic metrics feed (``stats`` with
-        ``watch`` set): one snapshot event every ``interval`` seconds
-        until cancelled (watch replaced/stopped, or disconnect)."""
-        while True:
-            await asyncio.sleep(interval)
-            post(protocol.event("stats", watch=True, **self._stats_snapshot()))
 
     @staticmethod
     async def _drain(
@@ -306,16 +283,8 @@ class ServerClient:
         await self._send({"op": "ping"})
         await self._read_until(lambda e: e.get("event") == "pong")
 
-    async def stats(
-        self, watch: Optional[float] = None
-    ) -> Dict[str, object]:
-        """One stats snapshot; ``watch=<seconds>`` also (re)starts the
-        server-side periodic feed (``watch=0`` stops it)."""
-        message: Dict[str, object] = {"op": "stats"}
-        if watch is not None:
-            message["watch"] = watch
-        await self._send(message)
-        return await self._read_until(
-            lambda e: e.get("event") == "stats" and not e.get("watch")
-        )
+    async def stats(self) -> Dict[str, object]:
+        """One stats snapshot."""
+        await self._send({"op": "stats"})
+        return await self._read_until(lambda e: e.get("event") == "stats")
 

@@ -17,9 +17,9 @@ gives those caches a disk tier that survives restarts:
   key; a version bump, a key-hash collision, a truncated write or any
   other corruption degrades to a *miss*, never a crash or a wrong hit.
 
-The store holds no open handles and no in-memory state beyond counters,
-so one instance is safe to share across forks (each process re-opens
-entry files on demand).
+The store holds no open handles and no in-memory state beyond a
+temp-file name counter, so one instance is safe to share across forks
+(each process re-opens entry files on demand).
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ from typing import Any, Optional
 #: Bump when the entry layout or any cached value's semantics change:
 #: old entries then read back as misses and are rewritten.
 CACHE_VERSION = 2
-
-#: Namespace for minimised Karnaugh cube covers (shape_key → cubes).
-NS_KARNAUGH = "karnaugh"
-#: Namespace for whole conversion results ((session history, system hash)
-#: → (ConversionResult, the session's new clause-memo entries by position)).
-NS_CONVERSION = "conversion"
 
 
 def content_key(obj: Any) -> str:
@@ -61,8 +55,6 @@ class CacheStore:
 
     def __init__(self, root: str):
         self.root = os.fspath(root)
-        self.hits = 0
-        self.misses = 0
         self._seq = 0
 
     # -- paths ---------------------------------------------------------------
@@ -90,7 +82,6 @@ class CacheStore:
             # (UnpicklingError, EOFError, ValueError, struct.error,
             # AttributeError, ...) — every shape of corruption is the
             # same miss.
-            self.misses += 1
             return None
         if (
             not isinstance(entry, dict)
@@ -98,9 +89,7 @@ class CacheStore:
             or entry.get("key") != key
             or "value" not in entry
         ):
-            self.misses += 1
             return None
-        self.hits += 1
         return entry["value"]
 
     def put(self, namespace: str, key: Any, value: Any) -> bool:
@@ -134,7 +123,3 @@ class CacheStore:
                 pass
             return False
         return True
-
-    def stats(self) -> dict:
-        """Process-local hit/miss counters (not persisted)."""
-        return {"hits": self.hits, "misses": self.misses}

@@ -16,11 +16,8 @@ Client → server requests carry an ``op``:
   correlate.
 * ``{"op": "cancel", "job": <id>}`` — cooperative cancellation.
 * ``{"op": "ping"}`` / ``{"op": "stats"}`` — liveness / pool counters
-  (including the pool's merged ``metrics`` snapshot).  ``stats`` with
-  ``"watch": <seconds>`` additionally starts a periodic per-connection
-  metrics feed — a ``stats`` event (tagged ``"watch": true``) every
-  interval until ``{"op": "stats", "watch": 0}`` or disconnect; a new
-  ``watch`` replaces the previous one.
+  (including the pool's merged ``metrics`` snapshot).  Each ``stats``
+  request gets exactly one ``stats`` event; other fields are ignored.
 
 Server → client events carry an ``event``:
 
@@ -93,16 +90,6 @@ def parse_request(message: Dict[str, object]) -> str:
         )
     if op == "cancel" and not isinstance(message.get("job"), int):
         raise ProtocolError("cancel needs an integer 'job' id")
-    if op == "stats" and "watch" in message:
-        watch = message["watch"]
-        if (
-            isinstance(watch, bool)
-            or not isinstance(watch, (int, float))
-            or watch < 0
-        ):
-            raise ProtocolError(
-                "'watch' must be a non-negative number of seconds"
-            )
     return op
 
 

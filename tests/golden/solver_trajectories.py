@@ -37,6 +37,7 @@ from repro.sat import (
     XorEngine,
     lingeling_config,
     minisat_config,
+    parse_dimacs,
 )
 from repro.sat.types import mk_lit
 from repro.satcomp.generators import pigeonhole, random_ksat
@@ -92,13 +93,11 @@ def _solve(formula, config=None) -> Dict[str, object]:
 
 
 def _simon_xor(plaintexts, rounds):
-    # Karnaugh limit 2 sends every longer XOR chunk to a native x-line.
-    inst = simon.generate_instance(plaintexts, rounds, seed=9)
-    config = Config(karnaugh_limit=2, emit_xor_clauses=True)
-    conv = AnfToCnf(config).convert_polynomials(
-        inst.polynomials, n_vars=inst.ring.n_vars
-    )
-    return conv.formula
+    # A Simon encoding whose longer XOR chunks are native x-lines (see
+    # the fixture's header comments).
+    name = "simon_xor_{}x{}.cnf".format(plaintexts, rounds)
+    with open(os.path.join(os.path.dirname(FIXTURE), name)) as f:
+        return parse_dimacs(f.read())
 
 
 def _solve_with_xors(formula, **kwargs):
@@ -205,12 +204,16 @@ def incremental_trailing_units():
 
 def lookahead_split():
     # Depth 7 on this instance closes 26 branches by propagation alone.
-    cubes = split_formula(random_ksat(100, 426, seed=0), depth=7)
+    formula = random_ksat(100, 426, seed=0)
+    cubes = split_formula(formula, depth=7)
+    root = _load(formula, proof=False)
+    root.propagate()
     return {
         "cubes": [list(c) for c in cubes.cubes],
         "refuted": [list(c) for c in cubes.refuted],
         "variables": cubes.variables,
-        "forced": cubes.forced,
+        # The literals root propagation fixes, which no cube branches on.
+        "forced": root.level0_literals(),
         "root_unsat": cubes.root_unsat,
     }
 

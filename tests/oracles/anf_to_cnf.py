@@ -129,9 +129,6 @@ class ScalarContext:
                 term_vars.append(m[0])
             else:
                 term_vars.append(self._monomial_var(m))
-        if self.config.emit_xor_clauses:
-            self.formula.add_xor(term_vars, rhs)
-            return
         n = len(term_vars)
         # Forbid every assignment whose parity differs from rhs:
         # 2**(n-1) clauses of n literals each.

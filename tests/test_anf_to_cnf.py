@@ -147,11 +147,13 @@ def test_contradiction_yields_empty_clause():
     assert [] in conv.formula.clauses
 
 
-def test_emit_xor_clauses_native():
+def test_uncut_wide_xor_enumerates_parity_clauses():
+    # Tseitin path, no cutting: the 9-term XOR becomes its 2**8 parity
+    # clauses, never a native x-line.
     polys = polys_of("x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + 1")
-    cfg = Config(karnaugh_limit=2, xor_cut_len=30, emit_xor_clauses=True)
+    cfg = Config(karnaugh_limit=2, xor_cut_len=30)
     conv = AnfToCnf(cfg).convert_polynomials(polys, n_vars=10)
-    assert conv.formula.xors, "expected native xor output"
+    assert not conv.formula.xors and len(conv.formula.clauses) == 2 ** 8
     want = anf_models(polys, 10)
     got = cnf_models(conv.formula, 10)
     assert got == want
@@ -226,12 +228,12 @@ def random_polys(seed, n=8, max_deg=3):
 @pytest.mark.parametrize("seed", range(12))
 def test_mask_path_matches_scalar_differentially(seed):
     """The mask-native converter is bit-for-bit the seed scalar path on
-    random systems, across K/L/emit_xor settings."""
+    random systems, across K/L settings."""
     polys = random_polys(seed)
     if not polys:
         return
-    for k, cut, emit in [(2, 3, False), (8, 5, False), (3, 4, True), (8, 3, True)]:
-        cfg = Config(karnaugh_limit=k, xor_cut_len=cut, emit_xor_clauses=emit)
+    for k, cut in [(2, 3), (8, 5), (3, 4), (8, 3)]:
+        cfg = Config(karnaugh_limit=k, xor_cut_len=cut)
         fast = AnfToCnf(cfg).convert_polynomials(polys, n_vars=8)
         scalar = convert_polynomials_scalar(polys, n_vars=8, config=cfg)
         assert_conversions_identical(fast, scalar)
@@ -340,25 +342,6 @@ def test_xor_cut_len_2_terminates_and_is_clamped():
             Config(xor_cut_len=2, karnaugh_limit=k)
         ).convert_polynomials(polys, n_vars=8)
         assert cnf_models(conv.formula, 8) == want
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_emit_xor_on_off_equisatisfiable(seed):
-    """Native-XOR output and clause-enumerated output agree on the
-    projected model set."""
-    polys = random_polys(seed, n=6, max_deg=2)
-    if not polys:
-        return
-    want = None
-    for emit in (False, True):
-        cfg = Config(karnaugh_limit=2, xor_cut_len=4, emit_xor_clauses=emit)
-        conv = AnfToCnf(cfg).convert_polynomials(polys, n_vars=6)
-        got = cnf_models(conv.formula, 6)
-        if want is None:
-            want = got
-        else:
-            assert got == want
-    assert want == anf_models(polys, 6)
 
 
 def test_karnaugh_cache_shared_across_conversions():

@@ -1,6 +1,6 @@
 """End-to-end tests for the Bosphorus workflow (paper sections II-E, III)."""
 
-from repro.anf import Ring, parse_system
+from repro.anf import Poly, Ring, parse_system
 from repro.core import (
     Bosphorus,
     Config,
@@ -94,7 +94,7 @@ def test_groebner_technique_optional():
     result = Bosphorus(cfg).preprocess_anf(ring, polys)
     # Buchberger alone derives the units.
     assert result.status != STATUS_UNSAT
-    assert result.system.state.value(1) == 1
+    assert Poly.variable(1).add_constant(1) in result.processed_anf
 
 
 def test_output_cnf_solvable_to_same_answer():

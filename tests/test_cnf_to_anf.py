@@ -93,8 +93,8 @@ def test_variable_mapping_is_identity():
     formula = CnfFormula(5)
     formula.add_clause([mk_lit(4), mk_lit(2, True)])
     result = cnf_to_anf(formula)
-    assert result.n_cnf_vars == 5
     assert result.ring.n_vars >= 5
+    assert result.polynomials == [clause_to_poly([mk_lit(4), mk_lit(2, True)])]
 
 
 def test_clause_to_poly_mask_matches_tuple_oracle():
@@ -226,9 +226,10 @@ def _cnf_models(formula):
     return models
 
 
-def _anf_solutions(result):
-    """The ANF's solutions projected to the CNF variables, as masks."""
-    n, total = result.n_cnf_vars, result.ring.n_vars
+def _anf_solutions(result, n):
+    """The ANF's solutions projected to the first ``n`` (the CNF's)
+    variables, as masks."""
+    total = result.ring.n_vars
     polys = [p.masks for p in result.polynomials]
     projected = set()
     for a in range(1 << total):
@@ -277,7 +278,7 @@ def test_xor_recovery_matches_brute_force(seed):
     models = _cnf_models(formula)
 
     # Same solutions over the CNF variables, clause cutting included.
-    assert _anf_solutions(cnf_to_anf(formula)) == models
+    assert _anf_solutions(cnf_to_anf(formula), formula.n_vars) == models
 
     # Without cutting the output is exactly: one linear polynomial per
     # complete group, one clause polynomial per clause the groups do not

@@ -126,8 +126,7 @@ def test_first_sat_cancels_sibling_cubes():
                          mode="occurrence")
     outcome = conq.run(sat_micro(), timeout_s=20)
     assert outcome.verdict is True
-    assert outcome.sat_cube == outcome.stats[0].cube
-    assert outcome.stats[0].status == "sat"
+    assert outcome.stats[0].won and outcome.stats[0].status == "sat"
     assert [s.status for s in outcome.stats[1:]] == [STATUS_CANCELLED] * 3
     assert sum(s.cancelled for s in outcome.stats) == 3
 

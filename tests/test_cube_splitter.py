@@ -1,11 +1,12 @@
 """Cube splitter: the emitted cubes (plus split-time refuted branches)
-must partition the branching space, forced units must be global facts,
-and both modes must stay inside the original formula's variables."""
+must partition the branching space, the lookahead walk never branches
+on a variable root propagation fixed, and both modes must stay inside
+the original formula's variables."""
 
 import pytest
 
 from repro.cube import DEFAULT_MAX_CUBES, occurrence_scores, split_formula
-from repro.sat import CnfFormula, Solver, parse_dimacs
+from repro.sat import CnfFormula, parse_dimacs
 from repro.sat.types import lit_var, mk_lit
 from repro.satcomp.generators import pigeonhole
 
@@ -71,23 +72,16 @@ def test_lookahead_prunes_refuted_branches():
     f.add_clause([mk_lit(0)])  # unit: x0 true -> everything true
     cs = split_formula(f, 2, mode="lookahead")
     # Root propagation fixes every variable: nothing left to branch on.
-    assert cs.cubes == [()]
-    assert sorted(lit_var(l) for l in cs.forced) == [0, 1, 2, 3]
+    assert cs.cubes == [()] and cs.variables == []
 
 
-def test_lookahead_forced_units_are_global_facts():
+def test_lookahead_never_branches_on_root_forced_variables():
     f = chain_formula(5)
     f.add_clause([mk_lit(2)])  # x2 true forces x3, x4
     cs = split_formula(f, 2, mode="lookahead")
-    forced_vars = {lit_var(l) for l in cs.forced}
-    assert {2, 3, 4} <= forced_vars
-    # Each forced literal holds in every model: asserting its negation
-    # is UNSAT.
-    for lit in cs.forced:
-        solver = Solver()
-        solver.ensure_vars(f.n_vars)
-        ok = all(solver.add_clause(list(c)) for c in f.clauses)
-        assert ok and solver.solve(assumptions=[lit ^ 1]) is False
+    assert cs.cubes and set(cs.variables) <= {0, 1}
+    for leaf in cs.cubes + cs.refuted:
+        assert all(lit_var(l) < 2 for l in leaf)
 
 
 def test_root_unsat_short_circuits():
@@ -117,7 +111,6 @@ def test_xor_formulas_branch_on_original_vars_only():
     cs = split_formula(f, 3, mode="lookahead")
     for leaf in cs.cubes + cs.refuted:
         assert all(lit_var(l) < 6 for l in leaf)
-    assert all(lit_var(l) < 6 for l in cs.forced)
 
 
 def test_bad_mode_and_depth_are_rejected():

@@ -127,13 +127,6 @@ def test_run_instance_cnf_unsat_by_bosphorus():
     assert res.verdict is False
 
 
-def test_run_instance_reports_bosphorus_time():
-    problem = simon_problems(count=1, n_plaintexts=1, rounds=2, seed=5)[0]
-    res = run_instance(problem, "minisat", True, timeout_s=20,
-                       bosphorus_config=FAST)
-    assert res.bosphorus_seconds >= 0.0
-
-
 def test_run_block_and_format():
     problems = sr_problems(count=1, n_rounds=1, r=1, c=2, e=4, seed=2)
     block = run_block("SR-[1,1,2,4]", problems, timeout_s=20,

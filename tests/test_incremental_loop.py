@@ -288,10 +288,6 @@ def test_invalid_in_process_model_raises():
 
 HARNESS_CONFIGS = {
     "xl-elimlin": (_loop_config(use_xl=True, use_elimlin=True), None),
-    "xor-clauses": (
-        _loop_config(use_xl=True, use_elimlin=True, emit_xor_clauses=True),
-        None,
-    ),
     "seeded-inner": (
         _loop_config(use_xl=True, use_elimlin=True),
         SolverConfig(seed=7),
@@ -318,10 +314,9 @@ def test_loop_differential_against_brute_force(mode):
         for fact in result.facts.polynomials():
             for bits in solutions:
                 assert fact.evaluate(bits) == 0, (mode, seed, fact)
-        if not config.emit_xor_clauses:
-            assert _projected_models(result.cnf, N, result.conversion) == {
-                tuple(s) for s in solutions
-            }, (mode, seed)
+        assert _projected_models(result.cnf, N, result.conversion) == {
+            tuple(s) for s in solutions
+        }, (mode, seed)
     assert long_runs >= 6, long_runs
 
 
@@ -401,16 +396,14 @@ def test_job_solve_span_records_solver_counters():
     assert "restarts" in attrs and "learnts" in attrs
 
 
-@pytest.mark.parametrize("emit_xor_clauses", [False, True])
-def test_warm_solver_takes_new_clauses_and_xors(emit_xor_clauses):
+def test_warm_solver_takes_new_clauses():
     # Two systems through one session: the second one's contradiction is
-    # in its delta alone (a new XOR line when emit_xor_clauses is on,
-    # re-eliminated with the engine's earlier XORs).
-    config = Config(karnaugh_limit=2, emit_xor_clauses=emit_xor_clauses)
+    # in its delta alone, and the converter emits clauses only.
+    config = Config(karnaugh_limit=2)
     session = AnfToCnf(config).session()
     first = run_sat(_system("x0 + x1 + x2 + x3\n"), config, session=session)
     assert first.status is SAT
-    assert bool(first.conversion.delta.xors) == emit_xor_clauses
+    assert first.conversion.delta.clauses and not first.conversion.delta.xors
     second = run_sat(
         _system("x0 + x1 + x2 + x3\nx0 + x1 + x2 + x3 + 1\n"),
         config,

@@ -26,7 +26,6 @@ from repro.core import (
     reconstruct_model,
 )
 from repro.sat import Solver
-from repro.sat.xorengine import XorEngine
 
 #: Widths straddling the 64-bit limb boundary plus a two-limb width.
 WIDTHS = [63, 64, 65, 128]
@@ -74,24 +73,16 @@ def anf_case(draw, width):
     config = Config(
         karnaugh_limit=draw(st.sampled_from([2, 8])),
         xor_cut_len=draw(st.sampled_from([2, 3, 5])),
-        emit_xor_clauses=draw(st.booleans()),
     )
     return support, polys, config
 
 
 def solve_formula(formula):
-    """Run the CDCL solver (with the XOR engine when needed) to a verdict."""
+    """Run the CDCL solver to a verdict."""
     solver = Solver()
     solver.ensure_vars(formula.n_vars)
     for clause in formula.clauses:
         if not solver.add_clause(clause):
-            return False, solver
-    if formula.xors:
-        engine = XorEngine()
-        for variables, rhs in formula.xors:
-            engine.add_xor(variables, rhs)
-        solver.attach_xor_engine(engine)
-        if not solver.ok:
             return False, solver
     return solver.solve(), solver
 

@@ -32,7 +32,6 @@ def test_unsat_anf_input_with_bosphorus():
     res = run_instance(problem, "minisat", True, timeout_s=5,
                        bosphorus_config=FAST)
     assert res.verdict is False
-    assert res.decided_by_bosphorus
 
 
 def test_timeout_returns_none_verdict():
@@ -128,7 +127,6 @@ def test_timeout_stops_bosphorus_before_it_decides():
     problem = Problem.from_anf("simon-2-6", inst.ring, inst.polynomials)
     res = run_instance(problem, "minisat", True, timeout_s=0.05)
     assert res.verdict is None
-    assert not res.decided_by_bosphorus
 
 
 def test_invalid_model_demotes_the_cell_and_fails_the_family(monkeypatch):

@@ -39,8 +39,8 @@ def test_unit_propagation():
     pre = Preprocessor(3, [[mk_lit(0)], [mk_lit(0, True), mk_lit(1)]])
     result = pre.run()
     assert result.status is True
-    assert mk_lit(0) in result.fixed
-    assert mk_lit(1) in result.fixed
+    assert [mk_lit(0)] in result.clauses
+    assert [mk_lit(1)] in result.clauses
 
 
 def test_unit_conflict_detected():

@@ -148,50 +148,28 @@ def test_ping_stats_and_protocol_errors(tmp_path):
     asyncio.run(run())
 
 
-def test_stats_watch_feed():
-    def watched(e):
-        return e.get("event") == "stats" and e.get("watch") is True
-
-    def error(e):
-        return e.get("event") == "error" and "job" not in e
+def test_stats_answers_one_snapshot_and_ignores_watch():
+    # The server keeps no periodic feed: a stats request gets exactly one
+    # snapshot, and a "watch" field (any value) is ignored.
+    def stats(e):
+        return e.get("event") == "stats"
 
     async def run():
         async with SolverServer(jobs=1) as server:
             async with await ServerClient.connect(
                 server.host, server.port
             ) as client:
-                await client.stats(watch=0.05)
-                for _ in range(2):
-                    ev = await asyncio.wait_for(client._read_until(watched), 10)
-                    assert ev["workers"] == 1
-
-                # A second watch replaces the first.  Every event of the
-                # old feed precedes the reply, so what follows is the new
-                # feed's: two events take at least two slow intervals.
-                await client.stats(watch=0.3)
-                client._buffer.clear()
-                t0 = time.monotonic()
-                for _ in range(2):
-                    await asyncio.wait_for(client._read_until(watched), 10)
-                assert time.monotonic() - t0 >= 0.5
-
-                # watch=0 stops the feed.
-                await client.stats(watch=0.05)
-                await client.stats(watch=0)
-                client._buffer.clear()
-                await asyncio.sleep(0.3)
-                await client.ping()
-                assert not any(watched(e) for e in client._buffer)
-
-                # A negative or boolean watch is a protocol error, and the
-                # connection stays up.
-                for bad in (b'{"op": "stats", "watch": -1}\n',
-                            b'{"op": "stats", "watch": true}\n'):
-                    client._writer.write(bad)
+                for line in (b'{"op": "stats", "watch": 0.05}\n',
+                             b'{"op": "stats", "watch": -1}\n'):
+                    client._writer.write(line)
                     await client._writer.drain()
-                    ev = await client._read_until(error)
-                    assert "watch" in ev["error"]
+                    ev = await asyncio.wait_for(client._read_until(stats), 10)
+                    assert ev["workers"] == 1
+                    assert "watch" not in ev
+                await asyncio.sleep(0.2)
                 await client.ping()
+                assert not [e for e in client._buffer
+                            if stats(e) or e.get("event") == "error"]
 
     asyncio.run(run())
 

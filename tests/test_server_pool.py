@@ -190,8 +190,8 @@ def test_spec_validation_rejects_bad_jobs():
 def test_spec_validation_rejects_removed_overrides():
     # The loop's SAT step has one path: a client asking for a fan-out
     # inside the loop must fail loudly, not silently get another search.
-    # Likewise for the retired trace-file, monomial-fact and Groebner
-    # budget fields: the error names the field.
+    # Likewise for the retired trace-file, monomial-fact, Groebner
+    # budget and native-XOR-output fields: the error names the field.
     for field in (
         "use_portfolio",
         "use_cube",
@@ -199,6 +199,7 @@ def test_spec_validation_rejects_removed_overrides():
         "monomial_facts_from_sat",
         "groebner_max_pairs",
         "groebner_max_basis",
+        "emit_xor_clauses",
     ):
         spec = JobSpec(fmt="dimacs", text=EASY, config={field: True})
         with pytest.raises(ValueError, match=field):
